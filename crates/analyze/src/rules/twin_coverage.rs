@@ -7,16 +7,12 @@
 //! oracle-bounded) against. This rule pins that state at the source
 //! level for the scheduling engines: every free `pub fn` in the
 //! configured crates whose name matches the fast-engine naming
-//! contract (contains `_schedule`, starts with `serve_trace`, or is a
-//! `*_backend` batched entry point) must
+//! contract (contains `_schedule` or starts with `serve_trace`) must
 //!
 //! 1. **resolve a twin** — `{name}_reference` exists as a code
 //!    identifier, or for `…_with_…` variants the reference interposes
 //!    before the suffix (`policy_schedule_with_alone` →
-//!    `policy_schedule_reference_with_alone`), or for `*_backend`
-//!    entries the un-suffixed base exists (the backend contract is
-//!    "`Scalar` forwards verbatim to the base", so the base *is* the
-//!    oracle); and
+//!    `policy_schedule_reference_with_alone`); and
 //! 2. **be named in a gating test** — the identifier appears in at
 //!    least one harvested `tests/*properties*.rs`/`tests/*engines*.rs`
 //!    file.
@@ -35,14 +31,11 @@ pub struct TwinCoverage;
 
 /// True when `name` falls under the fast-engine naming contract.
 fn matches_contract(name: &str) -> bool {
-    name.contains("_schedule") || name.starts_with("serve_trace") || name.ends_with("_backend")
+    name.contains("_schedule") || name.starts_with("serve_trace")
 }
 
 /// Twin candidates for `name` (see module docs for the grammar).
 fn twin_candidates(name: &str) -> Vec<String> {
-    if let Some(base) = name.strip_suffix("_backend") {
-        return vec![base.to_string()];
-    }
     let mut c = vec![format!("{name}_reference")];
     if name.contains("_with_") {
         c.push(name.replacen("_with_", "_reference_with_", 1));
@@ -148,7 +141,6 @@ mod tests {
     fn contract_matching() {
         assert!(matches_contract("fifo_schedule"));
         assert!(matches_contract("serve_trace_with_failures"));
-        assert!(matches_contract("alone_makespans_backend"));
         assert!(!matches_contract("alone_makespans"));
         assert!(!matches_contract("replay_ledger"));
     }
@@ -165,10 +157,6 @@ mod tests {
                 "policy_schedule_with_alone_reference".to_string(),
                 "policy_schedule_reference_with_alone".to_string(),
             ]
-        );
-        assert_eq!(
-            twin_candidates("fifo_schedule_backend"),
-            vec!["fifo_schedule".to_string()]
         );
     }
 }

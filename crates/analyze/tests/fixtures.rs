@@ -198,19 +198,18 @@ fn twin_coverage_flags_missing_twin_and_missing_test() {
 
 #[test]
 fn twin_coverage_grammar_variants() {
-    // `*_backend` resolves by base-name existence; `_with_` interposes.
+    // `_with_` interposes the reference before the suffix.
     let got = twin_findings(&[
         (
             "crates/x/src/fast.rs",
             "pub fn demand_schedule(n: usize) -> usize { n }\n\
              pub fn demand_schedule_reference(n: usize) -> usize { n }\n\
-             pub fn demand_schedule_backend(n: usize) -> usize { demand_schedule(n) }\n\
              pub fn demand_schedule_with_alone(n: usize) -> usize { n }\n\
              pub fn demand_schedule_reference_with_alone(n: usize) -> usize { n }\n",
         ),
         (
             "crates/x/tests/engine_properties.rs",
-            "// names: demand_schedule demand_schedule_backend demand_schedule_with_alone\n",
+            "// names: demand_schedule demand_schedule_with_alone\n",
         ),
     ]);
     assert!(got.is_empty(), "{got:?}");

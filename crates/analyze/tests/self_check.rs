@@ -64,8 +64,8 @@ fn workspace_walk_sees_every_crate() {
     assert!(
         sources
             .iter()
-            .any(|(p, _)| p == "crates/multiload/tests/batch_engines.rs"),
-        "walker missed the batch_engines gating suite"
+            .any(|(p, _)| p == "crates/multiload/tests/properties.rs"),
+        "walker missed the multiload properties gating suite"
     );
 }
 

@@ -27,16 +27,18 @@
 //!   vs the batch `online_schedule` engine (linear selection), on a
 //!   4096-load burst; the record also carries the service's
 //!   decisions-per-second throughput;
-//! * the `solver` group — the safeguarded-Newton + warm-start
-//!   `equal_finish_parallel` vs the nested-bisection oracle
+//! * the `solver` group — the equal-finish lanes kernel through one warm
+//!   `BatchSolver` handle vs the nested-bisection oracle
 //!   (`equal_finish_parallel_reference`), on a FIFO-style sequence of
-//!   shrinking installments at p = 512 (the `dlt-multiload` hot path);
-//! * the `costmodel` group — the trait-dispatched solver
-//!   (`equal_finish_parallel_with` over `CostLaw::AlphaPower`) vs an
-//!   embedded copy of the pre-refactor monomorphic α-power solver, on
-//!   the same installment sequence. The expected speedup is ≈ 1.0: the
-//!   record exists to prove (and keep proving, via `bench-guard`) that
-//!   the `CostModel` abstraction is zero-cost on the default law.
+//!   shrinking installments at p = 8 (the service's platform) and
+//!   p = 512 (the `dlt-multiload` and sweep hot path);
+//! * the `costmodel` group — the same pair with the law passed as
+//!   `CostLaw::AlphaPower` instead of a bare `f64` α, so both sides pay
+//!   the enum's once-per-solve unswitch. Its kernel time next to the
+//!   `solver` group's shows the `CostModel` dispatch cost (expected ≈ 0);
+//! * the `solver_sweep` group — the shared-α sweep of the sec2 /
+//!   sec-amdahl runners (`BatchSolver::solve_sweep`: one platform scan,
+//!   share seeds chained law to law) vs one oracle solve per law.
 //!
 //! Besides the criterion groups, the run re-times each pair directly and
 //! writes `BENCH_hotpaths.json` (override the path with
@@ -53,8 +55,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dlt_bench::BENCH_SEED;
-use dlt_core::batch::{BatchSolver, SolveBackend};
-use dlt_core::costmodel::CostLaw;
+use dlt_core::batch::BatchSolver;
+use dlt_core::costmodel::{CostLaw, CostModel};
 use dlt_core::nonlinear;
 use dlt_multiload::{
     online_schedule_reference_with_alone, online_schedule_with_alone,
@@ -225,173 +227,31 @@ fn solver_instance(p: usize, installments: usize) -> (Platform, Vec<f64>) {
     (platform, sizes)
 }
 
-/// Runs the FIFO-style sequence through the Newton solver with one
-/// warm-start handle (the optimized configuration of `fifo_schedule`).
-fn solver_newton_warm(platform: &Platform, sizes: &[f64], alpha: f64) -> f64 {
+/// Runs the FIFO-style sequence through the lanes kernel with one warm
+/// handle (the configuration of `fifo_schedule`).
+fn solver_kernel_warm<M: CostModel>(platform: &Platform, sizes: &[f64], model: M) -> f64 {
     let config = nonlinear::SolverConfig::default();
-    let mut warm = nonlinear::WarmStart::new();
+    let mut solver = BatchSolver::default();
     let mut acc = 0.0;
     for &n in sizes {
-        acc += nonlinear::equal_finish_parallel_with(platform, n, alpha, &config, &mut warm)
-            .unwrap()
-            .makespan;
+        acc += solver.solve(platform, n, model, &config).unwrap().makespan;
     }
     acc
 }
 
 /// The same sequence through the nested-bisection oracle (no warm start —
 /// the seed implementation had none).
-fn solver_reference(platform: &Platform, sizes: &[f64], alpha: f64) -> f64 {
+fn solver_reference<M: CostModel>(platform: &Platform, sizes: &[f64], model: M) -> f64 {
     let mut acc = 0.0;
     for &n in sizes {
-        acc += nonlinear::equal_finish_parallel_reference(platform, n, alpha)
+        acc += nonlinear::equal_finish_parallel_reference(platform, n, model)
             .unwrap()
             .makespan;
     }
     acc
 }
 
-/// The pre-refactor monomorphic α-power solver, embedded verbatim as the
-/// dispatch baseline for the `costmodel` group: hardcoded `f64` α all the
-/// way down, no `CostModel` trait in sight. Kept in sync (op for op) with
-/// the executable specification in
-/// `crates/core/tests/costmodel_properties.rs`, which proves the trait
-/// path bit-identical to this exact arithmetic.
-mod monomorphic {
-    use dlt_core::nonlinear::SolverConfig;
-    use dlt_platform::Platform;
-
-    fn invert_cost_newton(c: f64, w: f64, alpha: f64, t: f64, max_inner: usize) -> (f64, f64) {
-        if t <= 0.0 {
-            return (0.0, 0.0);
-        }
-        if alpha == 1.0 {
-            let d = c + w;
-            return (t / d, 1.0 / d);
-        }
-        let by_pow = (t / w).powf(1.0 / alpha);
-        let mut x = if c > 0.0 { (t / c).min(by_pow) } else { by_pow };
-        let (mut lo, mut hi) = (0.0f64, x);
-        let mut deriv = 0.0;
-        for _ in 0..max_inner.max(1) {
-            let xam1 = x.powf(alpha - 1.0);
-            deriv = c + alpha * w * xam1;
-            let fx = (c + w * xam1) * x - t;
-            if fx.abs() <= 4.0 * f64::EPSILON * t {
-                break;
-            }
-            if fx < 0.0 {
-                lo = x;
-            } else {
-                hi = x;
-            }
-            let newton = x - fx / deriv;
-            let next = if newton.is_finite() && newton > lo && newton < hi {
-                newton
-            } else {
-                0.5 * (lo + hi)
-            };
-            let step = (next - x).abs();
-            x = next;
-            if step <= f64::EPSILON * x || hi - lo <= f64::EPSILON * hi {
-                break;
-            }
-        }
-        (x, 1.0 / deriv)
-    }
-
-    fn t_single_worker_bound(platform: &Platform, n: f64, alpha: f64) -> f64 {
-        platform
-            .iter()
-            .map(|p| p.inv_bandwidth() * n + p.w() * n.powf(alpha))
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    fn solve_total(
-        n: f64,
-        t_hi_seed: f64,
-        config: &SolverConfig,
-        warm: &mut Option<f64>,
-        mut eval: impl FnMut(f64) -> (Vec<f64>, f64),
-    ) -> (f64, Vec<f64>) {
-        let mut lo = 0.0f64;
-        let mut hi = f64::INFINITY;
-        let mut t = match *warm {
-            Some(seed) => seed,
-            None => t_hi_seed.max(1e-300),
-        };
-        for _ in 0..config.max_outer {
-            let (x, slope) = eval(t);
-            let g = x.iter().sum::<f64>() - n;
-            if g < 0.0 {
-                lo = t;
-            } else {
-                hi = t;
-            }
-            let bracket_tight = hi.is_finite() && hi - lo <= config.rel_tol * hi.max(1.0);
-            if g.abs() <= config.residual_tol * n || bracket_tight {
-                let mut x = x;
-                let s: f64 = x.iter().sum();
-                if s > 0.0 {
-                    let scale = n / s;
-                    for xi in &mut x {
-                        *xi *= scale;
-                    }
-                }
-                if t.is_finite() && t > 0.0 {
-                    *warm = Some(t);
-                }
-                return (t, x);
-            }
-            let newton = if slope > 0.0 { t - g / slope } else { f64::NAN };
-            t = if hi.is_finite() {
-                if newton.is_finite() && newton > lo && newton < hi {
-                    newton
-                } else {
-                    0.5 * (lo + hi)
-                }
-            } else {
-                let doubled = (2.0 * t).max(t_hi_seed.max(1e-300));
-                assert!(doubled <= 1e300, "monomorphic solver failed its hunt");
-                if newton.is_finite() && newton > doubled {
-                    newton
-                } else {
-                    doubled
-                }
-            };
-        }
-        panic!("monomorphic solver did not converge");
-    }
-
-    /// Pre-refactor `equal_finish_parallel`, warm handle as a bare
-    /// `Option<f64>` (the `WarmStart` struct was a newtype over it).
-    pub fn equal_finish_parallel(
-        platform: &Platform,
-        n: f64,
-        alpha: f64,
-        config: &SolverConfig,
-        warm: &mut Option<f64>,
-    ) -> (f64, Vec<f64>) {
-        let max_inner = config.max_inner;
-        let eval = |t: f64| -> (Vec<f64>, f64) {
-            let mut slope = 0.0;
-            let x = platform
-                .iter()
-                .map(|p| {
-                    let (xi, dxi) =
-                        invert_cost_newton(p.inv_bandwidth(), p.w(), alpha, t, max_inner);
-                    slope += dxi;
-                    xi
-                })
-                .collect();
-            (x, slope)
-        };
-        let t_hi_seed = t_single_worker_bound(platform, n, alpha);
-        solve_total(n, t_hi_seed, config, warm, eval)
-    }
-}
-
-/// The shared-α sweep workload of the `solver_batched` group: `width`
+/// The shared-α sweep workload of the `solver_sweep` group: `width`
 /// α-power laws solved on one platform for one load — exactly the
 /// per-platform inner loop of the sec2 / sec-amdahl sweeps.
 fn sweep_laws(width: usize) -> Vec<CostLaw> {
@@ -400,26 +260,22 @@ fn sweep_laws(width: usize) -> Vec<CostLaw> {
         .collect()
 }
 
-/// The sweep through the scalar path, one `WarmStart` chained across the
-/// laws — the historical sec2 pattern and the oracle baseline.
-fn sweep_scalar(platform: &Platform, n: f64, laws: &[CostLaw]) -> f64 {
-    let config = nonlinear::SolverConfig::default();
-    let mut warm = nonlinear::WarmStart::new();
-    let mut acc = 0.0;
-    for &law in laws {
-        acc += nonlinear::equal_finish_parallel_with(platform, n, law, &config, &mut warm)
-            .unwrap()
-            .makespan;
-    }
-    acc
+/// The sweep through the bisection oracle, one solve per law.
+fn sweep_reference(platform: &Platform, n: f64, laws: &[CostLaw]) -> f64 {
+    laws.iter()
+        .map(|&law| {
+            nonlinear::equal_finish_parallel_reference(platform, n, law)
+                .unwrap()
+                .makespan
+        })
+        .sum()
 }
 
-/// The same sweep through the structure-of-arrays batched kernel: one
-/// platform scan, shared-exponent `exp/ln` lane passes, share seeds
-/// chained law to law.
-fn sweep_batched(platform: &Platform, n: f64, laws: &[CostLaw]) -> f64 {
+/// The same sweep through the lanes kernel: one platform scan,
+/// shared-exponent `exp/ln` lane passes, share seeds chained law to law.
+fn sweep_kernel(platform: &Platform, n: f64, laws: &[CostLaw]) -> f64 {
     let config = nonlinear::SolverConfig::default();
-    let mut solver = BatchSolver::new(SolveBackend::Batched);
+    let mut solver = BatchSolver::default();
     solver
         .solve_sweep(platform, n, laws, &config)
         .unwrap()
@@ -428,60 +284,21 @@ fn sweep_batched(platform: &Platform, n: f64, laws: &[CostLaw]) -> f64 {
         .sum()
 }
 
-/// The FIFO-style sequence through the embedded pre-refactor monomorphic
-/// solver — the dispatch baseline of the `costmodel` group.
-fn costmodel_monomorphic(platform: &Platform, sizes: &[f64], alpha: f64) -> f64 {
-    let config = nonlinear::SolverConfig::default();
-    let mut warm = None;
-    let mut acc = 0.0;
-    for &n in sizes {
-        acc += monomorphic::equal_finish_parallel(platform, n, alpha, &config, &mut warm).0;
-    }
-    acc
-}
-
-/// The same sequence through the generic solver dispatching on the
-/// [`CostLaw`] enum — the post-refactor production path.
-fn costmodel_trait_dispatch(platform: &Platform, sizes: &[f64], alpha: f64) -> f64 {
-    let config = nonlinear::SolverConfig::default();
-    let mut warm = nonlinear::WarmStart::new();
-    let mut acc = 0.0;
-    for &n in sizes {
-        acc += nonlinear::equal_finish_parallel_with(
-            platform,
-            n,
-            CostLaw::alpha_power(alpha),
-            &config,
-            &mut warm,
-        )
-        .unwrap()
-        .makespan;
-    }
-    acc
-}
-
 fn bench_costmodel(c: &mut Criterion) {
     if smoke_mode() {
         return;
     }
     let mut group = c.benchmark_group("costmodel");
-    for &(p, installments) in &[(64usize, 8usize), (512, 8)] {
+    let law = CostLaw::alpha_power(1.5);
+    for &(p, installments) in &[(8usize, 8usize), (512, 8)] {
         let (platform, sizes) = solver_instance(p, installments);
         let id = format!("p{p}_seq{installments}");
-        group.bench_with_input(BenchmarkId::new("trait_dispatch", &id), &p, |b, _| {
-            b.iter(|| {
-                costmodel_trait_dispatch(black_box(&platform), black_box(&sizes), black_box(1.5))
-            })
+        group.bench_with_input(BenchmarkId::new("kernel_costlaw", &id), &p, |b, _| {
+            b.iter(|| solver_kernel_warm(black_box(&platform), black_box(&sizes), black_box(law)))
         });
-        group.bench_with_input(
-            BenchmarkId::new("monomorphic_prerefactor", &id),
-            &p,
-            |b, _| {
-                b.iter(|| {
-                    costmodel_monomorphic(black_box(&platform), black_box(&sizes), black_box(1.5))
-                })
-            },
-        );
+        group.bench_with_input(BenchmarkId::new("bisection_costlaw", &id), &p, |b, _| {
+            b.iter(|| solver_reference(black_box(&platform), black_box(&sizes), black_box(law)))
+        });
     }
     group.finish();
 }
@@ -491,11 +308,11 @@ fn bench_solver(c: &mut Criterion) {
         return;
     }
     let mut group = c.benchmark_group("solver");
-    for &(p, installments) in &[(64usize, 8usize), (512, 8)] {
+    for &(p, installments) in &[(8usize, 8usize), (512, 8)] {
         let (platform, sizes) = solver_instance(p, installments);
         let id = format!("p{p}_seq{installments}");
-        group.bench_with_input(BenchmarkId::new("newton_warm", &id), &p, |b, _| {
-            b.iter(|| solver_newton_warm(black_box(&platform), black_box(&sizes), black_box(1.5)))
+        group.bench_with_input(BenchmarkId::new("kernel_warm", &id), &p, |b, _| {
+            b.iter(|| solver_kernel_warm(black_box(&platform), black_box(&sizes), black_box(1.5)))
         });
         group.bench_with_input(BenchmarkId::new("bisection_reference", &id), &p, |b, _| {
             b.iter(|| solver_reference(black_box(&platform), black_box(&sizes), black_box(1.5)))
@@ -504,20 +321,20 @@ fn bench_solver(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_solver_batched(c: &mut Criterion) {
+fn bench_solver_sweep(c: &mut Criterion) {
     if smoke_mode() {
         return;
     }
-    let mut group = c.benchmark_group("solver_batched");
+    let mut group = c.benchmark_group("solver_sweep");
     let laws = sweep_laws(8);
-    for &p in &[64usize, 512] {
+    for &p in &[8usize, 512] {
         let (platform, _) = solver_instance(p, 8);
         let id = format!("p{p}_sweep8");
-        group.bench_with_input(BenchmarkId::new("batched_sweep", &id), &p, |b, _| {
-            b.iter(|| sweep_batched(black_box(&platform), black_box(4096.0), black_box(&laws)))
+        group.bench_with_input(BenchmarkId::new("kernel_sweep", &id), &p, |b, _| {
+            b.iter(|| sweep_kernel(black_box(&platform), black_box(4096.0), black_box(&laws)))
         });
-        group.bench_with_input(BenchmarkId::new("scalar_sweep", &id), &p, |b, _| {
-            b.iter(|| sweep_scalar(black_box(&platform), black_box(4096.0), black_box(&laws)))
+        group.bench_with_input(BenchmarkId::new("bisection_sweep", &id), &p, |b, _| {
+            b.iter(|| sweep_reference(black_box(&platform), black_box(4096.0), black_box(&laws)))
         });
     }
     group.finish();
@@ -751,30 +568,34 @@ fn emit_json(c: &mut Criterion) {
     let mut ws = PeriSumDp::new();
     let dp_opt = time_min_ns(reps(200), || ws.partition(&w).unwrap());
 
-    let (sv_platform, sv_sizes) = solver_instance(512, 8);
-    let sv_base = time_min_ns(reps(10), || {
-        solver_reference(&sv_platform, &sv_sizes, black_box(1.5))
-    });
-    let sv_opt = time_min_ns(reps(50), || {
-        solver_newton_warm(&sv_platform, &sv_sizes, black_box(1.5))
-    });
-
-    // Dispatch overhead of the CostModel trait layer: expected ≈ 1.0x.
-    let cm_base = time_min_ns(reps(200), || {
-        costmodel_monomorphic(&sv_platform, &sv_sizes, black_box(1.5))
-    });
-    let cm_opt = time_min_ns(reps(200), || {
-        costmodel_trait_dispatch(&sv_platform, &sv_sizes, black_box(1.5))
-    });
-
-    // Lanes vs scalar on the shared-α sweep (the sec2/sec-amdahl inner
-    // loop) at p = 512 — the batched kernel's headline ratio.
+    // The equal-finish kernel against the bisection oracle, at the
+    // service's p = 8 and the sweeps' p = 512: a warm installment
+    // sequence with a bare α, the same sequence through the `CostLaw`
+    // enum (its kernel time next to the bare-α one is the dispatch
+    // cost), and the shared-α sweep.
+    let law = CostLaw::alpha_power(1.5);
     let bt_laws = sweep_laws(8);
-    let bt_base = time_min_ns(reps(50), || {
-        sweep_scalar(&sv_platform, black_box(4096.0), &bt_laws)
-    });
-    let bt_opt = time_min_ns(reps(200), || {
-        sweep_batched(&sv_platform, black_box(4096.0), &bt_laws)
+    let solver_records = [8usize, 512].map(|p| {
+        let (platform, sizes) = solver_instance(p, 8);
+        // One p = 512 oracle pass is most of a second.
+        let oracle_reps = reps(if p == 512 { 10 } else { 50 });
+        let pair = |base: &dyn Fn() -> f64, opt: &dyn Fn() -> f64| {
+            (time_min_ns(oracle_reps, base), time_min_ns(reps(200), opt))
+        };
+        [
+            pair(
+                &|| solver_reference(&platform, &sizes, black_box(1.5)),
+                &|| solver_kernel_warm(&platform, &sizes, black_box(1.5)),
+            ),
+            pair(
+                &|| solver_reference(&platform, &sizes, black_box(law)),
+                &|| solver_kernel_warm(&platform, &sizes, black_box(law)),
+            ),
+            pair(
+                &|| sweep_reference(&platform, black_box(4096.0), &bt_laws),
+                &|| sweep_kernel(&platform, black_box(4096.0), &bt_laws),
+            ),
+        ]
     });
 
     let (ml_platform, ml_batch, ml_config, ml_alone) = multiload_instance(512, 64, 128);
@@ -835,8 +656,7 @@ fn emit_json(c: &mut Criterion) {
             b / o
         )
     };
-    let json = format!(
-        "[\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{},\n{}\n]\n",
+    let mut records = vec![
         record(
             "simulate_demand",
             "p=512, tasks=10000, uniform profile",
@@ -888,31 +708,35 @@ fn emit_json(c: &mut Criterion) {
             se_base,
             se_opt,
         ),
-        record(
-            "solver_equal_finish",
-            "p=512, 8 shrinking installments, alpha=1.5, uniform profile",
+    ];
+    for (p, timed) in [8usize, 512].into_iter().zip(&solver_records) {
+        let suffix = if p == 512 { "" } else { "_p8" };
+        records.push(record(
+            &format!("solver_equal_finish{suffix}"),
+            &format!("p={p}, 8 shrinking installments, alpha=1.5, uniform profile"),
             "nested bisection (equal_finish_parallel_reference)",
-            "safeguarded Newton + warm start (equal_finish_parallel_with)",
-            sv_base,
-            sv_opt,
-        ),
-        record(
-            "costmodel_dispatch",
-            "p=512, 8 shrinking installments, alpha=1.5, uniform profile",
-            "embedded pre-refactor monomorphic alpha-power solver",
-            "CostModel trait dispatch over CostLaw::AlphaPower (equal_finish_parallel_with)",
-            cm_base,
-            cm_opt,
-        ),
-        record(
-            "solver_batched",
-            "p=512, shared-alpha sweep width 8, n=4096, uniform profile",
-            "scalar per-alpha Newton, one WarmStart across the sweep (equal_finish_parallel_with)",
-            "SoA batched kernel, shared-exponent exp/ln lanes (BatchSolver::solve_sweep)",
-            bt_base,
-            bt_opt,
-        ),
-    );
+            "lanes kernel, one warm handle (BatchSolver::solve)",
+            timed[0].0,
+            timed[0].1,
+        ));
+        records.push(record(
+            &format!("costmodel_dispatch{suffix}"),
+            &format!("p={p}, 8 shrinking installments, CostLaw::AlphaPower(1.5), uniform profile"),
+            "nested bisection over CostLaw (equal_finish_parallel_reference)",
+            "lanes kernel over CostLaw, one warm handle (BatchSolver::solve)",
+            timed[1].0,
+            timed[1].1,
+        ));
+        records.push(record(
+            &format!("solver_batched{suffix}"),
+            &format!("p={p}, shared-alpha sweep width 8, n=4096, uniform profile"),
+            "nested bisection per law (equal_finish_parallel_reference)",
+            "lanes kernel sweep, share seeds chained (BatchSolver::solve_sweep)",
+            timed[2].0,
+            timed[2].1,
+        ));
+    }
+    let json = format!("[\n{}\n]\n", records.join(",\n"));
     // Bench binaries run with CWD = crates/bench; default to the
     // workspace root so the trajectory file lands next to CHANGES.md.
     let path = std::env::var_os("DLT_BENCH_JSON").unwrap_or_else(|| {
@@ -925,11 +749,12 @@ fn emit_json(c: &mut Criterion) {
             std::path::Path::new(&path).display()
         ),
     }
+    let [p8, p512] = solver_records.map(|t| t.map(|(b, o)| b / o));
     eprintln!(
         "hotpaths: simulate_demand {:.1}x, peri_sum_dp {:.1}x, multiload_round_robin {:.1}x, \
          multiload_policy {:.1}x, multiload_failure {:.1}x, multiload_service {:.1}x \
-         ({:.0} decisions/sec), solver_equal_finish {:.1}x, costmodel_dispatch {:.2}x, \
-         solver_batched {:.1}x",
+         ({:.0} decisions/sec), solver_equal_finish {:.1}x / {:.1}x, \
+         costmodel_dispatch {:.1}x / {:.1}x, solver_batched {:.1}x / {:.1}x (p = 8 / 512)",
         sim_base / sim_opt,
         dp_base / dp_opt,
         ml_base / ml_opt,
@@ -937,9 +762,12 @@ fn emit_json(c: &mut Criterion) {
         fa_base / fa_opt,
         se_base / se_opt,
         se_decisions_per_sec,
-        sv_base / sv_opt,
-        cm_base / cm_opt,
-        bt_base / bt_opt
+        p8[0],
+        p512[0],
+        p8[1],
+        p512[1],
+        p8[2],
+        p512[2]
     );
 }
 
@@ -953,7 +781,7 @@ criterion_group!(
     bench_service,
     bench_solver,
     bench_costmodel,
-    bench_solver_batched,
+    bench_solver_sweep,
     emit_json
 );
 criterion_main!(benches);

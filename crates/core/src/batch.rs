@@ -1,12 +1,13 @@
-//! Batched structure-of-arrays equal-finish solver.
+//! The equal-finish kernel: one structure-of-arrays solver for the
+//! parallel communication model.
 //!
-//! [`crate::nonlinear::equal_finish_parallel_with`] walks the platform
-//! worker by worker: each outer Newton iterate pays one closure call,
-//! one safeguarded inner Newton *and one `powf` per inner step* per
-//! worker, plus a fresh `Vec` per outer evaluation. Profiles of the
-//! multiload engines and the sec2/sec-amdahl sweeps are dominated by
-//! exactly that `powf` (ROADMAP's top remaining hot path).
+//! Every parallel-model equal-finish solve in the workspace runs here —
+//! [`crate::nonlinear::equal_finish_parallel`] is one cold-handle solve
+//! of this kernel, and the multi-load engines and the sweep runners
+//! thread a [`BatchSolver`] through consecutive solves.
 //!
+//! The system is `cᵢxᵢ + wᵢxᵢ^α = T` on every worker with `Σxᵢ = N`:
+//! an outer safeguarded Newton on `T` over inner per-worker inverses.
 //! [`BatchSolver`] keeps the platform as structure-of-arrays lanes
 //! (contiguous `c[]`, `w[]` plus per-lane Newton state) and advances
 //! *all* inner inverses in lockstep: every inner iteration is one
@@ -14,38 +15,42 @@
 //! the power-law models implement as a single shared-exponent
 //! `x^{α−1} = exp((α−1)·ln x)` sweep through the polynomial kernels of
 //! [`crate::fastmath`] (vectorized 8 lanes at a time behind the `simd`
-//! feature, scalar-unrolled otherwise). On top of the cheaper `powf`
-//! the solver reuses all scratch (no allocation per evaluation) and
-//! extends the warm-start idea from the outer root to the *shares*: the
-//! previous solve's lane roots seed the next solve's inner Newton, and
-//! within one solve each outer iterate starts its lanes from the
-//! previous iterate's roots instead of the closed-form bound.
+//! feature, runtime-detected AVX2 or scalar-unrolled otherwise). The
+//! solver reuses all scratch (no allocation per evaluation) and extends
+//! the warm-start idea from the outer root to the *shares*: the previous
+//! solve's lane roots seed the next solve's inner Newton, and within one
+//! solve each outer iterate starts its lanes from the previous iterate's
+//! roots instead of the closed-form bound.
 //!
 //! # Correctness contract
 //!
-//! * [`SolveBackend::Scalar`] **is** the scalar path — `solve` forwards
-//!   to `equal_finish_parallel_with` verbatim, so every result is
-//!   bit-identical to it and all committed experiment CSVs are
-//!   unaffected unless a caller opts in to the batched backend.
-//! * [`SolveBackend::Batched`] runs the same safeguarded two-level
-//!   Newton (same bracketing, same stopping rules, same outer
-//!   hunt/rescale) but with the fast power kernels and share seeding,
-//!   and is bounded against the scalar oracle: makespan and every share
-//!   agree to ≤ 1e-9 relative (the property suite in
-//!   `tests/batch_properties.rs` enforces a bound three orders of
-//!   magnitude tighter than the arithmetic typically produces).
+//! * The nested-bisection
+//!   [`crate::nonlinear::equal_finish_parallel_reference`] is the oracle:
+//!   makespan and every share agree with it to ≤ 1e-9 relative, from
+//!   cold, warm and stale-warm handles alike (the property suite in
+//!   `tests/batch_properties.rs` sweeps p ∈ {1, 2, 7, 8, 64, 512} × every
+//!   [`CostLaw`]).
 //! * Conservation is exact by construction: after the final rescale the
 //!   largest lane is re-assigned the remainder `n − Σ_{i≠k} xᵢ`
 //!   (left-to-right sum skipping `k`), so replaying that sum in the
-//!   batch's own arithmetic recovers `n` bitwise.
+//!   kernel's own arithmetic recovers `n` bitwise.
+//! * Results are a pure function of the handle's solve sequence: two
+//!   handles fed the same `(platform, n, law)` sequence return the same
+//!   bits, which is what keeps every engine bit-identical to its
+//!   `_reference` twin.
 //! * Share seeds are **hints only** (clamped into the lane's fresh
 //!   bracket before use) and are dropped whenever the platform's lane
 //!   arrays change bitwise — a worker failing out mid-trace shrinks the
 //!   degraded platform, and a stale-length seed must fall back to the
-//!   closed-form bound rather than index out of lane bounds (regression
-//!   test in `dlt-multiload`'s failure suite). The outer finish-time
-//!   hint survives platform changes, exactly like a shared
-//!   [`WarmStart`] handle does today.
+//!   closed-form bound rather than index out of lane bounds (the unit
+//!   test below, and `dlt-multiload`'s failure properties, which drive
+//!   `Down` events through every engine). The outer finish-time hint
+//!   survives platform changes.
+//!
+//! The one-port model ([`crate::nonlinear::equal_finish_one_port`]) has
+//! no lane form — its serialized sends chain each worker's window to the
+//! previous shares — and stays the single scalar consumer of the inner
+//! Newton in `nonlinear`.
 
 use crate::costmodel::{CostLaw, CostModel, ModelVisitor};
 use crate::error::DltError;
@@ -60,48 +65,36 @@ use dlt_sim::CommMode;
 /// sits a few ulps *below* the root.
 const UB_INFLATE: f64 = 1e-12;
 
-/// Which equal-finish kernel a [`BatchSolver`] runs.
+/// Names the equal-finish kernel a [`BatchSolver`] runs. There is one —
+/// the structure-of-arrays lanes kernel of this module — so the enum has
+/// a single variant and [`BatchSolver::new`] runs the same kernel for
+/// every value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolveBackend {
-    /// The scalar safeguarded-Newton path — literally
-    /// [`nonlinear::equal_finish_parallel_with`], bit-identical to
-    /// calling it directly. The default everywhere.
+    /// The lanes kernel: shared-exponent fast power kernels, share seeds,
+    /// ≤ 1e-9 relative of the bisection oracle.
     #[default]
     Scalar,
-    /// The structure-of-arrays batched kernel: ≤ 1e-9 relative of the
-    /// scalar oracle, ~2–4× faster on wide platforms.
-    Batched,
 }
 
-impl SolveBackend {
-    /// CLI/report name (`"scalar"` / `"batched"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            SolveBackend::Scalar => "scalar",
-            SolveBackend::Batched => "batched",
-        }
-    }
-}
-
-/// Reusable equal-finish solver handle: a [`WarmStart`] plus, for the
-/// batched backend, the structure-of-arrays platform mirror, per-lane
-/// scratch and the previous solve's share seeds.
+/// Reusable equal-finish solver handle: the outer finish-time hint, the
+/// structure-of-arrays platform mirror, per-lane scratch and the previous
+/// solve's share seeds.
 ///
-/// Thread one handle through consecutive solves exactly like a
-/// [`WarmStart`] (the multiload engines and the sweep runners do): the
-/// platform arrays are rebuilt only when the platform actually changes,
-/// and every solve seeds the next.
+/// Thread one handle through consecutive solves (the multiload engines
+/// and the sweep runners do): the platform arrays are rebuilt only when
+/// the platform actually changes, and every solve seeds the next.
 ///
 /// # Examples
 ///
 /// ```
-/// use dlt_core::batch::{BatchSolver, SolveBackend};
+/// use dlt_core::batch::BatchSolver;
 /// use dlt_core::nonlinear::SolverConfig;
 /// use dlt_platform::Platform;
 ///
 /// let platform = Platform::from_speeds(&[1.0, 2.0, 4.0]).unwrap();
 /// let config = SolverConfig::default();
-/// let mut solver = BatchSolver::new(SolveBackend::Batched);
+/// let mut solver = BatchSolver::default();
 /// for n in [100.0, 80.0, 64.0] {
 ///     let a = solver.solve(&platform, n, 2.0, &config).unwrap();
 ///     assert!((a.x.iter().sum::<f64>() - n).abs() <= 1e-9 * n);
@@ -109,7 +102,6 @@ impl SolveBackend {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BatchSolver {
-    backend: SolveBackend,
     warm: WarmStart,
     /// SoA mirror of the last platform seen (inverse bandwidths).
     c: Vec<f64>,
@@ -129,27 +121,21 @@ pub struct BatchSolver {
 }
 
 impl BatchSolver {
-    /// A cold handle for the given backend.
-    pub fn new(backend: SolveBackend) -> Self {
-        Self {
-            backend,
-            ..Self::default()
-        }
+    /// A cold handle; the same as [`BatchSolver::default`] (see
+    /// [`SolveBackend`]).
+    pub fn new(_kernel: SolveBackend) -> Self {
+        Self::default()
     }
 
     /// A handle pre-seeded with a finish-time hint, like
     /// [`WarmStart::seeded`] (non-finite / non-positive seeds are
-    /// ignored). The seed is a hint for both backends: a stale one can
-    /// only lengthen the path to the root, never change it.
-    pub fn seeded(backend: SolveBackend, t: f64) -> Self {
-        let mut s = Self::new(backend);
-        s.warm.record(t);
-        s
-    }
-
-    /// The backend this handle runs.
-    pub fn backend(&self) -> SolveBackend {
-        self.backend
+    /// ignored). A stale seed can only lengthen the path to the root,
+    /// never change it.
+    pub fn seeded(t: f64) -> Self {
+        Self {
+            warm: WarmStart::seeded(t),
+            ..Self::default()
+        }
     }
 
     /// The outer root of the last solve, if any (the warm-start hint).
@@ -157,12 +143,9 @@ impl BatchSolver {
         self.warm.last()
     }
 
-    /// Equal-finish parallel-model solve through this handle's backend.
-    ///
-    /// `Scalar` forwards to [`nonlinear::equal_finish_parallel_with`]
-    /// with the handle's [`WarmStart`] — bit-identical to the plain
-    /// scalar path. `Batched` runs the SoA kernel (≤ 1e-9 relative of
-    /// the scalar result) and additionally records share seeds.
+    /// Equal-finish parallel-model solve of `n` data units under `model`:
+    /// the lanes kernel, seeded by this handle's previous solve, recording
+    /// this solve's root and shares for the next.
     pub fn solve<M: CostModel>(
         &mut self,
         platform: &Platform,
@@ -170,26 +153,20 @@ impl BatchSolver {
         model: M,
         config: &SolverConfig,
     ) -> Result<NonlinearAllocation, DltError> {
-        match self.backend {
-            SolveBackend::Scalar => {
-                nonlinear::equal_finish_parallel_with(platform, n, model, config, &mut self.warm)
-            }
-            SolveBackend::Batched => model.unswitch(BatchedVisit {
-                solver: self,
-                platform,
-                n,
-                config,
-                law: model.as_law(),
-            }),
-        }
+        model.unswitch(Visit {
+            solver: self,
+            platform,
+            n,
+            config,
+            law: model.as_law(),
+        })
     }
 
     /// Multi-law solve sharing one platform scan: solves the same `(platform, n)`
     /// under each law in turn through this handle, so the SoA arrays are
     /// built once and the outer root plus share seeds chain across the
     /// sweep (consecutive α values have nearby roots — the sec2 /
-    /// sec-amdahl α-sweep pattern). With the `Scalar` backend this is
-    /// exactly the historical "one `WarmStart` across the sweep" loop.
+    /// sec-amdahl α-sweep pattern).
     pub fn solve_sweep(
         &mut self,
         platform: &Platform,
@@ -233,8 +210,8 @@ impl BatchSolver {
     }
 
     /// One outer evaluation: all lane inverses at finish time `t`, into
-    /// `self.x`, returning the slope `Σ dxᵢ/dt`. Mirrors
-    /// `invert_cost_newton` lane-for-lane (same bracketing and stopping
+    /// `self.x`, returning the slope `Σ dxᵢ/dt`. The lane form of
+    /// `nonlinear::invert_cost_newton` (same bracketing and stopping
     /// rules), with the Newton iterations advanced in lockstep so each
     /// iteration is one batched residual pass.
     fn eval_lanes<M: CostModel>(
@@ -250,10 +227,9 @@ impl BatchSolver {
             return 0.0;
         }
         // Exact closed forms (α = 1, starved affine-latency windows)
-        // bypass the iteration, exactly like the scalar path. Whether a
-        // closed form exists depends only on the model and `t` for the
-        // shipped laws, so lanes agree; a hypothetical mixed law falls
-        // back to the scalar per-lane inverse.
+        // bypass the iteration. Whether a closed form exists depends only
+        // on the model and `t` for the shipped laws, so lanes agree; a
+        // hypothetical mixed law falls back to the per-lane inverse.
         let mut n_exact = 0usize;
         for i in 0..p {
             if let Some((xi, di)) = model.exact_inverse(self.c[i], self.w[i], t) {
@@ -357,12 +333,12 @@ impl BatchSolver {
         self.invd[..p].iter().sum()
     }
 
-    /// Outer safeguarded Newton on `Σ xᵢ(T) = n` — the batched twin of
-    /// `nonlinear::solve_total`, same bracketing, stopping rules, warm
-    /// seeding and upper-bound hunt. The single-worker bound seed is
+    /// Outer safeguarded Newton on `Σ xᵢ(T) = n` — the same bracketing,
+    /// stopping rules, warm seeding and upper-bound hunt as the one-port
+    /// model's `nonlinear::solve_total`. The single-worker bound seed is
     /// computed lazily: a warm handle that converges without hunting
     /// never pays the `p` `powf`s it costs.
-    fn solve_batched_mono<M: CostModel>(
+    fn solve_mono<M: CostModel>(
         &mut self,
         platform: &Platform,
         n: f64,
@@ -410,7 +386,7 @@ impl BatchSolver {
                 let doubled = (2.0 * t).max(lazy_seed(&mut t_hi_cache).max(1e-300));
                 if doubled > 1e300 {
                     return Err(DltError::NoConvergence {
-                        context: "batched outer upper-bound hunt",
+                        context: "outer upper-bound hunt",
                     });
                 }
                 if newton.is_finite() && newton > doubled {
@@ -421,7 +397,7 @@ impl BatchSolver {
             };
         }
         Err(DltError::NoConvergence {
-            context: "batched outer Newton iteration",
+            context: "outer Newton iteration",
         })
     }
 
@@ -471,9 +447,8 @@ impl BatchSolver {
 }
 
 /// Once-per-solve monomorphization visitor: matches the law variant a
-/// single time so the batched Newton loops run with the concrete model
-/// inlined (the same unswitching trick the scalar entry points use).
-struct BatchedVisit<'a> {
+/// single time so the Newton loops run with the concrete model inlined.
+struct Visit<'a> {
     solver: &'a mut BatchSolver,
     platform: &'a Platform,
     n: f64,
@@ -481,12 +456,12 @@ struct BatchedVisit<'a> {
     law: CostLaw,
 }
 
-impl ModelVisitor for BatchedVisit<'_> {
+impl ModelVisitor for Visit<'_> {
     type Out = Result<NonlinearAllocation, DltError>;
 
     fn visit<M: CostModel>(self, model: M) -> Self::Out {
         self.solver
-            .solve_batched_mono(self.platform, self.n, model, self.law, self.config)
+            .solve_mono(self.platform, self.n, model, self.law, self.config)
     }
 }
 
@@ -494,10 +469,14 @@ impl ModelVisitor for BatchedVisit<'_> {
 mod tests {
     use super::*;
     use crate::costmodel::CostLaw;
+    use crate::nonlinear::equal_finish_parallel_reference;
 
-    fn assert_close(a: f64, b: f64, what: &str) {
-        let tol = 1e-9 * a.abs().max(b.abs()).max(1e-300);
-        assert!((a - b).abs() <= tol, "{what}: batched {b} vs scalar {a}");
+    fn assert_close(oracle: f64, kernel: f64, what: &str) {
+        let tol = 1e-9 * oracle.abs().max(kernel.abs()).max(1e-300);
+        assert!(
+            (oracle - kernel).abs() <= tol,
+            "{what}: kernel {kernel} vs oracle {oracle}"
+        );
     }
 
     fn platform3() -> Platform {
@@ -505,45 +484,27 @@ mod tests {
     }
 
     #[test]
-    fn scalar_backend_is_bit_identical_to_the_plain_path() {
-        let platform = platform3();
-        let config = SolverConfig::default();
-        let mut solver = BatchSolver::new(SolveBackend::Scalar);
-        let mut warm = WarmStart::new();
-        for n in [100.0, 80.0, 64.0] {
-            let via_solver = solver.solve(&platform, n, 2.0, &config).unwrap();
-            let direct =
-                nonlinear::equal_finish_parallel_with(&platform, n, 2.0, &config, &mut warm)
-                    .unwrap();
-            assert_eq!(via_solver, direct);
-        }
-    }
-
-    #[test]
-    fn batched_matches_scalar_within_the_oracle_bound() {
+    fn warm_sequences_match_the_bisection_oracle() {
         let platform = platform3();
         let config = SolverConfig::default();
         for alpha in [1.0, 1.5, 2.0, 3.0, 24.0] {
-            let mut batched = BatchSolver::new(SolveBackend::Batched);
-            let mut warm = WarmStart::new();
+            let mut solver = BatchSolver::default();
             for n in [100.0, 80.0, 64.0] {
-                let b = batched.solve(&platform, n, alpha, &config).unwrap();
-                let s =
-                    nonlinear::equal_finish_parallel_with(&platform, n, alpha, &config, &mut warm)
-                        .unwrap();
-                assert_close(s.makespan, b.makespan, "makespan");
-                for (i, (&xs, &xb)) in s.x.iter().zip(&b.x).enumerate() {
-                    assert_close(xs, xb, &format!("share {i} (alpha {alpha}, n {n})"));
+                let k = solver.solve(&platform, n, alpha, &config).unwrap();
+                let r = equal_finish_parallel_reference(&platform, n, alpha).unwrap();
+                assert_close(r.makespan, k.makespan, "makespan");
+                for (i, (&xr, &xk)) in r.x.iter().zip(&k.x).enumerate() {
+                    assert_close(xr, xk, &format!("share {i} (alpha {alpha}, n {n})"));
                 }
             }
         }
     }
 
     #[test]
-    fn batched_conserves_the_load_bitwise() {
+    fn conserves_the_load_bitwise() {
         let platform = platform3();
         let config = SolverConfig::default();
-        let mut solver = BatchSolver::new(SolveBackend::Batched);
+        let mut solver = BatchSolver::default();
         let n = 137.0;
         let a = solver.solve(&platform, n, 1.7, &config).unwrap();
         let k = (0..a.x.len())
@@ -561,7 +522,7 @@ mod tests {
     #[test]
     fn platform_change_drops_share_seeds_but_keeps_the_warm_hint() {
         let config = SolverConfig::default();
-        let mut solver = BatchSolver::new(SolveBackend::Batched);
+        let mut solver = BatchSolver::default();
         let p5 = Platform::from_speeds(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
         solver.solve(&p5, 100.0, 2.0, &config).unwrap();
         assert_eq!(solver.seeds.len(), 5);
@@ -572,38 +533,34 @@ mod tests {
         assert_eq!(a.x.len(), 3);
         assert_eq!(solver.seeds.len(), 3);
         assert!(solver.last_makespan().unwrap() != warm_before || a.makespan == warm_before);
-        // And the result still matches a cold scalar solve.
-        let mut warm = WarmStart::new();
-        let s = nonlinear::equal_finish_parallel_with(&p3, 100.0, 2.0, &config, &mut warm).unwrap();
-        assert_close(s.makespan, a.makespan, "post-shrink makespan");
+        // And the result still matches the oracle on the new platform.
+        let r = equal_finish_parallel_reference(&p3, 100.0, 2.0).unwrap();
+        assert_close(r.makespan, a.makespan, "post-shrink makespan");
     }
 
     #[test]
-    fn sweep_chains_and_matches_per_law_scalar_solves() {
+    fn sweep_chains_and_matches_the_oracle_per_law() {
         let platform = platform3();
         let config = SolverConfig::default();
         let laws: Vec<CostLaw> = [1.0, 1.5, 2.0, 3.0, 6.0]
             .iter()
             .map(|&a| CostLaw::alpha_power(a))
             .collect();
-        let mut batched = BatchSolver::new(SolveBackend::Batched);
-        let allocs = batched
+        let mut solver = BatchSolver::default();
+        let allocs = solver
             .solve_sweep(&platform, 512.0, &laws, &config)
             .unwrap();
-        let mut warm = WarmStart::new();
-        for (law, b) in laws.iter().zip(&allocs) {
-            let s =
-                nonlinear::equal_finish_parallel_with(&platform, 512.0, *law, &config, &mut warm)
-                    .unwrap();
-            assert_close(s.makespan, b.makespan, "sweep makespan");
+        for (law, k) in laws.iter().zip(&allocs) {
+            let r = equal_finish_parallel_reference(&platform, 512.0, *law).unwrap();
+            assert_close(r.makespan, k.makespan, "sweep makespan");
         }
     }
 
     #[test]
-    fn invalid_load_is_rejected_like_the_scalar_path() {
+    fn invalid_inputs_are_rejected() {
         let platform = platform3();
         let config = SolverConfig::default();
-        let mut solver = BatchSolver::new(SolveBackend::Batched);
+        let mut solver = BatchSolver::default();
         assert!(solver.solve(&platform, f64::NAN, 2.0, &config).is_err());
         assert!(solver.solve(&platform, -1.0, 2.0, &config).is_err());
         assert!(solver.solve(&platform, 10.0, 0.5, &config).is_err());

@@ -100,10 +100,10 @@ pub trait CostModel: Copy {
     /// lane — correct for any law). The power-law models override it to
     /// share the exponent across the whole pass via
     /// [`crate::fastmath::pow_slice`] (`x^{α−1} = exp((α−1)·ln x)`),
-    /// which is where the batched solver's speedup comes from; the
-    /// override trades the scalar path's `powf` for the polynomial
-    /// kernels, so lanes agree with the scalar oracle to ≲ 1e-13
-    /// relative rather than bit-exactly.
+    /// which is where the equal-finish kernel's speedup comes from; the
+    /// override trades `powf` for the polynomial kernels, so lanes agree
+    /// with [`residual_deriv`](Self::residual_deriv) to ≲ 1e-13 relative
+    /// rather than bit-exactly.
     fn residual_deriv_batch(
         &self,
         c: &[f64],
@@ -123,7 +123,7 @@ pub trait CostModel: Copy {
     /// Batched [`inverse_upper_bound`](Self::inverse_upper_bound): fills
     /// `out[i]` with the closed-form bound for lane `i`. Default is the
     /// scalar loop; overrides may use the fast polynomial `pow` (the
-    /// batched solver re-inflates the bound by ~1e-12 relative before
+    /// equal-finish kernel re-inflates the bound by ~1e-12 relative before
     /// trusting it, so a fast bound a few ulps under the true root can
     /// never strand Newton below its bracket).
     fn inverse_upper_bound_batch(&self, c: &[f64], w: &[f64], t: f64, out: &mut [f64]) {
@@ -211,11 +211,11 @@ impl CostModel for AlphaPower {
     }
 }
 
-/// A bare exponent *is* an α-power model: every historical call site
-/// passing `alpha: f64` into the solvers keeps compiling — and, because
-/// the arithmetic below reproduces the pre-refactor expressions
-/// operation for operation, keeps producing bit-identical results
-/// (property-tested in `tests/costmodel_properties.rs`).
+/// A bare exponent *is* an α-power model: call sites pass `alpha: f64`
+/// straight into the solvers, and [`AlphaPower`] and
+/// [`CostLaw::AlphaPower`] delegate here, so all three spellings produce
+/// bit-identical results (property-tested in
+/// `tests/costmodel_properties.rs`).
 impl CostModel for f64 {
     fn validate(&self) -> Result<(), DltError> {
         if !(self.is_finite() && *self >= 1.0) {
@@ -797,8 +797,8 @@ impl CostModel for CostLaw {
         // The whole point of the enum's override: one match here, then
         // every inner Newton loop runs monomorphic for the variant. The
         // AlphaPower arm hands over the bare `f64` — the same receiver
-        // `delegate_law!` uses — preserving bit-identity with the
-        // pre-refactor hardcoded solver.
+        // `delegate_law!` uses — so every spelling of the α-power law runs
+        // the same arithmetic.
         match *self {
             CostLaw::AlphaPower { alpha } => v.visit(alpha),
             CostLaw::AmdahlSerial { serial, alpha } => v.visit(AmdahlSerial { serial, alpha }),

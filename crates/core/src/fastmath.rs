@@ -1,4 +1,4 @@
-//! Polynomial `ln`/`exp`/`pow` kernels for the batched solver.
+//! Polynomial `ln`/`exp`/`pow` kernels for the equal-finish kernel.
 //!
 //! The batched inner-inverse path of [`crate::batch`] factors the
 //! shared-exponent power `x^a = exp(a·ln x)` so the per-lane work is one
@@ -20,7 +20,7 @@
 //!   `2e-12` in the very worst corner the solvers reach (`a = 24`,
 //!   `x` near the `f64` range limits), and < 1e-13 across the realistic
 //!   solve region. That sits three orders of magnitude inside the
-//!   batched solver's documented ≤ 1e-9 oracle bound.
+//!   equal-finish kernel's documented ≤ 1e-9 oracle bound.
 //!
 //! Inputs the fast reductions do not cover (non-positive or subnormal
 //! logs, `|x| > 700` exps, NaN) fall back to the `std` functions, so
@@ -29,7 +29,7 @@
 //! The `simd` feature (nightly `portable_simd`) mirrors the *same*
 //! operations on `Simd<f64, 8>` lanes in the same order; IEEE-754
 //! determinism then makes the vector path bit-identical to the scalar
-//! one, which is what keeps the batched solver's results independent of
+//! one, which is what keeps the equal-finish kernel's results independent of
 //! the lane count (property-tested in `tests/batch_properties.rs`).
 //!
 //! On stable (no `simd` feature) x86-64 the same trick runs through

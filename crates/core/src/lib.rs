@@ -19,10 +19,12 @@
 //! * **Non-linear DLT** ([`nonlinear`]) — the α-power workloads
 //!   (`cost = w_i · x^α`, `α > 1`) studied by Hung & Robertazzi and Suresh
 //!   et al. (refs [31–35]): equal-finish-time allocations computed by a
-//!   safeguarded Newton solver with warm-startable outer brackets
-//!   ([`nonlinear::SolverConfig`], [`nonlinear::WarmStart`]), under both
-//!   communication models; the original nested bisection is kept as the
-//!   `*_reference` oracles. These are the *baselines* whose asymptotic
+//!   two-level safeguarded Newton solver ([`nonlinear::SolverConfig`]),
+//!   under both communication models. The parallel model runs the
+//!   structure-of-arrays lanes kernel of [`batch`], threaded across
+//!   consecutive solves by a [`batch::BatchSolver`] handle; the one-port
+//!   model keeps a scalar [`nonlinear::WarmStart`]; the original nested
+//!   bisection is kept as the `*_reference` oracles. These are the *baselines* whose asymptotic
 //!   irrelevance the paper proves. The solvers are generic over a
 //!   pluggable [`costmodel::CostModel`] — a bare `f64` α is the paper's
 //!   power law, and [`costmodel::AmdahlSerial`],

@@ -10,16 +10,19 @@
 //!
 //! Solvers use safeguarded Newton iterations at both levels: the outer
 //! loop finds the common finish time `T` with `Σ x_i(T) = N` by a
-//! derivative-driven root-finder that accepts a warm-start bracket
-//! ([`WarmStart`]) and falls back to bisection whenever a Newton step
-//! leaves the current bracket; the inner loop inverts the strictly
-//! monotone per-worker cost `c_i·x + w_i·x^α = T` by Newton descent from a
-//! closed-form upper bound (see `docs/solver.md` for the derivation and
-//! the convergence tolerances). The original nested bisection is kept,
-//! verbatim, as [`equal_finish_parallel_reference`] /
-//! [`equal_finish_one_port_reference`] — the property-tested oracles and
-//! the `solver` bench baseline. Both the paper's parallel-communication
-//! model and the sequential one-port model of [33–35] are provided.
+//! derivative-driven root-finder that accepts a warm-start hint and falls
+//! back to bisection whenever a Newton step leaves the current bracket;
+//! the inner loop inverts the strictly monotone per-worker cost
+//! `c_i·x + w_i·x^α = T` by Newton descent from a closed-form upper bound
+//! (see `docs/solver.md` for the derivation and the convergence
+//! tolerances). Under the paper's parallel-communication model
+//! ([`equal_finish_parallel`]) both levels run in the structure-of-arrays
+//! lanes kernel of [`crate::batch`]; the sequential one-port model of
+//! [33–35] ([`equal_finish_one_port`]) chains each worker's window to the
+//! previous shares and is the single scalar consumer of the inner Newton
+//! here. The original nested bisection is kept as
+//! [`equal_finish_parallel_reference`] / [`equal_finish_one_port_reference`]
+//! — the property-tested ≤ 1e-9 oracles and the `solver` bench baseline.
 //!
 //! Every solver is generic over the per-worker cost law via the
 //! [`CostModel`] trait: a bare `f64` α is the paper's `c·x + w·x^α` (so
@@ -124,9 +127,10 @@ impl Default for SolverConfig {
 /// Consecutive solves on the same (or a similar) platform — the FIFO
 /// installments of `dlt-multiload`, the per-load stretch denominators of
 /// `alone_makespans`, a sweep over α — have nearby finish times `T`. A
-/// handle threaded through [`equal_finish_parallel_with`] starts the next
-/// outer search at the previous root instead of at the worst-case
-/// single-worker bound, typically saving half the outer iterations.
+/// handle threaded through [`equal_finish_one_port_with`] (and the one
+/// inside every [`crate::batch::BatchSolver`]) starts the next outer
+/// search at the previous root instead of at the worst-case single-worker
+/// bound, typically saving half the outer iterations.
 ///
 /// The seed is only ever a *hint*: the solver probes it, keeps whichever
 /// side of the root it lands on, and expands geometrically when the seed
@@ -136,7 +140,7 @@ impl Default for SolverConfig {
 /// # Examples
 ///
 /// ```
-/// use dlt_core::nonlinear::{equal_finish_parallel_with, SolverConfig, WarmStart};
+/// use dlt_core::nonlinear::{equal_finish_one_port_with, SolverConfig, WarmStart};
 /// use dlt_platform::Platform;
 ///
 /// let platform = Platform::from_speeds(&[1.0, 2.0, 4.0]).unwrap();
@@ -144,7 +148,7 @@ impl Default for SolverConfig {
 /// let mut warm = WarmStart::default();
 /// // FIFO-style sequence of shrinking loads: each solve seeds the next.
 /// for n in [100.0, 80.0, 64.0] {
-///     let a = equal_finish_parallel_with(&platform, n, 2.0, &config, &mut warm).unwrap();
+///     let a = equal_finish_one_port_with(&platform, n, 2.0, None, &config, &mut warm).unwrap();
 ///     assert!((a.x.iter().sum::<f64>() - n).abs() < 1e-9 * n);
 /// }
 /// assert!(warm.last().is_some());
@@ -262,6 +266,15 @@ pub(crate) fn invert_cost_newton<M: CostModel>(
     (x, 1.0 / deriv)
 }
 
+/// Halving cap of the reference bisections: enough to shrink any finite
+/// `f64` bracket `[0, hi]` onto its root to the stopping tolerance (the
+/// whole exponent range plus the mantissa). The bracket-width test stops
+/// the loop long before on ordinary inputs; the cap matters when the
+/// single-worker bound overshoots the root by many orders of magnitude
+/// (large α: `w·N^α` against a finish time near 1 is a 10⁵⁰× bracket,
+/// which needs over 200 halvings).
+const MAX_BISECTIONS: usize = 2200;
+
 /// The original bisection inverse of `cost(c, w, x) = t` — the executable
 /// specification [`invert_cost_newton`] is property-tested against, and
 /// the inner loop of the `*_reference` solvers.
@@ -281,7 +294,7 @@ fn invert_cost_reference<M: CostModel>(model: M, c: f64, w: f64, t: f64) -> f64 
         }
     }
     let mut lo = 0.0;
-    for _ in 0..200 {
+    for _ in 0..MAX_BISECTIONS {
         let mid = 0.5 * (lo + hi);
         if f(mid) < 0.0 {
             lo = mid;
@@ -364,9 +377,10 @@ pub(crate) fn t_single_worker_bound<M: CostModel>(platform: &Platform, n: f64, m
 /// over a heterogeneous platform. The workload's cost law is any
 /// [`CostModel`] — pass a bare `f64` α for the paper's `x^α` law.
 ///
-/// Cold-start convenience wrapper around [`equal_finish_parallel_with`];
+/// One cold-handle solve of the lanes kernel
+/// ([`crate::batch::BatchSolver`]) at the default [`SolverConfig`];
 /// callers that solve repeatedly on the same platform should thread a
-/// [`WarmStart`] handle through instead.
+/// `BatchSolver` through instead.
 ///
 /// # Examples
 ///
@@ -387,88 +401,14 @@ pub fn equal_finish_parallel<M: CostModel>(
     n: f64,
     model: M,
 ) -> Result<NonlinearAllocation, DltError> {
-    equal_finish_parallel_with(
-        platform,
-        n,
-        model,
-        &SolverConfig::default(),
-        &mut WarmStart::new(),
-    )
-}
-
-/// [`equal_finish_parallel`] with explicit tunables and a warm-start
-/// handle. A cold handle reproduces the plain entry point bit for bit; a
-/// warm one seeds the outer bracket from the previous root (and is updated
-/// with this solve's root on success).
-pub fn equal_finish_parallel_with<M: CostModel>(
-    platform: &Platform,
-    n: f64,
-    model: M,
-    config: &SolverConfig,
-    warm: &mut WarmStart,
-) -> Result<NonlinearAllocation, DltError> {
-    // Unswitch first (one match for a `CostLaw`, a no-op for concrete
-    // models), so the Newton loops below always run monomorphic.
-    struct Solve<'a> {
-        platform: &'a Platform,
-        n: f64,
-        config: &'a SolverConfig,
-        warm: &'a mut WarmStart,
-    }
-    impl ModelVisitor for Solve<'_> {
-        type Out = Result<NonlinearAllocation, DltError>;
-        fn visit<M: CostModel>(self, model: M) -> Self::Out {
-            equal_finish_parallel_mono(self.platform, self.n, model, self.config, self.warm)
-        }
-    }
-    model.unswitch(Solve {
-        platform,
-        n,
-        config,
-        warm,
-    })
-}
-
-/// The monomorphic body of [`equal_finish_parallel_with`], reached only
-/// through [`CostModel::unswitch`] — `M` here is always a concrete law.
-fn equal_finish_parallel_mono<M: CostModel>(
-    platform: &Platform,
-    n: f64,
-    model: M,
-    config: &SolverConfig,
-    warm: &mut WarmStart,
-) -> Result<NonlinearAllocation, DltError> {
-    validate(n, &model)?;
-    let max_inner = config.max_inner;
-    let eval = |t: f64| -> (Vec<f64>, f64) {
-        let mut slope = 0.0;
-        let x = platform
-            .iter()
-            .map(|p| {
-                let (xi, dxi) = invert_cost_newton(model, p.inv_bandwidth(), p.w(), t, max_inner);
-                slope += dxi;
-                xi
-            })
-            .collect();
-        (x, slope)
-    };
-    let t_hi_seed = t_single_worker_bound(platform, n, model);
-    let (t, x) = solve_total(n, t_hi_seed, config, warm, eval)?;
-    Ok(NonlinearAllocation {
-        x,
-        makespan: t,
-        model: model.as_law(),
-        n,
-        comm_mode: CommMode::Parallel,
-        order: (0..platform.len()).collect(),
-    })
+    crate::batch::BatchSolver::default().solve(platform, n, model, &SolverConfig::default())
 }
 
 /// The original nested-bisection solver for the parallel model, kept as
 /// the executable specification of [`equal_finish_parallel`]: the
-/// property tests bound the Newton solver to within `1e-9` relative error
+/// property tests bound the lanes kernel to within `1e-9` relative error
 /// of this oracle, and the `solver` hotpaths bench group measures the
-/// Newton + warm-start speedup against it.
+/// kernel's speedup against it.
 pub fn equal_finish_parallel_reference<M: CostModel>(
     platform: &Platform,
     n: f64,
@@ -552,7 +492,9 @@ pub fn equal_finish_one_port<M: CostModel>(
 }
 
 /// [`equal_finish_one_port`] with explicit tunables and a warm-start
-/// handle (see [`equal_finish_parallel_with`]).
+/// handle. A cold handle reproduces the plain entry point bit for bit; a
+/// warm one seeds the outer bracket from the previous root (and is
+/// updated with this solve's root on success).
 ///
 /// The outer derivative follows the chain rule through the serialized
 /// sends: worker `σ(k)` sees the local window `s_k = t − Σ_{j<k} c_j x_j`,
@@ -566,7 +508,8 @@ pub fn equal_finish_one_port_with<M: CostModel>(
     config: &SolverConfig,
     warm: &mut WarmStart,
 ) -> Result<NonlinearAllocation, DltError> {
-    // Same unswitch-then-solve shape as `equal_finish_parallel_with`.
+    // Unswitch first (one match for a `CostLaw`, a no-op for concrete
+    // models), so the Newton loops below always run monomorphic.
     struct Solve<'a> {
         platform: &'a Platform,
         n: f64,
@@ -786,7 +729,7 @@ where
         }
     }
     let mut lo = 0.0;
-    for _ in 0..200 {
+    for _ in 0..MAX_BISECTIONS {
         let mid = 0.5 * (lo + hi);
         if total(mid) < n {
             lo = mid;
@@ -1044,8 +987,8 @@ mod tests {
         let config = SolverConfig::default();
         let cold = equal_finish_parallel(&platform, 25.0, 2.0).unwrap();
         for seed in [1e-30, 1e-3, 1e3, 1e30] {
-            let mut warm = WarmStart::seeded(seed);
-            let a = equal_finish_parallel_with(&platform, 25.0, 2.0, &config, &mut warm).unwrap();
+            let mut solver = crate::batch::BatchSolver::seeded(seed);
+            let a = solver.solve(&platform, 25.0, 2.0, &config).unwrap();
             assert!(
                 rel(a.makespan, cold.makespan) < 1e-9,
                 "seed {seed}: {} vs {}",
@@ -1053,7 +996,15 @@ mod tests {
                 cold.makespan
             );
             // The handle was refreshed with the actual root.
-            assert!(rel(warm.last().unwrap(), cold.makespan) < 1e-9);
+            assert!(rel(solver.last_makespan().unwrap(), cold.makespan) < 1e-9);
+            // The one-port solver's scalar handle falls back the same way.
+            let mut warm = WarmStart::seeded(seed);
+            let op = equal_finish_one_port_with(&platform, 25.0, 2.0, None, &config, &mut warm);
+            let op_cold = equal_finish_one_port(&platform, 25.0, 2.0, None).unwrap();
+            assert!(
+                rel(op.unwrap().makespan, op_cold.makespan) < 1e-9,
+                "seed {seed}"
+            );
         }
         // Non-finite / non-positive seeds are ignored entirely.
         assert_eq!(WarmStart::seeded(f64::NAN), WarmStart::new());
@@ -1066,10 +1017,9 @@ mod tests {
         // independent cold solves to well below the 1e-9 contract.
         let platform = Platform::from_speeds_and_costs(&[1.0, 2.5, 4.0], &[1.0, 0.5, 0.7]).unwrap();
         let config = SolverConfig::default();
-        let mut warm = WarmStart::new();
+        let mut solver = crate::batch::BatchSolver::default();
         for &n in &[120.0, 90.0, 60.0, 30.0, 10.0] {
-            let warm_run =
-                equal_finish_parallel_with(&platform, n, 1.7, &config, &mut warm).unwrap();
+            let warm_run = solver.solve(&platform, n, 1.7, &config).unwrap();
             let cold_run = equal_finish_parallel(&platform, n, 1.7).unwrap();
             assert!(rel(warm_run.makespan, cold_run.makespan) < 1e-9);
             for (a, b) in warm_run.x.iter().zip(&cold_run.x) {

@@ -1,28 +1,29 @@
-//! Differential property suite: the batched SoA solver against the
-//! scalar oracle.
+//! Differential property suite: the equal-finish kernel against the
+//! bisection oracle.
 //!
-//! The batched backend of [`BatchSolver`] trades the scalar path's
-//! per-lane `powf` for shared-exponent polynomial kernels and share
-//! seeding, so its results are *not* bit-identical to
-//! `equal_finish_parallel_with` — they are **oracle-bounded**: makespan
-//! and every share must agree to ≤ 1e-9 relative (the documented
-//! contract; the arithmetic typically lands 3–4 orders of magnitude
-//! tighter). This suite sweeps that bound across:
+//! [`BatchSolver`] is the only parallel-model equal-finish solver. It
+//! trades `powf` for shared-exponent polynomial kernels and seeds each
+//! solve from the previous one, so its results are **oracle-bounded**
+//! rather than exact: against the nested-bisection
+//! [`equal_finish_parallel_reference`], the makespan and every share must
+//! agree to ≤ 1e-9 relative (the documented contract; the arithmetic
+//! typically lands several orders of magnitude tighter). This suite
+//! sweeps that bound across:
 //!
-//! * platform widths p ∈ {1, 2, 7, 64, 512} (the ISSUE's lane set,
-//!   deliberately including widths that are not a multiple of the
-//!   8-lane SIMD chunk, so remainder lanes stay honest);
+//! * platform widths p ∈ {1, 2, 7, 8, 64, 512} — the service's p = 8,
+//!   and widths that are not a multiple of the 8-lane SIMD chunk, so
+//!   remainder lanes stay honest;
 //! * every [`CostLaw`] variant with α ∈ (1, 24] plus the α = 1 exact
 //!   linear path;
 //! * cold, warm (chained installment sequences) and stale-warm
-//!   (mis-seeded by up to 30 orders of magnitude) starts.
+//!   (mis-seeded by up to 30 orders of magnitude) handles.
 //!
 //! Two exact properties ride along: **conservation** — after the final
 //! rescale the largest lane absorbs the rounding residue, so replaying
 //! `n − Σ_{i≠k} xᵢ` (left-to-right, skipping the largest lane `k`) in
-//! the batch's own arithmetic recovers `x[k]` bitwise — and
+//! the kernel's own arithmetic recovers `x[k]` bitwise — and
 //! **determinism** — a fresh handle given the same inputs reproduces
-//! the same bits (no hidden state leaks between solves). The kernel-
+//! the same bits (no hidden state leaks between handles). The kernel-
 //! level half of lane-count independence (SIMD chunks bit-identical to
 //! the scalar fallback at every position, so results cannot depend on
 //! `p mod 8`) is pinned by `fastmath`'s bitwise `pow_slice` unit test,
@@ -31,14 +32,17 @@
 //! Proptest cases honor `PROPTEST_CASES` / `PROPTEST_SEED`, which the
 //! CI seed-matrix job pins at 512 × {1, 2}.
 
-use dlt_core::batch::{BatchSolver, SolveBackend};
+use dlt_core::batch::BatchSolver;
 use dlt_core::costmodel::CostLaw;
-use dlt_core::nonlinear::{equal_finish_parallel_with, SolverConfig, WarmStart};
-use dlt_platform::Platform;
+use dlt_core::nonlinear::{equal_finish_parallel_reference, NonlinearAllocation, SolverConfig};
+use dlt_platform::{Platform, PlatformSpec, SpeedDistribution};
 use proptest::prelude::*;
 
 /// The documented oracle bound.
 const ORACLE_REL: f64 = 1e-9;
+
+/// The widths every handle kind is checked at.
+const WIDTHS: [usize; 6] = [1, 2, 7, 8, 64, 512];
 
 fn platform_of_width(p: usize) -> impl Strategy<Value = Platform> {
     (
@@ -48,17 +52,18 @@ fn platform_of_width(p: usize) -> impl Strategy<Value = Platform> {
         .prop_map(|(speeds, costs)| Platform::from_speeds_and_costs(&speeds, &costs).unwrap())
 }
 
-/// The ISSUE's lane set, weighted so the wide platforms stay affordable
-/// (4:1, 4:2, 6:7, 3:64, 1:512 out of 18 draws).
+/// The width set, weighted so the wide platforms (whose bisection oracle
+/// costs ~p·10⁴ cost evaluations per solve) stay affordable (3:1, 3:2,
+/// 4:7, 4:8, 3:64, 1:512 out of 18 draws).
 fn platform_strategy() -> impl Strategy<Value = Platform> {
-    const WIDTHS: [usize; 18] = [1, 1, 1, 1, 2, 2, 2, 2, 7, 7, 7, 7, 7, 7, 64, 64, 64, 512];
-    (0usize..WIDTHS.len()).prop_flat_map(|i| platform_of_width(WIDTHS[i]))
+    const DRAWS: [usize; 18] = [1, 1, 1, 2, 2, 2, 7, 7, 7, 7, 8, 8, 8, 8, 64, 64, 64, 512];
+    (0usize..DRAWS.len()).prop_flat_map(|i| platform_of_width(DRAWS[i]))
 }
 
 /// Widths straddling (and avoiding) multiples of the 8-lane SIMD chunk.
 fn remainder_platform_strategy() -> impl Strategy<Value = Platform> {
-    const WIDTHS: [usize; 5] = [7, 9, 11, 15, 17];
-    (0usize..WIDTHS.len()).prop_flat_map(|i| platform_of_width(WIDTHS[i]))
+    const REMAINDER_WIDTHS: [usize; 5] = [7, 9, 11, 15, 17];
+    (0usize..REMAINDER_WIDTHS.len()).prop_flat_map(|i| platform_of_width(REMAINDER_WIDTHS[i]))
 }
 
 /// Every `CostLaw` variant; α ∈ (1, 24], with the exact linear α = 1
@@ -90,67 +95,140 @@ fn law_strategy() -> impl Strategy<Value = CostLaw> {
         })
 }
 
-/// Assert the ≤ 1e-9 relative oracle bound on a batched/scalar pair.
+/// Assert the ≤ 1e-9 relative oracle bound on a kernel solve.
 fn assert_oracle_bound(
-    scalar: &dlt_core::nonlinear::NonlinearAllocation,
-    batched: &dlt_core::nonlinear::NonlinearAllocation,
+    oracle: &NonlinearAllocation,
+    kernel: &NonlinearAllocation,
     n: f64,
     ctx: &str,
 ) {
     assert!(
-        (scalar.makespan - batched.makespan).abs() <= ORACLE_REL * scalar.makespan,
-        "{ctx}: makespan batched {} vs scalar {}",
-        batched.makespan,
-        scalar.makespan
+        (oracle.makespan - kernel.makespan).abs() <= ORACLE_REL * oracle.makespan,
+        "{ctx}: makespan kernel {} vs oracle {}",
+        kernel.makespan,
+        oracle.makespan
     );
-    assert_eq!(scalar.x.len(), batched.x.len());
-    for (i, (&xs, &xb)) in scalar.x.iter().zip(&batched.x).enumerate() {
+    assert_eq!(oracle.x.len(), kernel.x.len());
+    for (i, (&xo, &xk)) in oracle.x.iter().zip(&kernel.x).enumerate() {
         // Relative for real shares, absolute (scaled by n) for the
         // near-starved ones, where "relative" is meaningless noise.
         assert!(
-            (xs - xb).abs() <= ORACLE_REL * xs.max(xb).max(n * 1e-3),
-            "{ctx}: share {i} batched {xb} vs scalar {xs} (n = {n})"
+            (xo - xk).abs() <= ORACLE_REL * xo.max(xk).max(n * 1e-3),
+            "{ctx}: share {i} kernel {xk} vs oracle {xo} (n = {n})"
         );
     }
 }
 
+/// Exact conservation: the lane that absorbed the rescale's residue is
+/// recovered bitwise by replaying `n − Σ_{i≠k} xᵢ` (left to right,
+/// skipping `k`) in the kernel's own arithmetic. The kernel picks `k` as
+/// the first largest lane *before* the substitution, which ties on
+/// identical workers can hide afterwards, so every lane is tried.
+fn assert_exact_conservation(a: &NonlinearAllocation, n: f64, ctx: &str) {
+    let absorbs = |k: usize| {
+        let mut rest = 0.0;
+        for (i, &xi) in a.x.iter().enumerate() {
+            if i != k {
+                rest += xi;
+            }
+        }
+        (n - rest).to_bits() == a.x[k].to_bits()
+    };
+    assert!(
+        (0..a.x.len()).any(absorbs),
+        "{ctx}: no lane absorbs the remainder exactly (n = {n})"
+    );
+}
+
+/// One solve checked against the oracle, conservation included.
+fn check(solver: &mut BatchSolver, platform: &Platform, n: f64, law: CostLaw, ctx: &str) {
+    let config = SolverConfig::default();
+    let kernel = solver.solve(platform, n, law, &config).unwrap();
+    let oracle = equal_finish_parallel_reference(platform, n, law).unwrap();
+    assert_oracle_bound(&oracle, &kernel, n, ctx);
+    assert_exact_conservation(&kernel, n, ctx);
+}
+
+/// Every width × every law × cold, warm and stale-warm handles, on fixed
+/// paper-uniform platforms: the grid the random properties below sample.
+#[test]
+fn every_width_law_and_handle_kind_meets_the_oracle_bound() {
+    let laws = [
+        CostLaw::alpha_power(1.0),
+        CostLaw::alpha_power(2.5),
+        CostLaw::alpha_power(24.0),
+        CostLaw::AmdahlSerial {
+            serial: 0.3,
+            alpha: 2.0,
+        },
+        CostLaw::AffineLatency {
+            latency: 0.5,
+            alpha: 1.8,
+        },
+        CostLaw::Piecewise {
+            threshold: 4.0,
+            alpha_lo: 1.5,
+            alpha_hi: 3.0,
+        },
+    ];
+    for p in WIDTHS {
+        let platform = PlatformSpec::new(p, SpeedDistribution::paper_uniform())
+            .generate_stream(7, 0)
+            .unwrap();
+        for law in laws {
+            let ctx = |kind: &str| format!("p = {p}, {law:?}, {kind}");
+            check(
+                &mut BatchSolver::default(),
+                &platform,
+                100.0,
+                law,
+                &ctx("cold"),
+            );
+            let mut warm = BatchSolver::default();
+            for n in [100.0, 60.0, 250.0] {
+                check(&mut warm, &platform, n, law, &ctx(&format!("warm n = {n}")));
+            }
+            for stale in [1e-30, 1e30] {
+                let mut solver = BatchSolver::seeded(stale);
+                check(
+                    &mut solver,
+                    &platform,
+                    100.0,
+                    law,
+                    &ctx(&format!("stale {stale}")),
+                );
+            }
+        }
+    }
+}
+
 proptest! {
-    // Cold start: one fresh handle per solve on each side.
+    // Cold start: one fresh handle per solve.
     #[test]
-    fn cold_batched_solves_match_the_scalar_oracle(
+    fn cold_solves_match_the_oracle(
         platform in platform_strategy(),
         law in law_strategy(),
         n in 0.5f64..500.0,
     ) {
-        let config = SolverConfig::default();
-        let mut warm = WarmStart::new();
-        let scalar = equal_finish_parallel_with(&platform, n, law, &config, &mut warm).unwrap();
-        let mut solver = BatchSolver::new(SolveBackend::Batched);
-        let batched = solver.solve(&platform, n, law, &config).unwrap();
-        assert_oracle_bound(&scalar, &batched, n, "cold");
+        check(&mut BatchSolver::default(), &platform, n, law, "cold");
     }
 
-    // Warm start: a FIFO-style installment sequence through one handle
-    // on each side — the batched side additionally chains share seeds.
+    // Warm start: a FIFO-style installment sequence through one handle,
+    // chaining the outer root and the share seeds.
     #[test]
-    fn warm_installment_sequences_match_the_scalar_oracle(
+    fn warm_installment_sequences_match_the_oracle(
         platform in platform_strategy(),
         law in law_strategy(),
         loads in proptest::collection::vec(0.5f64..500.0, 2..6),
     ) {
-        let config = SolverConfig::default();
-        let mut warm = WarmStart::new();
-        let mut solver = BatchSolver::new(SolveBackend::Batched);
+        let mut solver = BatchSolver::default();
         for (j, &n) in loads.iter().enumerate() {
-            let scalar = equal_finish_parallel_with(&platform, n, law, &config, &mut warm).unwrap();
-            let batched = solver.solve(&platform, n, law, &config).unwrap();
-            assert_oracle_bound(&scalar, &batched, n, &format!("warm installment {j}"));
+            check(&mut solver, &platform, n, law, &format!("warm installment {j}"));
         }
     }
 
-    // Stale warm start: both sides mis-seeded by the same wildly wrong
-    // finish-time hint (up to 30 orders of magnitude off) — the hint
-    // must never change the root either backend finds.
+    // Stale warm start: a wildly wrong finish-time hint (up to 30 orders
+    // of magnitude off) must never change the root found.
     #[test]
     fn stale_warm_seeds_never_change_the_root(
         platform in platform_strategy(),
@@ -158,47 +236,8 @@ proptest! {
         n in 0.5f64..500.0,
         seed_exp in -30i32..30,
     ) {
-        let config = SolverConfig::default();
-        let stale = 10f64.powi(seed_exp);
-        let mut warm = WarmStart::seeded(stale);
-        let scalar = equal_finish_parallel_with(&platform, n, law, &config, &mut warm).unwrap();
-        let mut solver = BatchSolver::seeded(SolveBackend::Batched, stale);
-        let batched = solver.solve(&platform, n, law, &config).unwrap();
-        assert_oracle_bound(&scalar, &batched, n, &format!("stale seed 1e{seed_exp}"));
-        // And against the cold truth: the stale-seeded batched root must
-        // match the cold scalar root, not merely a stale-seeded scalar.
-        let mut cold = WarmStart::new();
-        let truth = equal_finish_parallel_with(&platform, n, law, &config, &mut cold).unwrap();
-        assert_oracle_bound(&truth, &batched, n, &format!("stale-vs-cold 1e{seed_exp}"));
-    }
-
-    // Exact conservation: replaying the left-to-right remainder sum in
-    // the batch's own arithmetic recovers the largest share bitwise.
-    #[test]
-    fn conservation_replays_bitwise(
-        platform in platform_strategy(),
-        law in law_strategy(),
-        n in 0.5f64..500.0,
-    ) {
-        let config = SolverConfig::default();
-        let mut solver = BatchSolver::new(SolveBackend::Batched);
-        let a = solver.solve(&platform, n, law, &config).unwrap();
-        let k = (0..a.x.len())
-            .max_by(|&i, &j| a.x[i].partial_cmp(&a.x[j]).unwrap())
-            .unwrap();
-        let mut rest = 0.0;
-        for (i, &xi) in a.x.iter().enumerate() {
-            if i != k {
-                rest += xi;
-            }
-        }
-        prop_assert_eq!(
-            (n - rest).to_bits(),
-            a.x[k].to_bits(),
-            "largest lane {} does not absorb the remainder exactly (n = {})",
-            k,
-            n
-        );
+        let mut solver = BatchSolver::seeded(10f64.powi(seed_exp));
+        check(&mut solver, &platform, n, law, &format!("stale seed 1e{seed_exp}"));
     }
 
     // Remainder lanes: widths that are not a multiple of the 8-lane
@@ -206,17 +245,12 @@ proptest! {
     // bitwise scalar/SIMD kernel test, results are lane-count
     // independent under either feature configuration).
     #[test]
-    fn remainder_lane_widths_match_the_scalar_oracle(
+    fn remainder_lane_widths_match_the_oracle(
         platform in remainder_platform_strategy(),
         law in law_strategy(),
         n in 0.5f64..500.0,
     ) {
-        let config = SolverConfig::default();
-        let mut warm = WarmStart::new();
-        let scalar = equal_finish_parallel_with(&platform, n, law, &config, &mut warm).unwrap();
-        let mut solver = BatchSolver::new(SolveBackend::Batched);
-        let batched = solver.solve(&platform, n, law, &config).unwrap();
-        assert_oracle_bound(&scalar, &batched, n, "remainder width");
+        check(&mut BatchSolver::default(), &platform, n, law, "remainder width");
     }
 
     // Determinism: a fresh handle on the same inputs reproduces the
@@ -228,8 +262,8 @@ proptest! {
         loads in proptest::collection::vec(0.5f64..500.0, 1..4),
     ) {
         let config = SolverConfig::default();
-        let mut a = BatchSolver::new(SolveBackend::Batched);
-        let mut b = BatchSolver::new(SolveBackend::Batched);
+        let mut a = BatchSolver::default();
+        let mut b = BatchSolver::default();
         for &n in &loads {
             let ra = a.solve(&platform, n, law, &config).unwrap();
             let rb = b.solve(&platform, n, law, &config).unwrap();
@@ -244,19 +278,18 @@ proptest! {
     // (the sec2 / sec-amdahl pattern) stays inside the oracle bound for
     // every law in the sweep.
     #[test]
-    fn alpha_sweeps_match_per_law_scalar_solves(
+    fn alpha_sweeps_match_the_oracle_per_law(
         platform in platform_strategy(),
         n in 0.5f64..500.0,
         alphas in proptest::collection::vec(1.0f64..24.0, 2..8),
     ) {
         let config = SolverConfig::default();
         let laws: Vec<CostLaw> = alphas.iter().map(|&a| CostLaw::alpha_power(a)).collect();
-        let mut solver = BatchSolver::new(SolveBackend::Batched);
-        let batched = solver.solve_sweep(&platform, n, &laws, &config).unwrap();
-        let mut warm = WarmStart::new();
-        for (law, b) in laws.iter().zip(&batched) {
-            let scalar = equal_finish_parallel_with(&platform, n, *law, &config, &mut warm).unwrap();
-            assert_oracle_bound(&scalar, b, n, &format!("sweep law {law:?}"));
+        let mut solver = BatchSolver::default();
+        let swept = solver.solve_sweep(&platform, n, &laws, &config).unwrap();
+        for (law, k) in laws.iter().zip(&swept) {
+            let oracle = equal_finish_parallel_reference(&platform, n, *law).unwrap();
+            assert_oracle_bound(&oracle, k, n, &format!("sweep law {law:?}"));
         }
     }
 }

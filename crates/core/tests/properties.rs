@@ -140,11 +140,9 @@ proptest! {
         // and land on the cold answer, never panic or diverge.
         let config = nonlinear::SolverConfig::default();
         let cold = nonlinear::equal_finish_parallel(&platform, load, alpha).unwrap();
-        let mut warm =
-            nonlinear::WarmStart::seeded(cold.makespan * 10f64.powi(seed_scale));
-        let warmed = nonlinear::equal_finish_parallel_with(
-            &platform, load, alpha, &config, &mut warm,
-        ).unwrap();
+        let mut solver =
+            dlt_core::batch::BatchSolver::seeded(cold.makespan * 10f64.powi(seed_scale));
+        let warmed = solver.solve(&platform, load, alpha, &config).unwrap();
         prop_assert!(
             (warmed.makespan - cold.makespan).abs() <= 1e-9 * cold.makespan,
             "warm {} vs cold {}", warmed.makespan, cold.makespan

@@ -3,35 +3,20 @@
 //! `s·x + (1−s)·x^α` vs the paper's pure `x^α` no-free-lunch bound.
 //!
 //! `cargo run --release -p dlt-experiments --bin sec-amdahl --
-//! [--n N] [--seed S] [--threads W] [--solver scalar|batched]`
-//!
-//! `--solver batched` reruns the sweep through the structure-of-arrays
-//! kernel ([`dlt_core::batch::BatchSolver`], ≤ 1e-9 relative of the
-//! scalar oracle) and writes to a `_batched`-suffixed CSV so the
-//! committed default bytes never change.
+//! [--n N] [--seed S] [--threads W]`
 
-use dlt_experiments::models::{solver_backend, solver_suffix};
 use dlt_experiments::runner::{flag_or, flags, parse_flags, thread_count, write_and_print};
 use dlt_experiments::sec2::PAPER_ALPHAS;
-use dlt_experiments::sec_amdahl::{run_sec_amdahl_solver, PAPER_SERIALS};
+use dlt_experiments::sec_amdahl::{run_sec_amdahl, PAPER_SERIALS};
 
 fn main() {
     let flags = parse_flags(std::env::args().skip(1), flags::SEC_AMDAHL);
     let n: f64 = flag_or(&flags, "n", 4096.0);
     let seed: u64 = flag_or(&flags, "seed", 42);
     let threads = thread_count(&flags);
-    let backend = solver_backend(&flags);
     let ps = [2usize, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
-    let table = run_sec_amdahl_solver(
-        &ps,
-        &PAPER_SERIALS,
-        &PAPER_ALPHAS,
-        n,
-        seed,
-        threads,
-        backend,
-    );
-    write_and_print(&table, &format!("sec_amdahl{}", solver_suffix(backend)));
+    let table = run_sec_amdahl(&ps, &PAPER_SERIALS, &PAPER_ALPHAS, n, seed, threads);
+    write_and_print(&table, "sec_amdahl");
     println!(
         "Reading: a serial fraction s caps the superlinear share of the work at\n\
          1 − s, so the remaining fraction no longer tends to 1 with P — the\n\

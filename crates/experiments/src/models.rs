@@ -16,7 +16,6 @@
 //! * `piecewise:<threshold>:<alpha_hi>` — α-power with exponent α below
 //!   the knee `threshold > 0` and `max(alpha_hi, α)` above it.
 
-use dlt_core::batch::SolveBackend;
 use dlt_core::costmodel::CostLaw;
 use std::collections::HashMap;
 
@@ -147,40 +146,6 @@ pub fn model_family(flags: &HashMap<String, Vec<String>>) -> ModelFamily {
     }
 }
 
-/// Parses a `--solver` value. Like [`ModelFamily::parse`], the grammar
-/// is closed: `scalar` (the default and the oracle — what every
-/// committed CSV was produced with) or `batched` (the structure-of-arrays
-/// kernel, ≤ 1e-9 relative of the scalar oracle).
-pub fn parse_solver(s: &str) -> Result<SolveBackend, String> {
-    match s {
-        "scalar" => Ok(SolveBackend::Scalar),
-        "batched" => Ok(SolveBackend::Batched),
-        _ => Err(format!("bad --solver value {s:?}: want scalar | batched")),
-    }
-}
-
-/// Reads the `--solver` flag out of a parsed flag map (last occurrence
-/// wins), exiting with status 2 on anything the closed grammar rejects —
-/// the same contract as [`model_family`].
-pub fn solver_backend(flags: &HashMap<String, Vec<String>>) -> SolveBackend {
-    match flags.get("solver").and_then(|v| v.last()) {
-        None => SolveBackend::Scalar,
-        Some(raw) => parse_solver(raw).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }),
-    }
-}
-
-/// Filename suffix for a solver backend: empty for the scalar default
-/// (committed CSV names never change), `_batched` otherwise.
-pub fn solver_suffix(backend: SolveBackend) -> &'static str {
-    match backend {
-        SolveBackend::Scalar => "",
-        SolveBackend::Batched => "_batched",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,17 +209,6 @@ mod tests {
         let law = fam.law(3.0);
         assert!(law.validate().is_ok());
         assert_eq!(law.alpha(), 3.0);
-    }
-
-    #[test]
-    fn parses_both_solver_backends_and_nothing_else() {
-        assert_eq!(parse_solver("scalar"), Ok(SolveBackend::Scalar));
-        assert_eq!(parse_solver("batched"), Ok(SolveBackend::Batched));
-        for bad in ["", "simd", "Batched", "scalar:1", "fast"] {
-            assert!(parse_solver(bad).is_err(), "{bad:?} must be rejected");
-        }
-        assert_eq!(solver_suffix(SolveBackend::Scalar), "");
-        assert_eq!(solver_suffix(SolveBackend::Batched), "_batched");
     }
 
     #[test]

@@ -78,9 +78,9 @@ pub mod flags {
     /// `rho-table`
     pub const RHO_TABLE: &[&str] = &["p", "n", "threads"];
     /// `sec-amdahl`
-    pub const SEC_AMDAHL: &[&str] = &["n", "seed", "threads", "solver"];
+    pub const SEC_AMDAHL: &[&str] = &["n", "seed", "threads"];
     /// `sec2-no-free-lunch`
-    pub const SEC2: &[&str] = &["n", "seed", "model", "solver"];
+    pub const SEC2: &[&str] = &["n", "seed", "model"];
     /// `sec3-hetero-sort`
     pub const SEC3_HETERO_SORT: &[&str] = &["trials", "n", "seed"];
     /// `sec3-sample-sort`

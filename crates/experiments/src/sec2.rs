@@ -2,7 +2,7 @@
 //! after one optimal DLT round of an `x^α` workload.
 
 use crate::models::ModelFamily;
-use dlt_core::batch::{BatchSolver, SolveBackend};
+use dlt_core::batch::BatchSolver;
 use dlt_core::costmodel::{CostLaw, CostModel};
 use dlt_core::{analysis, nonlinear};
 use dlt_platform::{Platform, PlatformSpec, SpeedDistribution};
@@ -22,25 +22,11 @@ pub const PAPER_ALPHAS: [f64; 4] = [1.0, 1.5, 2.0, 3.0];
 /// law; the closed-form column generalizes to
 /// `1 − P·work(N/P)/work(N)` (equal split on identical workers), which
 /// reduces to `1 − 1/P^{α−1}` for the α-power law.
+///
+/// The α sweep per platform is one [`BatchSolver::solve_sweep`] call on a
+/// cold handle: the platform's lane arrays are scanned once and the outer
+/// root plus share seeds chain across consecutive α values.
 pub fn run_sec2(ps: &[usize], alphas: &[f64], n: f64, seed: u64, family: ModelFamily) -> Table {
-    run_sec2_solver(ps, alphas, n, seed, family, SolveBackend::Scalar)
-}
-
-/// [`run_sec2`] with an explicit equal-finish backend. The α sweep per
-/// platform is one [`BatchSolver::solve_sweep`] call: the platform's SoA
-/// lane arrays are scanned once and the outer root plus share seeds
-/// chain across consecutive α values. `SolveBackend::Scalar` reproduces
-/// the historical one-`WarmStart`-per-platform loop bit for bit (it is
-/// literally the same call sequence), so the committed CSV bytes are
-/// untouched; `Batched` is bounded ≤ 1e-9 relative of that oracle.
-pub fn run_sec2_solver(
-    ps: &[usize],
-    alphas: &[f64],
-    n: f64,
-    seed: u64,
-    family: ModelFamily,
-    backend: SolveBackend,
-) -> Table {
     let mut t = Table::new(&[
         "P",
         "alpha",
@@ -61,8 +47,8 @@ pub fn run_sec2_solver(
         let uni_platform = PlatformSpec::new(p, SpeedDistribution::paper_uniform())
             .generate(seed)
             .unwrap();
-        let mut solver_hom = BatchSolver::new(backend);
-        let mut solver_uni = BatchSolver::new(backend);
+        let mut solver_hom = BatchSolver::default();
+        let mut solver_uni = BatchSolver::default();
         let homs = solver_hom
             .solve_sweep(&hom_platform, n, &laws, &config)
             .expect("solver converges");
@@ -118,49 +104,6 @@ mod tests {
         let t = run_sec2(&[64], &[2.0], 1024.0, 3, ModelFamily::AlphaPower);
         let uni = t.column("remaining_solver_uniform").unwrap()[0];
         assert!(uni > 0.9, "uniform-platform remaining fraction {uni}");
-    }
-
-    #[test]
-    fn batched_solver_stays_within_the_oracle_bound() {
-        // The scalar variant IS `run_sec2` (same call sequence, same
-        // bytes); the batched kernel must agree with it to ≤ 1e-9
-        // relative on every numeric cell.
-        let scalar = run_sec2(
-            &[4, 64],
-            &[1.0, 1.5, 3.0],
-            512.0,
-            1,
-            ModelFamily::AlphaPower,
-        );
-        let via_solver = run_sec2_solver(
-            &[4, 64],
-            &[1.0, 1.5, 3.0],
-            512.0,
-            1,
-            ModelFamily::AlphaPower,
-            dlt_core::batch::SolveBackend::Scalar,
-        );
-        assert_eq!(scalar.to_csv(), via_solver.to_csv());
-        let batched = run_sec2_solver(
-            &[4, 64],
-            &[1.0, 1.5, 3.0],
-            512.0,
-            1,
-            ModelFamily::AlphaPower,
-            dlt_core::batch::SolveBackend::Batched,
-        );
-        for col in [
-            "remaining_solver_hom",
-            "remaining_solver_uniform",
-            "makespan_hom",
-        ] {
-            let s = scalar.column(col).unwrap();
-            let b = batched.column(col).unwrap();
-            for (vs, vb) in s.iter().zip(&b) {
-                let tol = 1e-9 * vs.abs().max(vb.abs()).max(1.0);
-                assert!((vs - vb).abs() <= tol, "{col}: scalar {vs} vs batched {vb}");
-            }
-        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! relaxes.
 
 use crate::models::ModelFamily;
-use dlt_core::batch::{BatchSolver, SolveBackend};
+use dlt_core::batch::BatchSolver;
 use dlt_core::costmodel::{CostLaw, CostModel};
 use dlt_core::{analysis, nonlinear};
 use dlt_platform::{Platform, PlatformSpec, SpeedDistribution};
@@ -26,8 +26,10 @@ use dlt_stats::Table;
 pub const PAPER_SERIALS: [f64; 7] = [0.0, 0.01, 0.1, 0.3, 0.5, 0.9, 1.0];
 
 /// Runs the Amdahl sweep. One `(P, serial)` platform pair per grid cell,
-/// warm-started across the α sweep exactly like the Section 2 runner;
-/// cells are dispatched over `threads` scoped workers
+/// warm-started across the α sweep exactly like the Section 2 runner:
+/// each cell's α sweep is one [`BatchSolver::solve_sweep`] per platform
+/// (lane arrays built once, outer root and share seeds chained across
+/// the sweep). Cells are dispatched over `threads` scoped workers
 /// ([`crate::runner::par_map`]) and folded back in grid order, so the
 /// table is byte-identical for every thread count.
 pub fn run_sec_amdahl(
@@ -37,24 +39,6 @@ pub fn run_sec_amdahl(
     n: f64,
     seed: u64,
     threads: usize,
-) -> Table {
-    run_sec_amdahl_solver(ps, serials, alphas, n, seed, threads, SolveBackend::Scalar)
-}
-
-/// [`run_sec_amdahl`] with an explicit equal-finish backend: each grid
-/// cell's α sweep is one [`BatchSolver::solve_sweep`] per platform
-/// (SoA arrays built once, outer root and share seeds chained across
-/// the sweep). `SolveBackend::Scalar` is the historical warm-start loop
-/// bit for bit; `Batched` is bounded ≤ 1e-9 relative of it.
-#[allow(clippy::too_many_arguments)]
-pub fn run_sec_amdahl_solver(
-    ps: &[usize],
-    serials: &[f64],
-    alphas: &[f64],
-    n: f64,
-    seed: u64,
-    threads: usize,
-    backend: SolveBackend,
 ) -> Table {
     let mut t = Table::new(&[
         "P",
@@ -71,7 +55,7 @@ pub fn run_sec_amdahl_solver(
          vs the pure x^α no-free-lunch bound",
     );
     // One cell per (P, serial) pair; each cell sweeps the α list with its
-    // own warm-start handles (the finish-time scale depends on both the
+    // own solver handles (the finish-time scale depends on both the
     // platform and the serial fraction).
     let cells: Vec<(usize, f64)> = ps
         .iter()
@@ -86,8 +70,8 @@ pub fn run_sec_amdahl_solver(
             .generate(seed)
             .unwrap();
         let laws: Vec<CostLaw> = alphas.iter().map(|&a| family.law(a)).collect();
-        let mut solver_hom = BatchSolver::new(backend);
-        let mut solver_uni = BatchSolver::new(backend);
+        let mut solver_hom = BatchSolver::default();
+        let mut solver_uni = BatchSolver::default();
         let homs = solver_hom
             .solve_sweep(&hom_platform, n, &laws, &config)
             .expect("solver converges");
@@ -163,43 +147,6 @@ mod tests {
         let rem = t.column("remaining_solver_hom").unwrap();
         assert!(rem[0] > rem[1] && rem[1] > rem[2] && rem[2] > rem[3]);
         assert!(rem[3].abs() < 1e-6, "fully serial must leave nothing");
-    }
-
-    #[test]
-    fn batched_solver_stays_within_the_oracle_bound() {
-        use dlt_core::batch::SolveBackend;
-        let scalar = run_sec_amdahl(&[4, 16], &[0.0, 0.3], &[1.5, 2.0], 256.0, 1, 1);
-        let via_solver = run_sec_amdahl_solver(
-            &[4, 16],
-            &[0.0, 0.3],
-            &[1.5, 2.0],
-            256.0,
-            1,
-            1,
-            SolveBackend::Scalar,
-        );
-        assert_eq!(scalar.to_csv(), via_solver.to_csv());
-        let batched = run_sec_amdahl_solver(
-            &[4, 16],
-            &[0.0, 0.3],
-            &[1.5, 2.0],
-            256.0,
-            1,
-            1,
-            SolveBackend::Batched,
-        );
-        for col in [
-            "remaining_solver_hom",
-            "remaining_solver_uniform",
-            "makespan_hom",
-        ] {
-            let s = scalar.column(col).unwrap();
-            let b = batched.column(col).unwrap();
-            for (vs, vb) in s.iter().zip(&b) {
-                let tol = 1e-9 * vs.abs().max(vb.abs()).max(1.0);
-                assert!((vs - vb).abs() <= tol, "{col}: scalar {vs} vs batched {vb}");
-            }
-        }
     }
 
     #[test]

@@ -483,6 +483,12 @@ fn bins_reject_unknown_flags_instead_of_ignoring_them() {
         &["--asert-peak-pending", "4096"],
         "--asert-peak-pending",
     );
+    // One equal-finish kernel runs everywhere: there is no solver choice.
+    run_bin_expect_flag_error(
+        env!("CARGO_BIN_EXE_sec-amdahl"),
+        &["--solver", "batched"],
+        "--solver",
+    );
 }
 
 #[test]

@@ -50,10 +50,10 @@
 use crate::error::MultiLoadError;
 use crate::load::{validate_batch, LoadSpec};
 use crate::policy::{
-    alone_policy_makespans_backend, engine_fast, engine_reference, InstallmentExec, PolicyConfig,
+    alone_policy_makespans, engine_fast, engine_reference, InstallmentExec, PolicyConfig,
     PolicyOutcome,
 };
-use dlt_core::batch::SolveBackend;
+use dlt_core::batch::BatchSolver;
 use dlt_core::nonlinear;
 use dlt_platform::Platform;
 
@@ -367,18 +367,17 @@ fn schedule_with_failures(
     failures: &FailureTrace,
     online: bool,
     reference: bool,
-    backend: SolveBackend,
 ) -> Result<FailureOutcome, MultiLoadError> {
     validate_batch(loads)?;
     if config.installments == 0 {
         return Err(MultiLoadError::ZeroInstallments);
     }
     failures.validate_for(platform.len())?;
-    let alone = alone_policy_makespans_backend(platform, loads, config.installments, backend)?;
+    let alone = alone_policy_makespans(platform, loads, config.installments)?;
     let outcome = if reference {
-        engine_reference(platform, loads, config, &alone, online, failures, backend)?
+        engine_reference(platform, loads, config, &alone, online, failures)?
     } else {
-        engine_fast(platform, loads, config, &alone, online, failures, backend)?
+        engine_fast(platform, loads, config, &alone, online, failures)?
     };
     let realized_alone = realized_alone_makespans(platform, loads, &outcome.installment_log)?;
     Ok(FailureOutcome {
@@ -398,32 +397,7 @@ pub fn online_schedule_with_failures(
     config: &PolicyConfig,
     failures: &FailureTrace,
 ) -> Result<FailureOutcome, MultiLoadError> {
-    schedule_with_failures(
-        platform,
-        loads,
-        config,
-        failures,
-        true,
-        false,
-        SolveBackend::Scalar,
-    )
-}
-
-/// [`online_schedule_with_failures`] through an explicit solver backend:
-/// every solve — stretch denominators and the degraded-platform re-solves
-/// after each failure event — runs on `backend`. A worker dropping out
-/// rebuilds the platform mid-trace; the batched backend detects the lane
-/// change bitwise and falls back to the closed-form bound instead of
-/// reusing stale (wrong-length) share seeds. [`SolveBackend::Scalar`] is
-/// bit-identical to [`online_schedule_with_failures`].
-pub fn online_schedule_with_failures_backend(
-    platform: &Platform,
-    loads: &[LoadSpec],
-    config: &PolicyConfig,
-    failures: &FailureTrace,
-    backend: SolveBackend,
-) -> Result<FailureOutcome, MultiLoadError> {
-    schedule_with_failures(platform, loads, config, failures, true, false, backend)
+    schedule_with_failures(platform, loads, config, failures, true, false)
 }
 
 /// Linear-rescan reference twin of [`online_schedule_with_failures`] —
@@ -434,15 +408,7 @@ pub fn online_schedule_with_failures_reference(
     config: &PolicyConfig,
     failures: &FailureTrace,
 ) -> Result<FailureOutcome, MultiLoadError> {
-    schedule_with_failures(
-        platform,
-        loads,
-        config,
-        failures,
-        true,
-        true,
-        SolveBackend::Scalar,
-    )
+    schedule_with_failures(platform, loads, config, failures, true, true)
 }
 
 /// [`crate::policy_schedule`] under a failure trace: the **clairvoyant**
@@ -456,27 +422,7 @@ pub fn policy_schedule_with_failures(
     config: &PolicyConfig,
     failures: &FailureTrace,
 ) -> Result<FailureOutcome, MultiLoadError> {
-    schedule_with_failures(
-        platform,
-        loads,
-        config,
-        failures,
-        false,
-        false,
-        SolveBackend::Scalar,
-    )
-}
-
-/// [`policy_schedule_with_failures`] through an explicit solver backend —
-/// the clairvoyant twin of [`online_schedule_with_failures_backend`].
-pub fn policy_schedule_with_failures_backend(
-    platform: &Platform,
-    loads: &[LoadSpec],
-    config: &PolicyConfig,
-    failures: &FailureTrace,
-    backend: SolveBackend,
-) -> Result<FailureOutcome, MultiLoadError> {
-    schedule_with_failures(platform, loads, config, failures, false, false, backend)
+    schedule_with_failures(platform, loads, config, failures, false, false)
 }
 
 /// Linear-rescan reference twin of [`policy_schedule_with_failures`].
@@ -486,21 +432,13 @@ pub fn policy_schedule_with_failures_reference(
     config: &PolicyConfig,
     failures: &FailureTrace,
 ) -> Result<FailureOutcome, MultiLoadError> {
-    schedule_with_failures(
-        platform,
-        loads,
-        config,
-        failures,
-        false,
-        true,
-        SolveBackend::Scalar,
-    )
+    schedule_with_failures(platform, loads, config, failures, false, true)
 }
 
 /// Alone makespans at the **realized** granularity: for each load, `Σ`
 /// healthy-platform equal-finish solves of exactly the pieces the
-/// schedule served it in (in service order), one warm-start handle
-/// threaded load by load with the first solve cold — the same threading
+/// schedule served it in (in service order), one solver handle threaded
+/// load by load with the first solve cold — the same threading
 /// as [`crate::policy::alone_policy_makespans`], so a failure-free log reproduces it
 /// bit for bit.
 pub fn realized_alone_makespans(
@@ -509,15 +447,14 @@ pub fn realized_alone_makespans(
     log: &[InstallmentExec],
 ) -> Result<Vec<f64>, MultiLoadError> {
     let config = nonlinear::SolverConfig::default();
-    let mut warm = nonlinear::WarmStart::new();
+    let mut solver = BatchSolver::default();
     let mut alone = vec![0.0f64; loads.len()];
     for (j, load) in loads.iter().enumerate() {
         for e in log.iter().filter(|e| e.load == j) {
             if e.data > 0.0 {
-                alone[j] += nonlinear::equal_finish_parallel_with(
-                    platform, e.data, load.model, &config, &mut warm,
-                )?
-                .makespan;
+                alone[j] += solver
+                    .solve(platform, e.data, load.model, &config)?
+                    .makespan;
             }
         }
     }

@@ -13,7 +13,7 @@
 use crate::error::MultiLoadError;
 use crate::load::{release_order, validate_batch, LoadSpec};
 use crate::metrics::{LoadMetrics, MultiLoadReport, SchedulerKind};
-use dlt_core::batch::{BatchSolver, SolveBackend};
+use dlt_core::batch::BatchSolver;
 use dlt_core::nonlinear;
 use dlt_platform::Platform;
 
@@ -40,9 +40,8 @@ pub struct FifoOutcome {
 /// from an idle platform, equal finish times make all workers available
 /// simultaneously for the next installment. Consecutive installments run
 /// on the same platform with comparable sizes, so each solve seeds the
-/// next through one [`nonlinear::WarmStart`] handle — the first
-/// installment starts cold and therefore stays bit-identical to the plain
-/// single-load solver.
+/// next through one [`BatchSolver`] handle — the first installment starts
+/// cold and therefore stays bit-identical to the plain single-load solver.
 ///
 /// # Examples
 ///
@@ -64,19 +63,6 @@ pub fn fifo_schedule(
     platform: &Platform,
     loads: &[LoadSpec],
 ) -> Result<FifoOutcome, MultiLoadError> {
-    fifo_schedule_backend(platform, loads, SolveBackend::Scalar)
-}
-
-/// [`fifo_schedule`] through an explicit solver backend: every
-/// per-installment solve runs on `backend`. [`SolveBackend::Scalar`] is
-/// bit-identical to [`fifo_schedule`]; [`SolveBackend::Batched`] evaluates
-/// all worker inverses per outer Newton step in one structure-of-arrays
-/// pass and agrees with the scalar oracle to ≤ 1e-9 relative.
-pub fn fifo_schedule_backend(
-    platform: &Platform,
-    loads: &[LoadSpec],
-    backend: SolveBackend,
-) -> Result<FifoOutcome, MultiLoadError> {
     validate_batch(loads)?;
     let order = release_order(loads);
     let mut per_load = vec![None; loads.len()];
@@ -89,7 +75,7 @@ pub fn fifo_schedule_backend(
     // reports 0.
     let mut worker_finish = vec![0.0f64; platform.len()];
     let config = nonlinear::SolverConfig::default();
-    let mut solver = BatchSolver::new(backend);
+    let mut solver = BatchSolver::default();
     for &j in &order {
         let load = loads[j];
         let alloc = solver.solve(platform, load.size, load.model, &config)?;

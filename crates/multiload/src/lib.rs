@@ -90,33 +90,31 @@ pub mod policy;
 pub mod round_robin;
 pub mod service;
 
-pub use dlt_core::batch::{BatchSolver, SolveBackend};
+pub use dlt_core::batch::BatchSolver;
 pub use error::MultiLoadError;
 pub use event_queue::{PendingEntry, PendingSet};
 pub use failure::{
-    online_schedule_with_failures, online_schedule_with_failures_backend,
-    online_schedule_with_failures_reference, policy_schedule_with_failures,
-    policy_schedule_with_failures_backend, policy_schedule_with_failures_reference,
+    online_schedule_with_failures, online_schedule_with_failures_reference,
+    policy_schedule_with_failures, policy_schedule_with_failures_reference,
     realized_alone_makespans, replay_ledger, replay_policy_ledger, FailureEvent, FailureKind,
     FailureOutcome, FailureTrace, ServedPiece,
 };
-pub use fifo::{fifo_schedule, fifo_schedule_backend, FifoOutcome};
+pub use fifo::{fifo_schedule, FifoOutcome};
 pub use load::{release_order, LoadSpec};
 pub use metrics::{AggregateMetrics, LoadMetrics, MultiLoadReport, SchedulerKind};
 pub use policy::{
-    alone_policy_makespans, alone_policy_makespans_backend, online_schedule,
-    online_schedule_backend, online_schedule_reference, online_schedule_reference_with_alone,
-    online_schedule_with_alone, policy_schedule, policy_schedule_backend,
+    alone_policy_makespans, online_schedule, online_schedule_reference,
+    online_schedule_reference_with_alone, online_schedule_with_alone, policy_schedule,
     policy_schedule_reference, policy_schedule_reference_with_alone, policy_schedule_with_alone,
     AdmissionOrder, InstallmentExec, PolicyConfig, PolicyOutcome,
 };
 pub use round_robin::{
-    alone_makespans, alone_makespans_backend, round_robin_schedule, round_robin_schedule_reference,
+    alone_makespans, round_robin_schedule, round_robin_schedule_reference,
     round_robin_schedule_reference_with_alone, round_robin_schedule_with_alone, ChunkExec,
     MultiLoadConfig, RoundRobinOutcome,
 };
 pub use service::{
-    serve_trace, serve_trace_backend, serve_trace_reference, serve_trace_with_failures,
-    serve_trace_with_failures_backend, serve_trace_with_failures_reference, CompletedLoad,
-    CompletionSink, DiscardCompletions, InstallmentPolicy, ServiceConfig, ServiceReport,
+    serve_trace, serve_trace_reference, serve_trace_with_failures,
+    serve_trace_with_failures_reference, CompletedLoad, CompletionSink, DiscardCompletions,
+    InstallmentPolicy, ServiceConfig, ServiceReport,
 };

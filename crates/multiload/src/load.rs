@@ -1,6 +1,7 @@
 //! The multi-load problem instance: a batch of [`LoadSpec`]s.
 
 use crate::error::MultiLoadError;
+use dlt_core::batch::BatchSolver;
 use dlt_core::costmodel::{CostLaw, CostModel};
 use dlt_core::nonlinear;
 use dlt_platform::Platform;
@@ -75,18 +76,17 @@ impl LoadSpec {
     }
 
     /// [`alone_makespan`](Self::alone_makespan) with explicit solver
-    /// tunables and a warm-start handle — what [`crate::alone_makespans`]
+    /// tunables and a solver handle — what [`crate::alone_makespans`]
     /// threads across a whole batch so each load's solve seeds the next.
     pub fn alone_makespan_with(
         &self,
         platform: &Platform,
         config: &nonlinear::SolverConfig,
-        warm: &mut nonlinear::WarmStart,
+        solver: &mut BatchSolver,
     ) -> Result<f64, MultiLoadError> {
-        Ok(
-            nonlinear::equal_finish_parallel_with(platform, self.size, self.model, config, warm)?
-                .makespan,
-        )
+        Ok(solver
+            .solve(platform, self.size, self.model, config)?
+            .makespan)
     }
 }
 

@@ -32,9 +32,9 @@
 //!   knowledge. With all releases at 0 the two coincide, decision for
 //!   decision (property-tested bit-identical).
 //!
-//! Every installment is one equal-finish solve of
-//! [`nonlinear::equal_finish_parallel_with`]; a single warm-start handle
-//! threads through the whole schedule, and the **first** solve is cold, so
+//! Every installment is one equal-finish solve of the lanes kernel; a
+//! single [`BatchSolver`] handle threads through the whole schedule, and
+//! the **first** solve is cold, so
 //! a batch of one immediate load with `installments = 1` reproduces the
 //! single-load solver bit for bit — the same anchor
 //! [`crate::fifo::fifo_schedule`] maintains.
@@ -63,7 +63,7 @@ use crate::error::MultiLoadError;
 use crate::failure::{FailureTrace, PlatformState};
 use crate::load::{validate_batch, LoadSpec};
 use crate::metrics::{LoadMetrics, MultiLoadReport, SchedulerKind};
-use dlt_core::batch::{BatchSolver, SolveBackend};
+use dlt_core::batch::BatchSolver;
 use dlt_core::costmodel::{CostLaw, CostModel};
 use dlt_core::nonlinear;
 use dlt_platform::Platform;
@@ -224,8 +224,7 @@ pub(crate) fn work_estimate(remaining: f64, model: CostLaw, speed_sum: f64) -> f
 /// Alone-on-the-platform makespan of **one** load at installment
 /// granularity `installments`: `Σ` of its installment solves back to back
 /// (the exact `remaining / left` size sequence). The caller threads the
-/// solver handle (a [`BatchSolver`] — its scalar backend is bit-identical
-/// to threading a plain warm-start handle); [`alone_policy_makespans`]
+/// [`BatchSolver`] handle; [`alone_policy_makespans`]
 /// and the service engine's admission-time stretch denominators both go
 /// through this one function, which is what keeps their solve sequences —
 /// and therefore their bits — aligned.
@@ -371,33 +370,19 @@ fn validate_policy(
 /// schedulers: load `j` alone costs `Σ` of its `installments` equal-finish
 /// installment solves back to back (the exact size sequence a schedule
 /// serves — `remaining / left`, last installment takes all — which
-/// depends only on the load, never on contention). One warm-start handle
-/// threads through the
-/// whole batch, first solve cold, so with `installments = 1` this is
-/// bit-identical to [`crate::alone_makespans`].
+/// depends only on the load, never on contention). One solver handle
+/// threads through the whole batch, first solve cold, so with
+/// `installments = 1` this is bit-identical to [`crate::alone_makespans`].
 pub fn alone_policy_makespans(
     platform: &Platform,
     loads: &[LoadSpec],
     installments: usize,
 ) -> Result<Vec<f64>, MultiLoadError> {
-    alone_policy_makespans_backend(platform, loads, installments, SolveBackend::Scalar)
-}
-
-/// [`alone_policy_makespans`] through an explicit solver backend:
-/// [`SolveBackend::Scalar`] is bit-identical to the plain entry point,
-/// [`SolveBackend::Batched`] runs the structure-of-arrays kernel (≤ 1e-9
-/// relative of scalar, faster on wide platforms).
-pub fn alone_policy_makespans_backend(
-    platform: &Platform,
-    loads: &[LoadSpec],
-    installments: usize,
-    backend: SolveBackend,
-) -> Result<Vec<f64>, MultiLoadError> {
     if installments == 0 {
         return Err(MultiLoadError::ZeroInstallments);
     }
     let config = nonlinear::SolverConfig::default();
-    let mut solver = BatchSolver::new(backend);
+    let mut solver = BatchSolver::default();
     loads
         .iter()
         .map(|load| alone_installment_makespan(platform, load, installments, &config, &mut solver))
@@ -441,34 +426,6 @@ pub fn policy_schedule(
     policy_schedule_with_alone(platform, loads, config, &alone)
 }
 
-/// [`policy_schedule`] through an explicit solver backend: every
-/// equal-finish solve (stretch denominators included) runs on `backend`.
-/// [`SolveBackend::Scalar`] is bit-identical to [`policy_schedule`];
-/// [`SolveBackend::Batched`] stays within the ≤ 1e-9 oracle bound of the
-/// scalar schedule wherever the admission decisions don't tie-flip.
-pub fn policy_schedule_backend(
-    platform: &Platform,
-    loads: &[LoadSpec],
-    config: &PolicyConfig,
-    backend: SolveBackend,
-) -> Result<PolicyOutcome, MultiLoadError> {
-    validate_batch(loads)?;
-    if config.installments == 0 {
-        return Err(MultiLoadError::ZeroInstallments);
-    }
-    let alone = alone_policy_makespans_backend(platform, loads, config.installments, backend)?;
-    validate_policy(loads, config, &alone)?;
-    engine_fast(
-        platform,
-        loads,
-        config,
-        &alone,
-        false,
-        &FailureTrace::none(),
-        backend,
-    )
-}
-
 /// [`policy_schedule`] with precomputed stretch denominators (see
 /// [`alone_policy_makespans`]).
 pub fn policy_schedule_with_alone(
@@ -478,15 +435,7 @@ pub fn policy_schedule_with_alone(
     alone: &[f64],
 ) -> Result<PolicyOutcome, MultiLoadError> {
     validate_policy(loads, config, alone)?;
-    engine_fast(
-        platform,
-        loads,
-        config,
-        alone,
-        false,
-        &FailureTrace::none(),
-        SolveBackend::Scalar,
-    )
+    engine_fast(platform, loads, config, alone, false, &FailureTrace::none())
 }
 
 /// Executable specification of [`policy_schedule`]: rescans every load
@@ -515,15 +464,7 @@ pub fn policy_schedule_reference_with_alone(
     alone: &[f64],
 ) -> Result<PolicyOutcome, MultiLoadError> {
     validate_policy(loads, config, alone)?;
-    engine_reference(
-        platform,
-        loads,
-        config,
-        alone,
-        false,
-        &FailureTrace::none(),
-        SolveBackend::Scalar,
-    )
+    engine_reference(platform, loads, config, alone, false, &FailureTrace::none())
 }
 
 /// Online policy scheduler: load specs are **revealed at their release
@@ -563,31 +504,6 @@ pub fn online_schedule(
     online_schedule_with_alone(platform, loads, config, &alone)
 }
 
-/// [`online_schedule`] through an explicit solver backend — the online
-/// twin of [`policy_schedule_backend`].
-pub fn online_schedule_backend(
-    platform: &Platform,
-    loads: &[LoadSpec],
-    config: &PolicyConfig,
-    backend: SolveBackend,
-) -> Result<PolicyOutcome, MultiLoadError> {
-    validate_batch(loads)?;
-    if config.installments == 0 {
-        return Err(MultiLoadError::ZeroInstallments);
-    }
-    let alone = alone_policy_makespans_backend(platform, loads, config.installments, backend)?;
-    validate_policy(loads, config, &alone)?;
-    engine_fast(
-        platform,
-        loads,
-        config,
-        &alone,
-        true,
-        &FailureTrace::none(),
-        backend,
-    )
-}
-
 /// [`online_schedule`] with precomputed stretch denominators (see
 /// [`alone_policy_makespans`]).
 pub fn online_schedule_with_alone(
@@ -597,15 +513,7 @@ pub fn online_schedule_with_alone(
     alone: &[f64],
 ) -> Result<PolicyOutcome, MultiLoadError> {
     validate_policy(loads, config, alone)?;
-    engine_fast(
-        platform,
-        loads,
-        config,
-        alone,
-        true,
-        &FailureTrace::none(),
-        SolveBackend::Scalar,
-    )
+    engine_fast(platform, loads, config, alone, true, &FailureTrace::none())
 }
 
 /// Executable specification of [`online_schedule`]: the linear rescan.
@@ -632,15 +540,7 @@ pub fn online_schedule_reference_with_alone(
     alone: &[f64],
 ) -> Result<PolicyOutcome, MultiLoadError> {
     validate_policy(loads, config, alone)?;
-    engine_reference(
-        platform,
-        loads,
-        config,
-        alone,
-        true,
-        &FailureTrace::none(),
-        SolveBackend::Scalar,
-    )
+    engine_reference(platform, loads, config, alone, true, &FailureTrace::none())
 }
 
 /// The linear-scan reference engine: every decision rescans all loads,
@@ -664,12 +564,11 @@ pub(crate) fn engine_reference(
     alone: &[f64],
     online: bool,
     failures: &FailureTrace,
-    backend: SolveBackend,
 ) -> Result<PolicyOutcome, MultiLoadError> {
     let n = loads.len();
     let speed_sum: f64 = platform.speeds().iter().sum();
     let solver = nonlinear::SolverConfig::default();
-    let mut bsolver = BatchSolver::new(backend);
+    let mut bsolver = BatchSolver::default();
     let mut fstate = PlatformState::new(platform, failures);
     let mut scratch: Vec<f64> = Vec::new();
     let mut remaining: Vec<f64> = loads.iter().map(|l| l.size).collect();
@@ -770,12 +669,11 @@ pub(crate) fn engine_fast(
     alone: &[f64],
     online: bool,
     failures: &FailureTrace,
-    backend: SolveBackend,
 ) -> Result<PolicyOutcome, MultiLoadError> {
     let n = loads.len();
     let speed_sum: f64 = platform.speeds().iter().sum();
     let solver = nonlinear::SolverConfig::default();
-    let mut bsolver = BatchSolver::new(backend);
+    let mut bsolver = BatchSolver::default();
     let mut fstate = PlatformState::new(platform, failures);
     let mut scratch: Vec<f64> = Vec::new();
     let mut remaining: Vec<f64> = loads.iter().map(|l| l.size).collect();

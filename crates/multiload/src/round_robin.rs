@@ -147,11 +147,11 @@ fn occupancy(platform: &Platform, w: usize, data: f64, work: f64, include_comm: 
 }
 
 /// Alone-on-the-platform makespans of every load of a batch — the stretch
-/// denominators, each an equal-finish Newton solve
+/// denominators, each an equal-finish solve
 /// ([`crate::LoadSpec::alone_makespan`]). All loads share one platform, so
-/// one [`dlt_core::nonlinear::WarmStart`] handle threads through the
-/// batch: each solve's root seeds the next load's outer bracket. The
-/// first load starts cold, keeping its value bit-identical to a direct
+/// one [`dlt_core::batch::BatchSolver`] handle threads through the batch:
+/// each solve's root and shares seed the next load's solve. The first
+/// load starts cold, keeping its value bit-identical to a direct
 /// [`crate::LoadSpec::alone_makespan`] call. Still far more expensive
 /// than the dispatch itself on big platforms, so callers that schedule
 /// the same batch repeatedly (benches, refinement loops) should compute
@@ -160,29 +160,11 @@ pub fn alone_makespans(
     platform: &Platform,
     loads: &[LoadSpec],
 ) -> Result<Vec<f64>, MultiLoadError> {
-    alone_makespans_backend(platform, loads, dlt_core::batch::SolveBackend::Scalar)
-}
-
-/// [`alone_makespans`] through an explicit solver backend: one
-/// [`dlt_core::batch::BatchSolver`] handle threads through the batch so
-/// each solve's root (and per-worker shares, on the batched backend) seeds
-/// the next. [`dlt_core::batch::SolveBackend::Scalar`] is bit-identical to
-/// [`alone_makespans`].
-pub fn alone_makespans_backend(
-    platform: &Platform,
-    loads: &[LoadSpec],
-    backend: dlt_core::batch::SolveBackend,
-) -> Result<Vec<f64>, MultiLoadError> {
     let config = dlt_core::nonlinear::SolverConfig::default();
-    let mut solver = dlt_core::batch::BatchSolver::new(backend);
+    let mut solver = dlt_core::batch::BatchSolver::default();
     loads
         .iter()
-        .map(|l| {
-            solver
-                .solve(platform, l.size, l.model, &config)
-                .map(|a| a.makespan)
-                .map_err(MultiLoadError::from)
-        })
+        .map(|l| l.alone_makespan_with(platform, &config, &mut solver))
         .collect()
 }
 

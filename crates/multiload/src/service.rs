@@ -10,7 +10,7 @@
 //! 2. **windowed admission** ([`ServiceConfig::batch`]): the ranking is
 //!    frozen once per window and up to `batch` winners are popped; loads
 //!    with the *same* cost exponent are merged into one warm-started
-//!    equal-finish solve ([`dlt_core::nonlinear::equal_finish_parallel_with`]),
+//!    equal-finish solve ([`dlt_core::batch::BatchSolver::solve`]),
 //!    amortizing the solver over the window ([`ServiceReport::solves`]
 //!    < [`ServiceReport::decisions`] whenever merging happens);
 //! 3. **adaptive installment counts** ([`InstallmentPolicy::Adaptive`]):
@@ -51,7 +51,7 @@ use crate::event_queue::{PendingEntry, PendingSet};
 use crate::failure::{FailureTrace, PlatformState, ServedPiece};
 use crate::load::LoadSpec;
 use crate::policy::{alone_installment_makespan, next_installment, work_estimate, AdmissionOrder};
-use dlt_core::batch::{BatchSolver, SolveBackend};
+use dlt_core::batch::BatchSolver;
 use dlt_core::costmodel::CostLaw;
 use dlt_core::nonlinear;
 use dlt_platform::Platform;
@@ -410,25 +410,6 @@ where
     I: IntoIterator<Item = LoadSpec>,
     S: CompletionSink,
 {
-    serve_trace_backend(platform, trace, config, SolveBackend::Scalar, sink)
-}
-
-/// [`serve_trace`] through an explicit solver backend: both the
-/// admission-time alone solves and the installment/merged-group solves run
-/// on `backend`, each through its own persistent
-/// [`dlt_core::batch::BatchSolver`] handle. [`SolveBackend::Scalar`] is
-/// bit-identical to [`serve_trace`].
-pub fn serve_trace_backend<I, S>(
-    platform: &Platform,
-    trace: I,
-    config: &ServiceConfig,
-    backend: SolveBackend,
-    sink: &mut S,
-) -> Result<ServiceReport, MultiLoadError>
-where
-    I: IntoIterator<Item = LoadSpec>,
-    S: CompletionSink,
-{
     validate_config(config)?;
     let selector = IndexedSelector(PendingSet::new(config.order));
     engine(
@@ -437,7 +418,6 @@ where
         config,
         &FailureTrace::none(),
         selector,
-        backend,
         sink,
     )
 }
@@ -460,34 +440,6 @@ where
     I: IntoIterator<Item = LoadSpec>,
     S: CompletionSink,
 {
-    serve_trace_with_failures_backend(
-        platform,
-        trace,
-        config,
-        failures,
-        SolveBackend::Scalar,
-        sink,
-    )
-}
-
-/// [`serve_trace_with_failures`] through an explicit solver backend. A
-/// `Down` event shrinks the platform mid-trace; the batched backend's
-/// solver handle detects the lane change and discards its per-worker share
-/// seeds (now the wrong length) instead of misapplying them.
-/// [`SolveBackend::Scalar`] is bit-identical to
-/// [`serve_trace_with_failures`].
-pub fn serve_trace_with_failures_backend<I, S>(
-    platform: &Platform,
-    trace: I,
-    config: &ServiceConfig,
-    failures: &FailureTrace,
-    backend: SolveBackend,
-    sink: &mut S,
-) -> Result<ServiceReport, MultiLoadError>
-where
-    I: IntoIterator<Item = LoadSpec>,
-    S: CompletionSink,
-{
     validate_config(config)?;
     failures.validate_for(platform.len())?;
     let selector = IndexedSelector(PendingSet::new(config.order));
@@ -497,7 +449,6 @@ where
         config,
         failures,
         selector,
-        backend,
         sink,
     )
 }
@@ -531,7 +482,6 @@ where
         config,
         &FailureTrace::none(),
         selector,
-        SolveBackend::Scalar,
         sink,
     )
 }
@@ -562,7 +512,6 @@ where
         config,
         failures,
         selector,
-        SolveBackend::Scalar,
         sink,
     )
 }
@@ -579,7 +528,6 @@ fn engine<I, Sel, S>(
     config: &ServiceConfig,
     failures: &FailureTrace,
     mut selector: Sel,
-    backend: SolveBackend,
     sink: &mut S,
 ) -> Result<ServiceReport, MultiLoadError>
 where
@@ -594,10 +542,11 @@ where
     // first solve cold, as in the batch engines); admission-time alone
     // solves thread through the other, in admission order — the same
     // sequence `alone_policy_makespans` runs, kept on its own handle so
-    // interleaving cannot perturb either sequence's brackets (or, on the
-    // batched backend, each other's share seeds).
-    let mut bsolver = BatchSolver::new(backend);
-    let mut bsolver_alone = BatchSolver::new(backend);
+    // interleaving cannot perturb either sequence's outer hints or share
+    // seeds. A `Down` event shrinks the platform mid-trace; the handle
+    // detects the lane change and drops its now wrong-length share seeds.
+    let mut bsolver = BatchSolver::default();
+    let mut bsolver_alone = BatchSolver::default();
     let mut fstate = PlatformState::new(platform, failures);
     let mut scratch: Vec<f64> = Vec::new();
     let mut states: BTreeMap<u64, LoadState> = BTreeMap::new();

@@ -3,12 +3,15 @@
 //! degeneration to the single-load solvers, the admission-policy engines
 //! against their linear-scan references, and the service engine's indexed
 //! pending set against both its rescan reference and the
-//! `online_schedule` oracle.
+//! `online_schedule` oracle, plus the `_with_alone` wrappers against
+//! their parents.
 
 use dlt_core::nonlinear;
 use dlt_multiload::{
-    fifo_schedule, online_schedule, online_schedule_reference, policy_schedule,
-    policy_schedule_reference, round_robin_schedule, round_robin_schedule_reference, serve_trace,
+    alone_makespans, alone_policy_makespans, fifo_schedule, online_schedule,
+    online_schedule_reference, online_schedule_with_alone, policy_schedule,
+    policy_schedule_reference, policy_schedule_with_alone, round_robin_schedule,
+    round_robin_schedule_reference, round_robin_schedule_with_alone, serve_trace,
     serve_trace_reference, AdmissionOrder, CompletedLoad, InstallmentPolicy, LoadSpec,
     MultiLoadConfig, PolicyConfig, ServiceConfig,
 };
@@ -504,4 +507,39 @@ proptest! {
             prop_assert!(c.start >= c.spec.release);
         }
     }
+}
+
+/// The `_with_alone` wrappers are pure plumbing: handing them exactly the
+/// denominators their parent computes must reproduce the parent's outcome
+/// bit for bit (`PolicyOutcome`/`RoundRobinOutcome` derive `PartialEq`).
+#[test]
+fn with_alone_wrappers_are_bit_identical_to_their_parents() {
+    let platform =
+        Platform::from_speeds_and_costs(&[1.0, 3.0, 0.7, 2.2], &[1.0, 0.2, 2.0, 0.6]).unwrap();
+    let loads = vec![
+        LoadSpec::new(40.0, 2.0, 0.0).unwrap(),
+        LoadSpec::new(17.0, 1.5, 1.0).unwrap(),
+        LoadSpec::new(63.0, 3.0, 2.5).unwrap(),
+        LoadSpec::new(9.0, 1.2, 4.0).unwrap(),
+        LoadSpec::new(28.0, 2.7, 6.0).unwrap(),
+    ];
+    let cfg = PolicyConfig {
+        order: AdmissionOrder::Srpt,
+        installments: 3,
+    };
+    let alone = alone_policy_makespans(&platform, &loads, cfg.installments).unwrap();
+
+    let parent = policy_schedule(&platform, &loads, &cfg).unwrap();
+    let wrapped = policy_schedule_with_alone(&platform, &loads, &cfg, &alone).unwrap();
+    assert_eq!(parent, wrapped, "policy_schedule_with_alone");
+
+    let parent = online_schedule(&platform, &loads, &cfg).unwrap();
+    let wrapped = online_schedule_with_alone(&platform, &loads, &cfg, &alone).unwrap();
+    assert_eq!(parent, wrapped, "online_schedule_with_alone");
+
+    let rr_cfg = MultiLoadConfig::default();
+    let rr_alone = alone_makespans(&platform, &loads).unwrap();
+    let parent = round_robin_schedule(&platform, &loads, &rr_cfg).unwrap();
+    let wrapped = round_robin_schedule_with_alone(&platform, &loads, &rr_cfg, &rr_alone).unwrap();
+    assert_eq!(parent, wrapped, "round_robin_schedule_with_alone");
 }

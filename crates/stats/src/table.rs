@@ -50,7 +50,15 @@ impl Cell {
     fn render(&self, precision: usize) -> String {
         match self {
             Cell::Int(v) => v.to_string(),
-            Cell::Float(v) => format!("{v:.precision$}"),
+            Cell::Float(v) => {
+                let s = format!("{v:.precision$}");
+                // A value that rounds to zero prints without a sign, so the
+                // bytes never depend on the sign of rounding noise.
+                match s.strip_prefix('-') {
+                    Some(rest) if rest.bytes().all(|b| b == b'0' || b == b'.') => rest.to_string(),
+                    _ => s,
+                }
+            }
             Cell::Text(s) => s.clone(),
         }
     }
@@ -307,5 +315,21 @@ mod tests {
         t2.row([7usize.into()]);
         assert!(t2.to_text().contains('7'));
         assert!(!t2.to_text().contains("7.0"));
+    }
+
+    #[test]
+    fn floats_that_round_to_zero_print_without_a_sign() {
+        let mut t = Table::new(&["x"]);
+        for v in [-1e-17, -0.0, -0.00004, 0.0, -0.0002, -1.5] {
+            t.row([v.into()]);
+        }
+        assert_eq!(
+            t.to_csv(),
+            "x\n0.0000\n0.0000\n0.0000\n0.0000\n-0.0002\n-1.5000\n"
+        );
+        let mut t0 = Table::new(&["x"]).with_precision(0);
+        t0.row([(-0.4).into()]);
+        t0.row([f64::NEG_INFINITY.into()]);
+        assert_eq!(t0.to_csv(), "x\n0\n-inf\n");
     }
 }
