@@ -7,6 +7,11 @@
 //! * `simulate_demand` — binary-heap scheduler vs the linear per-task
 //!   worker scan (`simulate_demand_reference`), at Figure-4 scale
 //!   (512 workers × 10 000 tasks);
+//! * `demand_identical` — one Figure 4 platform's whole `Commhom/k`
+//!   refinement loop (p = 100, uniform profile, N = 10⁴): every level's
+//!   identical blocks materialised and dispatched by `simulate_demand`,
+//!   vs the same levels through `simulate_demand_identical`, which
+//!   builds no queue;
 //! * the PERI-SUM DP — dominance-pruned `PeriSumDp` vs the full `O(p²)`
 //!   suffix scan (`peri_sum_partition_reference`), at the top of the
 //!   partition-quality sweep (p = 512);
@@ -65,9 +70,13 @@ use dlt_multiload::{
     AdmissionOrder, DiscardCompletions, FailureEvent, FailureTrace, InstallmentPolicy, LoadSpec,
     MultiLoadConfig, PolicyConfig, ServiceConfig,
 };
+use dlt_outer::strategies::PAPER_IMBALANCE_TARGET;
+use dlt_outer::{hom_blocks_abstract, hom_blocks_refined_abstract};
 use dlt_partition::{peri_sum_partition_reference, PeriSumDp};
 use dlt_platform::{Platform, PlatformSpec, SpeedDistribution};
-use dlt_sim::{simulate_demand, simulate_demand_reference, DemandConfig, DemandTask};
+use dlt_sim::{
+    simulate_demand, simulate_demand_identical, simulate_demand_reference, DemandConfig, DemandTask,
+};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -88,6 +97,44 @@ fn demand_instance(p: usize, t: usize) -> (Platform, Vec<DemandTask>) {
         .map(|i| DemandTask::new(2.0 + (i % 7) as f64, 10.0 + (i % 13) as f64))
         .collect();
     (platform, tasks)
+}
+
+/// The `Commhom/k` refinement levels of one Figure 4 platform (`p`
+/// workers, uniform profile, `N = n`): each level's block and block
+/// count, up to the level the paper's 1% stopping rule picks.
+fn refinement_instance(p: usize, n: usize) -> (Platform, Vec<(DemandTask, usize)>) {
+    let platform = PlatformSpec::new(p, SpeedDistribution::paper_uniform())
+        .generate(BENCH_SEED)
+        .unwrap();
+    let k_final = hom_blocks_refined_abstract(&platform, n, PAPER_IMBALANCE_TARGET).k;
+    let levels = (1..=k_final)
+        .map(|k| {
+            let out = hom_blocks_abstract(&platform, n, k);
+            let d = out.block_side;
+            (DemandTask::new(2.0 * d, d * d), out.n_blocks)
+        })
+        .collect();
+    (platform, levels)
+}
+
+/// Every refinement level's blocks materialised and dispatched by the
+/// heap: the baseline the identical-task dispatcher reproduces bit for
+/// bit.
+fn refinement_heap(platform: &Platform, levels: &[(DemandTask, usize)]) -> f64 {
+    levels
+        .iter()
+        .map(|&(task, count)| {
+            simulate_demand(platform, &vec![task; count], DemandConfig::default()).imbalance()
+        })
+        .sum()
+}
+
+/// The same levels through the identical-task dispatcher.
+fn refinement_identical(platform: &Platform, levels: &[(DemandTask, usize)]) -> f64 {
+    levels
+        .iter()
+        .map(|&(task, count)| simulate_demand_identical(platform, task, count).imbalance())
+        .sum()
 }
 
 fn partition_weights(p: usize) -> Vec<f64> {
@@ -370,6 +417,24 @@ fn bench_demand(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_demand_identical(c: &mut Criterion) {
+    if smoke_mode() {
+        return;
+    }
+    let mut group = c.benchmark_group("demand_identical");
+    let (platform, levels) = refinement_instance(100, 10_000);
+    let id = format!("p100_n10000_k{}", levels.len());
+    group.bench_with_input(BenchmarkId::new("chains", &id), &levels, |b, levels| {
+        b.iter(|| refinement_identical(black_box(&platform), black_box(levels)))
+    });
+    group.bench_with_input(
+        BenchmarkId::new("heap_materialised", &id),
+        &levels,
+        |b, levels| b.iter(|| refinement_heap(black_box(&platform), black_box(levels))),
+    );
+    group.finish();
+}
+
 fn bench_peri_sum(c: &mut Criterion) {
     if smoke_mode() {
         return;
@@ -563,6 +628,13 @@ fn emit_json(c: &mut Criterion) {
     });
     let sim_opt = time_min_ns(reps(50), || simulate_demand(&platform, &tasks, config));
 
+    let (ref_platform, ref_levels) = refinement_instance(100, 10_000);
+    let ref_blocks: usize = ref_levels.iter().map(|&(_, count)| count).sum();
+    let ref_base = time_min_ns(reps(10), || refinement_heap(&ref_platform, &ref_levels));
+    let ref_opt = time_min_ns(reps(50), || {
+        refinement_identical(&ref_platform, &ref_levels)
+    });
+
     let w = partition_weights(512);
     let dp_base = time_min_ns(reps(50), || peri_sum_partition_reference(&w).unwrap());
     let mut ws = PeriSumDp::new();
@@ -666,6 +738,17 @@ fn emit_json(c: &mut Criterion) {
             sim_opt,
         ),
         record(
+            "demand_identical",
+            &format!(
+                "p=100, N=10000, uniform profile, Commhom/k levels k=1..{}, {ref_blocks} blocks",
+                ref_levels.len()
+            ),
+            "blocks materialised, heap per level (simulate_demand)",
+            "per-worker free-time chains, O(p) memory (simulate_demand_identical)",
+            ref_base,
+            ref_opt,
+        ),
+        record(
             "peri_sum_dp",
             "p=512, uniform profile",
             "full O(p^2) suffix DP (peri_sum_partition_reference)",
@@ -751,11 +834,12 @@ fn emit_json(c: &mut Criterion) {
     }
     let [p8, p512] = solver_records.map(|t| t.map(|(b, o)| b / o));
     eprintln!(
-        "hotpaths: simulate_demand {:.1}x, peri_sum_dp {:.1}x, multiload_round_robin {:.1}x, \
-         multiload_policy {:.1}x, multiload_failure {:.1}x, multiload_service {:.1}x \
-         ({:.0} decisions/sec), solver_equal_finish {:.1}x / {:.1}x, \
+        "hotpaths: simulate_demand {:.1}x, demand_identical {:.1}x, peri_sum_dp {:.1}x, \
+         multiload_round_robin {:.1}x, multiload_policy {:.1}x, multiload_failure {:.1}x, \
+         multiload_service {:.1}x ({:.0} decisions/sec), solver_equal_finish {:.1}x / {:.1}x, \
          costmodel_dispatch {:.1}x / {:.1}x, solver_batched {:.1}x / {:.1}x (p = 8 / 512)",
         sim_base / sim_opt,
+        ref_base / ref_opt,
         dp_base / dp_opt,
         ml_base / ml_opt,
         po_base / po_opt,
@@ -774,6 +858,7 @@ fn emit_json(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_demand,
+    bench_demand_identical,
     bench_peri_sum,
     bench_multiload,
     bench_policy,

@@ -8,28 +8,19 @@
 //! figure, and writes `results/fig4_<profile>.csv`.
 
 use dlt_experiments::fig4::{fig4_table, run_fig4, series_for, PAPER_P_VALUES, PAPER_TRIALS};
-use dlt_experiments::runner::{flag_or, flags, parse_flags, thread_count, write_and_print};
+use dlt_experiments::runner::{
+    flag_or, flags, parse_flags, profiles, thread_count, write_and_print,
+};
 use dlt_outer::Strategy;
-use dlt_platform::SpeedDistribution;
 use dlt_stats::AsciiPlot;
 
 fn main() {
     let flags = parse_flags(std::env::args().skip(1), flags::FIG4);
-    let profile_arg = flags
-        .get("")
-        .and_then(|v| v.first())
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
+    let profiles = profiles(&flags, "all");
     let trials: usize = flag_or(&flags, "trials", PAPER_TRIALS);
     let n: usize = flag_or(&flags, "n", 10_000);
     let seed: u64 = flag_or(&flags, "seed", 42);
     let threads = thread_count(&flags);
-
-    let profiles: Vec<SpeedDistribution> = if profile_arg == "all" {
-        SpeedDistribution::paper_profiles().to_vec()
-    } else {
-        vec![SpeedDistribution::from_profile_name(&profile_arg).unwrap_or_else(|e| panic!("{e}"))]
-    };
 
     for profile in profiles {
         let name = profile.name();

@@ -20,8 +20,9 @@ use dlt_experiments::competitive::{
     competitive_table, default_cells, run_competitive, run_soak, smoke_cells,
     DEFAULT_COMPETITIVE_LOADS, DEFAULT_COMPETITIVE_P, DEFAULT_COMPETITIVE_TRIALS,
 };
-use dlt_experiments::runner::{flag_or, flags, parse_flags, thread_count, write_and_print};
-use dlt_platform::SpeedDistribution;
+use dlt_experiments::runner::{
+    flag_or, flags, parse_flags, profiles, thread_count, write_and_print,
+};
 
 fn main() {
     let flags = parse_flags(std::env::args().skip(1), flags::MULTILOAD_COMPETITIVE);
@@ -46,11 +47,7 @@ fn main() {
     }
 
     let smoke = flags.contains_key("smoke");
-    let profile_arg = flags
-        .get("")
-        .and_then(|v| v.first())
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
+    let profiles = profiles(&flags, "all");
     let p: usize = flag_or(&flags, "p", if smoke { 4 } else { DEFAULT_COMPETITIVE_P });
     let trials: usize = flag_or(
         &flags,
@@ -67,12 +64,6 @@ fn main() {
         smoke_cells()
     } else {
         default_cells()
-    };
-
-    let profiles: Vec<SpeedDistribution> = if profile_arg == "all" {
-        SpeedDistribution::paper_profiles().to_vec()
-    } else {
-        vec![SpeedDistribution::from_profile_name(&profile_arg).unwrap_or_else(|e| panic!("{e}"))]
     };
 
     for profile in profiles {

@@ -16,16 +16,13 @@ use dlt_experiments::multiload::{
     multiload_policy_table, run_multiload_policy, DEFAULT_ALPHAS, DEFAULT_BASE_SIZE,
     DEFAULT_INSTALLMENTS, DEFAULT_LOAD_COUNTS, DEFAULT_P,
 };
-use dlt_experiments::runner::{flag_or, flags, parse_flags, thread_count, write_and_print};
-use dlt_platform::SpeedDistribution;
+use dlt_experiments::runner::{
+    flag_or, flags, parse_flags, profiles, thread_count, write_and_print,
+};
 
 fn main() {
     let flags = parse_flags(std::env::args().skip(1), flags::MULTILOAD_POLICY);
-    let profile_arg = flags
-        .get("")
-        .and_then(|v| v.first())
-        .cloned()
-        .unwrap_or_else(|| "all".to_string());
+    let profiles = profiles(&flags, "all");
     let p: usize = flag_or(&flags, "p", DEFAULT_P);
     let trials: usize = flag_or(&flags, "trials", 50);
     let base_size: f64 = flag_or(&flags, "n", DEFAULT_BASE_SIZE);
@@ -43,12 +40,6 @@ fn main() {
                 .collect()
         })
         .unwrap_or_else(|| DEFAULT_INSTALLMENTS.to_vec());
-
-    let profiles: Vec<SpeedDistribution> = if profile_arg == "all" {
-        SpeedDistribution::paper_profiles().to_vec()
-    } else {
-        vec![SpeedDistribution::from_profile_name(&profile_arg).unwrap_or_else(|e| panic!("{e}"))]
-    };
 
     for profile in profiles {
         let name = profile.name();

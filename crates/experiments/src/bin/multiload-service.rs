@@ -19,21 +19,17 @@
 
 use dlt_experiments::models::model_family;
 use dlt_experiments::multiload::{DEFAULT_ALPHAS, DEFAULT_BASE_SIZE};
-use dlt_experiments::runner::{flag_or, flags, parse_flags, write_and_print};
+use dlt_experiments::runner::{flag_or, flags, parse_flags, profiles, write_and_print};
 use dlt_experiments::service::{
     default_cells, file_trace, run_service, run_service_cell, service_table, smoke_cells,
     ServicePoint, DEFAULT_SERVICE_LOADS, DEFAULT_SERVICE_P, DEFAULT_UTILIZATION,
 };
-use dlt_platform::{PlatformSpec, SpeedDistribution};
+use dlt_platform::PlatformSpec;
 
 fn main() {
     let flags = parse_flags(std::env::args().skip(1), flags::MULTILOAD_SERVICE);
     let smoke = flags.contains_key("smoke");
-    let profile_arg = flags
-        .get("")
-        .and_then(|v| v.first())
-        .cloned()
-        .unwrap_or_else(|| if smoke { "uniform" } else { "all" }.to_string());
+    let profiles = profiles(&flags, if smoke { "uniform" } else { "all" });
     let loads: usize = flag_or(
         &flags,
         "loads",
@@ -53,12 +49,6 @@ fn main() {
         smoke_cells()
     } else {
         default_cells()
-    };
-
-    let profiles: Vec<SpeedDistribution> = if profile_arg == "all" {
-        SpeedDistribution::paper_profiles().to_vec()
-    } else {
-        vec![SpeedDistribution::from_profile_name(&profile_arg).unwrap_or_else(|e| panic!("{e}"))]
     };
 
     let mut peak_violation = false;

@@ -1,6 +1,7 @@
 //! Shared plumbing for the experiment binaries: results directory, flag
 //! parsing, and the scoped-thread trial pool behind `--threads`.
 
+use dlt_platform::SpeedDistribution;
 use dlt_stats::Table;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -138,10 +139,42 @@ pub fn parse_flags(
     args: impl Iterator<Item = String>,
     allowed: &[&str],
 ) -> HashMap<String, Vec<String>> {
-    try_parse_flags(args, allowed).unwrap_or_else(|e| {
+    or_exit(try_parse_flags(args, allowed))
+}
+
+/// The command-line error path shared by every binary: prints
+/// `error: …` and exits with status 2.
+fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
         eprintln!("error: {e}");
         std::process::exit(2);
     })
+}
+
+/// Fallible core of [`profiles`]: the speed profiles named by the
+/// positional argument, or by `default` when it is absent; `all` names
+/// every paper profile.
+pub fn try_profiles(
+    flags: &HashMap<String, Vec<String>>,
+    default: &str,
+) -> Result<Vec<SpeedDistribution>, String> {
+    match flags
+        .get("")
+        .and_then(|v| v.first())
+        .map_or(default, String::as_str)
+    {
+        "all" => Ok(SpeedDistribution::paper_profiles().to_vec()),
+        name => SpeedDistribution::from_profile_name(name)
+            .map(|profile| vec![profile])
+            .map_err(|e| e.to_string()),
+    }
+}
+
+/// The speed profiles named on the command line (see [`try_profiles`]).
+/// An unknown profile name prints the error and exits with status 2, like
+/// a bad flag.
+pub fn profiles(flags: &HashMap<String, Vec<String>>, default: &str) -> Vec<SpeedDistribution> {
+    or_exit(try_profiles(flags, default))
 }
 
 /// Resolves a requested thread count: `0` means "all available cores"
@@ -249,10 +282,7 @@ pub fn flag_or<T: std::str::FromStr>(
     key: &str,
     default: T,
 ) -> T {
-    try_flag_or(flags, key, default).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(2);
-    })
+    or_exit(try_flag_or(flags, key, default))
 }
 
 #[cfg(test)]
@@ -296,6 +326,24 @@ mod tests {
     fn trailing_flag_without_value_is_true() {
         let f = parse(&["--verbose"], &["verbose"]);
         assert_eq!(f["verbose"], vec!["true"]);
+    }
+
+    #[test]
+    fn profiles_default_to_all_and_reject_unknown_names() {
+        let names = |words: &[&str], default: &str| {
+            try_profiles(&parse(words, &[""]), default)
+                .map(|ps| ps.iter().map(SpeedDistribution::name).collect::<Vec<_>>())
+        };
+        let all = vec!["homogeneous", "uniform", "lognormal"];
+        assert_eq!(names(&[], "all").unwrap(), all);
+        assert_eq!(names(&["all"], "uniform").unwrap(), all);
+        assert_eq!(names(&["uni"], "all").unwrap(), vec!["uniform"]);
+        assert_eq!(names(&[], "uniform").unwrap(), vec!["uniform"]);
+        let err = names(&["bogus"], "all").unwrap_err();
+        assert!(
+            err.contains("bogus") && err.contains("homogeneous"),
+            "{err}"
+        );
     }
 
     #[test]

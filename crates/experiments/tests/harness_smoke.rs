@@ -492,6 +492,25 @@ fn bins_reject_unknown_flags_instead_of_ignoring_them() {
 }
 
 #[test]
+fn bins_reject_unknown_profiles_like_bad_flags() {
+    // An unknown profile name takes the bad-flag path (exit 2, `error: …`
+    // naming it), not a panic.
+    for exe in [
+        env!("CARGO_BIN_EXE_fig4"),
+        env!("CARGO_BIN_EXE_multiload"),
+        env!("CARGO_BIN_EXE_multiload-policy"),
+        env!("CARGO_BIN_EXE_multiload-service"),
+        env!("CARGO_BIN_EXE_multiload-competitive"),
+    ] {
+        run_bin_expect_flag_error(
+            exe,
+            &["bogus"],
+            "error: invalid speed distribution: unknown profile 'bogus'",
+        );
+    }
+}
+
+#[test]
 fn bins_reject_unparseable_flag_values_instead_of_defaulting() {
     // The original bug: `--assert-peak-pending 4O96` (letter O) parsed as
     // "no cap" and silently disabled the CI soak gate.

@@ -4,7 +4,10 @@
 
 use dlt_partition::IntRect;
 use dlt_platform::Platform;
-use dlt_sim::{simulate_demand, DemandConfig, DemandReport, DemandTask};
+use dlt_sim::{
+    simulate_demand, simulate_demand_identical, DemandConfig, DemandCounts, DemandReport,
+    DemandTask,
+};
 
 /// Outcome of a homogeneous-blocks run.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,8 +108,9 @@ pub struct AbstractHomOutcome {
     pub imbalance: f64,
     /// Refinement factor used.
     pub k: usize,
-    /// Raw demand-driven report.
-    pub demand: DemandReport,
+    /// Per-worker block counts, finish times and volumes of the
+    /// demand-driven run.
+    pub demand: DemandCounts,
 }
 
 /// The paper's Section 4.1.1 accounting of `Commhom`: exactly
@@ -115,6 +119,11 @@ pub struct AbstractHomOutcome {
 /// shipping `2D` data, dispatched demand-driven. This is what Figure 4
 /// plots; the geometric [`hom_blocks`] additionally pays for clipped edge
 /// blocks when `N/D` is not integral, which is kept as an ablation.
+///
+/// The blocks are identical, so they are dispatched by
+/// [`simulate_demand_identical`]: bit-identical to `simulate_demand` on
+/// the materialised queue, in `O(p)` memory however many blocks a
+/// refinement level cuts.
 pub fn hom_blocks_abstract(platform: &Platform, n: usize, k: usize) -> AbstractHomOutcome {
     assert!(n > 0 && k >= 1);
     let x1 = platform.min_speed() / platform.total_speed();
@@ -126,8 +135,7 @@ pub fn hom_blocks_abstract(platform: &Platform, n: usize, k: usize) -> AbstractH
     // exactly) from overshooting by one block through float noise.
     let raw = ((n as f64) / d).powi(2);
     let n_blocks = (raw - 1e-6).ceil().max(1.0) as usize;
-    let tasks = vec![DemandTask::new(2.0 * d, d * d); n_blocks];
-    let demand = simulate_demand(platform, &tasks, DemandConfig::default());
+    let demand = simulate_demand_identical(platform, DemandTask::new(2.0 * d, d * d), n_blocks);
     AbstractHomOutcome {
         n_blocks,
         block_side: d,

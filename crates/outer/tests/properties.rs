@@ -4,9 +4,10 @@ use dlt_linalg::Matrix;
 use dlt_outer::Strategy as DistStrategy;
 use dlt_outer::{
     comm_lower_bound, evaluate, execute_partitioned_matmul, het_rects, hom_blocks,
-    summa_comm_volume, tile_domain,
+    hom_blocks_abstract, summa_comm_volume, tile_domain,
 };
 use dlt_platform::Platform;
+use dlt_sim::{simulate_demand, DemandConfig, DemandTask};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -58,6 +59,26 @@ proptest! {
         prop_assert_eq!(out.owner.len(), out.blocks.len());
         let counted: usize = out.demand.task_counts().iter().sum();
         prop_assert_eq!(counted, out.blocks.len());
+    }
+
+    #[test]
+    fn abstract_blocks_match_the_heap_on_the_materialised_queue(
+        platform in platforms(),
+        n in 16usize..400,
+        k in 1usize..6,
+    ) {
+        // The identical-task dispatcher behind hom_blocks_abstract against
+        // simulate_demand on the block queue it never builds: bitwise.
+        let out = hom_blocks_abstract(&platform, n, k);
+        let d = out.block_side;
+        let tasks = vec![DemandTask::new(2.0 * d, d * d); out.n_blocks];
+        let heap = simulate_demand(&platform, &tasks, DemandConfig::default());
+        prop_assert_eq!(&out.demand.counts, &heap.task_counts());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&out.demand.finish_times), bits(&heap.finish_times));
+        prop_assert_eq!(bits(&out.demand.comm_volume), bits(&heap.comm_volume));
+        prop_assert_eq!(out.comm_volume.to_bits(), heap.total_comm().to_bits());
+        prop_assert_eq!(out.imbalance.to_bits(), heap.imbalance().to_bits());
     }
 
     #[test]

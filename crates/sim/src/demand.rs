@@ -155,19 +155,20 @@ pub fn occupancy(platform: &Platform, w: usize, task: DemandTask, config: Demand
 ///
 /// The earliest-free worker is maintained in a binary min-heap keyed on
 /// `(free_time, worker id)`, so dispatching `T` tasks over `p` workers
-/// costs `O(T log p)` instead of the `O(T·p)` of the naive per-task scan —
-/// the dominant cost of the `Commhom/k` refinement loop behind Figure 4
+/// costs `O(T log p)` instead of the `O(T·p)` of the naive per-task scan
 /// (see the `hotpaths` bench). [`simulate_demand_reference`] keeps the
 /// linear scan as the executable specification; both produce bit-identical
 /// reports.
+///
+/// This is the executor for explicit task slices. A queue of `count`
+/// copies of one task — the `Commhom` blocks behind Figure 4 — goes
+/// through [`simulate_demand_identical`], which reproduces this function's
+/// per-worker results bit for bit in `O(p)` memory.
 pub fn simulate_demand(
     platform: &Platform,
     tasks: &[DemandTask],
     config: DemandConfig,
 ) -> DemandReport {
-    if let Some(report) = round_robin_fill(platform, tasks, config) {
-        return report;
-    }
     let p = platform.len();
 
     // Min-heap of (free_time, worker id).
@@ -195,66 +196,191 @@ pub fn simulate_demand(
     }
 }
 
-/// Closed-form round-robin fill for the fully identical case (the ROADMAP
-/// batch-scheduler item): when every task is the same **and** every worker
-/// is occupied for the same (bitwise) time per task, the heap dispatch
-/// degenerates to an exact round-robin — worker `w` takes tasks
-/// `w, w+p, w+2p, …` — because every decision is a free-time tie broken by
-/// worker id. This is precisely the `hom_blocks_abstract` workload on the
-/// paper's homogeneous profile (identical blocks, identical speeds), where
-/// skipping the heap removes the `O(log p)` per task.
+/// Per-worker outcome of [`simulate_demand_identical`]: a
+/// [`DemandReport`] without the per-task assignment lists.
+#[derive(Debug, Clone, PartialEq)]
+pub struct DemandCounts {
+    /// Number of tasks each worker executed.
+    pub counts: Vec<usize>,
+    /// Instant each worker became idle for good (0 for workers that never
+    /// received a task).
+    pub finish_times: Vec<f64>,
+    /// Data units shipped to each worker.
+    pub comm_volume: Vec<f64>,
+}
+
+impl DemandCounts {
+    /// Load imbalance over all workers, idle ones included (see
+    /// [`DemandReport::imbalance`] for the convention).
+    pub fn imbalance(&self) -> f64 {
+        crate::metrics::imbalance(&self.finish_times)
+    }
+
+    /// Total communication volume `Σ_i comm_volume[i]`.
+    pub fn total_comm(&self) -> f64 {
+        self.comm_volume.iter().sum()
+    }
+}
+
+/// [`simulate_demand`] on a queue of `count` copies of `task` (under
+/// [`DemandConfig::default`]), without building the queue: the per-worker
+/// counts, finish times and volumes are bit-identical to
+/// `simulate_demand(platform, &vec![task; count], DemandConfig::default())`,
+/// in `O(p)` memory instead of `O(count)`.
 ///
-/// Bit-identity with the heap path is non-negotiable (the Figure 4 CSVs
-/// for the homogeneous profile flow through here), so the fill replays the
-/// heap's arithmetic exactly: per-worker finish times and volumes are
-/// accumulated by repeated addition — `k` additions of `occ`, **not**
-/// `k · occ`, which differs in ulps — and the per-task occupancy is
-/// recomputed once, just as the heap recomputes it per task. Returns
-/// `None` (fall through to the heap) whenever any precondition fails.
-fn round_robin_fill(
+/// With every task the same, worker `w`'s free times form a chain
+/// `F_w(0) = 0`, `F_w(j + 1) = F_w(j) + occ_w`, and the heap pops the
+/// `count` smallest `(F_w(j), w)` of the merged chains. Most of that prefix
+/// is known in advance: the last task is popped no earlier than about
+/// `t = (count − p) / Σ 1/occ_w`, and every worker takes all its chain
+/// entries below `t`, `⌊t/occ_w⌋` of them. So each chain is first advanced
+/// by that head start — by the heap's own repeated additions, never
+/// `j · occ_w`, which differs in ulps — and a `p`-entry heap of chain heads
+/// pops the few remaining tasks. The result is exact when every worker's
+/// last popped key sorts before the smallest remaining head; when it does
+/// not, the head start is dropped and the heap runs from zero, so
+/// exactness never rests on the estimate. Zero or non-finite occupancies
+/// take no head start at all.
+///
+/// Costs `O(count)` additions plus `O(p log p)` heap operations.
+pub fn simulate_demand_identical(
     platform: &Platform,
-    tasks: &[DemandTask],
-    config: DemandConfig,
-) -> Option<DemandReport> {
-    let p = platform.len();
-    let first = *tasks.first()?;
-    debug_assert!(first.data >= 0.0 && first.work >= 0.0);
-    if tasks.iter().any(|t| *t != first) {
-        return None;
+    task: DemandTask,
+    count: usize,
+) -> DemandCounts {
+    debug_assert!(task.data >= 0.0 && task.work >= 0.0);
+    let occ: Vec<f64> = (0..platform.len())
+        .map(|w| occupancy(platform, w, task, DemandConfig::default()))
+        .collect();
+    let start = head_start(&occ, count);
+    dispatch_chains(&occ, task.data, count, &start)
+}
+
+/// Tasks each worker surely takes: `⌊t/occ_w⌋` for a lower bound `t` on
+/// the key of the last task popped, shaved by `2p` tasks and a relative
+/// 1e-9 against rounding in the chains; none when some occupancy is zero
+/// or non-finite (a zero-time worker takes every task it can, and no
+/// horizon bounds it).
+fn head_start(occ: &[f64], count: usize) -> Vec<usize> {
+    let p = occ.len();
+    if count <= 2 * p || !occ.iter().all(|&o| o > 0.0 && o.is_finite()) {
+        return vec![0; p];
     }
-    // With identical tasks both policies dispatch in input order
-    // (LargestFirst's sort is stable), so only the occupancies matter.
-    let occ = occupancy(platform, 0, first, config);
-    if (1..p).any(|w| occupancy(platform, w, first, config) != occ) {
-        return None;
-    }
-    // Zero occupancy is NOT round-robin under the heap: a dispatched
-    // worker is re-pushed at the same free time, keeps winning the id
-    // tie-break, and takes every remaining task. Let the heap handle it.
-    if occ == 0.0 {
-        return None;
-    }
-    let mut assignments = vec![Vec::new(); p];
-    let mut finish = vec![0.0f64; p];
-    let mut volume = vec![0.0f64; p];
-    for (w, (assigned, (fin, vol))) in assignments
-        .iter_mut()
-        .zip(finish.iter_mut().zip(&mut volume))
-        .enumerate()
-    {
-        let mut idx = w;
-        while idx < tasks.len() {
-            assigned.push(idx);
-            *fin += occ;
-            *vol += first.data;
-            idx += p;
+    let rate: f64 = occ.iter().map(|&o| 1.0 / o).sum();
+    let horizon = (count - 2 * p) as f64 / rate * (1.0 - 1e-9);
+    occ.iter()
+        .map(|&o| (horizon / o).floor() as usize)
+        .collect()
+}
+
+/// Dispatches `count` identical tasks over workers with occupancies `occ`,
+/// each chain advanced by `start[w]` tasks before the heap takes over.
+/// Any `start` gives the heap's result: one that is not a prefix of the
+/// heap's pop order fails the final check and is replaced by a run from
+/// zero. A nonzero `start` needs positive, finite occupancies, so that no
+/// chain decreases and the heap's order is the merge of the chains.
+fn dispatch_chains(occ: &[f64], data: f64, count: usize, start: &[usize]) -> DemandCounts {
+    let head_started = start.iter().any(|&c| c > 0);
+    debug_assert!(!head_started || occ.iter().all(|&o| o > 0.0 && o.is_finite()));
+    let fits = start
+        .iter()
+        .try_fold(0usize, |acc, &c| acc.checked_add(c))
+        .is_some_and(|total| total <= count);
+    if head_started && fits {
+        let mut chains = FreeChains::advanced(occ, start);
+        if chains.fill(occ, count) {
+            return chains.counts(data);
         }
     }
-    Some(DemandReport {
-        assignments,
-        finish_times: finish,
-        comm_volume: volume,
-    })
+    // From zero the fill is the heap itself, exact whatever its check
+    // says (under absorption, `x + occ == x`, a worker's last key can tie
+    // its own head, which the strict check rejects).
+    let mut chains = FreeChains::advanced(occ, &vec![0; occ.len()]);
+    chains.fill(occ, count);
+    chains.counts(data)
+}
+
+/// Every worker's position on its free-time chain.
+struct FreeChains {
+    /// Tasks taken: `n_w`.
+    taken: Vec<usize>,
+    /// Key of the last task popped, `F_w(n_w − 1)` (0 while `n_w = 0`).
+    last: Vec<f64>,
+    /// Chain head `F_w(n_w)`: the worker's next free time.
+    free: Vec<f64>,
+}
+
+impl FreeChains {
+    /// Each chain advanced by `start[w]` additions of `occ[w]`.
+    fn advanced(occ: &[f64], start: &[usize]) -> Self {
+        let p = occ.len();
+        let mut last = vec![0.0; p];
+        let mut free = vec![0.0; p];
+        for (((last, free), &o), &steps) in last.iter_mut().zip(&mut free).zip(occ).zip(start) {
+            if steps > 0 {
+                let mut f = 0.0;
+                for _ in 1..steps {
+                    f += o;
+                }
+                *last = f;
+                *free = f + o;
+            }
+        }
+        FreeChains {
+            taken: start.to_vec(),
+            last,
+            free,
+        }
+    }
+
+    /// Pops chain heads in [`simulate_demand`]'s order until `count` tasks
+    /// are taken, then checks that the taken tasks are the heap's first
+    /// `count`: every worker's last popped key must sort before the
+    /// smallest remaining head. Returns whether the check holds.
+    fn fill(&mut self, occ: &[f64], count: usize) -> bool {
+        let mut heap: BinaryHeap<Reverse<(OrdF64, usize)>> = self
+            .free
+            .iter()
+            .enumerate()
+            .map(|(w, &f)| Reverse((OrdF64(f), w)))
+            .collect();
+        for _ in self.taken.iter().sum::<usize>()..count {
+            let mut top = heap.peek_mut().expect("a platform has at least one worker");
+            let Reverse((OrdF64(free), w)) = *top;
+            let done = free + occ[w];
+            self.last[w] = free;
+            self.free[w] = done;
+            self.taken[w] += 1;
+            *top = Reverse((OrdF64(done), w));
+        }
+        let Reverse(min_head) = *heap.peek().expect("a platform has at least one worker");
+        (0..occ.len())
+            .filter(|&w| self.taken[w] > 0)
+            .all(|w| (OrdF64(self.last[w]), w) < min_head)
+    }
+
+    /// The per-worker report. Volumes accumulate `data` by repeated
+    /// addition, like the heap's `volume[w] += task.data`; that sum
+    /// depends only on the count, so one running sum, walked in order of
+    /// count, serves every worker.
+    fn counts(self, data: f64) -> DemandCounts {
+        let mut by_count: Vec<usize> = (0..self.taken.len()).collect();
+        by_count.sort_unstable_by_key(|&w| self.taken[w]);
+        let mut comm_volume = vec![0.0; self.taken.len()];
+        let (mut added, mut volume) = (0, 0.0);
+        for w in by_count {
+            for _ in added..self.taken[w] {
+                volume += data;
+            }
+            added = self.taken[w];
+            comm_volume[w] = volume;
+        }
+        DemandCounts {
+            counts: self.taken,
+            finish_times: self.free,
+            comm_volume,
+        }
+    }
 }
 
 /// Executable specification of [`simulate_demand`]: the original
@@ -475,10 +601,10 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_fill_matches_heap_on_homogeneous_platform() {
-        // Identical tasks + identical occupancies: the closed-form fill is
-        // active and must be bit-identical to the linear-scan reference
-        // (which never takes the fast path).
+    fn heap_is_round_robin_on_homogeneous_identical_tasks() {
+        // Identical tasks + identical occupancies: every decision is a
+        // free-time tie broken by worker id, so the heap deals the tasks
+        // out round-robin, bit-identical to the linear-scan reference.
         let platform = Platform::homogeneous(3, 1.5, 0.5).unwrap();
         for count in [1usize, 2, 3, 7, 100] {
             for config in [
@@ -493,11 +619,10 @@ mod tests {
                 },
             ] {
                 let tasks = uniform_tasks(count, 2.5, 3.25);
-                let fast = simulate_demand(&platform, &tasks, config);
+                let heap = simulate_demand(&platform, &tasks, config);
                 let reference = simulate_demand_reference(&platform, &tasks, config);
-                assert_eq!(fast, reference, "count {count} config {config:?}");
-                // The fill really is round-robin.
-                for (w, assigned) in fast.assignments.iter().enumerate() {
+                assert_eq!(heap, reference, "count {count} config {config:?}");
+                for (w, assigned) in heap.assignments.iter().enumerate() {
                     for (k, &idx) in assigned.iter().enumerate() {
                         assert_eq!(idx, w + k * platform.len());
                     }
@@ -507,9 +632,9 @@ mod tests {
     }
 
     #[test]
-    fn round_robin_fill_skipped_on_heterogeneous_occupancies() {
-        // Identical tasks but distinct speeds: the heap must stay in
-        // charge (the fast worker takes more than a round-robin share).
+    fn heap_matches_reference_on_heterogeneous_occupancies() {
+        // Identical tasks but distinct speeds: the fast worker takes more
+        // than a round-robin share.
         let platform = Platform::from_speeds(&[1.0, 4.0]).unwrap();
         let tasks = uniform_tasks(10, 1.0, 1.0);
         let r = simulate_demand(&platform, &tasks, DemandConfig::default());
@@ -522,10 +647,9 @@ mod tests {
 
     #[test]
     fn zero_occupancy_tasks_all_land_on_worker_zero() {
-        // Regression: with occ = 0 the heap re-pops the same worker (it
-        // keeps winning the free-time/id tie), so the round-robin fill
-        // must NOT engage — worker 0 takes everything, like the
-        // reference.
+        // With occ = 0 the heap re-pops the same worker (it keeps winning
+        // the free-time/id tie): worker 0 takes everything, like the
+        // reference, and not a round-robin share.
         let platform = Platform::homogeneous(2, 1.0, 1.0).unwrap();
         let tasks = uniform_tasks(4, 1.0, 0.0);
         let heap = simulate_demand(&platform, &tasks, DemandConfig::default());
@@ -533,10 +657,13 @@ mod tests {
         assert_eq!(heap, linear);
         assert_eq!(heap.assignments[0], vec![0, 1, 2, 3]);
         assert_eq!(heap.comm_volume, vec![4.0, 0.0]);
+        let identical = simulate_demand_identical(&platform, DemandTask::new(1.0, 0.0), 4);
+        assert_eq!(identical.counts, vec![4, 0]);
+        assert_eq!(identical.comm_volume, vec![4.0, 0.0]);
     }
 
     #[test]
-    fn round_robin_fill_skipped_on_mixed_tasks() {
+    fn heap_matches_reference_on_mixed_tasks() {
         let platform = Platform::homogeneous(2, 1.0, 1.0).unwrap();
         let mut tasks = uniform_tasks(5, 1.0, 1.0);
         tasks.push(DemandTask::new(1.0, 9.0));
@@ -545,6 +672,70 @@ mod tests {
             r,
             simulate_demand_reference(&platform, &tasks, DemandConfig::default())
         );
+    }
+
+    /// Bitwise comparison of the identical-task dispatcher against the
+    /// linear-scan reference on the materialised queue.
+    fn assert_identical_matches_reference(
+        platform: &Platform,
+        got: &DemandCounts,
+        task: DemandTask,
+        count: usize,
+    ) {
+        let want = simulate_demand_reference(platform, &vec![task; count], DemandConfig::default());
+        assert_eq!(got.counts, want.task_counts(), "count {count}");
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.finish_times), bits(&want.finish_times));
+        assert_eq!(bits(&got.comm_volume), bits(&want.comm_volume));
+    }
+
+    fn occupancies(platform: &Platform, task: DemandTask) -> Vec<f64> {
+        (0..platform.len())
+            .map(|w| occupancy(platform, w, task, DemandConfig::default()))
+            .collect()
+    }
+
+    #[test]
+    fn identical_dispatch_matches_reference() {
+        let platform = Platform::from_speeds(&[1.0, 1.7, 2.3, 3.1, 0.4]).unwrap();
+        let task = DemandTask::new(0.3, 1.1);
+        for count in [0usize, 1, 4, 5, 6, 10, 11, 57, 1_000, 4_321] {
+            let got = simulate_demand_identical(&platform, task, count);
+            assert_identical_matches_reference(&platform, &got, task, count);
+        }
+    }
+
+    #[test]
+    fn head_start_estimate_is_a_prefix_of_the_heap_order() {
+        // The estimate must hold on an ordinary instance, or every call
+        // would silently pay for the run from zero.
+        let platform = Platform::from_speeds(&[1.0, 1.7, 2.3, 3.1, 0.4]).unwrap();
+        let task = DemandTask::new(0.3, 1.1);
+        let occ = occupancies(&platform, task);
+        let start = head_start(&occ, 10_000);
+        assert!(start.iter().sum::<usize>() > 9_000, "start {start:?}");
+        assert!(FreeChains::advanced(&occ, &start).fill(&occ, 10_000));
+    }
+
+    #[test]
+    fn overshooting_head_start_falls_back_to_the_heap() {
+        let platform = Platform::from_speeds(&[1.0, 1.7, 2.3, 3.1, 0.4]).unwrap();
+        let task = DemandTask::new(0.3, 1.1);
+        let occ = occupancies(&platform, task);
+        let count = 1_000;
+        let start = head_start(&occ, count);
+        let mut overshoot = start.clone();
+        overshoot[4] += 40; // the slowest worker runs far past the horizon
+        assert!(!FreeChains::advanced(&occ, &overshoot).fill(&occ, count));
+        for bad in [overshoot, vec![count, 0, 0, 0, 0], vec![count; 5]] {
+            let got = dispatch_chains(&occ, task.data, count, &bad);
+            assert_identical_matches_reference(&platform, &got, task, count);
+        }
+        // An undershooting start is a valid prefix and is kept.
+        let under: Vec<usize> = start.iter().map(|&c| c / 2).collect();
+        assert!(FreeChains::advanced(&occ, &under).fill(&occ, count));
+        let got = dispatch_chains(&occ, task.data, count, &under);
+        assert_identical_matches_reference(&platform, &got, task, count);
     }
 
     #[test]

@@ -16,13 +16,17 @@
 //! * [`CommMode::OnePort`] — the classical model where the master sends to
 //!   one worker at a time, in a specified order.
 //!
-//! Three entry points:
+//! Four entry points:
 //!
 //! * [`star::simulate`] — executes an explicit (multi-round) divisible-load
 //!   schedule and returns per-worker timelines plus the makespan;
 //! * [`demand::simulate_demand`] — the demand-driven ("MapReduce-style")
-//!   executor used by the `Commhom` strategies of Section 4: free workers
-//!   repeatedly grab the next task from a queue;
+//!   executor of Section 4: free workers repeatedly grab the next task
+//!   from an explicit queue;
+//! * [`demand::simulate_demand_identical`] — the same executor on a queue
+//!   of identical tasks, the `Commhom` strategies' equal blocks: per-worker
+//!   counts, finish times and volumes, bit-identical to
+//!   [`demand::simulate_demand`], in `O(p)` memory whatever the count;
 //! * [`gantt`] — ASCII Gantt rendering of any simulation trace (used to
 //!   regenerate the paper's illustrative Figures 1 and 3).
 //!
@@ -36,8 +40,8 @@ pub mod schedule;
 pub mod star;
 
 pub use demand::{
-    occupancy, simulate_demand, simulate_demand_reference, DemandConfig, DemandPolicy,
-    DemandReport, DemandTask, OrdF64,
+    occupancy, simulate_demand, simulate_demand_identical, simulate_demand_reference, DemandConfig,
+    DemandCounts, DemandPolicy, DemandReport, DemandTask, OrdF64,
 };
 pub use gantt::{ascii_gantt, TraceEvent, TraceKind};
 pub use metrics::{imbalance, utilization};

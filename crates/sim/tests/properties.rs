@@ -1,9 +1,12 @@
 //! Property-based tests for the discrete-event simulator.
+//!
+//! The identical-task dispatcher properties (the second block) honor
+//! `PROPTEST_CASES` / `PROPTEST_SEED`, which the CI property matrix sets.
 
 use dlt_platform::Platform;
 use dlt_sim::{
-    simulate, simulate_demand, simulate_demand_reference, ChunkAssignment, CommMode, DemandConfig,
-    DemandPolicy, DemandTask, Round, Schedule,
+    simulate, simulate_demand, simulate_demand_identical, simulate_demand_reference,
+    ChunkAssignment, CommMode, DemandConfig, DemandPolicy, DemandTask, Round, Schedule,
 };
 use proptest::prelude::*;
 
@@ -146,7 +149,7 @@ proptest! {
     }
 
     #[test]
-    fn round_robin_fill_is_bit_identical_on_identical_instances(
+    fn heap_matches_reference_on_identical_instances(
         n_workers in 1usize..10,
         speed in 0.1f64..20.0,
         cost in 0.0f64..5.0,
@@ -156,19 +159,119 @@ proptest! {
         include_comm in any::<bool>(),
         largest_first in any::<bool>(),
     ) {
-        // Homogeneous platform + identical tasks: this is exactly the
-        // precondition of the closed-form round-robin fill inside
-        // simulate_demand, so the fast path is active and must reproduce
-        // the linear-scan reference (which never takes it) bit for bit —
-        // finish times and volumes included, ulp for ulp.
+        // Homogeneous platform + identical tasks: every decision is a
+        // free-time tie, and the heap must still reproduce the linear-scan
+        // reference bit for bit — finish times and volumes included, ulp
+        // for ulp.
         let platform = Platform::homogeneous(n_workers, speed, cost.max(1e-6)).unwrap();
         let tasks = vec![DemandTask::new(data, work); n_tasks];
         let config = DemandConfig {
             policy: if largest_first { DemandPolicy::LargestFirst } else { DemandPolicy::Fifo },
             include_comm,
         };
-        let fast = simulate_demand(&platform, &tasks, config);
+        let heap = simulate_demand(&platform, &tasks, config);
         let linear = simulate_demand_reference(&platform, &tasks, config);
-        prop_assert_eq!(fast, linear);
+        prop_assert_eq!(heap, linear);
+    }
+}
+
+/// Asserts that the identical-task dispatcher reproduces the linear-scan
+/// reference on the materialised queue: counts, and the bits of every
+/// finish time and volume.
+fn assert_identical_matches_reference(platform: &Platform, task: DemandTask, count: usize) {
+    let got = simulate_demand_identical(platform, task, count);
+    let want = simulate_demand_reference(platform, &vec![task; count], DemandConfig::default());
+    assert_eq!(
+        got.counts,
+        want.task_counts(),
+        "count {count}, task {task:?}"
+    );
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(
+        bits(&got.finish_times),
+        bits(&want.finish_times),
+        "finish times, count {count}, task {task:?}"
+    );
+    assert_eq!(
+        bits(&got.comm_volume),
+        bits(&want.comm_volume),
+        "volumes, count {count}, task {task:?}"
+    );
+}
+
+/// A task count for a `p`-worker platform: none, one, below `p`, exactly
+/// `p`, around the `2p` threshold of the head start, or up to 10⁴.
+fn task_count(class: usize, p: usize, raw: usize) -> usize {
+    match class {
+        0 => 0,
+        1 => 1,
+        2 => raw % p,
+        3 => p,
+        4 => 2 * p + raw % (2 * p + 1),
+        _ => raw,
+    }
+}
+
+/// Speeds drawn from {0.5, 1, 2, 3}: with small integer work, many
+/// workers' free-time chains meet exactly.
+fn colliding_speeds() -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec(0usize..4, 1..16)
+        .prop_map(|ix| ix.iter().map(|&i| [0.5, 1.0, 2.0, 3.0][i]).collect())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::default())]
+
+    #[test]
+    fn identical_dispatch_matches_reference_on_heterogeneous_platforms(
+        speeds in proptest::collection::vec(0.1f64..20.0, 1..24),
+        class in 0usize..6,
+        raw in 0usize..10_001,
+        data in 0.0f64..10.0,
+        work in 0.01f64..10.0,
+    ) {
+        let platform = Platform::from_speeds(&speeds).unwrap();
+        let count = task_count(class, speeds.len(), raw);
+        assert_identical_matches_reference(&platform, DemandTask::new(data, work), count);
+    }
+
+    #[test]
+    fn identical_dispatch_matches_reference_on_identical_speeds(
+        n_workers in 1usize..17,
+        speed in 0.1f64..20.0,
+        class in 0usize..6,
+        raw in 0usize..4_001,
+        data in 0.0f64..10.0,
+        work in 0.01f64..10.0,
+    ) {
+        // Every chain is the same: each pop is a free-time tie broken by
+        // worker id.
+        let platform = Platform::homogeneous(n_workers, speed, 1.0).unwrap();
+        let count = task_count(class, n_workers, raw);
+        assert_identical_matches_reference(&platform, DemandTask::new(data, work), count);
+    }
+
+    #[test]
+    fn identical_dispatch_matches_reference_when_chains_collide(
+        speeds in colliding_speeds(),
+        class in 0usize..6,
+        raw in 0usize..4_001,
+        work in 1u8..5,
+    ) {
+        let platform = Platform::from_speeds(&speeds).unwrap();
+        let count = task_count(class, speeds.len(), raw);
+        assert_identical_matches_reference(&platform, DemandTask::new(1.5, work as f64), count);
+    }
+
+    #[test]
+    fn identical_dispatch_matches_reference_on_zero_work(
+        speeds in proptest::collection::vec(0.1f64..20.0, 1..12),
+        count in 0usize..300,
+        data in 0.0f64..10.0,
+    ) {
+        // Zero occupancy: worker 0 keeps winning the tie and takes every
+        // task.
+        let platform = Platform::from_speeds(&speeds).unwrap();
+        assert_identical_matches_reference(&platform, DemandTask::new(data, 0.0), count);
     }
 }
