@@ -6,7 +6,7 @@
 
 use crate::config::Config;
 use crate::scan::FileScan;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 mod nondet_iter;
 mod raw_powf;
@@ -50,8 +50,9 @@ pub struct Context {
     /// linted sources — the `twin-coverage` resolution set.
     pub code_idents: BTreeSet<String>,
     /// Identifiers appearing in the harvested `tests/*` files (those
-    /// whose names match the configured markers).
-    pub test_idents: BTreeSet<String>,
+    /// whose names match the configured markers), per owning crate: an
+    /// engine counts as covered only by its own crate's gating tests.
+    pub test_idents: BTreeMap<String, BTreeSet<String>>,
 }
 
 /// A determinism-contract rule, checked file by file.

@@ -7,15 +7,15 @@
 //! oracle-bounded) against. This rule pins that state at the source
 //! level for the scheduling engines: every free `pub fn` in the
 //! configured crates whose name matches the fast-engine naming
-//! contract (contains `_schedule` or starts with `serve_trace`) must
+//! contract (has `schedule` as one of its `_`-separated words — the bare
+//! `schedule` included — or starts with `serve_trace`) must
 //!
 //! 1. **resolve a twin** — `{name}_reference` exists as a code
-//!    identifier, or for `…_with_…` variants the reference interposes
-//!    before the suffix (`policy_schedule_with_alone` →
-//!    `policy_schedule_reference_with_alone`); and
+//!    identifier; and
 //! 2. **be named in a gating test** — the identifier appears in at
 //!    least one harvested `tests/*properties*.rs`/`tests/*engines*.rs`
-//!    file.
+//!    file **of the same crate** (a `schedule` local in another crate's
+//!    suite is no coverage).
 //!
 //! `*_reference*` functions are the twins themselves and are skipped;
 //! methods are skipped (the naming contract binds free engine entry
@@ -31,16 +31,7 @@ pub struct TwinCoverage;
 
 /// True when `name` falls under the fast-engine naming contract.
 fn matches_contract(name: &str) -> bool {
-    name.contains("_schedule") || name.starts_with("serve_trace")
-}
-
-/// Twin candidates for `name` (see module docs for the grammar).
-fn twin_candidates(name: &str) -> Vec<String> {
-    let mut c = vec![format!("{name}_reference")];
-    if name.contains("_with_") {
-        c.push(name.replacen("_with_", "_reference_with_", 1));
-    }
-    c
+    name.split('_').any(|word| word == "schedule") || name.starts_with("serve_trace")
 }
 
 impl Rule for TwinCoverage {
@@ -101,31 +92,30 @@ impl Rule for TwinCoverage {
             if !matches_contract(name) || name.contains("reference") {
                 continue;
             }
-            let candidates = twin_candidates(name);
-            if !candidates.iter().any(|c| ctx.code_idents.contains(c)) {
+            let twin = format!("{name}_reference");
+            if !ctx.code_idents.contains(&twin) {
                 out.push(Finding {
                     file: file.path.clone(),
                     line: name_tok.line,
                     rule: self.name(),
                     message: format!(
-                        "fast engine `{name}` has no resolvable twin (looked for {}) — add the \
-                         reference twin or pragma with the gating argument",
-                        candidates
-                            .iter()
-                            .map(|c| format!("`{c}`"))
-                            .collect::<Vec<_>>()
-                            .join(", "),
+                        "fast engine `{name}` has no resolvable twin (looked for `{twin}`) — \
+                         add the reference twin or pragma with the gating argument"
                     ),
                 });
             }
-            if !ctx.test_idents.contains(name) {
+            if !ctx
+                .test_idents
+                .get(krate)
+                .is_some_and(|idents| idents.contains(name))
+            {
                 out.push(Finding {
                     file: file.path.clone(),
                     line: name_tok.line,
                     rule: self.name(),
                     message: format!(
-                        "fast engine `{name}` is not named in any gating test file \
-                         (tests/*{{properties,engines}}*.rs) — add differential coverage"
+                        "fast engine `{name}` is not named in any gating test file of its \
+                         crate (tests/*{{properties,engines}}*.rs) — add differential coverage"
                     ),
                 });
             }
@@ -139,24 +129,12 @@ mod tests {
 
     #[test]
     fn contract_matching() {
-        assert!(matches_contract("fifo_schedule"));
+        assert!(matches_contract("schedule"));
+        assert!(matches_contract("round_robin_schedule"));
+        assert!(matches_contract("schedule_batch"));
         assert!(matches_contract("serve_trace_with_failures"));
         assert!(!matches_contract("alone_makespans"));
         assert!(!matches_contract("replay_ledger"));
-    }
-
-    #[test]
-    fn candidate_grammar() {
-        assert_eq!(
-            twin_candidates("policy_schedule"),
-            vec!["policy_schedule_reference".to_string()]
-        );
-        assert_eq!(
-            twin_candidates("policy_schedule_with_alone"),
-            vec![
-                "policy_schedule_with_alone_reference".to_string(),
-                "policy_schedule_reference_with_alone".to_string(),
-            ]
-        );
+        assert!(!matches_contract("scheduler_name"));
     }
 }

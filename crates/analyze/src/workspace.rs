@@ -13,8 +13,8 @@
 //!
 //! Classification is path-based: a file with a `tests` path component
 //! is a **test source** — never linted (tests are free to build raw
-//! oracles), but harvested into the twin-coverage `test_idents` set
-//! when its filename contains one of the configured markers
+//! oracles), but harvested into its crate's twin-coverage `test_idents`
+//! set when its filename contains one of the configured markers
 //! (`properties`, `engines`). Everything else is a **lint source**.
 //! Directories named `target`, `vendor`, `benches` or `examples` are
 //! skipped entirely: build output, vendored third-party code and
@@ -34,6 +34,17 @@ const SKIP_DIRS: [&str; 4] = ["target", "vendor", "benches", "examples"];
 /// component — integration-test trees like `crates/multiload/tests/`.
 fn is_test_path(path: &str) -> bool {
     path.split('/').any(|c| c == "tests")
+}
+
+/// The crate owning the test file at `path`: the component before
+/// `tests` (`crates/multiload/tests/properties.rs` → `multiload`), or the
+/// root facade for the workspace's own `tests/`.
+fn test_crate_of(path: &str) -> &str {
+    let parts: Vec<&str> = path.split('/').collect();
+    match parts.iter().position(|&c| c == "tests") {
+        Some(k) if k > 0 => parts[k - 1],
+        _ => "nonlinear_dlt",
+    }
 }
 
 /// True when the test file at `path` counts as gating coverage: its
@@ -57,7 +68,11 @@ pub fn analyze_sources(sources: &[(String, String)], cfg: &Config) -> Vec<Findin
     for (path, src) in sources {
         if is_test_path(path) {
             if is_gating_test_path(path, cfg) {
-                crate::idents::collect_identifiers(src, &mut ctx.test_idents);
+                let idents = ctx
+                    .test_idents
+                    .entry(test_crate_of(path).to_string())
+                    .or_default();
+                crate::idents::collect_identifiers(src, idents);
             }
             continue;
         }

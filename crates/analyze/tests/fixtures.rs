@@ -197,27 +197,42 @@ fn twin_coverage_flags_missing_twin_and_missing_test() {
 }
 
 #[test]
-fn twin_coverage_grammar_variants() {
-    // `_with_` interposes the reference before the suffix.
+fn twin_coverage_binds_the_bare_schedule_name() {
+    // `schedule` itself is an engine name: no twin, no test, two findings.
+    let bare = "pub fn schedule(n: usize) -> usize { n }\n";
+    let got = twin_findings(&[("crates/x/src/fast.rs", bare)]);
+    assert_eq!(got.len(), 2, "{got:?}");
+    // Its `_reference` twin plus a gating test cover it.
     let got = twin_findings(&[
         (
             "crates/x/src/fast.rs",
-            "pub fn demand_schedule(n: usize) -> usize { n }\n\
-             pub fn demand_schedule_reference(n: usize) -> usize { n }\n\
-             pub fn demand_schedule_with_alone(n: usize) -> usize { n }\n\
-             pub fn demand_schedule_reference_with_alone(n: usize) -> usize { n }\n",
+            "pub fn schedule(n: usize) -> usize { n }\n\
+             pub fn schedule_reference(n: usize) -> usize { n }\n",
         ),
         (
             "crates/x/tests/engine_properties.rs",
-            "// names: demand_schedule demand_schedule_with_alone\n",
+            "#[test]\nfn gate() { assert_eq!(schedule(3), schedule_reference(3)); }\n",
         ),
     ]);
     assert!(got.is_empty(), "{got:?}");
+    // Another crate's suite naming a `schedule` local is no coverage.
+    let got = twin_findings(&[
+        (
+            "crates/x/src/fast.rs",
+            "pub fn schedule(n: usize) -> usize { n }\n\
+             pub fn schedule_reference(n: usize) -> usize { n }\n",
+        ),
+        (
+            "crates/y/tests/engine_properties.rs",
+            "#[test]\nfn gate() { let schedule = 3; assert_eq!(schedule, 3); }\n",
+        ),
+    ]);
+    assert_eq!(got.len(), 1, "{got:?}");
 }
 
 #[test]
 fn twin_coverage_skips_methods_references_and_out_of_scope_crates() {
-    // A method containing `_schedule` is a conversion, not an engine.
+    // A method named after `schedule` is a conversion, not an engine.
     let method = "pub struct S;\nimpl S {\n  pub fn to_schedule(&self) -> usize { 0 }\n}\n";
     assert!(twin_findings(&[("crates/x/src/m.rs", method)]).is_empty());
     // Reference twins themselves are never checked.

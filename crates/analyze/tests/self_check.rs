@@ -70,6 +70,34 @@ fn workspace_walk_sees_every_crate() {
 }
 
 #[test]
+fn the_live_engine_entry_points_fall_under_twin_coverage() {
+    // Without the multiload gating suites, every engine entry point must
+    // lose its coverage: proof that the naming contract binds the live
+    // API (the bare `schedule` included), not just fixtures.
+    let sources: Vec<_> = workspace_sources(&repo_root())
+        .expect("workspace walk succeeds")
+        .into_iter()
+        .filter(|(p, _)| !p.starts_with("crates/multiload/tests/"))
+        .collect();
+    let findings = dlt_analyze::analyze_sources(&sources, &Config::workspace_default());
+    let mut flagged: Vec<&str> = findings
+        .iter()
+        .filter(|f| f.rule == "twin-coverage")
+        .filter_map(|f| f.message.split('`').nth(1))
+        .collect();
+    flagged.sort_unstable();
+    assert_eq!(
+        flagged,
+        [
+            "round_robin_schedule",
+            "schedule",
+            "serve_trace",
+            "serve_trace_with_failures"
+        ]
+    );
+}
+
+#[test]
 fn violations_fail_with_exit_style_findings() {
     // End-to-end sanity on the live tree + an injected bad file: the
     // in-memory API reports against the default config exactly as the

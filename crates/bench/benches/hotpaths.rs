@@ -18,20 +18,19 @@
 //! * `multiload` round-robin — the heap chunk dispatcher of
 //!   `dlt-multiload` vs its linear worker-scan reference, on a contended
 //!   many-load batch;
-//! * `multiload_policy` — the cached-key online admission-policy engine
-//!   of `dlt-multiload` (SRPT selection over an incrementally maintained
-//!   pending set) vs its rescan-everything linear reference, on a
-//!   many-load arrival stream;
-//! * `multiload_failure` — the same policy engine run through the
-//!   fault-injection layer (`online_schedule_with_failures`, cut in-flight
-//!   installments, requeue remainders, re-solve on the degraded platform)
-//!   vs its linear-rescan reference twin, on the same arrival stream
-//!   under periodic degradation waves;
-//! * `multiload_service` — the streaming service engine of
-//!   `dlt-multiload` (indexed-heap pending set, `O(log n)` selection)
-//!   vs the batch `online_schedule` engine (linear selection), on a
-//!   4096-load burst; the record also carries the service's
-//!   decisions-per-second throughput;
+//! * `multiload_policy` — the installment engine of `dlt-multiload`
+//!   through its batch entry point (`schedule`: SRPT selection from the
+//!   indexed pending set, cached keys) vs its rescan twin
+//!   (`schedule_reference`: every candidate re-keyed with a `powf` at
+//!   every decision), on a many-load online arrival stream;
+//! * `multiload_failure` — the same pair under a failure trace (cut
+//!   in-flight installments, requeue remainders, re-solve on the degraded
+//!   platform), on the same arrival stream under periodic degradation
+//!   waves;
+//! * `multiload_service` — the same engine through its streamed entry
+//!   point (`serve_trace`, `O(log n)` heap selection) vs its rescan twin
+//!   (`serve_trace_reference`), on a 4096-load burst; the record also
+//!   carries the service's decisions-per-second throughput;
 //! * the `solver` group — the equal-finish lanes kernel through one warm
 //!   `BatchSolver` handle vs the nested-bisection oracle
 //!   (`equal_finish_parallel_reference`), on a FIFO-style sequence of
@@ -64,11 +63,10 @@ use dlt_core::batch::BatchSolver;
 use dlt_core::costmodel::{CostLaw, CostModel};
 use dlt_core::nonlinear;
 use dlt_multiload::{
-    online_schedule_reference_with_alone, online_schedule_with_alone,
-    online_schedule_with_failures, online_schedule_with_failures_reference,
-    round_robin_schedule_reference_with_alone, round_robin_schedule_with_alone, serve_trace,
-    AdmissionOrder, DiscardCompletions, FailureEvent, FailureTrace, InstallmentPolicy, LoadSpec,
-    MultiLoadConfig, PolicyConfig, ServiceConfig,
+    round_robin_schedule, round_robin_schedule_reference, schedule, schedule_reference,
+    serve_trace, serve_trace_reference, AdmissionOrder, DiscardCompletions, FailureEvent,
+    FailureTrace, InstallmentPolicy, LoadSpec, MultiLoadConfig, PolicyConfig, ScheduleOptions,
+    ServiceConfig,
 };
 use dlt_outer::strategies::PAPER_IMBALANCE_TARGET;
 use dlt_outer::{hom_blocks_abstract, hom_blocks_refined_abstract};
@@ -149,10 +147,9 @@ fn partition_weights(p: usize) -> Vec<f64> {
 /// each.
 ///
 /// The stretch denominators (`alone`) are unit placeholders: the real
-/// values come from per-load nested-bisection solves
-/// (`alone_makespans`, seconds of setup at this scale) and are copied
-/// verbatim into the report without influencing a single dispatch
-/// decision — the bench compares the *dispatch* kernels.
+/// values come from per-load equal-finish solves (`alone_makespans`) and
+/// are copied verbatim into the report without influencing a single
+/// dispatch decision — the bench compares the *dispatch* kernels.
 fn multiload_instance(
     p: usize,
     loads: usize,
@@ -182,7 +179,9 @@ fn multiload_instance(
 /// each under SRPT — the regime where *selection* (not the per-solve
 /// Newton) dominates: every decision the reference rescans all pending
 /// loads and recomputes each priority key (one `powf` per candidate),
-/// while the engine reuses cached keys.
+/// while the engine pops its indexed heap. Releases repeat every 31
+/// loads and sizes every 17, so key ties, broken by batch index, are
+/// common.
 ///
 /// The stretch denominators (`alone`) are unit placeholders, exactly as in
 /// [`multiload_instance`]: SRPT keys never read them, so they influence no
@@ -232,14 +231,14 @@ fn failure_instance(p: usize, waves: usize) -> FailureTrace {
 
 /// Service-engine burst: `loads` α-power loads all released at time 0 on
 /// a small platform — the deepest possible backlog, where *selection*
-/// dominates. The baseline is the batch engine `online_schedule` (cached
-/// keys, but a linear scan of the whole pending set per decision); the
-/// optimized side is the streaming service engine at its oracle defaults
-/// (window 1, one installment, SRPT), whose indexed heap pops the next
-/// load in `O(log n)`. Both sides issue identical equal-finish solves —
-/// the service engine is property-tested bit-identical to the baseline
-/// here — so the ratio isolates the pending-set data structure.
-fn service_instance(p: usize, loads: usize) -> (Platform, Vec<LoadSpec>, ServiceConfig, Vec<f64>) {
+/// dominates. The baseline is the streamed engine's rescan twin
+/// (`serve_trace_reference`: a linear scan of the whole pending set, one
+/// `powf` per candidate per decision); the optimized side is
+/// `serve_trace` at window 1, one installment, SRPT, whose indexed heap
+/// pops the next load in `O(log n)`. Both sides issue identical
+/// equal-finish solves — they are property-tested bit-identical — so the
+/// ratio isolates the pending-set data structure.
+fn service_instance(p: usize, loads: usize) -> (Platform, Vec<LoadSpec>, ServiceConfig) {
     let platform = PlatformSpec::new(p, SpeedDistribution::paper_uniform())
         .generate(BENCH_SEED)
         .unwrap();
@@ -256,8 +255,7 @@ fn service_instance(p: usize, loads: usize) -> (Platform, Vec<LoadSpec>, Service
         installments: InstallmentPolicy::Fixed(1),
         track_stretch: false,
     };
-    let alone = vec![1.0; batch.len()];
-    (platform, batch, config, alone)
+    (platform, batch, config)
 }
 
 /// FIFO-style solver workload: `installments` equal-finish solves of
@@ -275,7 +273,7 @@ fn solver_instance(p: usize, installments: usize) -> (Platform, Vec<f64>) {
 }
 
 /// Runs the FIFO-style sequence through the lanes kernel with one warm
-/// handle (the configuration of `fifo_schedule`).
+/// handle (the configuration of the installment engine).
 fn solver_kernel_warm<M: CostModel>(platform: &Platform, sizes: &[f64], model: M) -> f64 {
     let config = nonlinear::SolverConfig::default();
     let mut solver = BatchSolver::default();
@@ -463,18 +461,13 @@ fn bench_multiload(c: &mut Criterion) {
         let id = format!("p{p}_l{loads}_c{chunks}");
         group.bench_with_input(BenchmarkId::new("rr_heap", &id), &p, |b, _| {
             b.iter(|| {
-                round_robin_schedule_with_alone(
-                    black_box(&platform),
-                    black_box(&batch),
-                    &config,
-                    &alone,
-                )
-                .unwrap()
+                round_robin_schedule(black_box(&platform), black_box(&batch), &config, &alone)
+                    .unwrap()
             })
         });
         group.bench_with_input(BenchmarkId::new("rr_linear_reference", &id), &p, |b, _| {
             b.iter(|| {
-                round_robin_schedule_reference_with_alone(
+                round_robin_schedule_reference(
                     black_box(&platform),
                     black_box(&batch),
                     &config,
@@ -494,22 +487,17 @@ fn bench_policy(c: &mut Criterion) {
     let mut group = c.benchmark_group("multiload_policy");
     for &(p, loads, installments) in &[(8usize, 128usize, 2usize), (8, 768, 2)] {
         let (platform, batch, config, alone) = policy_instance(p, loads, installments);
+        let opts = ScheduleOptions {
+            alone: Some(&alone),
+            ..ScheduleOptions::default()
+        };
         let id = format!("p{p}_l{loads}_k{installments}");
-        group.bench_with_input(BenchmarkId::new("srpt_cached_keys", &id), &p, |b, _| {
-            b.iter(|| {
-                online_schedule_with_alone(black_box(&platform), black_box(&batch), &config, &alone)
-                    .unwrap()
-            })
+        group.bench_with_input(BenchmarkId::new("srpt_indexed_heap", &id), &p, |b, _| {
+            b.iter(|| schedule(black_box(&platform), black_box(&batch), &config, &opts).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("srpt_linear_rescan", &id), &p, |b, _| {
             b.iter(|| {
-                online_schedule_reference_with_alone(
-                    black_box(&platform),
-                    black_box(&batch),
-                    &config,
-                    &alone,
-                )
-                .unwrap()
+                schedule_reference(black_box(&platform), black_box(&batch), &config, &opts).unwrap()
             })
         });
     }
@@ -522,32 +510,24 @@ fn bench_failure(c: &mut Criterion) {
     }
     let mut group = c.benchmark_group("multiload_failure");
     for &(p, loads, installments) in &[(8usize, 128usize, 2usize), (8, 768, 2)] {
-        let (platform, batch, config, _alone) = policy_instance(p, loads, installments);
+        let (platform, batch, config, alone) = policy_instance(p, loads, installments);
         let failures = failure_instance(p, 12);
+        let opts = ScheduleOptions {
+            failures: Some(&failures),
+            alone: Some(&alone),
+            ..ScheduleOptions::default()
+        };
         let id = format!("p{p}_l{loads}_k{installments}");
-        group.bench_with_input(BenchmarkId::new("fast_failure_engine", &id), &p, |b, _| {
-            b.iter(|| {
-                online_schedule_with_failures(
-                    black_box(&platform),
-                    black_box(&batch),
-                    &config,
-                    black_box(&failures),
-                )
-                .unwrap()
-            })
+        group.bench_with_input(BenchmarkId::new("indexed_heap_failure", &id), &p, |b, _| {
+            b.iter(|| schedule(black_box(&platform), black_box(&batch), &config, &opts).unwrap())
         });
         group.bench_with_input(
             BenchmarkId::new("linear_rescan_failure", &id),
             &p,
             |b, _| {
                 b.iter(|| {
-                    online_schedule_with_failures_reference(
-                        black_box(&platform),
-                        black_box(&batch),
-                        &config,
-                        black_box(&failures),
-                    )
-                    .unwrap()
+                    schedule_reference(black_box(&platform), black_box(&batch), &config, &opts)
+                        .unwrap()
                 })
             },
         );
@@ -561,11 +541,7 @@ fn bench_service(c: &mut Criterion) {
     }
     let mut group = c.benchmark_group("multiload_service");
     for &(p, loads) in &[(8usize, 1_024usize), (8, 4_096)] {
-        let (platform, batch, config, alone) = service_instance(p, loads);
-        let policy_cfg = PolicyConfig {
-            order: config.order,
-            installments: 1,
-        };
+        let (platform, batch, config) = service_instance(p, loads);
         let id = format!("p{p}_l{loads}");
         group.bench_with_input(BenchmarkId::new("indexed_heap_service", &id), &p, |b, _| {
             b.iter(|| {
@@ -578,17 +554,21 @@ fn bench_service(c: &mut Criterion) {
                 .unwrap()
             })
         });
-        group.bench_with_input(BenchmarkId::new("batch_linear_select", &id), &p, |b, _| {
-            b.iter(|| {
-                online_schedule_with_alone(
-                    black_box(&platform),
-                    black_box(&batch),
-                    &policy_cfg,
-                    &alone,
-                )
-                .unwrap()
-            })
-        });
+        group.bench_with_input(
+            BenchmarkId::new("linear_rescan_service", &id),
+            &p,
+            |b, _| {
+                b.iter(|| {
+                    serve_trace_reference(
+                        black_box(&platform),
+                        black_box(&batch),
+                        &config,
+                        &mut DiscardCompletions,
+                    )
+                    .unwrap()
+                })
+            },
+        );
     }
     group.finish();
 }
@@ -672,39 +652,36 @@ fn emit_json(c: &mut Criterion) {
 
     let (ml_platform, ml_batch, ml_config, ml_alone) = multiload_instance(512, 64, 128);
     let ml_base = time_min_ns(reps(10), || {
-        round_robin_schedule_reference_with_alone(&ml_platform, &ml_batch, &ml_config, &ml_alone)
-            .unwrap()
+        round_robin_schedule_reference(&ml_platform, &ml_batch, &ml_config, &ml_alone).unwrap()
     });
     let ml_opt = time_min_ns(reps(50), || {
-        round_robin_schedule_with_alone(&ml_platform, &ml_batch, &ml_config, &ml_alone).unwrap()
+        round_robin_schedule(&ml_platform, &ml_batch, &ml_config, &ml_alone).unwrap()
     });
 
+    // One instance for the healthy and the failure pair: the same 768
+    // loads, placeholder denominators, with and without the trace.
     let (po_platform, po_batch, po_config, po_alone) = policy_instance(8, 768, 2);
-    let po_base = time_min_ns(reps(10), || {
-        online_schedule_reference_with_alone(&po_platform, &po_batch, &po_config, &po_alone)
-            .unwrap()
-    });
-    let po_opt = time_min_ns(reps(50), || {
-        online_schedule_with_alone(&po_platform, &po_batch, &po_config, &po_alone).unwrap()
-    });
-
-    let (fa_platform, fa_batch, fa_config, _fa_alone) = policy_instance(8, 768, 2);
     let fa_trace = failure_instance(8, 12);
-    let fa_base = time_min_ns(reps(10), || {
-        online_schedule_with_failures_reference(&fa_platform, &fa_batch, &fa_config, &fa_trace)
-            .unwrap()
-    });
-    let fa_opt = time_min_ns(reps(50), || {
-        online_schedule_with_failures(&fa_platform, &fa_batch, &fa_config, &fa_trace).unwrap()
-    });
-
-    let (se_platform, se_batch, se_config, se_alone) = service_instance(8, 4_096);
-    let se_policy_cfg = PolicyConfig {
-        order: se_config.order,
-        installments: 1,
+    let time_pair = |failures: Option<&FailureTrace>| {
+        let opts = ScheduleOptions {
+            failures,
+            alone: Some(&po_alone),
+            ..ScheduleOptions::default()
+        };
+        let base = time_min_ns(reps(10), || {
+            schedule_reference(&po_platform, &po_batch, &po_config, &opts).unwrap()
+        });
+        let opt = time_min_ns(reps(50), || {
+            schedule(&po_platform, &po_batch, &po_config, &opts).unwrap()
+        });
+        (base, opt)
     };
+    let (po_base, po_opt) = time_pair(None);
+    let (fa_base, fa_opt) = time_pair(Some(&fa_trace));
+
+    let (se_platform, se_batch, se_config) = service_instance(8, 4_096);
     let se_base = time_min_ns(reps(10), || {
-        online_schedule_with_alone(&se_platform, &se_batch, &se_policy_cfg, &se_alone).unwrap()
+        serve_trace_reference(&se_platform, &se_batch, &se_config, &mut DiscardCompletions).unwrap()
     });
     let se_opt = time_min_ns(reps(10), || {
         serve_trace(
@@ -767,16 +744,16 @@ fn emit_json(c: &mut Criterion) {
         record(
             "multiload_policy",
             "p=8, loads=768, installments=2, SRPT online, uniform profile",
-            "linear rescan + per-candidate powf (online_schedule_reference)",
-            "cached-key incremental pending set (online_schedule)",
+            "linear rescan + per-candidate powf (schedule_reference)",
+            "indexed pending set, cached keys (schedule)",
             po_base,
             po_opt,
         ),
         record(
             "multiload_failure",
             "p=8, loads=768, installments=2, SRPT online, 12 failure waves, uniform profile",
-            "linear rescan under failures (online_schedule_with_failures_reference)",
-            "cached-key failure engine (online_schedule_with_failures)",
+            "linear rescan under failures (schedule_reference)",
+            "indexed pending set under failures (schedule)",
             fa_base,
             fa_opt,
         ),
@@ -786,8 +763,8 @@ fn emit_json(c: &mut Criterion) {
                 "p=8, loads=4096 burst, SRPT batch=1 k=1, uniform profile, \
                  {se_decisions_per_sec:.0} decisions/sec"
             ),
-            "batch engine, linear pending-set selection (online_schedule)",
-            "streaming service engine, indexed heap (serve_trace)",
+            "linear rescan + per-candidate powf (serve_trace_reference)",
+            "indexed heap pending set (serve_trace)",
             se_base,
             se_opt,
         ),

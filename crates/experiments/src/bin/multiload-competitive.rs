@@ -21,7 +21,7 @@ use dlt_experiments::competitive::{
     DEFAULT_COMPETITIVE_LOADS, DEFAULT_COMPETITIVE_P, DEFAULT_COMPETITIVE_TRIALS,
 };
 use dlt_experiments::runner::{
-    flag_or, flags, parse_flags, profiles, thread_count, write_and_print,
+    flag_or, flags, parse_flags, profiles, thread_count, write_and_print, Positive,
 };
 
 fn main() {
@@ -29,8 +29,8 @@ fn main() {
     let seed: u64 = flag_or(&flags, "seed", 42);
 
     if flags.contains_key("soak") {
-        let soak_loads: usize = flag_or(&flags, "soak", 20_000);
-        let p: usize = flag_or(&flags, "p", DEFAULT_COMPETITIVE_P);
+        let Positive(soak_loads) = flag_or(&flags, "soak", Positive(20_000));
+        let Positive(p) = flag_or(&flags, "p", Positive(DEFAULT_COMPETITIVE_P));
         eprintln!("running fault-injection soak: {soak_loads} loads, p={p}, seed={seed} ...");
         match run_soak(soak_loads, p, seed) {
             Ok(s) => println!(
@@ -48,17 +48,15 @@ fn main() {
 
     let smoke = flags.contains_key("smoke");
     let profiles = profiles(&flags, "all");
-    let p: usize = flag_or(&flags, "p", if smoke { 4 } else { DEFAULT_COMPETITIVE_P });
+    let default_p = if smoke { 4 } else { DEFAULT_COMPETITIVE_P };
+    let Positive(p) = flag_or(&flags, "p", Positive(default_p));
     let trials: usize = flag_or(
         &flags,
         "trials",
         if smoke { 2 } else { DEFAULT_COMPETITIVE_TRIALS },
     );
-    let n_loads: usize = flag_or(
-        &flags,
-        "n",
-        if smoke { 8 } else { DEFAULT_COMPETITIVE_LOADS },
-    );
+    let default_loads = if smoke { 8 } else { DEFAULT_COMPETITIVE_LOADS };
+    let Positive(n_loads) = flag_or(&flags, "n", Positive(default_loads));
     let threads = thread_count(&flags);
     let cells = if smoke {
         smoke_cells()

@@ -17,29 +17,26 @@ use dlt_experiments::multiload::{
     DEFAULT_INSTALLMENTS, DEFAULT_LOAD_COUNTS, DEFAULT_P,
 };
 use dlt_experiments::runner::{
-    flag_or, flags, parse_flags, profiles, thread_count, write_and_print,
+    flag_list_or, flag_or, flags, parse_flags, profiles, thread_count, write_and_print, Positive,
 };
 
 fn main() {
     let flags = parse_flags(std::env::args().skip(1), flags::MULTILOAD_POLICY);
     let profiles = profiles(&flags, "all");
-    let p: usize = flag_or(&flags, "p", DEFAULT_P);
+    let Positive(p) = flag_or(&flags, "p", Positive(DEFAULT_P));
     let trials: usize = flag_or(&flags, "trials", 50);
-    let base_size: f64 = flag_or(&flags, "n", DEFAULT_BASE_SIZE);
+    let Positive(base_size) = flag_or(&flags, "n", Positive(DEFAULT_BASE_SIZE));
     let seed: u64 = flag_or(&flags, "seed", 42);
     let threads = thread_count(&flags);
     let family = model_family(&flags);
-    let installments: Vec<usize> = flags
-        .get("installments")
-        .map(|vs| {
-            vs.iter()
-                .map(|s| {
-                    s.parse()
-                        .unwrap_or_else(|_| panic!("bad --installments {s}"))
-                })
-                .collect()
-        })
-        .unwrap_or_else(|| DEFAULT_INSTALLMENTS.to_vec());
+    let installments: Vec<usize> = flag_list_or(
+        &flags,
+        "installments",
+        DEFAULT_INSTALLMENTS.map(Positive).to_vec(),
+    )
+    .into_iter()
+    .map(|Positive(k)| k)
+    .collect();
 
     for profile in profiles {
         let name = profile.name();

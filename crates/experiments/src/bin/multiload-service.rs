@@ -19,7 +19,7 @@
 
 use dlt_experiments::models::model_family;
 use dlt_experiments::multiload::{DEFAULT_ALPHAS, DEFAULT_BASE_SIZE};
-use dlt_experiments::runner::{flag_or, flags, parse_flags, profiles, write_and_print};
+use dlt_experiments::runner::{flag_or, flags, parse_flags, profiles, write_and_print, Positive};
 use dlt_experiments::service::{
     default_cells, file_trace, run_service, run_service_cell, service_table, smoke_cells,
     ServicePoint, DEFAULT_SERVICE_LOADS, DEFAULT_SERVICE_P, DEFAULT_UTILIZATION,
@@ -35,9 +35,10 @@ fn main() {
         "loads",
         if smoke { 2_000 } else { DEFAULT_SERVICE_LOADS },
     );
-    let p: usize = flag_or(&flags, "p", if smoke { 4 } else { DEFAULT_SERVICE_P });
-    let base_size: f64 = flag_or(&flags, "n", DEFAULT_BASE_SIZE);
-    let utilization: f64 = flag_or(&flags, "utilization", DEFAULT_UTILIZATION);
+    let default_p = if smoke { 4 } else { DEFAULT_SERVICE_P };
+    let Positive(p) = flag_or(&flags, "p", Positive(default_p));
+    let Positive(base_size) = flag_or(&flags, "n", Positive(DEFAULT_BASE_SIZE));
+    let Positive(utilization) = flag_or(&flags, "utilization", Positive(DEFAULT_UTILIZATION));
     let seed: u64 = flag_or(&flags, "seed", 42);
     let peak_cap: usize = flag_or(&flags, "assert-peak-pending", usize::MAX);
     let family = model_family(&flags);

@@ -15,16 +15,16 @@ use dlt_experiments::multiload::{
     DEFAULT_LOAD_COUNTS, DEFAULT_P,
 };
 use dlt_experiments::runner::{
-    flag_or, flags, parse_flags, profiles, thread_count, write_and_print,
+    flag_or, flags, parse_flags, profiles, thread_count, write_and_print, Positive,
 };
 
 fn main() {
     let flags = parse_flags(std::env::args().skip(1), flags::MULTILOAD);
     let profiles = profiles(&flags, "all");
-    let p: usize = flag_or(&flags, "p", DEFAULT_P);
+    let Positive(p) = flag_or(&flags, "p", Positive(DEFAULT_P));
     let trials: usize = flag_or(&flags, "trials", 50);
-    let base_size: f64 = flag_or(&flags, "n", DEFAULT_BASE_SIZE);
-    let chunks: usize = flag_or(&flags, "chunks", DEFAULT_CHUNKS);
+    let Positive(base_size) = flag_or(&flags, "n", Positive(DEFAULT_BASE_SIZE));
+    let Positive(chunks) = flag_or(&flags, "chunks", Positive(DEFAULT_CHUNKS));
     let seed: u64 = flag_or(&flags, "seed", 42);
     let threads = thread_count(&flags);
     let family = model_family(&flags);

@@ -12,18 +12,20 @@
 //!
 //! Each configuration runs twice on the same realized traces:
 //!
-//! * **online** — [`dlt_multiload::online_schedule_with_failures`]:
-//!   loads revealed at release, failures strike unannounced;
-//! * **clairvoyant** — [`dlt_multiload::policy_schedule_with_failures`]:
-//!   the offline policy scheduler on the same batch and failure trace —
-//!   it knows every future arrival (and may hold workers idle for a
-//!   better one), but failures hit it identically.
+//! * **online** — [`dlt_multiload::schedule`] with
+//!   [`dlt_multiload::Arrivals::Online`]: loads revealed at release,
+//!   failures strike unannounced;
+//! * **clairvoyant** — the same entry point with
+//!   [`dlt_multiload::Arrivals::Clairvoyant`] on the same batch and
+//!   failure trace — it knows every future arrival (and may hold workers
+//!   idle for a better one), but failures hit it identically.
 //!
 //! Stretches are *realized*: flow divided by the healthy-platform alone
 //! makespan at the granularity the load was actually served in
-//! (`FailureOutcome::realized_alone`), so they stay ≥ 1 even when a cut
-//! forces extra pieces. The **competitive ratio** of a trial is the
-//! online mean stretch over the clairvoyant mean stretch; per-cell rows
+//! ([`dlt_multiload::realized_alone_makespans`] over the served pieces),
+//! so they stay ≥ 1 even when a cut forces extra pieces. The
+//! **competitive ratio** of a trial is the online mean stretch over the
+//! clairvoyant mean stretch; per-cell rows
 //! summarize it across trials. The clairvoyant baseline is a heuristic,
 //! not the offline optimum, so ratios slightly below 1 are possible —
 //! they mean future knowledge *hurt* the heuristic on that draw.
@@ -32,9 +34,9 @@ use crate::generators::{degradation_trace, regime_loads, Regime};
 use crate::models::ModelFamily;
 use crate::service::calibrated_spacing;
 use dlt_multiload::{
-    online_schedule_with_failures, policy_schedule_with_failures, replay_ledger,
-    serve_trace_with_failures, AdmissionOrder, CompletedLoad, CompletionSink, FailureOutcome,
-    InstallmentPolicy, PolicyConfig, ServiceConfig,
+    realized_alone_makespans, replay_ledger, schedule, serve_trace_with_failures, AdmissionOrder,
+    Arrivals, CompletedLoad, CompletionSink, InstallmentPolicy, LoadSpec, PolicyConfig,
+    PolicyOutcome, ScheduleOptions, ServiceConfig,
 };
 use dlt_platform::{Platform, PlatformSpec, SpeedDistribution};
 use dlt_stats::{Summary, Table};
@@ -145,11 +147,13 @@ pub struct CompetitivePoint {
 
 /// Realized mean stretch of one failure-aware schedule: flow over the
 /// realized-granularity alone makespan, averaged over the batch.
-fn mean_realized_stretch(out: &FailureOutcome) -> f64 {
-    let per_load = &out.outcome.report.per_load;
+fn mean_realized_stretch(platform: &Platform, loads: &[LoadSpec], out: &PolicyOutcome) -> f64 {
+    let realized = realized_alone_makespans(platform, loads, &out.pieces)
+        .expect("healthy-platform solves converge");
+    let per_load = &out.report.per_load;
     let sum: f64 = per_load
         .iter()
-        .zip(&out.realized_alone)
+        .zip(&realized)
         .map(|(m, &alone)| (m.finish - m.release) / alone)
         .sum();
     sum / per_load.len() as f64
@@ -203,20 +207,27 @@ pub fn run_competitive(
                 );
                 let failures = degradation_trace(p, horizon, cell.failure_rate, seed, stream);
                 let total_data: f64 = loads.iter().map(|l| l.size).sum();
+                let run = |cfg: &PolicyConfig, arrivals: Arrivals| {
+                    let opts = ScheduleOptions {
+                        arrivals,
+                        failures: Some(&failures),
+                        alone: None,
+                    };
+                    schedule(&platform, &loads, cfg, &opts)
+                        .expect("the scheduler survives the scenario")
+                };
                 for &(k, order) in &configs {
                     let cfg = PolicyConfig {
                         order,
                         installments: k,
                     };
-                    let online = online_schedule_with_failures(&platform, &loads, &cfg, &failures)
-                        .expect("online scheduler survives the scenario");
-                    let clair = policy_schedule_with_failures(&platform, &loads, &cfg, &failures)
-                        .expect("clairvoyant scheduler survives the scenario");
+                    let online = run(&cfg, Arrivals::Online);
+                    let clair = run(&cfg, Arrivals::Clairvoyant);
                     row.push((
-                        mean_realized_stretch(&online),
-                        mean_realized_stretch(&clair),
-                        online.outcome.interruptions as f64,
-                        online.outcome.requeued_data / total_data,
+                        mean_realized_stretch(&platform, &loads, &online),
+                        mean_realized_stretch(&platform, &loads, &clair),
+                        online.interruptions as f64,
+                        online.requeued_data / total_data,
                     ));
                 }
             }

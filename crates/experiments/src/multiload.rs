@@ -13,15 +13,15 @@
 //! reports makespan, mean flow time, and mean/max stretch summaries.
 //!
 //! The `loads = 1` rows double as a regression anchor: the FIFO scheduler
-//! with a single immediate load **is** the single-load solver
+//! (`dlt_multiload::schedule` under FIFO, one installment per load) with a
+//! single immediate load **is** the single-load solver
 //! ([`dlt_core::nonlinear::equal_finish_parallel`]), bit for bit, which
 //! the harness smoke test pins down against independently computed rows.
 
 use crate::models::ModelFamily;
 use dlt_multiload::{
-    alone_policy_makespans, fifo_schedule, online_schedule_with_alone,
-    round_robin_schedule_with_alone, AdmissionOrder, LoadSpec, MultiLoadConfig, MultiLoadReport,
-    PolicyConfig, SchedulerKind,
+    alone_makespans, round_robin_schedule, schedule, AdmissionOrder, LoadSpec, MultiLoadConfig,
+    MultiLoadReport, PolicyConfig, ScheduleOptions, SchedulerKind,
 };
 use dlt_platform::rng::seeded_stream;
 use dlt_platform::{PlatformSpec, SpeedDistribution};
@@ -187,13 +187,19 @@ pub fn run_multiload(
                     trial as u64,
                     family,
                 );
-                let fifo = fifo_schedule(&platform, &loads).expect("fifo schedules valid batch");
-                // The FIFO installments already solved every load's
-                // single-round optimum; those makespans ARE the stretch
-                // denominators, so hand them to the round-robin scheduler
-                // instead of re-running the equal-finish solver per load.
+                let fifo = schedule(
+                    &platform,
+                    &loads,
+                    &PolicyConfig::default(),
+                    &ScheduleOptions::default(),
+                )
+                .expect("fifo schedules valid batch");
+                // The FIFO run already solved every load's single-round
+                // optimum for its stretch denominators; those ARE the
+                // round-robin denominators, so hand them over instead of
+                // re-running the equal-finish solver per load.
                 let alone: Vec<f64> = fifo.report.per_load.iter().map(|m| m.alone).collect();
-                let rr = round_robin_schedule_with_alone(&platform, &loads, &config, &alone)
+                let rr = round_robin_schedule(&platform, &loads, &config, &alone)
                     .expect("round-robin schedules valid batch");
                 (TrialMetrics::of(&fifo.report), TrialMetrics::of(&rr.report))
             });
@@ -289,9 +295,9 @@ pub struct PolicyPoint {
 /// Runs the admission-policy sweep for one profile: every
 /// [`AdmissionOrder`] × installment granularity on the **same** trial
 /// batches the FIFO/round-robin sweep draws ([`generate_loads`]), through
-/// the **online** scheduler (`dlt_multiload::online_schedule_with_alone`)
-/// — specs revealed at release time, no future knowledge. Stretch
-/// denominators come from `dlt_multiload::alone_policy_makespans` at the
+/// the **online** scheduler (`dlt_multiload::schedule` with default
+/// arrivals) — specs revealed at release time, no future knowledge.
+/// Stretch denominators come from `dlt_multiload::alone_makespans` at the
 /// matching granularity, computed once per `(trial, installments)` and
 /// shared across the three orders. Trials are dispatched over `threads`
 /// scoped workers and folded in trial order: tables are byte-identical
@@ -351,14 +357,18 @@ pub fn run_multiload_policy(
                     );
                     let mut row = Vec::with_capacity(cells.len());
                     for &k in installments {
-                        let alone = alone_policy_makespans(&platform, &loads, k)
-                            .expect("alone solves converge");
+                        let alone =
+                            alone_makespans(&platform, &loads, k).expect("alone solves converge");
+                        let opts = ScheduleOptions {
+                            alone: Some(&alone),
+                            ..ScheduleOptions::default()
+                        };
                         for order in AdmissionOrder::ALL {
                             let cfg = PolicyConfig {
                                 order,
                                 installments: k,
                             };
-                            let out = online_schedule_with_alone(&platform, &loads, &cfg, &alone)
+                            let out = schedule(&platform, &loads, &cfg, &opts)
                                 .expect("policy scheduler handles valid batch");
                             row.push((TrialMetrics::of(&out.report), out.preemptions as f64));
                         }

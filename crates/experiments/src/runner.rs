@@ -258,6 +258,37 @@ where
         .collect()
 }
 
+/// A flag value that must be strictly positive — and finite, for `f64`.
+/// Parsed through [`flag_or`], `--p 0`, `--n 0` or `--installments 0`
+/// take its exit-2 error path instead of reaching a scheduler that
+/// panics on an empty platform or a zero-size load.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Positive<T>(pub T);
+
+impl std::str::FromStr for Positive<usize> {
+    type Err = ();
+    fn from_str(s: &str) -> Result<Self, ()> {
+        s.parse().ok().filter(|&v| v > 0).map(Self).ok_or(())
+    }
+}
+
+impl std::str::FromStr for Positive<f64> {
+    type Err = ();
+    fn from_str(s: &str) -> Result<Self, ()> {
+        s.parse()
+            .ok()
+            .filter(|v: &f64| v.is_finite() && *v > 0.0)
+            .map(Self)
+            .ok_or(())
+    }
+}
+
+/// Parses one value of `--key`.
+fn parse_value<T: std::str::FromStr>(key: &str, s: &str) -> Result<T, String> {
+    s.parse()
+        .map_err(|_| format!("invalid value for --{key}: {s:?}"))
+}
+
 /// Fallible core of [`flag_or`]: the default only when the flag is
 /// **absent**; a present-but-unparseable value is an error. Silent
 /// fallback here once let `--assert-peak-pending 4O96` (a typo'd `4096`)
@@ -269,10 +300,32 @@ pub fn try_flag_or<T: std::str::FromStr>(
 ) -> Result<T, String> {
     match flags.get(key).and_then(|v| v.last()) {
         None => Ok(default),
-        Some(s) => s
-            .parse()
-            .map_err(|_| format!("invalid value for --{key}: {s:?}")),
+        Some(s) => parse_value(key, s),
     }
+}
+
+/// Fallible core of [`flag_list_or`]: every value of a repeatable flag,
+/// in order, or `default` when the flag is absent.
+pub fn try_flag_list_or<T: std::str::FromStr>(
+    flags: &HashMap<String, Vec<String>>,
+    key: &str,
+    default: Vec<T>,
+) -> Result<Vec<T>, String> {
+    match flags.get(key) {
+        None => Ok(default),
+        Some(values) => values.iter().map(|s| parse_value(key, s)).collect(),
+    }
+}
+
+/// Every value of a repeatable flag (`--installments 1 --installments 4`),
+/// or `default` when it is absent. An unparseable value prints the error
+/// and exits with status 2, like [`flag_or`].
+pub fn flag_list_or<T: std::str::FromStr>(
+    flags: &HashMap<String, Vec<String>>,
+    key: &str,
+    default: Vec<T>,
+) -> Vec<T> {
+    or_exit(try_flag_list_or(flags, key, default))
 }
 
 /// Fetches a parsed flag as `T`, defaulting only when the flag is absent.
@@ -357,6 +410,41 @@ mod tests {
     fn positional_rejected_where_none_is_taken() {
         let e = parse_err(&["uniform"], flags::ALL);
         assert!(e.contains("unexpected positional"), "{e}");
+    }
+
+    #[test]
+    fn positive_flags_reject_zero_negative_and_non_finite_values() {
+        let f = parse(
+            &["--p", "0", "--n", "inf", "--trials", "3", "--seed", "-1.5"],
+            &["p", "n", "trials", "seed"],
+        );
+        assert!(try_flag_or(&f, "p", Positive(4usize)).is_err());
+        assert!(try_flag_or(&f, "n", Positive(1.0f64)).is_err());
+        assert!(try_flag_or(&f, "seed", Positive(1.0f64)).is_err());
+        assert_eq!(try_flag_or(&f, "trials", Positive(1usize)), Ok(Positive(3)));
+        assert_eq!(try_flag_or(&f, "absent", Positive(7usize)), Ok(Positive(7)));
+    }
+
+    #[test]
+    fn list_flags_collect_every_value_and_reject_any_bad_one() {
+        let f = parse(
+            &["--installments", "1", "--installments", "4"],
+            &["installments"],
+        );
+        assert_eq!(
+            try_flag_list_or(&f, "installments", vec![Positive(2usize)]),
+            Ok(vec![Positive(1), Positive(4)])
+        );
+        assert_eq!(
+            try_flag_list_or(&f, "absent", vec![Positive(2usize)]),
+            Ok(vec![Positive(2)])
+        );
+        let bad = parse(
+            &["--installments", "2", "--installments", "0"],
+            &["installments"],
+        );
+        let e = try_flag_list_or(&bad, "installments", vec![Positive(1usize)]).unwrap_err();
+        assert!(e.contains("--installments") && e.contains("\"0\""), "{e}");
     }
 
     #[test]

@@ -55,7 +55,8 @@ const MEAN_SIZE_FACTOR: f64 = 0.625;
 pub struct ServiceCell {
     /// Admission order ranking the pending set.
     pub order: AdmissionOrder,
-    /// Admission-window size (1 = the `online_schedule` oracle point).
+    /// Admission-window size (1 = one solve per decision, as
+    /// `dlt_multiload::schedule` runs).
     pub batch: usize,
     /// Installment policy applied at admission.
     pub installments: InstallmentPolicy,
@@ -71,9 +72,10 @@ impl ServiceCell {
     }
 }
 
-/// Full-scale sweep: every admission order at the oracle point
-/// (window 1, one installment) and at the amortized point (window 8,
-/// adaptive installments), plus SRPT at a fixed preemptive granularity.
+/// Full-scale sweep: every admission order at the batch point (window 1,
+/// one installment — what `dlt_multiload::schedule` runs) and at the
+/// amortized point (window 8, adaptive installments), plus SRPT at a
+/// fixed preemptive granularity.
 pub fn default_cells() -> Vec<ServiceCell> {
     let amortized = InstallmentPolicy::Adaptive { min: 1, max: 16 };
     let mut cells = Vec::new();
@@ -97,7 +99,7 @@ pub fn default_cells() -> Vec<ServiceCell> {
     cells
 }
 
-/// Trimmed sweep for smoke runs: one cell per engine mode (oracle,
+/// Trimmed sweep for smoke runs: one cell per engine mode (window 1,
 /// batched/adaptive, lazily re-keyed weighted stretch).
 pub fn smoke_cells() -> Vec<ServiceCell> {
     vec![

@@ -179,14 +179,14 @@ fn multiload_policy_runner_exercises_every_admission_order() {
 }
 
 #[test]
-fn service_runner_oracle_cell_matches_online_schedule() {
+fn service_runner_oracle_cell_matches_schedule() {
     use dlt_multiload::{
-        online_schedule_with_alone, AdmissionOrder, InstallmentPolicy, PolicyConfig,
+        schedule, AdmissionOrder, InstallmentPolicy, PolicyConfig, ScheduleOptions,
     };
 
     // The service sweep's window-1/one-installment cell must BE the
-    // online policy scheduler — recompute the same trace through
-    // `online_schedule_with_alone` and compare the makespan bitwise.
+    // online batch scheduler — recompute the same trace through
+    // `schedule` and compare the makespan bitwise.
     let profile = SpeedDistribution::paper_uniform();
     let (p, loads, base, seed) = (4usize, 60usize, 100.0, 5u64);
     let cells = [service::ServiceCell {
@@ -224,8 +224,7 @@ fn service_runner_oracle_cell_matches_online_schedule() {
         order: AdmissionOrder::Srpt,
         installments: 1,
     };
-    let alone = dlt_multiload::alone_policy_makespans(&platform, &trace, 1).unwrap();
-    let oracle = online_schedule_with_alone(&platform, &trace, &cfg, &alone).unwrap();
+    let oracle = schedule(&platform, &trace, &cfg, &ScheduleOptions::default()).unwrap();
     assert_eq!(pts[0].report.makespan, oracle.report.makespan());
     assert_eq!(pts[0].report.loads, loads as u64);
 }
@@ -524,6 +523,31 @@ fn bins_reject_unparseable_flag_values_instead_of_defaulting() {
         &["--trials", "ten"],
         "ten",
     );
+    // Out of range is unparseable too: an empty platform, a zero-size
+    // load, no installments or chunks, an empty trace or zero
+    // utilization used to reach an `expect` or an assert and exit 101.
+    let ml = env!("CARGO_BIN_EXE_multiload");
+    let policy = env!("CARGO_BIN_EXE_multiload-policy");
+    let service = env!("CARGO_BIN_EXE_multiload-service");
+    let competitive = env!("CARGO_BIN_EXE_multiload-competitive");
+    let cases: &[(&str, &[&str], &str)] = &[
+        (policy, &["--installments", "x"], "--installments"),
+        (policy, &["--installments", "0"], "--installments"),
+        (ml, &["--chunks", "0"], "--chunks"),
+        (ml, &["--p", "0"], "--p"),
+        (policy, &["--p", "0"], "--p"),
+        (service, &["--smoke", "--p", "0"], "--p"),
+        (competitive, &["--smoke", "--p", "0"], "--p"),
+        (ml, &["--n", "0"], "--n"),
+        (policy, &["--n", "0"], "--n"),
+        (service, &["--smoke", "--n", "0"], "--n"),
+        (competitive, &["--smoke", "--n", "0"], "--n"),
+        (competitive, &["--soak", "0"], "--soak"),
+        (service, &["--smoke", "--utilization", "0"], "--utilization"),
+    ];
+    for &(exe, args, needle) in cases {
+        run_bin_expect_flag_error(exe, args, needle);
+    }
 }
 
 #[test]

@@ -26,8 +26,8 @@ pub enum MultiLoadError {
     ZeroChunks,
     /// An installment count of zero was requested.
     ZeroInstallments,
-    /// A `_with_alone` entry point received an alone-makespan slice whose
-    /// length does not match the batch.
+    /// A stretch-denominator slice (`ScheduleOptions::alone`, or the
+    /// round-robin `alone` argument) does not match the batch length.
     AloneLengthMismatch {
         /// Number of loads in the batch.
         loads: usize,

@@ -2,11 +2,12 @@
 //! that answers "which pending load is served next?" without rescanning
 //! every load.
 //!
-//! [`crate::policy::online_schedule`] keeps its pending loads in a `Vec`
-//! and re-ranks them linearly at every decision — fine for hundreds of
-//! loads, `O(n)` comparisons per decision for the million-load arrival
-//! streams the service engine targets. [`PendingSet`] replaces the scan
-//! with two representations, chosen by the admission order:
+//! A linear rescan ([`crate::schedule_reference`],
+//! [`crate::serve_trace_reference`]) re-ranks every pending load at every
+//! decision — fine for hundreds of loads, `O(n)` comparisons and `powf`s
+//! per decision for the million-load arrival streams the service engine
+//! targets. [`PendingSet`] replaces the scan with two representations,
+//! chosen by the admission order:
 //!
 //! * **Indexed** (FIFO, SRPT): the priority key of a pending load is
 //!   *static* — it changes only when the load itself is served (SRPT's
@@ -19,14 +20,14 @@
 //!   a heap at push time is simply wrong at pop time — a stale entry can
 //!   overtake a fresh one. The set therefore keeps the entries in a flat
 //!   list and **re-keys lazily at each pop**: `O(n)` comparisons, like
-//!   the `Vec` engine, but `O(0)` transcendentals, because the
+//!   the rescan, but `O(0)` transcendentals, because the
 //!   remaining-work estimate and the alone makespan are cached in the
 //!   entry and only the cheap affine combination is recomputed.
 //!
 //! Both representations break key ties by arrival id — the same
-//! `(key, index)` total order ([`f64::total_cmp`]) as the batch engines —
-//! so the service engine at window size 1 reproduces
-//! [`crate::policy::online_schedule`] decision for decision.
+//! `(key, id)` total order ([`f64::total_cmp`]) as the rescan — so the
+//! engine reproduces its reference decision for decision. The batch
+//! entry points use the batch index as the id.
 //!
 //! The set also records its **high-water mark**: the service engine's
 //! steady-memory claim is precisely that this number stays bounded by the
@@ -53,7 +54,7 @@ pub struct PendingEntry {
     /// Cached remaining-work estimate `R^α / Σ s_i` (the SRPT key).
     pub est: f64,
     /// Granularity-matched alone makespan — the weighted-stretch
-    /// denominator. `NaN` when stretch tracking is off (never read by the
+    /// denominator. `0.0` when stretch tracking is off (never read by the
     /// static-key orders).
     pub alone: f64,
 }

@@ -1,5 +1,5 @@
 //! The **fault-injection layer**: worker drop-out and slow-down events
-//! threaded through the policy and service engines.
+//! threaded through the installment engine.
 //!
 //! The paper's no-free-lunch result gives failures a price tag: with
 //! `α > 1`, cutting a load into more pieces does *more* total work
@@ -33,26 +33,22 @@
 //! `Σ s_i` and stretch denominators are the healthy-platform alone
 //! makespans, so a failure changes *what a solve yields*, never *how
 //! candidates are ranked*. That is what keeps zero-failure runs
-//! structurally identical — bit for bit — to [`crate::online_schedule`]
-//! and [`crate::serve_trace`], and the fast engines in lockstep with
-//! their linear-rescan references on failure paths too.
+//! structurally identical — bit for bit — to healthy runs, and the
+//! engine in lockstep with its linear-rescan reference on failure paths
+//! too.
 //!
 //! # Entry points
 //!
-//! [`online_schedule_with_failures`] /
-//! [`policy_schedule_with_failures`] mirror the batch schedulers of
-//! [`crate::policy`] (each with a `_reference` twin); the streamed
-//! counterpart is [`crate::service::serve_trace_with_failures`]. The
-//! offline variant run on the *realized* trace is the clairvoyant
-//! baseline of the competitive-ratio experiments: it knows every future
-//! arrival, but failures strike it all the same.
+//! A batch runs under failures through [`crate::schedule`] with
+//! [`crate::ScheduleOptions::failures`] set, online or clairvoyant; the
+//! clairvoyant run on the *realized* trace is the baseline of the
+//! competitive-ratio experiments: it knows every future arrival, but
+//! failures strike it all the same. The streamed counterpart is
+//! [`crate::service::serve_trace_with_failures`]. Each has a
+//! `_reference` twin.
 
 use crate::error::MultiLoadError;
-use crate::load::{validate_batch, LoadSpec};
-use crate::policy::{
-    alone_policy_makespans, engine_fast, engine_reference, InstallmentExec, PolicyConfig,
-    PolicyOutcome,
-};
+use crate::load::LoadSpec;
 use dlt_core::batch::BatchSolver;
 use dlt_core::nonlinear;
 use dlt_platform::Platform;
@@ -298,164 +294,59 @@ impl<'a> PlatformState<'a> {
     }
 
     /// Scatters a degraded-platform allocation back onto the full worker
-    /// index space, scaled by `scale` (the served fraction of a cut
-    /// installment). The pristine, uncut path returns the allocation
-    /// slice untouched — bit-identity with the failure-oblivious engines
-    /// is structural, not numerical.
-    pub(crate) fn scatter<'x>(
-        &self,
-        x: &'x [f64],
-        scale: Option<f64>,
-        scratch: &'x mut Vec<f64>,
-    ) -> &'x [f64] {
-        let map = self.degraded.as_ref().map(|(_, m)| m.as_slice());
-        if map.is_none() && scale.is_none() {
+    /// index space. The pristine path returns the allocation slice
+    /// untouched — bit-identity with healthy runs is structural, not
+    /// numerical.
+    pub(crate) fn scatter<'x>(&self, x: &'x [f64], scratch: &'x mut Vec<f64>) -> &'x [f64] {
+        let Some((_, map)) = &self.degraded else {
             return x;
-        }
+        };
         scratch.clear();
         scratch.resize(self.base.len(), 0.0);
-        match map {
-            None => scratch.copy_from_slice(x),
-            Some(map) => {
-                for (i, &xi) in x.iter().enumerate() {
-                    scratch[map[i]] = xi;
-                }
-            }
-        }
-        if let Some(phi) = scale {
-            for v in scratch.iter_mut() {
-                *v *= phi;
-            }
+        for (i, &xi) in x.iter().enumerate() {
+            scratch[map[i]] = xi;
         }
         scratch
     }
 }
 
-/// One served piece of a load, as the failure-aware engines record it:
-/// either a full installment or the retained prefix of a cut one.
+/// One served piece of a load, as the engine records it: either a full
+/// installment or the retained prefix of a cut one.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServedPiece {
     /// Data units actually processed in the piece.
     pub data: f64,
     /// Whether a failure event cut the piece short.
     pub interrupted: bool,
-}
-
-/// Result of a failure-aware policy schedule.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FailureOutcome {
-    /// The schedule itself — per-load metrics keep the healthy-platform
-    /// granularity-matched stretch denominators (the same values the
-    /// weighted-stretch keys rank by), so a zero-failure run is
-    /// field-for-field identical to the failure-oblivious entry points.
-    pub outcome: PolicyOutcome,
-    /// Per-load alone makespan at the **realized** piece granularity:
-    /// `Σ` healthy-platform equal-finish solves of the pieces the load
-    /// was *actually* served in (installments and retained prefixes).
-    /// Against this denominator every realized stretch is ≥ 1 even under
-    /// failures — cut pieces shrink the denominator along with the
-    /// numerator. With no failures this equals
-    /// [`crate::policy::alone_policy_makespans`] bit for bit.
-    pub realized_alone: Vec<f64>,
-}
-
-/// Shared front door of the failure-aware policy entry points.
-fn schedule_with_failures(
-    platform: &Platform,
-    loads: &[LoadSpec],
-    config: &PolicyConfig,
-    failures: &FailureTrace,
-    online: bool,
-    reference: bool,
-) -> Result<FailureOutcome, MultiLoadError> {
-    validate_batch(loads)?;
-    if config.installments == 0 {
-        return Err(MultiLoadError::ZeroInstallments);
-    }
-    failures.validate_for(platform.len())?;
-    let alone = alone_policy_makespans(platform, loads, config.installments)?;
-    let outcome = if reference {
-        engine_reference(platform, loads, config, &alone, online, failures)?
-    } else {
-        engine_fast(platform, loads, config, &alone, online, failures)?
-    };
-    let realized_alone = realized_alone_makespans(platform, loads, &outcome.installment_log)?;
-    Ok(FailureOutcome {
-        outcome,
-        realized_alone,
-    })
-}
-
-/// [`crate::online_schedule`] under a failure trace: loads are revealed
-/// at their release times, failures strike per `failures`, cut
-/// installments retain their prefix and re-queue the remainder, and
-/// every solve after an event runs on the degraded platform. With an
-/// empty trace this is bit-identical to [`crate::online_schedule`].
-pub fn online_schedule_with_failures(
-    platform: &Platform,
-    loads: &[LoadSpec],
-    config: &PolicyConfig,
-    failures: &FailureTrace,
-) -> Result<FailureOutcome, MultiLoadError> {
-    schedule_with_failures(platform, loads, config, failures, true, false)
-}
-
-/// Linear-rescan reference twin of [`online_schedule_with_failures`] —
-/// bit-identical (property-tested), failures and all.
-pub fn online_schedule_with_failures_reference(
-    platform: &Platform,
-    loads: &[LoadSpec],
-    config: &PolicyConfig,
-    failures: &FailureTrace,
-) -> Result<FailureOutcome, MultiLoadError> {
-    schedule_with_failures(platform, loads, config, failures, true, true)
-}
-
-/// [`crate::policy_schedule`] under a failure trace: the **clairvoyant**
-/// scheduler of the competitive-ratio experiments — it ranks unreleased
-/// loads and waits for better arrivals, but failures strike it exactly
-/// as they strike the online scheduler. With an empty trace this is
-/// bit-identical to [`crate::policy_schedule`].
-pub fn policy_schedule_with_failures(
-    platform: &Platform,
-    loads: &[LoadSpec],
-    config: &PolicyConfig,
-    failures: &FailureTrace,
-) -> Result<FailureOutcome, MultiLoadError> {
-    schedule_with_failures(platform, loads, config, failures, false, false)
-}
-
-/// Linear-rescan reference twin of [`policy_schedule_with_failures`].
-pub fn policy_schedule_with_failures_reference(
-    platform: &Platform,
-    loads: &[LoadSpec],
-    config: &PolicyConfig,
-    failures: &FailureTrace,
-) -> Result<FailureOutcome, MultiLoadError> {
-    schedule_with_failures(platform, loads, config, failures, false, true)
+    /// Instant the piece's equal-finish round started (≥ the load's
+    /// release).
+    pub start: f64,
+    /// Instant every participating worker finished the piece — for an
+    /// interrupted piece, the failure-event time it was cut at.
+    pub finish: f64,
 }
 
 /// Alone makespans at the **realized** granularity: for each load, `Σ`
 /// healthy-platform equal-finish solves of exactly the pieces the
-/// schedule served it in (in service order), one solver handle threaded
-/// load by load with the first solve cold — the same threading
-/// as [`crate::policy::alone_policy_makespans`], so a failure-free log reproduces it
-/// bit for bit.
+/// schedule served it in (`pieces[j]`, in service order), one solver
+/// handle threaded load by load with the first solve cold. Against this
+/// denominator every realized stretch is ≥ 1 even under failures — cut
+/// pieces shrink the denominator along with the numerator. With no
+/// failures the pieces are the planned installments, and this is
+/// [`crate::alone_makespans`] bit for bit.
 pub fn realized_alone_makespans(
     platform: &Platform,
     loads: &[LoadSpec],
-    log: &[InstallmentExec],
+    pieces: &[Vec<ServedPiece>],
 ) -> Result<Vec<f64>, MultiLoadError> {
     let config = nonlinear::SolverConfig::default();
     let mut solver = BatchSolver::default();
     let mut alone = vec![0.0f64; loads.len()];
-    for (j, load) in loads.iter().enumerate() {
-        for e in log.iter().filter(|e| e.load == j) {
-            if e.data > 0.0 {
-                alone[j] += solver
-                    .solve(platform, e.data, load.model, &config)?
-                    .makespan;
-            }
+    for ((total, load), served) in alone.iter_mut().zip(loads).zip(pieces) {
+        for piece in served.iter().filter(|piece| piece.data > 0.0) {
+            *total += solver
+                .solve(platform, piece.data, load.model, &config)?
+                .makespan;
         }
     }
     Ok(alone)
@@ -508,35 +399,13 @@ pub fn replay_ledger(
     Ok(remaining)
 }
 
-/// [`replay_ledger`] over every load of a policy installment log — the
-/// batch-engine form of the conservation check.
-pub fn replay_policy_ledger(
-    loads: &[LoadSpec],
-    installments: usize,
-    log: &[InstallmentExec],
-) -> Result<(), String> {
-    for (j, load) in loads.iter().enumerate() {
-        let pieces: Vec<ServedPiece> = log
-            .iter()
-            .filter(|e| e.load == j)
-            .map(|e| ServedPiece {
-                data: e.data,
-                interrupted: e.interrupted,
-            })
-            .collect();
-        let rest = replay_ledger(load.size, installments, &pieces)
-            .map_err(|e| format!("load {j}: {e}"))?;
-        if rest != 0.0 {
-            return Err(format!("load {j}: {rest} data units never served"));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{alone_policy_makespans, online_schedule, policy_schedule, AdmissionOrder};
+    use crate::policy::{
+        alone_makespans, schedule, schedule_reference, AdmissionOrder, Arrivals, PolicyConfig,
+        PolicyOutcome, ScheduleOptions,
+    };
 
     fn platform() -> Platform {
         Platform::from_speeds_and_costs(&[1.0, 3.0, 0.7], &[1.0, 0.2, 2.0]).unwrap()
@@ -555,6 +424,24 @@ mod tests {
             order,
             installments,
         }
+    }
+
+    fn under(failures: &FailureTrace, arrivals: Arrivals) -> ScheduleOptions<'_> {
+        ScheduleOptions {
+            arrivals,
+            failures: Some(failures),
+            alone: None,
+        }
+    }
+
+    /// An online run under `failures`.
+    fn online(
+        platform: &Platform,
+        loads: &[LoadSpec],
+        c: &PolicyConfig,
+        failures: &FailureTrace,
+    ) -> Result<PolicyOutcome, MultiLoadError> {
+        schedule(platform, loads, c, &under(failures, Arrivals::Online))
     }
 
     #[test]
@@ -588,38 +475,29 @@ mod tests {
     fn out_of_range_worker_is_a_typed_error() {
         let trace = FailureTrace::new(vec![FailureEvent::down(1.0, 99)]).unwrap();
         assert!(matches!(
-            online_schedule_with_failures(
-                &platform(),
-                &loads(),
-                &cfg(AdmissionOrder::Fifo, 1),
-                &trace
-            ),
+            online(&platform(), &loads(), &cfg(AdmissionOrder::Fifo, 1), &trace),
             Err(MultiLoadError::InvalidFailureTrace { .. })
         ));
     }
 
     #[test]
-    fn zero_failure_runs_reproduce_the_plain_engines_bitwise() {
+    fn zero_failure_realized_alone_is_the_planned_alone() {
         let platform = platform();
         let loads = loads();
-        let none = FailureTrace::none();
         for order in AdmissionOrder::ALL {
             for k in [1usize, 3] {
-                let c = cfg(order, k);
-                let on = online_schedule_with_failures(&platform, &loads, &c, &none).unwrap();
-                assert_eq!(on.outcome, online_schedule(&platform, &loads, &c).unwrap());
+                let out = online(&platform, &loads, &cfg(order, k), &FailureTrace::none()).unwrap();
+                assert_eq!(out.interruptions, 0);
                 assert_eq!(
-                    on.realized_alone,
-                    alone_policy_makespans(&platform, &loads, k).unwrap()
+                    realized_alone_makespans(&platform, &loads, &out.pieces).unwrap(),
+                    alone_makespans(&platform, &loads, k).unwrap()
                 );
-                let off = policy_schedule_with_failures(&platform, &loads, &c, &none).unwrap();
-                assert_eq!(off.outcome, policy_schedule(&platform, &loads, &c).unwrap());
             }
         }
     }
 
     #[test]
-    fn engines_match_references_under_failures() {
+    fn engine_matches_reference_under_failures() {
         let platform = platform();
         let loads = loads();
         let trace = FailureTrace::new(vec![
@@ -631,14 +509,12 @@ mod tests {
         for order in AdmissionOrder::ALL {
             for k in [1usize, 2, 4] {
                 let c = cfg(order, k);
-                let on = online_schedule_with_failures(&platform, &loads, &c, &trace).unwrap();
-                let on_ref =
-                    online_schedule_with_failures_reference(&platform, &loads, &c, &trace).unwrap();
-                assert_eq!(on, on_ref, "online {order:?} k={k}");
-                let off = policy_schedule_with_failures(&platform, &loads, &c, &trace).unwrap();
-                let off_ref =
-                    policy_schedule_with_failures_reference(&platform, &loads, &c, &trace).unwrap();
-                assert_eq!(off, off_ref, "offline {order:?} k={k}");
+                for arrivals in [Arrivals::Online, Arrivals::Clairvoyant] {
+                    let opts = under(&trace, arrivals);
+                    let fast = schedule(&platform, &loads, &c, &opts).unwrap();
+                    let slow = schedule_reference(&platform, &loads, &c, &opts).unwrap();
+                    assert_eq!(fast, slow, "{arrivals:?} {order:?} k={k}");
+                }
             }
         }
     }
@@ -651,26 +527,26 @@ mod tests {
         let platform = platform();
         let loads = [LoadSpec::immediate(40.0, 1.5).unwrap()];
         let c = cfg(AdmissionOrder::Fifo, 1);
-        let healthy = online_schedule(&platform, &loads, &c).unwrap();
+        let healthy = online(&platform, &loads, &c, &FailureTrace::none()).unwrap();
         let cut_at = healthy.report.makespan() * 0.5;
         let trace = FailureTrace::new(vec![FailureEvent::down(cut_at, 1)]).unwrap();
-        let out = online_schedule_with_failures(&platform, &loads, &c, &trace).unwrap();
-        assert_eq!(out.outcome.interruptions, 1);
-        assert!(out.outcome.requeued_data > 0.0);
-        // Two log entries: the cut prefix and the re-queued remainder.
-        let log = &out.outcome.installment_log;
-        assert_eq!(log.len(), 2);
-        assert!(log[0].interrupted && !log[1].interrupted);
-        assert_eq!(log[0].finish, cut_at);
-        assert_eq!(log[1].start, cut_at);
+        let out = online(&platform, &loads, &c, &trace).unwrap();
+        assert_eq!(out.interruptions, 1);
+        assert!(out.requeued_data > 0.0);
+        // Two pieces: the cut prefix and the re-queued remainder.
+        let pieces = &out.pieces[0];
+        assert_eq!(pieces.len(), 2);
+        assert!(pieces[0].interrupted && !pieces[1].interrupted);
+        assert_eq!(pieces[0].finish, cut_at);
+        assert_eq!(pieces[1].start, cut_at);
         // The dead worker took no share of the remainder...
         let healthy_share_w1 = healthy.shares[0][1];
-        assert!(out.outcome.shares[0][1] < healthy_share_w1);
+        assert!(out.shares[0][1] < healthy_share_w1);
         // ...and the degraded finish is strictly later than the healthy
         // one: no free lunch, the cut plus the slower platform both cost.
-        assert!(out.outcome.report.makespan() > healthy.report.makespan());
-        // Bitwise conservation, replayed from the public log.
-        replay_policy_ledger(&loads, 1, log).unwrap();
+        assert!(out.report.makespan() > healthy.report.makespan());
+        // Bitwise conservation, replayed from the public ledger.
+        assert_eq!(replay_ledger(loads[0].size, 1, pieces).unwrap(), 0.0);
     }
 
     #[test]
@@ -680,7 +556,7 @@ mod tests {
         let trace = FailureTrace::new(vec![FailureEvent::down(0.5, 0), FailureEvent::down(0.5, 1)])
             .unwrap();
         assert!(matches!(
-            online_schedule_with_failures(&platform, &loads, &cfg(AdmissionOrder::Fifo, 1), &trace),
+            online(&platform, &loads, &cfg(AdmissionOrder::Fifo, 1), &trace),
             Err(MultiLoadError::AllWorkersFailed { .. })
         ));
     }
@@ -690,29 +566,28 @@ mod tests {
         let platform = Platform::from_speeds(&[1.0, 2.0]).unwrap();
         let loads = [LoadSpec::immediate(30.0, 2.0).unwrap()];
         let c = cfg(AdmissionOrder::Fifo, 4);
-        let healthy = online_schedule(&platform, &loads, &c).unwrap();
         let one = FailureTrace::new(vec![FailureEvent::slow(0.0, 1, 2.0)]).unwrap();
         let two = FailureTrace::new(vec![
             FailureEvent::slow(0.0, 1, 2.0),
             FailureEvent::slow(0.0, 1, 2.0),
         ])
         .unwrap();
-        let m0 = healthy.report.makespan();
-        let m1 = online_schedule_with_failures(&platform, &loads, &c, &one)
-            .unwrap()
-            .outcome
-            .report
-            .makespan();
-        let m2 = online_schedule_with_failures(&platform, &loads, &c, &two)
-            .unwrap()
-            .outcome
-            .report
-            .makespan();
+        let makespan = |trace: &FailureTrace| {
+            online(&platform, &loads, &c, trace)
+                .unwrap()
+                .report
+                .makespan()
+        };
+        let (m0, m1, m2) = (
+            makespan(&FailureTrace::none()),
+            makespan(&one),
+            makespan(&two),
+        );
         assert!(m0 < m1 && m1 < m2);
     }
 
     #[test]
-    fn events_during_an_offline_wait_apply_before_the_solve() {
+    fn events_during_a_clairvoyant_wait_apply_before_the_solve() {
         // The clairvoyant scheduler holds the platform for a future
         // arrival; a failure lands inside the waiting gap. The solve at
         // the release must already see the degraded platform.
@@ -720,10 +595,11 @@ mod tests {
         let loads = [LoadSpec::new(10.0, 1.0, 10.0).unwrap()];
         let trace = FailureTrace::new(vec![FailureEvent::down(5.0, 0)]).unwrap();
         let c = cfg(AdmissionOrder::Fifo, 1);
-        let out = policy_schedule_with_failures(&platform, &loads, &c, &trace).unwrap();
-        assert_eq!(out.outcome.shares[0][0], 0.0);
-        assert!(out.outcome.shares[0][1] > 0.0);
-        assert_eq!(out.outcome.interruptions, 0);
+        let out = schedule(&platform, &loads, &c, &under(&trace, Arrivals::Clairvoyant)).unwrap();
+        assert_eq!(out.shares[0][0], 0.0);
+        assert!(out.shares[0][1] > 0.0);
+        assert_eq!(out.interruptions, 0);
+        assert_eq!(out.pieces[0][0].start, 10.0);
     }
 
     #[test]
@@ -737,9 +613,9 @@ mod tests {
         .unwrap();
         for order in AdmissionOrder::ALL {
             for k in [1usize, 3] {
-                let out = online_schedule_with_failures(&platform, &loads, &cfg(order, k), &trace)
-                    .unwrap();
-                for (m, &alone) in out.outcome.report.per_load.iter().zip(&out.realized_alone) {
+                let out = online(&platform, &loads, &cfg(order, k), &trace).unwrap();
+                let realized = realized_alone_makespans(&platform, &loads, &out.pieces).unwrap();
+                for (m, &alone) in out.report.per_load.iter().zip(&realized) {
                     let stretch = (m.finish - m.release) / alone;
                     assert!(
                         stretch >= 1.0 - 1e-7,
@@ -752,24 +628,16 @@ mod tests {
 
     #[test]
     fn ledger_replay_rejects_a_perturbed_log() {
-        let pieces = [
-            ServedPiece {
-                data: 5.0,
-                interrupted: false,
-            },
-            ServedPiece {
-                data: 5.0,
-                interrupted: false,
-            },
-        ];
-        assert_eq!(replay_ledger(10.0, 2, &pieces).unwrap(), 0.0);
-        let off = [
-            ServedPiece {
-                data: 5.0 + 1e-9,
-                interrupted: false,
-            },
-            pieces[1],
-        ];
-        assert!(replay_ledger(10.0, 2, &off).is_err());
+        let piece = |data: f64| ServedPiece {
+            data,
+            interrupted: false,
+            start: 0.0,
+            finish: 1.0,
+        };
+        assert_eq!(
+            replay_ledger(10.0, 2, &[piece(5.0), piece(5.0)]).unwrap(),
+            0.0
+        );
+        assert!(replay_ledger(10.0, 2, &[piece(5.0 + 1e-9), piece(5.0)]).is_err());
     }
 }

@@ -1,7 +1,6 @@
 //! The multi-load problem instance: a batch of [`LoadSpec`]s.
 
 use crate::error::MultiLoadError;
-use dlt_core::batch::BatchSolver;
 use dlt_core::costmodel::{CostLaw, CostModel};
 use dlt_core::nonlinear;
 use dlt_platform::Platform;
@@ -74,27 +73,13 @@ impl LoadSpec {
     pub fn alone_makespan(&self, platform: &Platform) -> Result<f64, MultiLoadError> {
         Ok(nonlinear::equal_finish_parallel(platform, self.size, self.model)?.makespan)
     }
-
-    /// [`alone_makespan`](Self::alone_makespan) with explicit solver
-    /// tunables and a solver handle — what [`crate::alone_makespans`]
-    /// threads across a whole batch so each load's solve seeds the next.
-    pub fn alone_makespan_with(
-        &self,
-        platform: &Platform,
-        config: &nonlinear::SolverConfig,
-        solver: &mut BatchSolver,
-    ) -> Result<f64, MultiLoadError> {
-        Ok(solver
-            .solve(platform, self.size, self.model, config)?
-            .makespan)
-    }
 }
 
 /// Indices of `loads` sorted by non-decreasing release time, ties broken by
-/// index — the service order of the FIFO scheduler and the interleaving
-/// order of the round-robin scheduler. The sort is total (`f64::total_cmp`)
-/// and stable, so the order is deterministic.
-pub fn release_order(loads: &[LoadSpec]) -> Vec<usize> {
+/// index — the order the batch schedulers feed the engine and the
+/// interleaving order of the round-robin scheduler. The sort is total
+/// (`f64::total_cmp`) and stable, so the order is deterministic.
+pub(crate) fn release_order(loads: &[LoadSpec]) -> Vec<usize> {
     let mut order: Vec<usize> = (0..loads.len()).collect();
     order.sort_by(|&a, &b| {
         loads[a]

@@ -5,7 +5,9 @@ use crate::policy::AdmissionOrder;
 /// Which scheduler produced a report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
-    /// Loads served one at a time through the single-round closed forms.
+    /// Loads served whole, one at a time in release order, through the
+    /// single-round closed forms: [`crate::schedule`] under
+    /// [`crate::PolicyConfig::default`], as the `multiload` sweep labels it.
     Fifo,
     /// Chunked loads interleaved round-robin on the demand machinery.
     RoundRobin,

@@ -1,7 +1,10 @@
-//! The **scheduler-as-a-service engine**: an event-driven online
-//! scheduler that ingests a *streamed* arrival trace — millions of loads —
-//! at steady memory, built from three pieces the batch schedulers of
-//! [`crate::policy`] do not have:
+//! The **installment engine**: the one event loop that cuts loads into
+//! installments, for the streamed service entry points
+//! ([`serve_trace`] and its failure/rescan twins) and for the batch
+//! schedulers of [`crate::policy`] ([`crate::schedule`] and
+//! [`crate::schedule_reference`]) alike. It ingests a *streamed* arrival
+//! trace — millions of loads — at steady memory, built from three
+//! pieces:
 //!
 //! 1. an **indexed pending set** ([`crate::event_queue::PendingSet`]):
 //!    `O(log n)` heap selection for the static-key orders (FIFO, SRPT) and
@@ -18,39 +21,46 @@
 //!    (more preemption points exactly when contention makes them useful),
 //!    one admitted into an empty queue is served whole — the no-free-lunch
 //!    trade made adaptive, since more cuts also mean less total work for
-//!    `α > 1` ([`crate::alone_policy_makespans`]).
+//!    `α > 1` ([`crate::alone_makespans`]).
 //!
 //! # Event model
 //!
-//! The engine consumes arrivals from an iterator sorted by release time
-//! (enforced — [`MultiLoadError::UnsortedArrivals`] otherwise) and keeps
-//! per-load state **only while a load is pending or in flight**: the live
-//! footprint is `O(pending)`, witnessed by
+//! The engine consumes `(id, load)` arrivals from an iterator sorted by
+//! release time (enforced — [`MultiLoadError::UnsortedArrivals`]
+//! otherwise) and keeps per-load state **only while a load is pending or
+//! in flight**: the live footprint is `O(pending)`, witnessed by
 //! [`ServiceReport::pending_high_water`], never `O(total loads)`. Per-load
 //! results stream out through a [`CompletionSink`] the moment a load
 //! finishes; aggregates (flow, stretch, decisions, preemptions) are folded
-//! on the fly.
+//! on the fly. The ids break priority-key ties: the streamed entry points
+//! number arrivals by stream position, the batch entry points feed loads
+//! in release order with id = batch index.
 //!
-//! # What is and is not bit-identical to `online_schedule`
+//! Online, a load is admitted when the clock reaches its release and every
+//! installment starts at the decision instant. **Clairvoyant**
+//! ([`Arrivals::Clairvoyant`], batch only) admits the whole batch at
+//! `t = 0`: the ranking sees unreleased loads, and a winner starts at
+//! `max(now, release)` — the platform idles for it. A failure event at or
+//! before that start is applied first and the winner re-ranked.
 //!
-//! At the service defaults — window size 1, [`InstallmentPolicy::Fixed`] —
-//! the engine reproduces [`crate::policy::online_schedule`] **bit for
-//! bit** on any release-sorted batch (property-tested): same admissions,
-//! same `(key, id)` selections, same warm-start threading (a dedicated
-//! handle for the admission-time alone solves, mirroring
-//! [`crate::alone_policy_makespans`]'s own handle, and one for the
-//! installment solves), hence the same starts, finishes, shares and
-//! preemption count. Windows larger than 1 and adaptive installments are
-//! *deliberate* departures — merged solves change the round structure —
-//! and are gated instead by [`serve_trace_reference`], a linear-rescan
-//! twin with the same semantics (also bit-identical, property-tested
-//! across policy × window × installment policy).
+//! # Engine and reference
+//!
+//! Selection is the one seam: [`serve_trace`] and [`crate::schedule`] run
+//! the indexed pending set, [`serve_trace_reference`] and
+//! [`crate::schedule_reference`] a linear rescan that recomputes every
+//! candidate's key from scratch. Admission, windows, solves, cuts and
+//! recording are shared code, and the pairs are property-tested bit for
+//! bit across policy × window × installment policy × arrival mode, with
+//! and without failures.
 
 use crate::error::MultiLoadError;
 use crate::event_queue::{PendingEntry, PendingSet};
 use crate::failure::{FailureTrace, PlatformState, ServedPiece};
 use crate::load::LoadSpec;
-use crate::policy::{alone_installment_makespan, next_installment, work_estimate, AdmissionOrder};
+use crate::policy::{
+    alone_installment_makespan, next_installment, work_estimate, AdmissionOrder, Arrivals,
+    ScheduleOptions,
+};
 use dlt_core::batch::BatchSolver;
 use dlt_core::costmodel::CostLaw;
 use dlt_core::nonlinear;
@@ -94,8 +104,7 @@ pub struct ServiceConfig {
     pub order: AdmissionOrder,
     /// Admission window size (≥ 1): how many ranked winners are popped
     /// per window. Same-α winners share one merged equal-finish solve;
-    /// `1` reproduces [`crate::policy::online_schedule`]'s per-decision
-    /// solves exactly.
+    /// `1` solves every decision on its own, as the batch schedulers do.
     pub batch: usize,
     /// Installment policy, applied per load at admission.
     pub installments: InstallmentPolicy,
@@ -108,9 +117,8 @@ pub struct ServiceConfig {
 }
 
 impl Default for ServiceConfig {
-    /// The oracle configuration: window 1, one installment, stretch
-    /// tracked — bit-identical to [`crate::policy::online_schedule`] under
-    /// FIFO.
+    /// Window 1, one installment, stretch tracked: the configuration
+    /// [`crate::schedule`] runs for [`crate::PolicyConfig::default`].
     fn default() -> Self {
         Self {
             order: AdmissionOrder::Fifo,
@@ -124,7 +132,8 @@ impl Default for ServiceConfig {
 /// One finished load, streamed out of the engine the moment it completes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompletedLoad {
-    /// Arrival sequence number (0-based position in the trace).
+    /// Arrival id: the 0-based stream position under [`serve_trace`], the
+    /// batch index under [`crate::schedule`].
     pub id: u64,
     /// The load as admitted.
     pub spec: LoadSpec,
@@ -269,11 +278,22 @@ struct LoadState {
     pieces: Vec<ServedPiece>,
 }
 
+impl LoadState {
+    /// The load's selection snapshot, with its current cached estimate.
+    fn entry(&self, id: u64) -> PendingEntry {
+        PendingEntry {
+            id,
+            release: self.spec.release,
+            est: self.est,
+            alone: self.alone,
+        }
+    }
+}
+
 /// Selection strategy: the one seam between the fast engine (indexed
 /// pending set, cached keys) and the linear-rescan reference. Recording,
 /// admission, batching and solving are shared — identical by
-/// construction; only *selection* differs, exactly the discipline of
-/// [`crate::policy`]'s engine/reference pairs.
+/// construction; only *selection* differs.
 trait Selector {
     fn push(&mut self, entry: PendingEntry, now: f64);
     fn pop_min(&mut self, now: f64, states: &BTreeMap<u64, LoadState>) -> Option<u64>;
@@ -371,15 +391,15 @@ fn validate_config(config: &ServiceConfig) -> Result<(), MultiLoadError> {
 /// the engine never materializes it, holds state only for pending loads,
 /// and streams completions into `sink`.
 ///
-/// At the default configuration (window 1, fixed installments) this is
-/// bit-identical to [`crate::policy::online_schedule`] on any
-/// release-sorted batch — see the module docs.
+/// At window 1 with fixed installments this is [`crate::schedule`] on the
+/// same (release-sorted) batch, decision for decision.
 ///
 /// # Examples
 ///
 /// ```
 /// use dlt_multiload::{
-///     online_schedule, serve_trace, AdmissionOrder, LoadSpec, PolicyConfig, ServiceConfig,
+///     schedule, serve_trace, AdmissionOrder, LoadSpec, PolicyConfig, ScheduleOptions,
+///     ServiceConfig,
 /// };
 /// use dlt_platform::Platform;
 ///
@@ -391,13 +411,14 @@ fn validate_config(config: &ServiceConfig) -> Result<(), MultiLoadError> {
 /// let cfg = ServiceConfig { order: AdmissionOrder::Srpt, ..ServiceConfig::default() };
 /// let mut done = Vec::new();
 /// let report = serve_trace(&platform, loads.iter().copied(), &cfg, &mut done).unwrap();
-/// let oracle = online_schedule(
+/// let batch = schedule(
 ///     &platform,
 ///     &loads,
 ///     &PolicyConfig { order: AdmissionOrder::Srpt, installments: 1 },
+///     &ScheduleOptions::default(),
 /// )
 /// .unwrap();
-/// assert_eq!(report.makespan, oracle.report.makespan());
+/// assert_eq!(report.makespan, batch.report.makespan());
 /// assert_eq!(done.len(), 2);
 /// ```
 pub fn serve_trace<I, S>(
@@ -410,16 +431,8 @@ where
     I: IntoIterator<Item = LoadSpec>,
     S: CompletionSink,
 {
-    validate_config(config)?;
-    let selector = IndexedSelector(PendingSet::new(config.order));
-    engine(
-        platform,
-        trace.into_iter(),
-        config,
-        &FailureTrace::none(),
-        selector,
-        sink,
-    )
+    let opts = ScheduleOptions::default();
+    run(platform, numbered(trace), config, &opts, false, sink)
 }
 
 /// [`serve_trace`] under a failure trace: worker drop-outs and slow-downs
@@ -440,26 +453,18 @@ where
     I: IntoIterator<Item = LoadSpec>,
     S: CompletionSink,
 {
-    validate_config(config)?;
-    failures.validate_for(platform.len())?;
-    let selector = IndexedSelector(PendingSet::new(config.order));
-    engine(
-        platform,
-        trace.into_iter(),
-        config,
-        failures,
-        selector,
-        sink,
-    )
+    let opts = ScheduleOptions {
+        failures: Some(failures),
+        ..ScheduleOptions::default()
+    };
+    run(platform, numbered(trace), config, &opts, false, sink)
 }
 
 /// Executable specification of [`serve_trace`] for materialized traces:
 /// identical admission, batching and solving, but selection is a linear
 /// rescan that recomputes every candidate's key from scratch.
 /// Bit-identical to the engine across policy × window size × installment
-/// policy (property-tested) — the oracle for everything
-/// [`crate::policy::online_schedule`] cannot express (windows > 1,
-/// adaptive installments).
+/// policy (property-tested).
 pub fn serve_trace_reference<S>(
     platform: &Platform,
     loads: &[LoadSpec],
@@ -469,19 +474,13 @@ pub fn serve_trace_reference<S>(
 where
     S: CompletionSink,
 {
-    validate_config(config)?;
-    let selector = RescanSelector {
-        ids: Vec::new(),
-        order: config.order,
-        speed_sum: platform.speeds().iter().sum(),
-        high_water: 0,
-    };
-    engine(
+    let opts = ScheduleOptions::default();
+    run(
         platform,
-        loads.iter().copied(),
+        numbered(loads.iter().copied()),
         config,
-        &FailureTrace::none(),
-        selector,
+        &opts,
+        true,
         sink,
     )
 }
@@ -498,61 +497,100 @@ pub fn serve_trace_with_failures_reference<S>(
 where
     S: CompletionSink,
 {
-    validate_config(config)?;
-    failures.validate_for(platform.len())?;
-    let selector = RescanSelector {
-        ids: Vec::new(),
-        order: config.order,
-        speed_sum: platform.speeds().iter().sum(),
-        high_water: 0,
+    let opts = ScheduleOptions {
+        failures: Some(failures),
+        ..ScheduleOptions::default()
     };
-    engine(
+    run(
         platform,
-        loads.iter().copied(),
+        numbered(loads.iter().copied()),
         config,
-        failures,
-        selector,
+        &opts,
+        true,
         sink,
     )
 }
 
-/// The shared engine: event loop over (arrival, window, failure,
-/// completion) events. See the module docs for the event model; failure
-/// semantics follow [`crate::failure`] — events at or before `now` apply
-/// before every window, a window never spans a pending event (later
-/// groups are pushed back and re-ranked), and a group in flight at an
-/// event is cut pro rata.
+/// Numbers a streamed trace by position: the streamed entry points' ids.
+fn numbered<I>(trace: I) -> impl Iterator<Item = (u64, LoadSpec)>
+where
+    I: IntoIterator<Item = LoadSpec>,
+{
+    (0u64..).zip(trace)
+}
+
+/// Front door of every entry point: validates the configuration and the
+/// failure trace, then runs the engine with the indexed selector, or with
+/// the linear rescan when `reference` is set. `opts.alone`, when given,
+/// must hold one denominator per arrival id.
+pub(crate) fn run<I, S>(
+    platform: &Platform,
+    arrivals: I,
+    config: &ServiceConfig,
+    opts: &ScheduleOptions<'_>,
+    reference: bool,
+    sink: &mut S,
+) -> Result<ServiceReport, MultiLoadError>
+where
+    I: Iterator<Item = (u64, LoadSpec)>,
+    S: CompletionSink,
+{
+    validate_config(config)?;
+    if let Some(failures) = opts.failures {
+        failures.validate_for(platform.len())?;
+    }
+    if reference {
+        let selector = RescanSelector {
+            ids: Vec::new(),
+            order: config.order,
+            speed_sum: platform.speeds().iter().sum(),
+            high_water: 0,
+        };
+        engine(platform, arrivals, config, opts, selector, sink)
+    } else {
+        let selector = IndexedSelector(PendingSet::new(config.order));
+        engine(platform, arrivals, config, opts, selector, sink)
+    }
+}
+
+/// The engine: event loop over (arrival, window, failure, completion)
+/// events. See the module docs for the event model; failure semantics
+/// follow [`crate::failure`] — events at or before `now` apply before
+/// every window, a group never starts across a pending event (it and the
+/// later groups are pushed back and re-ranked), and a group in flight at
+/// an event is cut pro rata.
 fn engine<I, Sel, S>(
     platform: &Platform,
     mut arrivals: I,
     config: &ServiceConfig,
-    failures: &FailureTrace,
+    opts: &ScheduleOptions<'_>,
     mut selector: Sel,
     sink: &mut S,
 ) -> Result<ServiceReport, MultiLoadError>
 where
-    I: Iterator<Item = LoadSpec>,
+    I: Iterator<Item = (u64, LoadSpec)>,
     Sel: Selector,
     S: CompletionSink,
 {
     let p = platform.len();
     let speed_sum: f64 = platform.speeds().iter().sum();
     let solver = nonlinear::SolverConfig::default();
+    let clairvoyant = opts.arrivals == Arrivals::Clairvoyant;
     // Two solver handles: installment solves thread through one (the
-    // first solve cold, as in the batch engines); admission-time alone
-    // solves thread through the other, in admission order — the same
-    // sequence `alone_policy_makespans` runs, kept on its own handle so
-    // interleaving cannot perturb either sequence's outer hints or share
-    // seeds. A `Down` event shrinks the platform mid-trace; the handle
-    // detects the lane change and drops its now wrong-length share seeds.
+    // first solve cold, so one immediate load reproduces the single-load
+    // solver); admission-time alone solves thread through the other, in
+    // admission order — kept apart so interleaving cannot perturb either
+    // sequence's outer hints or share seeds. A `Down` event shrinks the
+    // platform mid-trace; the handle detects the lane change and drops its
+    // now wrong-length share seeds.
     let mut bsolver = BatchSolver::default();
     let mut bsolver_alone = BatchSolver::default();
-    let mut fstate = PlatformState::new(platform, failures);
+    let no_failures = FailureTrace::none();
+    let mut fstate = PlatformState::new(platform, opts.failures.unwrap_or(&no_failures));
     let mut scratch: Vec<f64> = Vec::new();
     let mut states: BTreeMap<u64, LoadState> = BTreeMap::new();
     let mut report = ServiceReport::new(p);
     let mut lookahead: Option<(u64, LoadSpec)> = None;
-    let mut next_id: u64 = 0;
     let mut last_release = 0.0f64;
     let mut last_served: Option<u64> = None;
     let mut now = 0.0f64;
@@ -561,61 +599,51 @@ where
         // Failure event: apply everything at or before `now` before any
         // admission or ranking decision.
         fstate.advance_to(now)?;
-        // Admission event: pull every arrival released by `now`, in
-        // stream order (= release order, ties by stream position).
+        // Admission event: pull every arrival released by `now` (every
+        // arrival at all, clairvoyant), in stream order.
         loop {
             if lookahead.is_none() {
                 match arrivals.next() {
-                    Some(spec) => {
+                    Some((id, spec)) => {
                         LoadSpec::with_model(spec.size, spec.model, spec.release)?;
                         if spec.release < last_release {
-                            return Err(MultiLoadError::UnsortedArrivals { index: next_id });
+                            return Err(MultiLoadError::UnsortedArrivals { index: id });
                         }
                         last_release = spec.release;
-                        lookahead = Some((next_id, spec));
-                        next_id += 1;
+                        lookahead = Some((id, spec));
                     }
                     None => break,
                 }
             }
             let (id, spec) = lookahead.expect("just refilled");
-            if spec.release > now {
+            if spec.release > now && !clairvoyant {
                 break;
             }
             lookahead = None;
             // Adaptive installments see the queue depth including the
             // load being admitted.
             let k = config.installments.pick(selector.len() + 1);
-            let est = work_estimate(spec.size, spec.model, speed_sum);
-            let alone = if config.track_stretch {
-                report.alone_solves += k as u64;
-                alone_installment_makespan(platform, &spec, k, &solver, &mut bsolver_alone)?
-            } else {
-                0.0
+            let alone = match opts.alone {
+                Some(alone) => alone[id as usize],
+                None if config.track_stretch => {
+                    report.alone_solves += k as u64;
+                    alone_installment_makespan(platform, &spec, k, &solver, &mut bsolver_alone)?
+                }
+                None => 0.0,
             };
-            states.insert(
-                id,
-                LoadState {
-                    spec,
-                    remaining: spec.size,
-                    inst_left: k,
-                    k,
-                    est,
-                    alone,
-                    started: f64::INFINITY,
-                    shares: vec![0.0; p],
-                    pieces: Vec::new(),
-                },
-            );
-            selector.push(
-                PendingEntry {
-                    id,
-                    release: spec.release,
-                    est,
-                    alone,
-                },
-                now,
-            );
+            let st = LoadState {
+                spec,
+                remaining: spec.size,
+                inst_left: k,
+                k,
+                est: work_estimate(spec.size, spec.model, speed_sum),
+                alone,
+                started: f64::INFINITY,
+                shares: vec![0.0; p],
+                pieces: Vec::new(),
+            };
+            selector.push(st.entry(id), now);
+            states.insert(id, st);
         }
         if selector.is_empty() {
             match lookahead {
@@ -651,35 +679,37 @@ where
             }
         }
         for gi in 0..groups.len() {
-            // Failure event inside the window: once earlier groups have
-            // advanced the clock onto a pending event, the remaining
-            // winners go back to the pending set unserved and the next
-            // window re-ranks against the degraded platform.
-            if fstate.next_event_at().is_some_and(|t| t <= now) {
+            let (model, members) = &groups[gi];
+            // Online every member is released by `now`; clairvoyant, the
+            // platform idles until the last member's release.
+            let start = if clairvoyant {
+                members
+                    .iter()
+                    .fold(now, |t, &(id, _)| t.max(states[&id].spec.release))
+            } else {
+                now
+            };
+            // Failure event before the group starts: it and the remaining
+            // winners go back to the pending set unserved, and the next
+            // window applies the event and re-ranks against the degraded
+            // platform.
+            if let Some(t) = fstate.next_event_at().filter(|&t| t <= start) {
                 for (_, members) in &groups[gi..] {
                     for &(id, _) in members {
-                        let st = &states[&id];
-                        let entry = PendingEntry {
-                            id,
-                            release: st.spec.release,
-                            est: st.est,
-                            alone: st.alone,
-                        };
-                        selector.push(entry, now);
+                        selector.push(states[&id].entry(id), now);
                     }
                 }
+                now = now.max(t);
                 break;
             }
-            let (model, members) = &groups[gi];
             let single = members.len() == 1;
             let total: f64 = if single {
                 members[0].1
             } else {
                 members.iter().map(|&(_, d)| d).sum()
             };
-            let alloc = bsolver.solve(fstate.current(now)?.0, total, *model, &solver)?;
+            let alloc = bsolver.solve(fstate.current(start)?.0, total, *model, &solver)?;
             report.solves += 1;
-            let start = now;
             let finish = start + alloc.makespan;
             // A failure strictly inside the group's round cuts every
             // member pro rata at the event time.
@@ -688,12 +718,11 @@ where
                 Some(t) => (t, Some((t - start) / (finish - start))),
                 None => (finish, None),
             };
-            let x = fstate.scatter(&alloc.x, None, &mut scratch);
+            let x = fstate.scatter(&alloc.x, &mut scratch);
             for &(id, data) in members {
-                // Same preemption rule as the batch engines' Recorder: a
-                // different load than last time, while that one still has
-                // remaining data (a completed load has none by
-                // definition — its state is gone).
+                // Preemption: a different load than last time, while that
+                // one still has remaining data (a completed load has none
+                // by definition — its state is gone).
                 let preempted = last_served.is_some_and(|prev| {
                     prev != id && states.get(&prev).is_some_and(|s| s.remaining > 0.0)
                 });
@@ -705,9 +734,9 @@ where
                 let st = states.get_mut(&id).expect("popped id is live");
                 st.started = st.started.min(start);
                 // Members split the merged allocation in proportion to
-                // their data; a lone member takes it verbatim so the
-                // window-of-1 path stays bit-identical to the oracle. A
-                // cut member keeps the served fraction φ of its share.
+                // their data; a lone member takes it verbatim, so a
+                // window of 1 solves exactly the installment. A cut member
+                // keeps the served fraction φ of its share.
                 let frac = data / total;
                 for (w, &xi) in x.iter().enumerate() {
                     let mut share = if single { xi } else { xi * frac };
@@ -719,7 +748,7 @@ where
                         report.worker_finish[w] = served_until;
                     }
                 }
-                match phi {
+                let piece = match phi {
                     None => {
                         st.remaining = if st.inst_left == 1 {
                             0.0
@@ -727,10 +756,12 @@ where
                             st.remaining - data
                         };
                         st.inst_left -= 1;
-                        st.pieces.push(ServedPiece {
+                        ServedPiece {
                             data,
                             interrupted: false,
-                        });
+                            start,
+                            finish: served_until,
+                        }
                     }
                     Some(phi) => {
                         // Cut: retain the prefix, re-queue the remainder;
@@ -739,13 +770,16 @@ where
                         let requeued = st.remaining - retained;
                         report.interruptions += 1;
                         report.requeued_data += requeued.max(0.0);
-                        st.pieces.push(ServedPiece {
+                        st.remaining = if requeued <= 0.0 { 0.0 } else { requeued };
+                        ServedPiece {
                             data: retained,
                             interrupted: true,
-                        });
-                        st.remaining = if requeued <= 0.0 { 0.0 } else { requeued };
+                            start,
+                            finish: served_until,
+                        }
                     }
-                }
+                };
+                st.pieces.push(piece);
                 if st.remaining <= 0.0 {
                     // Completion event: stream the load out and drop its
                     // state — nothing O(total-loads) survives it.
@@ -776,13 +810,7 @@ where
                     // still the healthy-platform normalization — then
                     // back into the pending set under its new key.
                     st.est = work_estimate(st.remaining, st.spec.model, speed_sum);
-                    let entry = PendingEntry {
-                        id,
-                        release: st.spec.release,
-                        est: st.est,
-                        alone: st.alone,
-                    };
-                    selector.push(entry, served_until);
+                    selector.push(st.entry(id), served_until);
                 }
             }
             now = served_until;
@@ -796,7 +824,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{online_schedule, PolicyConfig};
 
     fn platform() -> Platform {
         Platform::from_speeds_and_costs(&[1.0, 3.0, 0.7], &[1.0, 0.2, 2.0]).unwrap()
@@ -899,46 +926,6 @@ mod tests {
         assert_eq!(report.loads, 0);
         assert_eq!(report.makespan, 0.0);
         assert_eq!(report.pending_high_water, 0);
-    }
-
-    #[test]
-    fn defaults_match_online_schedule_bitwise() {
-        let platform = platform();
-        let loads = sorted_loads();
-        for order in AdmissionOrder::ALL {
-            for k in [1usize, 3] {
-                let cfg = ServiceConfig {
-                    order,
-                    batch: 1,
-                    installments: InstallmentPolicy::Fixed(k),
-                    track_stretch: true,
-                };
-                let mut done: Vec<CompletedLoad> = Vec::new();
-                let report =
-                    serve_trace(&platform, loads.iter().copied(), &cfg, &mut done).unwrap();
-                let oracle = online_schedule(
-                    &platform,
-                    &loads,
-                    &PolicyConfig {
-                        order,
-                        installments: k,
-                    },
-                )
-                .unwrap();
-                assert_eq!(report.makespan, oracle.report.makespan(), "{order:?} k={k}");
-                assert_eq!(report.worker_finish, oracle.report.worker_finish);
-                assert_eq!(report.preemptions, oracle.preemptions as u64);
-                assert_eq!(report.decisions, (loads.len() * k) as u64);
-                assert_eq!(report.solves, report.decisions);
-                for c in &done {
-                    let j = c.id as usize;
-                    assert_eq!(c.start, oracle.report.per_load[j].start);
-                    assert_eq!(c.finish, oracle.report.per_load[j].finish);
-                    assert_eq!(c.alone, oracle.report.per_load[j].alone);
-                    assert_eq!(c.shares, oracle.shares[j]);
-                }
-            }
-        }
     }
 
     #[test]

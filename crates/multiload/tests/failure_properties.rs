@@ -1,19 +1,19 @@
-//! Property-based tests of the fault-injection layer: fast-engine /
-//! linear-rescan bit-identity **under failures**, zero-failure runs
-//! reproducing the failure-oblivious engines bitwise, bitwise ledger
-//! conservation (retained prefixes + re-queued remainders recompose each
-//! load), and the realized-stretch floor.
+//! Property-based tests of the fault-injection layer: engine /
+//! linear-rescan bit-identity **under failures** (batch `schedule` in both
+//! arrival modes, streamed `serve_trace` across windows), zero-failure
+//! runs costing nothing, bitwise ledger conservation (retained prefixes +
+//! re-queued remainders recompose each load), per-piece feasibility (cuts
+//! land on event times), and the realized-stretch floor.
 //!
 //! This file runs at `ProptestConfig::default()`, so the CI seed-matrix
 //! job can deepen it with `PROPTEST_CASES` and explore independent input
 //! sets with `PROPTEST_SEED` — no rebuild, no code change.
 
 use dlt_multiload::{
-    alone_policy_makespans, online_schedule, online_schedule_with_failures,
-    online_schedule_with_failures_reference, policy_schedule, policy_schedule_with_failures,
-    policy_schedule_with_failures_reference, replay_ledger, replay_policy_ledger, serve_trace,
-    serve_trace_with_failures, serve_trace_with_failures_reference, AdmissionOrder, CompletedLoad,
-    FailureEvent, FailureTrace, InstallmentPolicy, LoadSpec, PolicyConfig, ServiceConfig,
+    alone_makespans, realized_alone_makespans, replay_ledger, schedule, schedule_reference,
+    serve_trace, serve_trace_with_failures, serve_trace_with_failures_reference, AdmissionOrder,
+    Arrivals, CompletedLoad, FailureEvent, FailureTrace, InstallmentPolicy, LoadSpec, PolicyConfig,
+    PolicyOutcome, ScheduleOptions, ServiceConfig,
 };
 use dlt_platform::Platform;
 use proptest::prelude::*;
@@ -41,8 +41,8 @@ fn raw_events() -> impl Strategy<Value = Vec<(f64, usize, bool, f64)>> {
 
 /// Builds a valid [`FailureTrace`] for a `p`-worker platform: times
 /// sorted, workers reduced mod `p`, and drop-outs capped at `p − 1`
-/// distinct workers (the survivor keeps [`online_schedule_with_failures`]
-/// total — `AllWorkersFailed` paths get their own unit tests).
+/// distinct workers (the survivor keeps every schedule total —
+/// `AllWorkersFailed` paths get their own unit tests).
 fn assemble_trace(p: usize, raw: &[(f64, usize, bool, f64)]) -> FailureTrace {
     let mut raw: Vec<_> = raw.to_vec();
     raw.sort_by(|a, b| a.0.total_cmp(&b.0));
@@ -73,10 +73,37 @@ fn installment_count() -> impl Strategy<Value = usize> {
 }
 
 /// Release-sorted batches for the service engine (stable sort: release
-/// ties keep batch order, matching the engines' id tie-break).
+/// ties keep batch order).
 fn sort_by_release(mut loads: Vec<LoadSpec>) -> Vec<LoadSpec> {
     loads.sort_by(|a, b| a.release.total_cmp(&b.release));
     loads
+}
+
+/// Both arrival modes.
+fn arrivals() -> impl Strategy<Value = Arrivals> {
+    any::<bool>().prop_map(|c| {
+        if c {
+            Arrivals::Clairvoyant
+        } else {
+            Arrivals::Online
+        }
+    })
+}
+
+/// A batch schedule under `failures` in the given arrival mode.
+fn run(
+    platform: &Platform,
+    loads: &[LoadSpec],
+    cfg: &PolicyConfig,
+    failures: &FailureTrace,
+    arrivals: Arrivals,
+) -> PolicyOutcome {
+    let opts = ScheduleOptions {
+        arrivals,
+        failures: Some(failures),
+        alone: None,
+    };
+    schedule(platform, loads, cfg, &opts).unwrap()
 }
 
 proptest! {
@@ -88,46 +115,36 @@ proptest! {
         raw in raw_events(),
         order in admission_order(),
         installments in installment_count(),
+        arrivals in arrivals(),
     ) {
-        // The fast engines must stay in bitwise lockstep with the
-        // rescan-everything references on the failure paths too: same
-        // cuts, same retained prefixes, same degraded-platform solves.
+        // The indexed selector must stay in bitwise lockstep with the
+        // rescan-everything twin on the failure paths too — online and
+        // clairvoyant: same cuts, same retained prefixes, same
+        // degraded-platform solves.
         let failures = assemble_trace(platform.len(), &raw);
         let cfg = PolicyConfig { order, installments };
-        let on = online_schedule_with_failures(&platform, &loads, &cfg, &failures).unwrap();
-        let on_ref =
-            online_schedule_with_failures_reference(&platform, &loads, &cfg, &failures).unwrap();
-        prop_assert_eq!(&on, &on_ref);
-        let off = policy_schedule_with_failures(&platform, &loads, &cfg, &failures).unwrap();
-        let off_ref =
-            policy_schedule_with_failures_reference(&platform, &loads, &cfg, &failures).unwrap();
-        prop_assert_eq!(&off, &off_ref);
+        let opts = ScheduleOptions { arrivals, failures: Some(&failures), alone: None };
+        let fast = schedule(&platform, &loads, &cfg, &opts).unwrap();
+        let slow = schedule_reference(&platform, &loads, &cfg, &opts).unwrap();
+        prop_assert_eq!(&fast, &slow);
     }
 
     #[test]
-    fn zero_failure_runs_reproduce_the_plain_engines_bitwise(
+    fn zero_failure_realized_alone_is_the_planned_alone(
         (platform, loads) in instance(),
         order in admission_order(),
         installments in installment_count(),
+        arrivals in arrivals(),
     ) {
-        // The empty trace must cost nothing: not a ulp of divergence
-        // from the failure-oblivious entry points, and the realized
-        // stretch denominators collapse to the planned ones.
-        let none = FailureTrace::none();
+        // The empty trace cuts nothing, and the realized stretch
+        // denominators collapse to the planned ones.
         let cfg = PolicyConfig { order, installments };
-        let alone = alone_policy_makespans(&platform, &loads, installments).unwrap();
-
-        let on = online_schedule_with_failures(&platform, &loads, &cfg, &none).unwrap();
-        let plain_on = online_schedule(&platform, &loads, &cfg).unwrap();
-        prop_assert_eq!(&on.outcome, &plain_on);
-        prop_assert_eq!(&on.realized_alone, &alone);
-        prop_assert_eq!(on.outcome.interruptions, 0);
-        prop_assert_eq!(on.outcome.requeued_data, 0.0);
-
-        let off = policy_schedule_with_failures(&platform, &loads, &cfg, &none).unwrap();
-        let plain_off = policy_schedule(&platform, &loads, &cfg).unwrap();
-        prop_assert_eq!(&off.outcome, &plain_off);
-        prop_assert_eq!(&off.realized_alone, &alone);
+        let out = run(&platform, &loads, &cfg, &FailureTrace::none(), arrivals);
+        prop_assert_eq!(out.interruptions, 0);
+        prop_assert_eq!(out.requeued_data, 0.0);
+        let realized = realized_alone_makespans(&platform, &loads, &out.pieces).unwrap();
+        let planned = alone_makespans(&platform, &loads, installments).unwrap();
+        prop_assert_eq!(&realized, &planned);
     }
 
     #[test]
@@ -136,6 +153,7 @@ proptest! {
         raw in raw_events(),
         order in admission_order(),
         installments in installment_count(),
+        arrivals in arrivals(),
     ) {
         // Bitwise data conservation: every load's served pieces —
         // retained prefixes plus re-queued remainders — recompose its
@@ -143,20 +161,50 @@ proptest! {
         // summed worker shares agree within summation rounding.
         let failures = assemble_trace(platform.len(), &raw);
         let cfg = PolicyConfig { order, installments };
-        for schedule in [online_schedule_with_failures, policy_schedule_with_failures] {
-            let out = schedule(&platform, &loads, &cfg, &failures).unwrap();
-            replay_policy_ledger(&loads, installments, &out.outcome.installment_log)
-                .unwrap_or_else(|e| panic!("ledger replay failed: {e}"));
-            for (j, load) in loads.iter().enumerate() {
-                let shipped: f64 = out.outcome.shares[j].iter().sum();
-                prop_assert!((shipped - load.size).abs() < 1e-9 * load.size.max(1.0),
-                    "load {j}: shipped {shipped} of {}", load.size);
-            }
-            // Cuts and re-queued volume come in pairs.
-            let cut = out.outcome.installment_log.iter().filter(|e| e.interrupted).count();
-            prop_assert_eq!(cut, out.outcome.interruptions);
-            if out.outcome.interruptions == 0 {
-                prop_assert_eq!(out.outcome.requeued_data, 0.0);
+        let out = run(&platform, &loads, &cfg, &failures, arrivals);
+        for (j, load) in loads.iter().enumerate() {
+            let rest = replay_ledger(load.size, installments, &out.pieces[j])
+                .unwrap_or_else(|e| panic!("load {j}: ledger replay failed: {e}"));
+            prop_assert_eq!(rest, 0.0);
+            let shipped: f64 = out.shares[j].iter().sum();
+            prop_assert!((shipped - load.size).abs() < 1e-9 * load.size.max(1.0),
+                "load {j}: shipped {shipped} of {}", load.size);
+        }
+        // Cuts and re-queued volume come in pairs.
+        let cut = out.pieces.iter().flatten().filter(|e| e.interrupted).count();
+        prop_assert_eq!(cut, out.interruptions);
+        if out.interruptions == 0 {
+            prop_assert_eq!(out.requeued_data, 0.0);
+        }
+    }
+
+    #[test]
+    fn pieces_respect_releases_never_overlap_and_cut_at_events(
+        (platform, loads) in instance(),
+        raw in raw_events(),
+        order in admission_order(),
+        installments in installment_count(),
+        arrivals in arrivals(),
+    ) {
+        // The per-installment view: every piece starts at or after its
+        // load's release, the platform serves one piece at a time, and a
+        // cut piece ends exactly at a failure event's time.
+        let failures = assemble_trace(platform.len(), &raw);
+        let cfg = PolicyConfig { order, installments };
+        let out = run(&platform, &loads, &cfg, &failures, arrivals);
+        let mut all: Vec<_> = out.pieces.iter().flatten().copied().collect();
+        all.sort_by(|a, b| a.start.total_cmp(&b.start));
+        for w in all.windows(2) {
+            prop_assert!(w[1].start >= w[0].finish, "{:?} overlaps {:?}", w[0], w[1]);
+        }
+        for (j, load) in loads.iter().enumerate() {
+            for piece in &out.pieces[j] {
+                prop_assert!(piece.start >= load.release);
+                prop_assert!(piece.finish >= piece.start);
+                if piece.interrupted {
+                    prop_assert!(failures.events().iter().any(|e| e.at == piece.finish),
+                        "load {j}: cut at {} is no event time", piece.finish);
+                }
             }
         }
     }
@@ -173,8 +221,9 @@ proptest! {
         // no load's realized stretch dips below 1.
         let failures = assemble_trace(platform.len(), &raw);
         let cfg = PolicyConfig { order, installments };
-        let out = online_schedule_with_failures(&platform, &loads, &cfg, &failures).unwrap();
-        for (m, &alone) in out.outcome.report.per_load.iter().zip(&out.realized_alone) {
+        let out = run(&platform, &loads, &cfg, &failures, Arrivals::Online);
+        let realized = realized_alone_makespans(&platform, &loads, &out.pieces).unwrap();
+        for (m, &alone) in out.report.per_load.iter().zip(&realized) {
             let stretch = (m.finish - m.release) / alone;
             prop_assert!(stretch >= 1.0 - 1e-7,
                 "load {}: realized stretch {stretch}", m.load);
@@ -238,40 +287,5 @@ proptest! {
         prop_assert_eq!(&with, &without);
         prop_assert_eq!(a.interruptions, 0);
         prop_assert_eq!(a.requeued_data, 0.0);
-    }
-
-    #[test]
-    fn service_oracle_point_matches_the_batch_engine_under_failures(
-        (platform, loads) in instance(),
-        raw in raw_events(),
-        order in admission_order(),
-        installments in 1usize..4,
-    ) {
-        // Window 1 + fixed installments: the streamed failure engine IS
-        // the batch online failure engine, cuts included — same starts,
-        // finishes, shares and interruption counts, bit for bit.
-        let loads = sort_by_release(loads);
-        let failures = assemble_trace(platform.len(), &raw);
-        let cfg = ServiceConfig {
-            order,
-            batch: 1,
-            installments: InstallmentPolicy::Fixed(installments),
-            track_stretch: true,
-        };
-        let mut done: Vec<CompletedLoad> = Vec::new();
-        let report = serve_trace_with_failures(
-            &platform, loads.iter().copied(), &cfg, &failures, &mut done).unwrap();
-        let oracle = online_schedule_with_failures(
-            &platform, &loads, &PolicyConfig { order, installments }, &failures).unwrap();
-        prop_assert_eq!(report.makespan, oracle.outcome.report.makespan());
-        prop_assert_eq!(&report.worker_finish, &oracle.outcome.report.worker_finish);
-        prop_assert_eq!(report.interruptions, oracle.outcome.interruptions as u64);
-        prop_assert_eq!(report.requeued_data, oracle.outcome.requeued_data);
-        for c in &done {
-            let j = c.id as usize;
-            prop_assert_eq!(c.start, oracle.outcome.report.per_load[j].start);
-            prop_assert_eq!(c.finish, oracle.outcome.report.per_load[j].finish);
-            prop_assert_eq!(&c.shares, &oracle.outcome.shares[j]);
-        }
     }
 }

@@ -1,19 +1,17 @@
 //! Property-based tests for the multi-load schedulers: conservation,
 //! release-time feasibility, heap-vs-reference bit-identity, the `N = 1`
-//! degeneration to the single-load solvers, the admission-policy engines
-//! against their linear-scan references, and the service engine's indexed
-//! pending set against both its rescan reference and the
-//! `online_schedule` oracle, plus the `_with_alone` wrappers against
-//! their parents.
+//! degeneration to the single-load solvers, the installment engine's
+//! indexed selector against its linear-rescan twin (batch `schedule` in
+//! both arrival modes, streamed `serve_trace` across windows and
+//! installment policies), and online = clairvoyant when everything is
+//! released at once.
 
 use dlt_core::nonlinear;
 use dlt_multiload::{
-    alone_makespans, alone_policy_makespans, fifo_schedule, online_schedule,
-    online_schedule_reference, online_schedule_with_alone, policy_schedule,
-    policy_schedule_reference, policy_schedule_with_alone, round_robin_schedule,
-    round_robin_schedule_reference, round_robin_schedule_with_alone, serve_trace,
-    serve_trace_reference, AdmissionOrder, CompletedLoad, InstallmentPolicy, LoadSpec,
-    MultiLoadConfig, PolicyConfig, ServiceConfig,
+    alone_makespans, round_robin_schedule, round_robin_schedule_reference, schedule,
+    schedule_reference, serve_trace, serve_trace_reference, AdmissionOrder, Arrivals,
+    CompletedLoad, InstallmentPolicy, LoadSpec, MultiLoadConfig, MultiLoadError, PolicyConfig,
+    PolicyOutcome, RoundRobinOutcome, ScheduleOptions, ServiceConfig,
 };
 use dlt_platform::Platform;
 use dlt_sim::{simulate_demand, DemandConfig, DemandTask};
@@ -78,12 +76,56 @@ fn installment_policy() -> impl Strategy<Value = InstallmentPolicy> {
     })
 }
 
-/// The service engine admits strictly in stream order, so its oracle
-/// comparisons need release-sorted batches (the sort is stable: ties keep
-/// their batch order, matching the engines' id tie-break).
+/// The service engine admits strictly in stream order, so streamed
+/// traces must be release-sorted (the sort is stable: ties keep their
+/// batch order).
 fn sort_by_release(mut loads: Vec<LoadSpec>) -> Vec<LoadSpec> {
     loads.sort_by(|a, b| a.release.total_cmp(&b.release));
     loads
+}
+
+/// Both arrival modes.
+fn arrivals() -> impl Strategy<Value = Arrivals> {
+    any::<bool>().prop_map(|c| {
+        if c {
+            Arrivals::Clairvoyant
+        } else {
+            Arrivals::Online
+        }
+    })
+}
+
+/// A batch schedule with default options in the given arrival mode.
+fn run(
+    platform: &Platform,
+    loads: &[LoadSpec],
+    cfg: &PolicyConfig,
+    arrivals: Arrivals,
+) -> PolicyOutcome {
+    let opts = ScheduleOptions {
+        arrivals,
+        ..ScheduleOptions::default()
+    };
+    schedule(platform, loads, cfg, &opts).unwrap()
+}
+
+/// FIFO with one installment per load: the classical scheduler.
+fn fifo(platform: &Platform, loads: &[LoadSpec]) -> PolicyOutcome {
+    run(platform, loads, &PolicyConfig::default(), Arrivals::Online)
+}
+
+/// The round-robin heap dispatcher and its linear reference, with
+/// single-round stretch denominators.
+fn round_robin(
+    platform: &Platform,
+    loads: &[LoadSpec],
+    cfg: &MultiLoadConfig,
+) -> Result<(RoundRobinOutcome, RoundRobinOutcome), MultiLoadError> {
+    let alone = alone_makespans(platform, loads, 1)?;
+    Ok((
+        round_robin_schedule(platform, loads, cfg, &alone)?,
+        round_robin_schedule_reference(platform, loads, cfg, &alone)?,
+    ))
 }
 
 proptest! {
@@ -91,7 +133,7 @@ proptest! {
 
     #[test]
     fn fifo_conserves_every_load((platform, loads) in instance()) {
-        let out = fifo_schedule(&platform, &loads).unwrap();
+        let out = fifo(&platform, &loads);
         for (j, load) in loads.iter().enumerate() {
             let shipped: f64 = out.shares[j].iter().sum();
             prop_assert!((shipped - load.size).abs() < 1e-9 * load.size.max(1.0),
@@ -101,7 +143,7 @@ proptest! {
 
     #[test]
     fn fifo_respects_release_times((platform, loads) in instance()) {
-        let out = fifo_schedule(&platform, &loads).unwrap();
+        let out = fifo(&platform, &loads);
         for m in &out.report.per_load {
             prop_assert!(m.start >= loads[m.load].release);
             prop_assert!(m.finish > m.start);
@@ -121,7 +163,7 @@ proptest! {
         include_comm in any::<bool>(),
     ) {
         let cfg = MultiLoadConfig { chunks_per_load: chunks, include_comm };
-        let out = round_robin_schedule(&platform, &loads, &cfg).unwrap();
+        let (out, _) = round_robin(&platform, &loads, &cfg).unwrap();
         let shipped: f64 = out.comm_volume.iter().sum();
         let total: f64 = loads.iter().map(|l| l.size).sum();
         prop_assert!((shipped - total).abs() < 1e-9 * total.max(1.0));
@@ -139,7 +181,7 @@ proptest! {
         chunks in chunk_count(),
     ) {
         let cfg = MultiLoadConfig { chunks_per_load: chunks, include_comm: false };
-        let out = round_robin_schedule(&platform, &loads, &cfg).unwrap();
+        let (out, _) = round_robin(&platform, &loads, &cfg).unwrap();
         for c in &out.chunk_log {
             prop_assert!(c.start >= loads[c.load].release,
                 "chunk of load {} started {} before release {}",
@@ -158,8 +200,7 @@ proptest! {
         include_comm in any::<bool>(),
     ) {
         let cfg = MultiLoadConfig { chunks_per_load: chunks, include_comm };
-        let heap = round_robin_schedule(&platform, &loads, &cfg).unwrap();
-        let linear = round_robin_schedule_reference(&platform, &loads, &cfg).unwrap();
+        let (heap, linear) = round_robin(&platform, &loads, &cfg).unwrap();
         prop_assert_eq!(heap, linear);
     }
 
@@ -174,8 +215,7 @@ proptest! {
         let platform = Platform::homogeneous(p, 1.0, 1.0).unwrap();
         let loads = vec![LoadSpec::immediate(12.0, 2.0).unwrap(); n_loads];
         let cfg = MultiLoadConfig { chunks_per_load: chunks, include_comm: false };
-        let heap = round_robin_schedule(&platform, &loads, &cfg).unwrap();
-        let linear = round_robin_schedule_reference(&platform, &loads, &cfg).unwrap();
+        let (heap, linear) = round_robin(&platform, &loads, &cfg).unwrap();
         prop_assert_eq!(heap, linear);
     }
 
@@ -187,7 +227,7 @@ proptest! {
     ) {
         let platform = Platform::from_speeds(&speeds).unwrap();
         let load = LoadSpec::immediate(size, alpha).unwrap();
-        let out = fifo_schedule(&platform, &[load]).unwrap();
+        let out = fifo(&platform, &[load]);
         let direct = nonlinear::equal_finish_parallel(&platform, size, alpha).unwrap();
         // Bitwise equality: N = 1 must take exactly the single-load path.
         prop_assert_eq!(out.report.makespan(), direct.makespan);
@@ -206,7 +246,7 @@ proptest! {
         let platform = Platform::from_speeds(&speeds).unwrap();
         let load = LoadSpec::immediate(size, alpha).unwrap();
         let cfg = MultiLoadConfig { chunks_per_load: chunks, include_comm };
-        let out = round_robin_schedule(&platform, &[load], &cfg).unwrap();
+        let (out, _) = round_robin(&platform, &[load], &cfg).unwrap();
 
         // The chunk geometry of `chunk_queue`: body chunks of size/c, the
         // last chunk absorbing the rounding remainder.
@@ -230,7 +270,7 @@ proptest! {
 
     #[test]
     fn stretch_is_at_least_one_under_fifo((platform, loads) in instance()) {
-        let out = fifo_schedule(&platform, &loads).unwrap();
+        let out = fifo(&platform, &loads);
         for m in &out.report.per_load {
             prop_assert!(m.stretch() >= 1.0 - 1e-12, "stretch {}", m.stretch());
         }
@@ -252,7 +292,7 @@ proptest! {
         // pure summation rounding (c additions), even for chunk counts
         // whose division is maximally inexact.
         let cfg = MultiLoadConfig { chunks_per_load: chunks, include_comm: false };
-        let out = round_robin_schedule(&platform, &loads, &cfg).unwrap();
+        let (out, _) = round_robin(&platform, &loads, &cfg).unwrap();
         let mut shipped = vec![0.0f64; loads.len()];
         for c in &out.chunk_log {
             shipped[c.load] += c.data;
@@ -265,21 +305,43 @@ proptest! {
     }
 
     #[test]
-    fn policy_engines_match_linear_scan_references(
+    fn schedule_matches_its_rescan_reference(
         (platform, loads) in instance(),
         order in admission_order(),
         installments in installment_count(),
+        arrivals in arrivals(),
     ) {
-        // The cached-key engines must reproduce the rescan-everything
-        // references bit for bit — offline and online, every policy,
-        // preemptive and not.
+        // The indexed selector must reproduce the rescan-everything twin
+        // bit for bit — online and clairvoyant, every policy, preemptive
+        // and not.
         let cfg = PolicyConfig { order, installments };
-        let off = policy_schedule(&platform, &loads, &cfg).unwrap();
-        let off_ref = policy_schedule_reference(&platform, &loads, &cfg).unwrap();
-        prop_assert_eq!(off, off_ref);
-        let on = online_schedule(&platform, &loads, &cfg).unwrap();
-        let on_ref = online_schedule_reference(&platform, &loads, &cfg).unwrap();
-        prop_assert_eq!(on, on_ref);
+        let opts = ScheduleOptions { arrivals, ..ScheduleOptions::default() };
+        let fast = schedule(&platform, &loads, &cfg, &opts).unwrap();
+        let slow = schedule_reference(&platform, &loads, &cfg, &opts).unwrap();
+        prop_assert_eq!(fast, slow);
+    }
+
+    #[test]
+    fn schedule_matches_its_reference_on_tie_heavy_batches(
+        p in 1usize..6,
+        n_loads in 1usize..13,
+        order in admission_order(),
+        installments in 1usize..4,
+        arrivals in arrivals(),
+        salt in 0usize..4,
+    ) {
+        // Homogeneous platform + identical loads + quantized releases in
+        // scrambled batch order: every selection is a key tie decided
+        // purely by batch index.
+        let platform = Platform::homogeneous(p, 1.0, 1.0).unwrap();
+        let loads: Vec<LoadSpec> = (0..n_loads)
+            .map(|j| LoadSpec::new(12.0, 2.0, ((j * 7 + salt) % 4) as f64 * 5.0).unwrap())
+            .collect();
+        let cfg = PolicyConfig { order, installments };
+        let opts = ScheduleOptions { arrivals, ..ScheduleOptions::default() };
+        let fast = schedule(&platform, &loads, &cfg, &opts).unwrap();
+        let slow = schedule_reference(&platform, &loads, &cfg, &opts).unwrap();
+        prop_assert_eq!(fast, slow);
     }
 
     #[test]
@@ -287,18 +349,17 @@ proptest! {
         (platform, loads) in instance(),
         order in admission_order(),
         installments in installment_count(),
+        arrivals in arrivals(),
     ) {
         // Against the granularity-matched alone denominator, no policy —
-        // FIFO, SRPT or weighted stretch, preemptive or not, offline or
-        // online — can push a load's stretch below 1: contention only
-        // ever delays installments.
+        // FIFO, SRPT or weighted stretch, preemptive or not, online or
+        // clairvoyant — can push a load's stretch below 1: contention
+        // only ever delays installments.
         let cfg = PolicyConfig { order, installments };
-        for schedule in [policy_schedule, online_schedule] {
-            let out = schedule(&platform, &loads, &cfg).unwrap();
-            for m in &out.report.per_load {
-                prop_assert!(m.stretch() >= 1.0 - 1e-9,
-                    "{order:?} k={installments}: stretch {}", m.stretch());
-            }
+        let out = run(&platform, &loads, &cfg, arrivals);
+        for m in &out.report.per_load {
+            prop_assert!(m.stretch() >= 1.0 - 1e-9,
+                "{order:?} k={installments}: stretch {}", m.stretch());
         }
     }
 
@@ -307,42 +368,43 @@ proptest! {
         (platform, loads) in instance(),
         order in admission_order(),
         installments in installment_count(),
+        arrivals in arrivals(),
     ) {
         let cfg = PolicyConfig { order, installments };
-        let out = online_schedule(&platform, &loads, &cfg).unwrap();
+        let out = run(&platform, &loads, &cfg, arrivals);
         // Installments never start before their load's release, never
         // overlap (one platform), and each load is conserved exactly.
-        let mut prev_finish = 0.0f64;
-        for e in &out.installment_log {
-            prop_assert!(e.start >= loads[e.load].release);
-            prop_assert!(e.start >= prev_finish - 1e-9 * prev_finish.max(1.0));
-            prev_finish = e.finish;
+        let mut all: Vec<_> = out.pieces.iter().flatten().copied().collect();
+        all.sort_by(|a, b| a.start.total_cmp(&b.start));
+        for w in all.windows(2) {
+            prop_assert!(w[1].start >= w[0].finish - 1e-9 * w[0].finish.max(1.0));
         }
         for (j, load) in loads.iter().enumerate() {
+            prop_assert_eq!(out.pieces[j].len(), installments);
+            for piece in &out.pieces[j] {
+                prop_assert!(piece.start >= load.release);
+                prop_assert!(piece.finish > piece.start);
+            }
             let shipped: f64 = out.shares[j].iter().sum();
             prop_assert!((shipped - load.size).abs() < 1e-9 * load.size.max(1.0));
-            let queued: f64 = out.installment_log
-                .iter()
-                .filter(|e| e.load == j)
-                .map(|e| e.data)
-                .sum();
+            let queued: f64 = out.pieces[j].iter().map(|e| e.data).sum();
             let tol = 4.0 * installments as f64 * f64::EPSILON * load.size;
             prop_assert!((queued - load.size).abs() <= tol);
         }
     }
 
     #[test]
-    fn online_equals_offline_when_everything_is_released(
+    fn online_equals_clairvoyant_when_everything_is_released(
         (platform, loads) in instance_all_released(),
         order in admission_order(),
         installments in installment_count(),
     ) {
         // With every load released at 0 the online scheduler has full
         // knowledge from the first decision: it must take exactly the
-        // offline (clairvoyant) path, bit for bit.
+        // clairvoyant path, bit for bit.
         let cfg = PolicyConfig { order, installments };
-        let off = policy_schedule(&platform, &loads, &cfg).unwrap();
-        let on = online_schedule(&platform, &loads, &cfg).unwrap();
+        let off = run(&platform, &loads, &cfg, Arrivals::Clairvoyant);
+        let on = run(&platform, &loads, &cfg, Arrivals::Online);
         prop_assert_eq!(off, on);
     }
 
@@ -352,6 +414,7 @@ proptest! {
         size in 0.5f64..500.0,
         alpha in 1.0f64..3.0,
         order in admission_order(),
+        arrivals in arrivals(),
     ) {
         // The policy anchor: one immediate load, one installment, any
         // admission order — the schedule IS the cold single-load solve.
@@ -359,46 +422,10 @@ proptest! {
         let load = LoadSpec::immediate(size, alpha).unwrap();
         let cfg = PolicyConfig { order, installments: 1 };
         let direct = nonlinear::equal_finish_parallel(&platform, size, alpha).unwrap();
-        for schedule in [policy_schedule, online_schedule] {
-            let out = schedule(&platform, &[load], &cfg).unwrap();
-            prop_assert_eq!(out.report.makespan(), direct.makespan);
-            prop_assert_eq!(&out.shares[0], &direct.x);
-            prop_assert_eq!(out.report.per_load[0].stretch(), 1.0);
-        }
-    }
-
-    #[test]
-    fn service_defaults_match_online_schedule_bitwise(
-        (platform, loads) in instance(),
-        order in admission_order(),
-        installments in installment_count(),
-    ) {
-        // At window 1 + fixed installments the service engine IS the
-        // online scheduler: every admission, selection, solve, start,
-        // finish, share and preemption must match bit for bit.
-        let loads = sort_by_release(loads);
-        let cfg = ServiceConfig {
-            order,
-            batch: 1,
-            installments: InstallmentPolicy::Fixed(installments),
-            track_stretch: true,
-        };
-        let mut done: Vec<CompletedLoad> = Vec::new();
-        let report = serve_trace(&platform, loads.iter().copied(), &cfg, &mut done).unwrap();
-        let oracle = online_schedule(&platform, &loads, &PolicyConfig { order, installments })
-            .unwrap();
-        prop_assert_eq!(report.makespan, oracle.report.makespan());
-        prop_assert_eq!(&report.worker_finish, &oracle.report.worker_finish);
-        prop_assert_eq!(report.preemptions, oracle.preemptions as u64);
-        prop_assert_eq!(report.decisions, report.solves);
-        prop_assert_eq!(done.len(), loads.len());
-        for c in &done {
-            let j = c.id as usize;
-            prop_assert_eq!(c.start, oracle.report.per_load[j].start);
-            prop_assert_eq!(c.finish, oracle.report.per_load[j].finish);
-            prop_assert_eq!(c.alone, oracle.report.per_load[j].alone);
-            prop_assert_eq!(&c.shares, &oracle.shares[j]);
-        }
+        let out = run(&platform, &[load], &cfg, arrivals);
+        prop_assert_eq!(out.report.makespan(), direct.makespan);
+        prop_assert_eq!(&out.shares[0], &direct.x);
+        prop_assert_eq!(out.report.per_load[0].stretch(), 1.0);
     }
 
     #[test]
@@ -450,16 +477,6 @@ proptest! {
         let b = serve_trace_reference(&platform, &loads, &cfg, &mut slow).unwrap();
         prop_assert_eq!(a, b);
         prop_assert_eq!(fast, slow);
-        // And at window 1 the batch oracle must agree too, ties and all.
-        let one = ServiceConfig { batch: 1, ..cfg };
-        let mut done: Vec<CompletedLoad> = Vec::new();
-        let report = serve_trace(&platform, loads.iter().copied(), &one, &mut done).unwrap();
-        let oracle = online_schedule(&platform, &loads, &PolicyConfig { order, installments })
-            .unwrap();
-        prop_assert_eq!(report.preemptions, oracle.preemptions as u64);
-        for c in &done {
-            prop_assert_eq!(c.finish, oracle.report.per_load[c.id as usize].finish);
-        }
     }
 
     #[test]
@@ -507,39 +524,4 @@ proptest! {
             prop_assert!(c.start >= c.spec.release);
         }
     }
-}
-
-/// The `_with_alone` wrappers are pure plumbing: handing them exactly the
-/// denominators their parent computes must reproduce the parent's outcome
-/// bit for bit (`PolicyOutcome`/`RoundRobinOutcome` derive `PartialEq`).
-#[test]
-fn with_alone_wrappers_are_bit_identical_to_their_parents() {
-    let platform =
-        Platform::from_speeds_and_costs(&[1.0, 3.0, 0.7, 2.2], &[1.0, 0.2, 2.0, 0.6]).unwrap();
-    let loads = vec![
-        LoadSpec::new(40.0, 2.0, 0.0).unwrap(),
-        LoadSpec::new(17.0, 1.5, 1.0).unwrap(),
-        LoadSpec::new(63.0, 3.0, 2.5).unwrap(),
-        LoadSpec::new(9.0, 1.2, 4.0).unwrap(),
-        LoadSpec::new(28.0, 2.7, 6.0).unwrap(),
-    ];
-    let cfg = PolicyConfig {
-        order: AdmissionOrder::Srpt,
-        installments: 3,
-    };
-    let alone = alone_policy_makespans(&platform, &loads, cfg.installments).unwrap();
-
-    let parent = policy_schedule(&platform, &loads, &cfg).unwrap();
-    let wrapped = policy_schedule_with_alone(&platform, &loads, &cfg, &alone).unwrap();
-    assert_eq!(parent, wrapped, "policy_schedule_with_alone");
-
-    let parent = online_schedule(&platform, &loads, &cfg).unwrap();
-    let wrapped = online_schedule_with_alone(&platform, &loads, &cfg, &alone).unwrap();
-    assert_eq!(parent, wrapped, "online_schedule_with_alone");
-
-    let rr_cfg = MultiLoadConfig::default();
-    let rr_alone = alone_makespans(&platform, &loads).unwrap();
-    let parent = round_robin_schedule(&platform, &loads, &rr_cfg).unwrap();
-    let wrapped = round_robin_schedule_with_alone(&platform, &loads, &rr_cfg, &rr_alone).unwrap();
-    assert_eq!(parent, wrapped, "round_robin_schedule_with_alone");
 }
