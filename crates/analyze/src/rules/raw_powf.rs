@@ -1,7 +1,7 @@
 //! `raw-powf`: raw transcendental calls outside the sanctioned modules.
 //!
 //! **Contract.** Every hot-path power in the workspace routes through
-//! `core::fastmath` (`fast_powf`/`pow_slice`, three bit-identical
+//! `core::fastmath` (`fast_powf`/`pow_slice`, two bit-identical
 //! bodies) or through a `core::costmodel` law; a stray `f64::powf` in
 //! an engine silently forks the arithmetic the `_reference` twins and
 //! committed CSVs pin. This rule flags `.powf(`, `.exp(` and `.ln(`

@@ -37,9 +37,10 @@
 //!   shrinking installments at p = 8 (the service's platform) and
 //!   p = 512 (the `dlt-multiload` and sweep hot path);
 //! * the `costmodel` group — the same pair with the law passed as
-//!   `CostLaw::AlphaPower` instead of a bare `f64` α, so both sides pay
-//!   the enum's once-per-solve unswitch. Its kernel time next to the
-//!   `solver` group's shows the `CostModel` dispatch cost (expected ≈ 0);
+//!   `CostLaw::AlphaPower` instead of a bare `f64` α, so the kernel pays
+//!   its once-per-solve law match in `BatchSolver::solve`. Its kernel
+//!   time next to the `solver` group's shows the `CostModel` dispatch
+//!   cost (expected ≈ 0);
 //! * the `solver_sweep` group — the shared-α sweep of the sec2 /
 //!   sec-amdahl runners (`BatchSolver::solve_sweep`: one platform scan,
 //!   share seeds chained law to law) vs one oracle solve per law.

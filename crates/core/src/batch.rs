@@ -14,8 +14,8 @@
 //! [`CostModel::residual_deriv_batch`] pass over the lane arrays, which
 //! the power-law models implement as a single shared-exponent
 //! `x^{α−1} = exp((α−1)·ln x)` sweep through the polynomial kernels of
-//! [`crate::fastmath`] (vectorized 8 lanes at a time behind the `simd`
-//! feature, runtime-detected AVX2 or scalar-unrolled otherwise). The
+//! [`crate::fastmath`] (runtime-detected AVX2, four lanes at a time, or
+//! a scalar loop). The
 //! solver reuses all scratch (no allocation per evaluation) and extends
 //! the warm-start idea from the outer root to the *shares*: the previous
 //! solve's lane roots seed the next solve's inner Newton, and within one
@@ -50,11 +50,12 @@
 //! The one-port model ([`crate::nonlinear::equal_finish_one_port`]) has
 //! no lane form — its serialized sends chain each worker's window to the
 //! previous shares — and stays the single scalar consumer of the inner
-//! Newton in `nonlinear`.
+//! Newton in `nonlinear`. Both models share the outer Newton loop,
+//! `nonlinear::outer_newton`; each finishes its own shares.
 
-use crate::costmodel::{CostLaw, CostModel, ModelVisitor};
+use crate::costmodel::{with_law, CostLaw, CostModel};
 use crate::error::DltError;
-use crate::nonlinear::{self, NonlinearAllocation, SolverConfig, WarmStart};
+use crate::nonlinear::{self, NonlinearAllocation, SolverConfig};
 use dlt_platform::Platform;
 use dlt_sim::CommMode;
 
@@ -102,7 +103,8 @@ pub enum SolveBackend {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BatchSolver {
-    warm: WarmStart,
+    /// Outer root of the last solve: the next solve's first probe.
+    hint: Option<f64>,
     /// SoA mirror of the last platform seen (inverse bandwidths).
     c: Vec<f64>,
     /// SoA mirror of the last platform seen (inverse speeds).
@@ -127,25 +129,28 @@ impl BatchSolver {
         Self::default()
     }
 
-    /// A handle pre-seeded with a finish-time hint, like
-    /// [`WarmStart::seeded`] (non-finite / non-positive seeds are
-    /// ignored). A stale seed can only lengthen the path to the root,
-    /// never change it.
+    /// A handle pre-seeded with a finish-time hint (e.g. a closed-form
+    /// estimate); non-finite or non-positive seeds are ignored. A stale
+    /// seed can only lengthen the path to the root, never change it.
     pub fn seeded(t: f64) -> Self {
         Self {
-            warm: WarmStart::seeded(t),
+            hint: usable_hint(t),
             ..Self::default()
         }
     }
 
     /// The outer root of the last solve, if any (the warm-start hint).
     pub fn last_makespan(&self) -> Option<f64> {
-        self.warm.last()
+        self.hint
     }
 
     /// Equal-finish parallel-model solve of `n` data units under `model`:
     /// the lanes kernel, seeded by this handle's previous solve, recording
     /// this solve's root and shares for the next.
+    ///
+    /// The law is matched once here, so the Newton loops run on the
+    /// concrete model — the bare `f64` α for the α-power law, the law
+    /// struct otherwise — whichever spelling the caller passed.
     pub fn solve<M: CostModel>(
         &mut self,
         platform: &Platform,
@@ -153,13 +158,7 @@ impl BatchSolver {
         model: M,
         config: &SolverConfig,
     ) -> Result<NonlinearAllocation, DltError> {
-        model.unswitch(Visit {
-            solver: self,
-            platform,
-            n,
-            config,
-            law: model.as_law(),
-        })
+        with_law!(model.as_law(), |m| self.solve_mono(platform, n, m, config))
     }
 
     /// Multi-law solve sharing one platform scan: solves the same `(platform, n)`
@@ -333,84 +332,31 @@ impl BatchSolver {
         self.invd[..p].iter().sum()
     }
 
-    /// Outer safeguarded Newton on `Σ xᵢ(T) = n` — the same bracketing,
-    /// stopping rules, warm seeding and upper-bound hunt as the one-port
-    /// model's `nonlinear::solve_total`. The single-worker bound seed is
-    /// computed lazily: a warm handle that converges without hunting
-    /// never pays the `p` `powf`s it costs.
+    /// The monomorphic body of [`BatchSolver::solve`]: the shared outer
+    /// Newton over this kernel's lane evaluations, then [`Self::finish`].
     fn solve_mono<M: CostModel>(
         &mut self,
         platform: &Platform,
         n: f64,
         model: M,
-        law: CostLaw,
         config: &SolverConfig,
     ) -> Result<NonlinearAllocation, DltError> {
         nonlinear::validate(n, &model)?;
         self.refresh_platform(platform);
-        let mut t_hi_cache: Option<f64> = None;
-        let lazy_seed = |cache: &mut Option<f64>| {
-            *cache.get_or_insert_with(|| nonlinear::t_single_worker_bound(platform, n, model))
-        };
-        let mut lo_t = 0.0f64;
-        let mut hi_t = f64::INFINITY;
-        let mut t = match self.warm.last() {
-            Some(seed) => seed,
-            None => lazy_seed(&mut t_hi_cache).max(1e-300),
-        };
         let mut first = true;
-        for _ in 0..config.max_outer {
+        let t = nonlinear::outer_newton(platform, n, model, self.hint, config, |t| {
             let slope = self.eval_lanes(&model, t, first, config.max_inner);
             first = false;
-            let g = self.x.iter().sum::<f64>() - n;
-            if g < 0.0 {
-                lo_t = t;
-            } else {
-                hi_t = t;
-            }
-            let bracket_tight = hi_t.is_finite() && hi_t - lo_t <= config.rel_tol * hi_t.max(1.0);
-            if g.abs() <= config.residual_tol * n || bracket_tight {
-                return Ok(self.finish(platform, n, t, law));
-            }
-            let newton = if slope > 0.0 { t - g / slope } else { f64::NAN };
-            t = if hi_t.is_finite() {
-                if newton.is_finite() && newton > lo_t && newton < hi_t {
-                    newton
-                } else {
-                    0.5 * (lo_t + hi_t)
-                }
-            } else {
-                // Still hunting an upper bound (stale warm seed below
-                // the root): take the Newton step when it outruns
-                // doubling.
-                let doubled = (2.0 * t).max(lazy_seed(&mut t_hi_cache).max(1e-300));
-                if doubled > 1e300 {
-                    return Err(DltError::NoConvergence {
-                        context: "outer upper-bound hunt",
-                    });
-                }
-                if newton.is_finite() && newton > doubled {
-                    newton
-                } else {
-                    doubled
-                }
-            };
-        }
-        Err(DltError::NoConvergence {
-            context: "outer Newton iteration",
-        })
+            (self.x.iter().sum(), slope)
+        })?;
+        Ok(self.finish(platform, n, t, model.as_law()))
     }
 
     /// Rescale to `Σ xᵢ = n`, pin exact conservation on the largest
     /// lane, record the warm hint and the share seeds, and package the
     /// allocation.
     fn finish(&mut self, platform: &Platform, n: f64, t: f64, law: CostLaw) -> NonlinearAllocation {
-        let s: f64 = self.x.iter().sum();
-        if s > 0.0 {
-            let scale = n / s;
-            for xi in &mut self.x {
-                *xi *= scale;
-            }
+        if nonlinear::rescale(&mut self.x, n) {
             // Exact conservation: the largest share absorbs the
             // rescale's rounding residue. `rest` is the left-to-right
             // sum skipping lane `k` — replaying it bitwise recovers
@@ -432,7 +378,7 @@ impl BatchSolver {
                 self.x[k] = rem;
             }
         }
-        self.warm.record(t);
+        self.hint = usable_hint(t).or(self.hint);
         self.seeds.clear();
         self.seeds.extend_from_slice(&self.x);
         NonlinearAllocation {
@@ -446,23 +392,9 @@ impl BatchSolver {
     }
 }
 
-/// Once-per-solve monomorphization visitor: matches the law variant a
-/// single time so the Newton loops run with the concrete model inlined.
-struct Visit<'a> {
-    solver: &'a mut BatchSolver,
-    platform: &'a Platform,
-    n: f64,
-    config: &'a SolverConfig,
-    law: CostLaw,
-}
-
-impl ModelVisitor for Visit<'_> {
-    type Out = Result<NonlinearAllocation, DltError>;
-
-    fn visit<M: CostModel>(self, model: M) -> Self::Out {
-        self.solver
-            .solve_mono(self.platform, self.n, model, self.law, self.config)
-    }
+/// A finish-time hint is kept only when it is finite and positive.
+fn usable_hint(t: f64) -> Option<f64> {
+    (t.is_finite() && t > 0.0).then_some(t)
 }
 
 #[cfg(test)]

@@ -10,10 +10,9 @@
 //!
 //! Four laws ship with the crate:
 //!
-//! * [`AlphaPower`] — the paper's `c·x + w·x^α`. Plain `f64` also
+//! * the α-power law — the paper's `c·x + w·x^α`. Plain `f64`
 //!   implements [`CostModel`] as this law (the exponent *is* the model),
-//!   so every pre-existing call site passing `alpha: f64` compiles — and
-//!   computes — exactly as before.
+//!   so call sites pass `alpha: f64` straight into the solvers.
 //! * [`AmdahlSerial`] — the serial-fraction law of Cao/Wu/Robertazzi
 //!   (arXiv:1902.01952): compute cost `w·(s·x + (1−s)·x^α)`. The serial
 //!   term bounds the remaining work fraction away from 1, which is the
@@ -28,23 +27,6 @@
 //! [`crate::nonlinear::NonlinearAllocation`]) or parsed from a CLI flag.
 
 use crate::error::DltError;
-
-/// Callback for [`CostModel::unswitch`]: one generic entry point that the
-/// model re-invokes with its most concrete type.
-///
-/// This is the monomorphization hook that keeps [`CostLaw`] (the storable
-/// enum) zero-cost inside the solvers: an entry point packs its arguments
-/// into a visitor, calls [`CostModel::unswitch`], and the enum matches on
-/// its variant exactly once — every Newton iteration thereafter runs in a
-/// loop instantiated for the concrete law, with no per-call dispatch.
-pub trait ModelVisitor {
-    /// Result of the visit.
-    type Out;
-
-    /// Invoked with the concrete model (`f64` for the α-power law, or one
-    /// of the law structs).
-    fn visit<M: CostModel>(self, model: M) -> Self::Out;
-}
 
 /// A per-worker cost law `f(x) = time to receive and process x units`.
 ///
@@ -135,86 +117,18 @@ pub trait CostModel: Copy {
     /// The storable [`CostLaw`] equivalent of this model.
     fn as_law(&self) -> CostLaw;
 
-    /// Re-invokes `v` with `self` expressed as its most concrete type.
-    ///
-    /// The default is the identity — a bare `f64` α or a law struct is
-    /// already concrete. [`CostLaw`] overrides it to match on the variant
-    /// **once per solve**, so the solvers' Newton loops are always
-    /// monomorphic and the enum never pays a per-iteration branch (the
-    /// `costmodel` hotpaths bench group guards this staying ≈ 1.0×).
-    fn unswitch<V: ModelVisitor>(&self, v: V) -> V::Out {
-        v.visit(*self)
-    }
-
     /// Short name for reports, e.g. `x^2` or `amdahl(s=0.3, α=2)`.
     fn name(&self) -> String;
 }
 
 // ---------------------------------------------------------------------------
-// AlphaPower — the paper's law, and the `f64` blanket model
+// The α-power law: a bare `f64` exponent
 // ---------------------------------------------------------------------------
 
-/// The paper's α-power law: `cost = c·x + w·x^α`, `work = x^α`, `α ≥ 1`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AlphaPower {
-    /// The exponent α (≥ 1).
-    pub alpha: f64,
-}
-
-impl CostModel for AlphaPower {
-    fn validate(&self) -> Result<(), DltError> {
-        self.alpha.validate()
-    }
-
-    fn cost(&self, c: f64, w: f64, x: f64) -> f64 {
-        self.alpha.cost(c, w, x)
-    }
-
-    fn work(&self, x: f64) -> f64 {
-        self.alpha.work(x)
-    }
-
-    fn residual_deriv(&self, c: f64, w: f64, x: f64, t: f64) -> (f64, f64) {
-        self.alpha.residual_deriv(c, w, x, t)
-    }
-
-    fn inverse_upper_bound(&self, c: f64, w: f64, t: f64) -> f64 {
-        self.alpha.inverse_upper_bound(c, w, t)
-    }
-
-    fn exact_inverse(&self, c: f64, w: f64, t: f64) -> Option<(f64, f64)> {
-        self.alpha.exact_inverse(c, w, t)
-    }
-
-    fn residual_deriv_batch(
-        &self,
-        c: &[f64],
-        w: &[f64],
-        x: &[f64],
-        t: f64,
-        fx: &mut [f64],
-        dfdx: &mut [f64],
-    ) {
-        self.alpha.residual_deriv_batch(c, w, x, t, fx, dfdx)
-    }
-
-    fn inverse_upper_bound_batch(&self, c: &[f64], w: &[f64], t: f64, out: &mut [f64]) {
-        self.alpha.inverse_upper_bound_batch(c, w, t, out)
-    }
-
-    fn as_law(&self) -> CostLaw {
-        CostLaw::AlphaPower { alpha: self.alpha }
-    }
-
-    fn name(&self) -> String {
-        self.alpha.name()
-    }
-}
-
-/// A bare exponent *is* an α-power model: call sites pass `alpha: f64`
-/// straight into the solvers, and [`AlphaPower`] and
-/// [`CostLaw::AlphaPower`] delegate here, so all three spellings produce
-/// bit-identical results (property-tested in
+/// A bare exponent *is* the paper's α-power law: `cost = c·x + w·x^α`,
+/// `work = x^α`, `α ≥ 1`. Call sites pass `alpha: f64` straight into the
+/// solvers, and [`CostLaw::AlphaPower`] delegates here, so both spellings
+/// produce bit-identical results (property-tested in
 /// `tests/costmodel_properties.rs`).
 impl CostModel for f64 {
     fn validate(&self) -> Result<(), DltError> {
@@ -306,8 +220,8 @@ impl CostModel for f64 {
 /// `cost = c·x + w·(s·x + (1−s)·x^α)`, `work = s·x + (1−s)·x^α`.
 ///
 /// A fraction `s ∈ [0, 1]` of the computation is perfectly divisible
-/// (linear), the rest pays the α-power penalty. `s = 0` recovers
-/// [`AlphaPower`]; `s = 1` (or α = 1) is classical linear DLT.
+/// (linear), the rest pays the α-power penalty. `s = 0` recovers the
+/// α-power law; `s = 1` (or α = 1) is classical linear DLT.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AmdahlSerial {
     /// Divisible (linear) fraction `s ∈ [0, 1]` of the computation.
@@ -627,13 +541,13 @@ impl CostModel for Piecewise {
 /// `LoadSpec`, a [`crate::nonlinear::NonlinearAllocation`]) or selected
 /// at runtime (a `--model` CLI flag); it implements [`CostModel`] by
 /// delegating to the matching concrete law, so it can be passed straight
-/// into the solvers. Monomorphic call sites should keep passing the
-/// concrete types (or a bare `f64` α) — the compiler then inlines the
-/// law into the Newton loop with zero dispatch cost (measured by the
+/// into the solvers. [`crate::batch::BatchSolver::solve`] matches the
+/// variant once per solve and runs its Newton loops on the concrete law,
+/// so the enum costs no per-iteration branch (measured by the
 /// `costmodel` bench group in `BENCH_hotpaths.json`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CostLaw {
-    /// [`AlphaPower`]: `c·x + w·x^α`.
+    /// The α-power law (a bare `f64` α): `c·x + w·x^α`.
     AlphaPower {
         /// The exponent α (≥ 1).
         alpha: f64,
@@ -728,49 +642,75 @@ impl CostLaw {
     }
 }
 
-macro_rules! delegate_law {
-    ($self:ident, $m:ident, $($arg:expr),*) => {
-        match *$self {
-            CostLaw::AlphaPower { alpha } => alpha.$m($($arg),*),
-            CostLaw::AmdahlSerial { serial, alpha } => AmdahlSerial { serial, alpha }.$m($($arg),*),
-            CostLaw::AffineLatency { latency, alpha } => {
-                AffineLatency { latency, alpha }.$m($($arg),*)
+/// Evaluates `$body` with `$m` bound to the concrete model a [`CostLaw`]
+/// stands for: the bare `f64` α for [`CostLaw::AlphaPower`], the law
+/// struct for every other variant.
+///
+/// This is the one dispatch from a stored law to its concrete model. The
+/// [`CostModel`] impl of [`CostLaw`] delegates each method through it, and
+/// [`crate::batch::BatchSolver::solve`] runs it once per solve, so the
+/// Newton loops are instantiated for the concrete law and every spelling
+/// of a law runs the same arithmetic.
+macro_rules! with_law {
+    ($law:expr, |$m:ident| $body:expr) => {
+        match $law {
+            $crate::costmodel::CostLaw::AlphaPower { alpha } => {
+                let $m = alpha;
+                $body
             }
-            CostLaw::Piecewise { threshold, alpha_lo, alpha_hi } => {
-                Piecewise { threshold, alpha_lo, alpha_hi }.$m($($arg),*)
+            $crate::costmodel::CostLaw::AmdahlSerial { serial, alpha } => {
+                let $m = $crate::costmodel::AmdahlSerial { serial, alpha };
+                $body
+            }
+            $crate::costmodel::CostLaw::AffineLatency { latency, alpha } => {
+                let $m = $crate::costmodel::AffineLatency { latency, alpha };
+                $body
+            }
+            $crate::costmodel::CostLaw::Piecewise {
+                threshold,
+                alpha_lo,
+                alpha_hi,
+            } => {
+                let $m = $crate::costmodel::Piecewise {
+                    threshold,
+                    alpha_lo,
+                    alpha_hi,
+                };
+                $body
             }
         }
     };
 }
+pub(crate) use with_law;
 
 impl CostModel for CostLaw {
     fn validate(&self) -> Result<(), DltError> {
-        delegate_law!(self, validate,)
+        with_law!(*self, |m| m.validate())
     }
 
     #[inline(always)]
     fn cost(&self, c: f64, w: f64, x: f64) -> f64 {
-        delegate_law!(self, cost, c, w, x)
+        with_law!(*self, |m| m.cost(c, w, x))
     }
 
     #[inline(always)]
     fn work(&self, x: f64) -> f64 {
-        delegate_law!(self, work, x)
+        with_law!(*self, |m| m.work(x))
     }
 
     #[inline(always)]
     fn residual_deriv(&self, c: f64, w: f64, x: f64, t: f64) -> (f64, f64) {
-        delegate_law!(self, residual_deriv, c, w, x, t)
+        with_law!(*self, |m| m.residual_deriv(c, w, x, t))
     }
 
     #[inline(always)]
     fn inverse_upper_bound(&self, c: f64, w: f64, t: f64) -> f64 {
-        delegate_law!(self, inverse_upper_bound, c, w, t)
+        with_law!(*self, |m| m.inverse_upper_bound(c, w, t))
     }
 
     #[inline(always)]
     fn exact_inverse(&self, c: f64, w: f64, t: f64) -> Option<(f64, f64)> {
-        delegate_law!(self, exact_inverse, c, w, t)
+        with_law!(*self, |m| m.exact_inverse(c, w, t))
     }
 
     fn residual_deriv_batch(
@@ -782,41 +722,19 @@ impl CostModel for CostLaw {
         fx: &mut [f64],
         dfdx: &mut [f64],
     ) {
-        delegate_law!(self, residual_deriv_batch, c, w, x, t, fx, dfdx)
+        with_law!(*self, |m| m.residual_deriv_batch(c, w, x, t, fx, dfdx))
     }
 
     fn inverse_upper_bound_batch(&self, c: &[f64], w: &[f64], t: f64, out: &mut [f64]) {
-        delegate_law!(self, inverse_upper_bound_batch, c, w, t, out)
+        with_law!(*self, |m| m.inverse_upper_bound_batch(c, w, t, out))
     }
 
     fn as_law(&self) -> CostLaw {
         *self
     }
 
-    fn unswitch<V: ModelVisitor>(&self, v: V) -> V::Out {
-        // The whole point of the enum's override: one match here, then
-        // every inner Newton loop runs monomorphic for the variant. The
-        // AlphaPower arm hands over the bare `f64` — the same receiver
-        // `delegate_law!` uses — so every spelling of the α-power law runs
-        // the same arithmetic.
-        match *self {
-            CostLaw::AlphaPower { alpha } => v.visit(alpha),
-            CostLaw::AmdahlSerial { serial, alpha } => v.visit(AmdahlSerial { serial, alpha }),
-            CostLaw::AffineLatency { latency, alpha } => v.visit(AffineLatency { latency, alpha }),
-            CostLaw::Piecewise {
-                threshold,
-                alpha_lo,
-                alpha_hi,
-            } => v.visit(Piecewise {
-                threshold,
-                alpha_lo,
-                alpha_hi,
-            }),
-        }
-    }
-
     fn name(&self) -> String {
-        delegate_law!(self, name,)
+        with_law!(*self, |m| m.name())
     }
 }
 
@@ -854,16 +772,6 @@ mod tests {
         assert!(0.5f64.validate().is_err());
         assert!(f64::NAN.validate().is_err());
         roundtrip(2.0f64, 0.5, 1.5, &[0.1, 1.0, 7.3, 150.0]);
-    }
-
-    #[test]
-    fn alpha_power_struct_matches_f64() {
-        let m = AlphaPower { alpha: 1.7 };
-        for &x in &[0.2, 1.0, 12.0] {
-            assert_eq!(m.cost(0.3, 2.0, x), 1.7f64.cost(0.3, 2.0, x));
-            assert_eq!(m.work(x), 1.7f64.work(x));
-        }
-        assert_eq!(m.as_law(), CostLaw::AlphaPower { alpha: 1.7 });
     }
 
     #[test]

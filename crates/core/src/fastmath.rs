@@ -3,8 +3,7 @@
 //! The batched inner-inverse path of [`crate::batch`] factors the
 //! shared-exponent power `x^a = exp(a·ln x)` so the per-lane work is one
 //! log reduction, one multiply and one exp reduction — all straight-line
-//! polynomial arithmetic that the compiler can keep in registers (and,
-//! behind the `simd` feature, evaluate eight lanes at a time). The
+//! polynomial arithmetic that the compiler can keep in registers. The
 //! algorithms are the classical fdlibm argument reductions and minimax
 //! polynomials (the same ones system `libm`s descend from), *without*
 //! the extra-precision bookkeeping `pow` performs to reach < 1 ulp:
@@ -26,19 +25,15 @@
 //! logs, `|x| > 700` exps, NaN) fall back to the `std` functions, so
 //! every entry point is total over `f64`.
 //!
-//! The `simd` feature (nightly `portable_simd`) mirrors the *same*
-//! operations on `Simd<f64, 8>` lanes in the same order; IEEE-754
-//! determinism then makes the vector path bit-identical to the scalar
-//! one, which is what keeps the equal-finish kernel's results independent of
-//! the lane count (property-tested in `tests/batch_properties.rs`).
-//!
-//! On stable (no `simd` feature) x86-64 the same trick runs through
-//! explicit AVX2 intrinsics, four lanes at a time, selected by a runtime
-//! `is_x86_feature_detected!("avx2")` check. The vector body is again an
-//! op-for-op transcription of `ln_core`/`exp_core` — no FMA, same
-//! IEEE evaluation order — so it too is bit-identical to the scalar
-//! loop, and any chunk containing a lane outside the fast range falls
-//! back to the scalar path wholesale.
+//! On x86-64, [`pow_slice`] runs through explicit AVX2 intrinsics, four
+//! lanes at a time, selected by a runtime
+//! `is_x86_feature_detected!("avx2")` check. The vector body is an
+//! op-for-op transcription of `ln_core`/`exp_core` — no FMA, same IEEE
+//! evaluation order — so IEEE-754 determinism makes it bit-identical to
+//! the scalar loop, and any chunk containing a lane outside the fast
+//! range falls back to the scalar path wholesale. That is what keeps the
+//! equal-finish kernel's results independent of the lane count and the
+//! CPU (pinned by `pow_slice_is_bitwise_scalar_across_the_range`).
 
 // The fdlibm coefficient tables are kept digit-for-digit as published
 // (the extra digits round to the same f64 but document the provenance).
@@ -140,143 +135,35 @@ pub fn fast_powf(x: f64, a: f64) -> f64 {
 }
 
 /// Elementwise `out[i] = x[i]^a` — the one call the batched Newton pass
-/// makes per iteration. Scalar-unrolled by default; behind the `simd`
-/// feature, chunks of 8 lanes run through the `Simd<f64, 8>` mirror of
-/// the same arithmetic (bit-identical, so results never depend on where
-/// a lane falls relative to the chunk boundary).
+/// makes per iteration. On x86-64 with AVX2, chunks of 4 lanes run
+/// through the AVX2 mirror of the same arithmetic (bit-identical, so
+/// results never depend on where a lane falls relative to the chunk
+/// boundary); elsewhere a scalar loop.
 ///
 /// # Panics
 ///
 /// Panics if the slices have different lengths.
 pub fn pow_slice(x: &[f64], a: f64, out: &mut [f64]) {
     assert_eq!(x.len(), out.len(), "pow_slice length mismatch");
-    pow_slice_impl(x, a, out);
-}
-
-#[cfg(not(feature = "simd"))]
-#[inline]
-fn pow_slice_impl(x: &[f64], a: f64, out: &mut [f64]) {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("avx2") {
         // SAFETY: AVX2 support was just verified at runtime.
         unsafe { avx2::pow_slice_avx2(x, a, out) };
         return;
     }
-    pow_slice_scalar(x, a, out);
-}
-
-#[cfg(not(feature = "simd"))]
-#[inline]
-fn pow_slice_scalar(x: &[f64], a: f64, out: &mut [f64]) {
     for (o, &xi) in out.iter_mut().zip(x) {
         *o = fast_powf(xi, a);
     }
 }
 
-#[cfg(feature = "simd")]
-#[inline]
-fn pow_slice_impl(x: &[f64], a: f64, out: &mut [f64]) {
-    let mut chunks = x.chunks_exact(simd::WIDTH);
-    let mut outs = out.chunks_exact_mut(simd::WIDTH);
-    for (xc, oc) in (&mut chunks).zip(&mut outs) {
-        match simd::pow_chunk(xc, a) {
-            Some(r) => oc.copy_from_slice(&r),
-            // A lane needs a std fallback: do the whole chunk through the
-            // scalar path (identical arithmetic for the fast lanes).
-            None => {
-                for (o, &xi) in oc.iter_mut().zip(xc) {
-                    *o = fast_powf(xi, a);
-                }
-            }
-        }
-    }
-    for (o, &xi) in outs.into_remainder().iter_mut().zip(chunks.remainder()) {
-        *o = fast_powf(xi, a);
-    }
-}
-
-/// `Simd<f64, 8>` mirror of [`ln_core`]/[`exp_core`]: the same IEEE
-/// operations in the same order, so each lane is bit-identical to the
-/// scalar path.
-#[cfg(feature = "simd")]
-mod simd {
-    use super::{
-        EXP_FAST_LIMIT, INV_LN2, LG1, LG2, LG3, LG4, LG5, LG6, LG7, LN2_HI, LN2_LO, P1, P2, P3, P4,
-        P5,
-    };
-    use std::simd::prelude::*;
-
-    pub(super) const WIDTH: usize = 8;
-    type F = Simd<f64, WIDTH>;
-    type U = Simd<u64, WIDTH>;
-    type I = Simd<i64, WIDTH>;
-
-    #[inline(always)]
-    fn ln_core_v(x: F) -> F {
-        let bits = x.to_bits();
-        let hx = bits >> U::splat(32);
-        let k0 = (hx >> U::splat(20)).cast::<i64>() - I::splat(1023);
-        let hxm = hx & U::splat(0x000f_ffff);
-        let i = (hxm + U::splat(0x95f64)) & U::splat(0x10_0000);
-        let mant_hi = hxm | (i ^ U::splat(0x3ff0_0000));
-        let m = F::from_bits((mant_hi << U::splat(32)) | (bits & U::splat(0xffff_ffff)));
-        let k = k0 + (i >> U::splat(20)).cast::<i64>();
-        let f = m - F::splat(1.0);
-        let s = f / (F::splat(2.0) + f);
-        let z = s * s;
-        let w = z * z;
-        let t1 = w * (F::splat(LG2) + w * (F::splat(LG4) + w * F::splat(LG6)));
-        let t2 =
-            z * (F::splat(LG1) + w * (F::splat(LG3) + w * (F::splat(LG5) + w * F::splat(LG7))));
-        let r = t2 + t1;
-        let hfsq = F::splat(0.5) * f * f;
-        let dk = k.cast::<f64>();
-        dk * F::splat(LN2_HI) - ((hfsq - (s * (hfsq + r) + dk * F::splat(LN2_LO))) - f)
-    }
-
-    #[inline(always)]
-    fn exp_core_v(x: F) -> F {
-        let half = x
-            .simd_lt(F::splat(0.0))
-            .select(F::splat(-0.5), F::splat(0.5));
-        let k = (F::splat(INV_LN2) * x + half).cast::<i64>();
-        let kd = k.cast::<f64>();
-        let hi = x - kd * F::splat(LN2_HI);
-        let lo = kd * F::splat(LN2_LO);
-        let xr = hi - lo;
-        let t = xr * xr;
-        let c = xr
-            - t * (F::splat(P1)
-                + t * (F::splat(P2) + t * (F::splat(P3) + t * (F::splat(P4) + t * F::splat(P5)))));
-        let y = F::splat(1.0) - ((lo - (xr * c) / (F::splat(2.0) - c)) - hi);
-        y * F::from_bits((k + I::splat(1023)).cast::<u64>() << U::splat(52))
-    }
-
-    /// One 8-lane `x^a` chunk, or `None` when any lane needs a `std`
-    /// fallback (the caller then runs the chunk through the scalar path).
-    #[inline]
-    pub(super) fn pow_chunk(x: &[f64], a: f64) -> Option<[f64; WIDTH]> {
-        let v = F::from_slice(x);
-        let fast_ln_ok = v.simd_ge(F::splat(f64::MIN_POSITIVE)) & v.simd_le(F::splat(f64::MAX));
-        if !fast_ln_ok.all() {
-            return None;
-        }
-        let arg = F::splat(a) * ln_core_v(v);
-        if !arg.abs().simd_le(F::splat(EXP_FAST_LIMIT)).all() {
-            return None;
-        }
-        Some(exp_core_v(arg).to_array())
-    }
-}
-
-/// Stable-Rust AVX2 mirror of [`ln_core`]/[`exp_core`] on four `f64`
+/// AVX2 mirror of [`ln_core`]/[`exp_core`] on four `f64`
 /// lanes: the same IEEE operations in the same order (multiplies and
 /// adds kept separate — no FMA contraction), so each lane is
 /// bit-identical to the scalar path. Integer plumbing that has no
 /// 64-bit AVX2 instruction (lane-count conversions) goes through packed
 /// 32-bit halves, which is exact because every value involved — the
 /// unbiased exponent `k` — is a small integer.
-#[cfg(all(target_arch = "x86_64", not(feature = "simd")))]
+#[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::{
         fast_powf, EXP_FAST_LIMIT, INV_LN2, LG1, LG2, LG3, LG4, LG5, LG6, LG7, LN2_HI, LN2_LO, P1,
@@ -574,7 +461,7 @@ mod tests {
 
     #[test]
     fn pow_slice_is_elementwise_fast_powf() {
-        // Lengths straddling the SIMD width, values forcing both the fast
+        // Lengths straddling the AVX2 width, values forcing both the fast
         // path and the std fallback (zero share, huge share).
         for len in [0usize, 1, 5, 7, 8, 9, 16, 23] {
             let xs: Vec<f64> = (0..len)
@@ -605,10 +492,10 @@ mod tests {
         pow_slice(&[1.0, 2.0, 3.0], 2.0, &mut out);
     }
 
-    /// Dense magnitude sweep pinning the vector path (AVX2 or portable
-    /// SIMD, whichever is compiled/detected) bit-for-bit to the scalar
-    /// one — the invariant that keeps batched-solver results independent
-    /// of where a lane lands relative to a chunk boundary.
+    /// Dense magnitude sweep pinning the vector path (AVX2, when the CPU
+    /// has it) bit-for-bit to the scalar one — the invariant that keeps
+    /// batched-solver results independent of where a lane lands relative
+    /// to a chunk boundary.
     #[test]
     fn pow_slice_is_bitwise_scalar_across_the_range() {
         let xs: Vec<f64> = (0..10_000)

@@ -1,6 +1,5 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
-#![cfg_attr(feature = "simd", feature(portable_simd))]
 
 //! # dlt-core
 //!
@@ -23,11 +22,12 @@
 //!   under both communication models. The parallel model runs the
 //!   structure-of-arrays lanes kernel of [`batch`], threaded across
 //!   consecutive solves by a [`batch::BatchSolver`] handle; the one-port
-//!   model keeps a scalar [`nonlinear::WarmStart`]; the original nested
-//!   bisection is kept as the `*_reference` oracles. These are the *baselines* whose asymptotic
-//!   irrelevance the paper proves. The solvers are generic over a
-//!   pluggable [`costmodel::CostModel`] — a bare `f64` α is the paper's
-//!   power law, and [`costmodel::AmdahlSerial`],
+//!   model runs the same outer Newton over a scalar inner loop; the
+//!   original nested bisection is kept as the `*_reference` oracles.
+//!   These are the *baselines* whose asymptotic irrelevance the paper
+//!   proves. The solvers are generic over a pluggable
+//!   [`costmodel::CostModel`] — a bare `f64` α is the paper's power law,
+//!   and [`costmodel::AmdahlSerial`],
 //!   [`costmodel::AffineLatency`], and [`costmodel::Piecewise`] open the
 //!   scenario families of arXiv:1902.01952 and friends.
 //! * **The no-free-lunch analysis** ([`analysis`]) — Section 2's result:
@@ -60,12 +60,9 @@ pub mod batch;
 pub mod costmodel;
 pub mod error;
 pub mod fastmath;
-pub mod installments;
 pub mod linear;
-pub mod model;
 pub mod nonlinear;
 
 pub use batch::{BatchSolver, SolveBackend};
-pub use costmodel::{AffineLatency, AlphaPower, AmdahlSerial, CostLaw, CostModel, Piecewise};
+pub use costmodel::{AffineLatency, AmdahlSerial, CostLaw, CostModel, Piecewise};
 pub use error::DltError;
-pub use model::LoadModel;

@@ -11,7 +11,8 @@
 //! Solvers use safeguarded Newton iterations at both levels: the outer
 //! loop finds the common finish time `T` with `Σ x_i(T) = N` by a
 //! derivative-driven root-finder that accepts a warm-start hint and falls
-//! back to bisection whenever a Newton step leaves the current bracket;
+//! back to bisection whenever a Newton step leaves the current bracket
+//! (one loop, shared by both communication models);
 //! the inner loop inverts the strictly monotone per-worker cost
 //! `c_i·x + w_i·x^α = T` by Newton descent from a closed-form upper bound
 //! (see `docs/solver.md` for the derivation and the convergence
@@ -30,7 +31,7 @@
 //! [`crate::costmodel`] ships Amdahl-like, affine-latency, and piecewise
 //! laws that ride the same Newton machinery.
 
-use crate::costmodel::{CostLaw, CostModel, ModelVisitor};
+use crate::costmodel::{CostLaw, CostModel};
 use crate::error::DltError;
 use dlt_platform::Platform;
 use dlt_sim::{ChunkAssignment, CommMode, Schedule};
@@ -117,70 +118,6 @@ impl Default for SolverConfig {
             residual_tol: 1e-13,
             max_outer: 256,
             max_inner: 64,
-        }
-    }
-}
-
-/// Reusable cross-solve state: seeds the outer bracket from the previous
-/// root.
-///
-/// Consecutive solves on the same (or a similar) platform — the FIFO
-/// installments of `dlt-multiload`, the per-load stretch denominators of
-/// `alone_makespans`, a sweep over α — have nearby finish times `T`. A
-/// handle threaded through [`equal_finish_one_port_with`] (and the one
-/// inside every [`crate::batch::BatchSolver`]) starts the next outer
-/// search at the previous root instead of at the worst-case single-worker
-/// bound, typically saving half the outer iterations.
-///
-/// The seed is only ever a *hint*: the solver probes it, keeps whichever
-/// side of the root it lands on, and expands geometrically when the seed
-/// no longer brackets the root — a stale handle can never change the root
-/// found, only the path to it (property-tested).
-///
-/// # Examples
-///
-/// ```
-/// use dlt_core::nonlinear::{equal_finish_one_port_with, SolverConfig, WarmStart};
-/// use dlt_platform::Platform;
-///
-/// let platform = Platform::from_speeds(&[1.0, 2.0, 4.0]).unwrap();
-/// let config = SolverConfig::default();
-/// let mut warm = WarmStart::default();
-/// // FIFO-style sequence of shrinking loads: each solve seeds the next.
-/// for n in [100.0, 80.0, 64.0] {
-///     let a = equal_finish_one_port_with(&platform, n, 2.0, None, &config, &mut warm).unwrap();
-///     assert!((a.x.iter().sum::<f64>() - n).abs() < 1e-9 * n);
-/// }
-/// assert!(warm.last().is_some());
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct WarmStart {
-    last_t: Option<f64>,
-}
-
-impl WarmStart {
-    /// A cold handle: the first solve through it behaves exactly like the
-    /// plain entry points.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// A handle pre-seeded with a finish-time guess (e.g. a closed-form
-    /// estimate). Non-finite or non-positive seeds are ignored.
-    pub fn seeded(t: f64) -> Self {
-        let mut w = Self::default();
-        w.record(t);
-        w
-    }
-
-    /// The root of the last solve threaded through this handle, if any.
-    pub fn last(&self) -> Option<f64> {
-        self.last_t
-    }
-
-    pub(crate) fn record(&mut self, t: f64) {
-        if t.is_finite() && t > 0.0 {
-            self.last_t = Some(t);
         }
     }
 }
@@ -329,6 +266,8 @@ pub struct HomogeneousNonlinear {
 /// The trivial optimal allocation on a fully homogeneous platform
 /// (Section 2): ordering is irrelevant, everyone gets `N/P`.
 ///
+/// Fails with [`DltError::EmptyPlatform`] when `p = 0`.
+///
 /// # Examples
 ///
 /// ```
@@ -347,7 +286,9 @@ pub fn homogeneous_allocation<M: CostModel>(
     w: f64,
 ) -> Result<HomogeneousNonlinear, DltError> {
     validate(n, &model)?;
-    assert!(p > 0, "need at least one worker");
+    if p == 0 {
+        return Err(DltError::EmptyPlatform);
+    }
     let share = n / p as f64;
     let makespan = model.cost(c, w, share);
     let work_done = p as f64 * model.work(share);
@@ -365,7 +306,7 @@ pub fn homogeneous_allocation<M: CostModel>(
 
 /// `T` upper bound shared by every solver: give the whole load to the
 /// single best worker.
-pub(crate) fn t_single_worker_bound<M: CostModel>(platform: &Platform, n: f64, model: M) -> f64 {
+fn t_single_worker_bound<M: CostModel>(platform: &Platform, n: f64, model: M) -> f64 {
     platform
         .iter()
         .map(|p| model.cost(p.inv_bandwidth(), p.w(), n))
@@ -460,7 +401,12 @@ fn validate_order(order: Option<Vec<usize>>, platform: &Platform) -> Result<Vec<
 /// w_{σ(k)} x_{σ(k)}^α`. Defaults to serving workers by non-decreasing
 /// `c_i` when no order is given.
 ///
-/// Cold-start convenience wrapper around [`equal_finish_one_port_with`].
+/// A cold solve at the default [`SolverConfig`]: the outer Newton of the
+/// lanes kernel over a scalar inner loop. Its derivative follows the
+/// chain rule through the serialized sends: worker `σ(k)` sees the local
+/// window `s_k = t − Σ_{j<k} c_j x_j`, so
+/// `dx_k/dt = (1 − Σ_{j<k} c_j · dx_j/dt) / f'_k(x_k)`, accumulated in
+/// service order.
 ///
 /// # Examples
 ///
@@ -481,99 +427,28 @@ pub fn equal_finish_one_port<M: CostModel>(
     model: M,
     order: Option<Vec<usize>>,
 ) -> Result<NonlinearAllocation, DltError> {
-    equal_finish_one_port_with(
-        platform,
-        n,
-        model,
-        order,
-        &SolverConfig::default(),
-        &mut WarmStart::new(),
-    )
-}
-
-/// [`equal_finish_one_port`] with explicit tunables and a warm-start
-/// handle. A cold handle reproduces the plain entry point bit for bit; a
-/// warm one seeds the outer bracket from the previous root (and is
-/// updated with this solve's root on success).
-///
-/// The outer derivative follows the chain rule through the serialized
-/// sends: worker `σ(k)` sees the local window `s_k = t − Σ_{j<k} c_j x_j`,
-/// so `dx_k/dt = (1 − Σ_{j<k} c_j · dx_j/dt) / f'_k(x_k)`, accumulated in
-/// service order.
-pub fn equal_finish_one_port_with<M: CostModel>(
-    platform: &Platform,
-    n: f64,
-    model: M,
-    order: Option<Vec<usize>>,
-    config: &SolverConfig,
-    warm: &mut WarmStart,
-) -> Result<NonlinearAllocation, DltError> {
-    // Unswitch first (one match for a `CostLaw`, a no-op for concrete
-    // models), so the Newton loops below always run monomorphic.
-    struct Solve<'a> {
-        platform: &'a Platform,
-        n: f64,
-        order: Option<Vec<usize>>,
-        config: &'a SolverConfig,
-        warm: &'a mut WarmStart,
-    }
-    impl ModelVisitor for Solve<'_> {
-        type Out = Result<NonlinearAllocation, DltError>;
-        fn visit<M: CostModel>(self, model: M) -> Self::Out {
-            equal_finish_one_port_mono(
-                self.platform,
-                self.n,
-                model,
-                self.order,
-                self.config,
-                self.warm,
-            )
-        }
-    }
-    model.unswitch(Solve {
-        platform,
-        n,
-        order,
-        config,
-        warm,
-    })
-}
-
-/// The monomorphic body of [`equal_finish_one_port_with`], reached only
-/// through [`CostModel::unswitch`].
-fn equal_finish_one_port_mono<M: CostModel>(
-    platform: &Platform,
-    n: f64,
-    model: M,
-    order: Option<Vec<usize>>,
-    config: &SolverConfig,
-    warm: &mut WarmStart,
-) -> Result<NonlinearAllocation, DltError> {
     validate(n, &model)?;
-    let p = platform.len();
     let order = validate_order(order, platform)?;
-    let order_for_closure = order.clone();
-    let max_inner = config.max_inner;
-    let eval = move |t: f64| -> (Vec<f64>, f64) {
-        let mut x = vec![0.0; p];
+    let config = SolverConfig::default();
+    let mut x = vec![0.0; platform.len()];
+    let t = outer_newton(platform, n, model, None, &config, |t| {
         let mut elapsed_comm = 0.0;
         let mut elapsed_slope = 0.0;
         let mut slope = 0.0;
-        for &i in &order_for_closure {
+        for &i in &order {
             let worker = platform.worker(i);
             let c = worker.inv_bandwidth();
             let (xi, dxi_local) =
-                invert_cost_newton(model, c, worker.w(), t - elapsed_comm, max_inner);
+                invert_cost_newton(model, c, worker.w(), t - elapsed_comm, config.max_inner);
             let dxi_dt = dxi_local * (1.0 - elapsed_slope);
             x[i] = xi;
             elapsed_comm += c * xi;
             elapsed_slope += c * dxi_dt;
             slope += dxi_dt;
         }
-        (x, slope)
-    };
-    let t_hi_seed = t_single_worker_bound(platform, n, model);
-    let (t, x) = solve_total(n, t_hi_seed, config, warm, eval)?;
+        (x.iter().sum(), slope)
+    })?;
+    rescale(&mut x, n);
     Ok(NonlinearAllocation {
         x,
         makespan: t,
@@ -625,41 +500,45 @@ pub fn equal_finish_one_port_reference<M: CostModel>(
 // Outer solve: Σ x_i(T) = n
 // ---------------------------------------------------------------------------
 
-/// Outer root-finder: finds `T` with `Σ shares(T) = n` by safeguarded
-/// Newton on the monotone total.
+/// The outer root-finder of both communication models: finds `T` with
+/// `Σ xᵢ(T) = n` by safeguarded Newton on the monotone total.
 ///
-/// `eval(t)` returns the shares and the analytic slope `d(Σx)/dt`. The
-/// iteration maintains a bracket `[lo, hi]` around the root: a Newton step
-/// is accepted only when it lands strictly inside, otherwise the midpoint
-/// is taken (so the worst case degenerates to plain bisection, never
-/// divergence). The first probe is the warm-start seed when one is
-/// recorded, else the single-best-worker bound `t_hi_seed`; while no upper
-/// bound has been confirmed yet (`g < 0` everywhere so far, possible under
-/// a stale warm seed), the hunt doubles `t` unless Newton already jumps
-/// further right.
+/// `eval(t)` computes the shares at `t` into the caller's own storage and
+/// returns their sum and the analytic slope `d(Σx)/dt`. The iteration
+/// maintains a bracket `[lo, hi]` around the root: a Newton step is
+/// accepted only when it lands strictly inside, otherwise the midpoint is
+/// taken (so the worst case degenerates to plain bisection, never
+/// divergence). The first probe is `hint` when there is one, else the
+/// single-best-worker bound; while no upper bound has been confirmed yet
+/// (`g < 0` everywhere so far, possible under a stale hint), the hunt
+/// doubles `t` unless Newton already jumps further right. The bound costs
+/// `p` cost evaluations, so it is computed only when first needed: a warm
+/// solve that converges without hunting never pays for it.
 ///
-/// The returned shares are rescaled so they sum to exactly `n` (keeps
-/// downstream accounting clean); the returned `t` is the last evaluated
-/// iterate, whose residual is below `config.residual_tol · n`.
-fn solve_total<F>(
+/// Returns the last evaluated iterate, whose residual is below
+/// `config.residual_tol · n` (or whose bracket is tight); the caller's
+/// shares are those of that final `eval`, which the caller finishes
+/// (rescale, conservation pin) itself.
+pub(crate) fn outer_newton<M: CostModel>(
+    platform: &Platform,
     n: f64,
-    t_hi_seed: f64,
+    model: M,
+    hint: Option<f64>,
     config: &SolverConfig,
-    warm: &mut WarmStart,
-    mut eval: F,
-) -> Result<(f64, Vec<f64>), DltError>
-where
-    F: FnMut(f64) -> (Vec<f64>, f64),
-{
+    mut eval: impl FnMut(f64) -> (f64, f64),
+) -> Result<f64, DltError> {
+    let mut bound = None;
+    let mut t_hi_seed =
+        || *bound.get_or_insert_with(|| t_single_worker_bound(platform, n, model).max(1e-300));
     let mut lo = 0.0f64;
     let mut hi = f64::INFINITY;
-    let mut t = match warm.last() {
+    let mut t = match hint {
         Some(seed) => seed,
-        None => t_hi_seed.max(1e-300),
+        None => t_hi_seed(),
     };
     for _ in 0..config.max_outer {
-        let (x, slope) = eval(t);
-        let g = x.iter().sum::<f64>() - n;
+        let (total, slope) = eval(t);
+        let g = total - n;
         if g < 0.0 {
             lo = t;
         } else {
@@ -667,16 +546,7 @@ where
         }
         let bracket_tight = hi.is_finite() && hi - lo <= config.rel_tol * hi.max(1.0);
         if g.abs() <= config.residual_tol * n || bracket_tight {
-            let mut x = x;
-            let s: f64 = x.iter().sum();
-            if s > 0.0 {
-                let scale = n / s;
-                for xi in &mut x {
-                    *xi *= scale;
-                }
-            }
-            warm.record(t);
-            return Ok((t, x));
+            return Ok(t);
         }
         let newton = if slope > 0.0 { t - g / slope } else { f64::NAN };
         t = if hi.is_finite() {
@@ -686,9 +556,9 @@ where
                 0.5 * (lo + hi)
             }
         } else {
-            // Still hunting an upper bound (stale warm seed below the
-            // root): take the Newton step when it outruns doubling.
-            let doubled = (2.0 * t).max(t_hi_seed.max(1e-300));
+            // Still hunting an upper bound (stale hint below the root):
+            // take the Newton step when it outruns doubling.
+            let doubled = (2.0 * t).max(t_hi_seed());
             if doubled > 1e300 {
                 return Err(DltError::NoConvergence {
                     context: "outer upper-bound hunt",
@@ -704,6 +574,20 @@ where
     Err(DltError::NoConvergence {
         context: "outer Newton iteration",
     })
+}
+
+/// Rescales the shares by `n / Σ xᵢ` so they sum to `n` (keeps downstream
+/// accounting clean); returns `false`, leaving them as they are, when the
+/// sum is not positive.
+pub(crate) fn rescale(x: &mut [f64], n: f64) -> bool {
+    let s: f64 = x.iter().sum();
+    if s > 0.0 {
+        let scale = n / s;
+        for xi in x.iter_mut() {
+            *xi *= scale;
+        }
+    }
+    s > 0.0
 }
 
 /// The original outer bisection (`Σ shares_at(T) = n`) — the outer loop of
@@ -988,6 +872,7 @@ mod tests {
         let cold = equal_finish_parallel(&platform, 25.0, 2.0).unwrap();
         for seed in [1e-30, 1e-3, 1e3, 1e30] {
             let mut solver = crate::batch::BatchSolver::seeded(seed);
+            assert_eq!(solver.last_makespan(), Some(seed));
             let a = solver.solve(&platform, 25.0, 2.0, &config).unwrap();
             assert!(
                 rel(a.makespan, cold.makespan) < 1e-9,
@@ -997,18 +882,14 @@ mod tests {
             );
             // The handle was refreshed with the actual root.
             assert!(rel(solver.last_makespan().unwrap(), cold.makespan) < 1e-9);
-            // The one-port solver's scalar handle falls back the same way.
-            let mut warm = WarmStart::seeded(seed);
-            let op = equal_finish_one_port_with(&platform, 25.0, 2.0, None, &config, &mut warm);
-            let op_cold = equal_finish_one_port(&platform, 25.0, 2.0, None).unwrap();
-            assert!(
-                rel(op.unwrap().makespan, op_cold.makespan) < 1e-9,
-                "seed {seed}"
-            );
         }
         // Non-finite / non-positive seeds are ignored entirely.
-        assert_eq!(WarmStart::seeded(f64::NAN), WarmStart::new());
-        assert_eq!(WarmStart::seeded(-1.0), WarmStart::new());
+        for seed in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            assert_eq!(
+                crate::batch::BatchSolver::seeded(seed).last_makespan(),
+                None
+            );
+        }
     }
 
     #[test]
@@ -1072,6 +953,10 @@ mod tests {
         assert!(equal_finish_parallel(&platform, 10.0, 0.5).is_err());
         assert!(equal_finish_one_port(&platform, 10.0, 2.0, Some(vec![1])).is_err());
         assert!(homogeneous_allocation(4, f64::NAN, 2.0, 1.0, 1.0).is_err());
+        assert_eq!(
+            homogeneous_allocation(0, 10.0, 2.0, 1.0, 1.0),
+            Err(DltError::EmptyPlatform)
+        );
         assert!(equal_finish_parallel_reference(&platform, 0.0, 2.0).is_err());
         assert!(equal_finish_one_port_reference(&platform, 10.0, 2.0, Some(vec![1])).is_err());
     }

@@ -11,7 +11,7 @@
 //! sweeps that bound across:
 //!
 //! * platform widths p ∈ {1, 2, 7, 8, 64, 512} — the service's p = 8,
-//!   and widths that are not a multiple of the 8-lane SIMD chunk, so
+//!   and widths that are not a multiple of the 4-lane AVX2 chunk, so
 //!   remainder lanes stay honest;
 //! * every [`CostLaw`] variant with α ∈ (1, 24] plus the α = 1 exact
 //!   linear path;
@@ -24,10 +24,9 @@
 //! the kernel's own arithmetic recovers `x[k]` bitwise — and
 //! **determinism** — a fresh handle given the same inputs reproduces
 //! the same bits (no hidden state leaks between handles). The kernel-
-//! level half of lane-count independence (SIMD chunks bit-identical to
+//! level half of lane-count independence (AVX2 chunks bit-identical to
 //! the scalar fallback at every position, so results cannot depend on
-//! `p mod 8`) is pinned by `fastmath`'s bitwise `pow_slice` unit test,
-//! which CI runs under both feature configurations.
+//! `p mod 4`) is pinned by `fastmath`'s bitwise `pow_slice` unit test.
 //!
 //! Proptest cases honor `PROPTEST_CASES` / `PROPTEST_SEED`, which the
 //! CI seed-matrix job pins at 512 × {1, 2}.
@@ -60,7 +59,7 @@ fn platform_strategy() -> impl Strategy<Value = Platform> {
     (0usize..DRAWS.len()).prop_flat_map(|i| platform_of_width(DRAWS[i]))
 }
 
-/// Widths straddling (and avoiding) multiples of the 8-lane SIMD chunk.
+/// Widths straddling (and avoiding) multiples of the 4-lane AVX2 chunk.
 fn remainder_platform_strategy() -> impl Strategy<Value = Platform> {
     const REMAINDER_WIDTHS: [usize; 5] = [7, 9, 11, 15, 17];
     (0usize..REMAINDER_WIDTHS.len()).prop_flat_map(|i| platform_of_width(REMAINDER_WIDTHS[i]))
@@ -240,10 +239,10 @@ proptest! {
         check(&mut solver, &platform, n, law, &format!("stale seed 1e{seed_exp}"));
     }
 
-    // Remainder lanes: widths that are not a multiple of the 8-lane
-    // SIMD chunk hold the same oracle bound (combined with fastmath's
-    // bitwise scalar/SIMD kernel test, results are lane-count
-    // independent under either feature configuration).
+    // Remainder lanes: widths that are not a multiple of the 4-lane
+    // AVX2 chunk hold the same oracle bound (combined with fastmath's
+    // bitwise scalar/AVX2 kernel test, results are lane-count
+    // independent).
     #[test]
     fn remainder_lane_widths_match_the_oracle(
         platform in remainder_platform_strategy(),

@@ -92,7 +92,6 @@ pub mod policy;
 pub mod round_robin;
 pub mod service;
 
-pub use dlt_core::batch::BatchSolver;
 pub use error::MultiLoadError;
 pub use event_queue::{PendingEntry, PendingSet};
 pub use failure::{

@@ -140,11 +140,12 @@ fn chunk_queue(loads: &[LoadSpec], chunks_per_load: usize) -> Vec<Chunk> {
 /// single-load runs stay bit-identical to [`dlt_sim::simulate_demand`].
 #[inline]
 fn occupancy(platform: &Platform, w: usize, data: f64, work: f64, include_comm: bool) -> f64 {
-    let config = DemandConfig {
-        include_comm,
-        ..Default::default()
-    };
-    dlt_sim::occupancy(platform, w, DemandTask::new(data, work), config)
+    dlt_sim::occupancy(
+        platform,
+        w,
+        DemandTask::new(data, work),
+        DemandConfig { include_comm },
+    )
 }
 
 /// Shared post-processing: per-load metrics from the chunk log.

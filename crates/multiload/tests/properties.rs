@@ -261,7 +261,7 @@ proptest! {
         let demand = simulate_demand(
             &platform,
             &tasks,
-            DemandConfig { include_comm, ..Default::default() },
+            DemandConfig { include_comm },
         );
         // The heap machineries agree bit for bit.
         prop_assert_eq!(&out.report.worker_finish, &demand.finish_times);

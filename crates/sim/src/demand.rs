@@ -28,23 +28,10 @@ impl DemandTask {
     }
 }
 
-/// Order in which queued tasks are handed out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DemandPolicy {
-    /// Tasks are served in queue order (the default; what Hadoop's input
-    /// splits give you).
-    #[default]
-    Fifo,
-    /// Largest remaining work first — the classical LPT heuristic, kept as
-    /// an ablation knob.
-    LargestFirst,
-}
-
-/// Configuration of the demand-driven executor.
+/// Configuration of the demand-driven executor. Tasks are always handed
+/// out in queue order (what Hadoop's input splits give you).
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DemandConfig {
-    /// Dispatch order.
-    pub policy: DemandPolicy,
     /// When true, the time a worker occupies per task includes the transfer
     /// `c_i · data`; when false (the paper's accounting) only computation
     /// counts toward finish times and the transfer is tracked as volume
@@ -114,21 +101,6 @@ impl DemandReport {
     }
 }
 
-/// Dispatch order of the task queue under `policy`.
-fn dispatch_order(tasks: &[DemandTask], policy: DemandPolicy) -> Vec<usize> {
-    let mut order: Vec<usize> = (0..tasks.len()).collect();
-    if policy == DemandPolicy::LargestFirst {
-        order.sort_by(|&a, &b| {
-            tasks[b]
-                .work
-                .partial_cmp(&tasks[a].work)
-                .unwrap()
-                .then(a.cmp(&b))
-        });
-    }
-    order
-}
-
 /// Time worker `w` is occupied by `task` under `config`: compute time,
 /// plus the transfer time when [`DemandConfig::include_comm`] is set.
 ///
@@ -178,8 +150,7 @@ pub fn simulate_demand(
     let mut finish = vec![0.0f64; p];
     let mut volume = vec![0.0f64; p];
 
-    for idx in dispatch_order(tasks, config.policy) {
-        let task = tasks[idx];
+    for (idx, &task) in tasks.iter().enumerate() {
         debug_assert!(task.data >= 0.0 && task.work >= 0.0);
         let Reverse((OrdF64(free), w)) = heap.pop().expect("heap holds every worker");
         let done = free + occupancy(platform, w, task, config);
@@ -407,8 +378,7 @@ pub fn simulate_demand_reference(
     let mut assignments = vec![Vec::new(); p];
     let mut volume = vec![0.0f64; p];
 
-    for idx in dispatch_order(tasks, config.policy) {
-        let task = tasks[idx];
+    for (idx, &task) in tasks.iter().enumerate() {
         debug_assert!(task.data >= 0.0 && task.work >= 0.0);
         // Earliest-free worker, smallest id on ties: strict `<` over the
         // same total order the heap uses.
@@ -510,10 +480,7 @@ mod tests {
         // path: communication lengthens busy workers' finish times but an
         // unassigned worker still pins tmin at 0.
         let platform = Platform::from_speeds_and_costs(&[1.0, 1.0, 1.0], &[2.0, 2.0, 2.0]).unwrap();
-        let config = DemandConfig {
-            include_comm: true,
-            ..Default::default()
-        };
+        let config = DemandConfig { include_comm: true };
         let r = simulate_demand(&platform, &uniform_tasks(2, 3.0, 4.0), config);
         assert_eq!(r.tmin(), 0.0);
         assert!(r.imbalance().is_infinite());
@@ -528,17 +495,7 @@ mod tests {
         // is a free-time tie, the harshest determinism test.
         let platform = Platform::homogeneous(4, 1.0, 1.0).unwrap();
         let tasks = uniform_tasks(13, 1.0, 1.0);
-        for config in [
-            DemandConfig::default(),
-            DemandConfig {
-                include_comm: true,
-                ..Default::default()
-            },
-            DemandConfig {
-                policy: DemandPolicy::LargestFirst,
-                ..Default::default()
-            },
-        ] {
+        for config in [DemandConfig::default(), DemandConfig { include_comm: true }] {
             let heap = simulate_demand(&platform, &tasks, config);
             let linear = simulate_demand_reference(&platform, &tasks, config);
             assert_eq!(heap, linear, "config {config:?}");
@@ -561,35 +518,9 @@ mod tests {
         let platform = Platform::from_speeds_and_costs(&[1.0], &[2.0]).unwrap();
         let tasks = uniform_tasks(1, 3.0, 4.0);
         let without = simulate_demand(&platform, &tasks, DemandConfig::default());
-        let with = simulate_demand(
-            &platform,
-            &tasks,
-            DemandConfig {
-                include_comm: true,
-                ..Default::default()
-            },
-        );
+        let with = simulate_demand(&platform, &tasks, DemandConfig { include_comm: true });
         assert_eq!(without.tmax(), 4.0);
         assert_eq!(with.tmax(), 4.0 + 6.0);
-    }
-
-    #[test]
-    fn largest_first_reduces_imbalance_on_skewed_tasks() {
-        let platform = Platform::homogeneous(2, 1.0, 1.0).unwrap();
-        // One huge task plus several small ones: FIFO may finish unevenly.
-        let mut tasks = vec![DemandTask::new(1.0, 1.0); 6];
-        tasks.push(DemandTask::new(1.0, 6.0));
-        let fifo = simulate_demand(&platform, &tasks, DemandConfig::default());
-        let lpt = simulate_demand(
-            &platform,
-            &tasks,
-            DemandConfig {
-                policy: DemandPolicy::LargestFirst,
-                ..Default::default()
-            },
-        );
-        assert!(lpt.tmax() <= fifo.tmax() + 1e-12);
-        assert_eq!(lpt.tmax(), 6.0); // big task alone on one worker
     }
 
     #[test]
@@ -607,17 +538,7 @@ mod tests {
         // out round-robin, bit-identical to the linear-scan reference.
         let platform = Platform::homogeneous(3, 1.5, 0.5).unwrap();
         for count in [1usize, 2, 3, 7, 100] {
-            for config in [
-                DemandConfig::default(),
-                DemandConfig {
-                    include_comm: true,
-                    ..Default::default()
-                },
-                DemandConfig {
-                    policy: DemandPolicy::LargestFirst,
-                    ..Default::default()
-                },
-            ] {
+            for config in [DemandConfig::default(), DemandConfig { include_comm: true }] {
                 let tasks = uniform_tasks(count, 2.5, 3.25);
                 let heap = simulate_demand(&platform, &tasks, config);
                 let reference = simulate_demand_reference(&platform, &tasks, config);

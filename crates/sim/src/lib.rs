@@ -41,7 +41,7 @@ pub mod star;
 
 pub use demand::{
     occupancy, simulate_demand, simulate_demand_identical, simulate_demand_reference, DemandConfig,
-    DemandCounts, DemandPolicy, DemandReport, DemandTask, OrdF64,
+    DemandCounts, DemandReport, DemandTask, OrdF64,
 };
 pub use gantt::{ascii_gantt, TraceEvent, TraceKind};
 pub use metrics::{imbalance, utilization};

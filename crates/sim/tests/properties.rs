@@ -6,7 +6,7 @@
 use dlt_platform::Platform;
 use dlt_sim::{
     simulate, simulate_demand, simulate_demand_identical, simulate_demand_reference,
-    ChunkAssignment, CommMode, DemandConfig, DemandPolicy, DemandTask, Round, Schedule,
+    ChunkAssignment, CommMode, DemandConfig, DemandTask, Round, Schedule,
 };
 use proptest::prelude::*;
 
@@ -114,13 +114,9 @@ proptest! {
             0..80,
         ),
         include_comm in any::<bool>(),
-        largest_first in any::<bool>(),
     ) {
         let platform = Platform::from_speeds(&speeds).unwrap();
-        let config = DemandConfig {
-            policy: if largest_first { DemandPolicy::LargestFirst } else { DemandPolicy::Fifo },
-            include_comm,
-        };
+        let config = DemandConfig { include_comm };
         let heap = simulate_demand(&platform, &tasks, config);
         let linear = simulate_demand_reference(&platform, &tasks, config);
         // Bit-identical, not approximately equal: both schedulers must
@@ -142,7 +138,7 @@ proptest! {
             .iter()
             .map(|&w| DemandTask::new(1.0, w as f64))
             .collect();
-        let config = DemandConfig { include_comm, ..Default::default() };
+        let config = DemandConfig { include_comm };
         let heap = simulate_demand(&platform, &tasks, config);
         let linear = simulate_demand_reference(&platform, &tasks, config);
         prop_assert_eq!(heap, linear);
@@ -157,7 +153,6 @@ proptest! {
         data in 0.0f64..10.0,
         work in 0.0f64..10.0,
         include_comm in any::<bool>(),
-        largest_first in any::<bool>(),
     ) {
         // Homogeneous platform + identical tasks: every decision is a
         // free-time tie, and the heap must still reproduce the linear-scan
@@ -165,10 +160,7 @@ proptest! {
         // for ulp.
         let platform = Platform::homogeneous(n_workers, speed, cost.max(1e-6)).unwrap();
         let tasks = vec![DemandTask::new(data, work); n_tasks];
-        let config = DemandConfig {
-            policy: if largest_first { DemandPolicy::LargestFirst } else { DemandPolicy::Fifo },
-            include_comm,
-        };
+        let config = DemandConfig { include_comm };
         let heap = simulate_demand(&platform, &tasks, config);
         let linear = simulate_demand_reference(&platform, &tasks, config);
         prop_assert_eq!(heap, linear);
