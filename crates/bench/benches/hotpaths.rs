@@ -58,6 +58,9 @@
 //! from fewer repetitions — the CI regression-guard mode, which keeps the
 //! bench job fast while still producing comparable speedup ratios.
 
+// Benchmark code: timing reads the wall clock by design.
+#![allow(clippy::disallowed_methods)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dlt_bench::BENCH_SEED;
 use dlt_core::batch::BatchSolver;

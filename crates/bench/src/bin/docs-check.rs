@@ -17,16 +17,16 @@
 //!   identifier anywhere in the `.rs` sources under the `--src` roots
 //!   (default: `crates` and `src`, relative to the working directory).
 //!
-//! The identifier harvesting is `dlt_analyze::idents` — the same
-//! full-fidelity set (comments and strings included) this binary always
-//! used, now shared with the workspace determinism linter. Matching
-//! identifiers instead of declarations keeps the checker free of parsing
+//! The identifier set is every identifier-shaped word of the sources,
+//! comments and strings included, so docs may cite a symbol that only a
+//! doc comment mentions. Matching identifiers instead of declarations
+//! keeps the checker free of parsing
 //! while still catching the failure mode that matters: a symbol renamed
 //! or deleted in the sources disappears from the identifier set, and
 //! every doc span still pointing at it turns into a CI failure.
 //! Directories passed as inputs are scanned recursively for `.md` files.
 
-use dlt_analyze::idents::identifier_set;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -80,9 +80,9 @@ fn referenced_identifier(span: &str) -> Option<String> {
     Some(last.to_string())
 }
 
-/// Recursively lists the `.md` files named by `input` (a file or a
-/// directory tree).
-fn markdown_files(input: &Path) -> std::io::Result<Vec<PathBuf>> {
+/// Recursively lists the files with extension `ext` named by `input` (a
+/// file or a directory tree).
+fn files_under(input: &Path, ext: &str) -> std::io::Result<Vec<PathBuf>> {
     if input.is_file() {
         return Ok(vec![input.to_path_buf()]);
     }
@@ -93,13 +93,30 @@ fn markdown_files(input: &Path) -> std::io::Result<Vec<PathBuf>> {
             let path = entry?.path();
             if path.is_dir() {
                 stack.push(path);
-            } else if path.extension().is_some_and(|e| e == "md") {
+            } else if path.extension().is_some_and(|e| e == ext) {
                 files.push(path);
             }
         }
     }
     files.sort();
     Ok(files)
+}
+
+/// Every `[A-Za-z_][A-Za-z0-9_]*` word of the `.rs` files under `roots`,
+/// comments and string literals included.
+fn identifier_set(roots: &[PathBuf]) -> std::io::Result<BTreeSet<String>> {
+    let mut idents = BTreeSet::new();
+    for root in roots {
+        for path in files_under(root, "rs")? {
+            let text = std::fs::read_to_string(&path)?;
+            idents.extend(
+                text.split(|c: char| !c.is_ascii_alphanumeric() && c != '_')
+                    .filter(|word| word.starts_with(|c: char| c.is_ascii_alphabetic() || c == '_'))
+                    .map(str::to_string),
+            );
+        }
+    }
+    Ok(idents)
 }
 
 fn run(inputs: &[PathBuf], src_roots: &[PathBuf]) -> Result<(), String> {
@@ -111,8 +128,8 @@ fn run(inputs: &[PathBuf], src_roots: &[PathBuf]) -> Result<(), String> {
     let mut failures = Vec::new();
     let mut checked = 0usize;
     for input in inputs {
-        let files =
-            markdown_files(input).map_err(|e| format!("cannot read {}: {e}", input.display()))?;
+        let files = files_under(input, "md")
+            .map_err(|e| format!("cannot read {}: {e}", input.display()))?;
         for file in files {
             let text = std::fs::read_to_string(&file)
                 .map_err(|e| format!("cannot read {}: {e}", file.display()))?;
@@ -209,22 +226,28 @@ mod tests {
     }
 
     #[test]
-    fn shared_identifier_set_keeps_full_fidelity() {
+    fn identifier_set_keeps_full_fidelity() {
         // The resolution contract: identifiers mentioned only in
-        // comments or strings still resolve (docs may cite them), which
-        // is exactly what `dlt_analyze::idents::identifier_set`'s
-        // full-fidelity scan provides.
+        // comments or strings still resolve (docs may cite them), and
+        // digit-led words are not identifiers.
         let dir = std::env::temp_dir().join(format!("docs-check-fid-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(
             dir.join("lib.rs"),
-            "// commented_symbol\npub fn real_symbol() { let _ = \"string_symbol\"; }",
+            "// commented_symbol\npub fn real_symbol(x: u32) -> Baz2 { let _ = \"string_symbol\"; 32 }",
         )
         .unwrap();
         let set = identifier_set(std::slice::from_ref(&dir)).unwrap();
-        assert!(set.contains("real_symbol"));
-        assert!(set.contains("commented_symbol"));
-        assert!(set.contains("string_symbol"));
+        for ident in [
+            "real_symbol",
+            "commented_symbol",
+            "string_symbol",
+            "u32",
+            "Baz2",
+        ] {
+            assert!(set.contains(ident), "{ident}");
+        }
+        assert!(!set.contains("32"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,5 +1,10 @@
 //! The paper's closed-form analyses (Sections 2 and 3.1).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the paper's closed-form Section 2 and 3.1 formulas, one evaluation per table row, pinned by the committed CSVs"
+)]
+
 /// Section 2: fraction of the total work **left over** after one optimal
 /// DLT round of an `x^α` workload on `P` homogeneous workers:
 ///
@@ -12,13 +17,6 @@ pub fn remaining_fraction_homogeneous(p: usize, alpha: f64) -> f64 {
     1.0 - (p as f64).powf(1.0 - alpha)
 }
 
-/// Section 2: the work performed during the round, `W_partial = N^α /
-/// P^{α−1}`.
-pub fn partial_work_homogeneous(n: f64, p: usize, alpha: f64) -> f64 {
-    assert!(p > 0 && alpha >= 1.0 && n > 0.0);
-    n.powf(alpha) / (p as f64).powf(alpha - 1.0)
-}
-
 /// Section 3.1: for sorting (`W = N log N`), the fraction of work that is
 /// *not* covered by the embarrassingly parallel local sorts:
 ///
@@ -29,14 +27,6 @@ pub fn partial_work_homogeneous(n: f64, p: usize, alpha: f64) -> f64 {
 pub fn sorting_nondivisible_fraction(n: f64, p: usize) -> f64 {
     assert!(n > 1.0 && p > 0);
     (p as f64).ln() / n.ln()
-}
-
-/// Section 3.1: the sample-sort oversampling ratio the paper uses,
-/// `s = (log₂ N)²`, rounded to at least 1.
-pub fn paper_oversampling_ratio(n: usize) -> usize {
-    assert!(n > 0);
-    let l = (n as f64).log2();
-    ((l * l).round() as usize).max(1)
 }
 
 /// Section 3.1 / Theorem B.4 of Blelloch et al.: with oversampling `s =
@@ -78,19 +68,6 @@ mod tests {
     }
 
     #[test]
-    fn partial_work_formula() {
-        // N = 10, P = 5, α = 2 → W_partial = 100/5 = 20.
-        assert!((partial_work_homogeneous(10.0, 5, 2.0) - 20.0).abs() < 1e-12);
-        // Consistency: remaining = 1 − W_partial/W.
-        let n = 37.0f64;
-        let p = 13;
-        let alpha = 2.5;
-        let w = n.powf(alpha);
-        let wp = partial_work_homogeneous(n, p, alpha);
-        assert!((remaining_fraction_homogeneous(p, alpha) - (1.0 - wp / w)).abs() < 1e-12);
-    }
-
-    #[test]
     fn sorting_fraction_vanishes_with_n() {
         let p = 64;
         let f_small = sorting_nondivisible_fraction(1024.0, p);
@@ -100,13 +77,6 @@ mod tests {
         // Exact value: ln 64 / ln 2^20 = 6/20 for N = 2^20.
         let f = sorting_nondivisible_fraction((1u64 << 20) as f64, 64);
         assert!((f - 6.0 / 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn oversampling_ratio_grows_slowly() {
-        assert_eq!(paper_oversampling_ratio(2), 1);
-        assert_eq!(paper_oversampling_ratio(1 << 10), 100);
-        assert_eq!(paper_oversampling_ratio(1 << 20), 400);
     }
 
     #[test]

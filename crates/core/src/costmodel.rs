@@ -26,6 +26,11 @@
 //! must be *stored* (e.g. `LoadSpec` in `dlt-multiload`,
 //! [`crate::nonlinear::NonlinearAllocation`]) or parsed from a CLI flag.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the cost laws are the std-powf contract the fast paths are gated against"
+)]
+
 use crate::error::DltError;
 
 /// A per-worker cost law `f(x) = time to receive and process x units`.

@@ -8,10 +8,10 @@
 //! polynomials (the same ones system `libm`s descend from), *without*
 //! the extra-precision bookkeeping `pow` performs to reach < 1 ulp:
 //!
-//! * [`fast_ln`] — reduce to `m ∈ [√2/2, √2)` by exponent extraction,
+//! * `fast_ln` — reduce to `m ∈ [√2/2, √2)` by exponent extraction,
 //!   then the `s = f/(2+f)` atanh-series with the fdlibm Lg1..Lg7
 //!   coefficients. Error ≲ 1 ulp of the *result*.
-//! * [`fast_exp`] — reduce by `k = round(x/ln 2)` against the split
+//! * `fast_exp` — reduce by `k = round(x/ln 2)` against the split
 //!   `ln2_hi + ln2_lo`, evaluate the P1..P5 remainder polynomial, scale
 //!   by `2^k` with an exponent-field add. Error ≲ 1 ulp.
 //! * [`fast_powf`] — `exp(a·ln x)`. The log error is amplified by
@@ -35,6 +35,10 @@
 //! equal-finish kernel's results independent of the lane count and the
 //! CPU (pinned by `pow_slice_is_bitwise_scalar_across_the_range`).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the sanctioned home of the transcendentals: std fallbacks outside the fast ranges"
+)]
 // The fdlibm coefficient tables are kept digit-for-digit as published
 // (the extra digits round to the same f64 but document the provenance).
 #![allow(clippy::excessive_precision)]
@@ -108,7 +112,7 @@ fn exp_core(x: f64) -> f64 {
 /// Natural log; polynomial path for normal positive finite inputs, `std`
 /// fallback elsewhere (zero, negative, subnormal, infinite, NaN).
 #[inline(always)]
-pub fn fast_ln(x: f64) -> f64 {
+fn fast_ln(x: f64) -> f64 {
     if (f64::MIN_POSITIVE..=f64::MAX).contains(&x) {
         ln_core(x)
     } else {
@@ -118,7 +122,7 @@ pub fn fast_ln(x: f64) -> f64 {
 
 /// `e^x`; polynomial path for `|x| ≤ 700`, `std` fallback elsewhere.
 #[inline(always)]
-pub fn fast_exp(x: f64) -> f64 {
+fn fast_exp(x: f64) -> f64 {
     if x.abs() <= EXP_FAST_LIMIT {
         exp_core(x)
     } else {
@@ -173,18 +177,25 @@ mod avx2 {
 
     const WIDTH: usize = 4;
 
-    // Safe under target-feature 1.1: `_mm256_set1_pd` has no
-    // preconditions beyond AVX availability, which this attribute
-    // asserts and which callers discharge behind the runtime
-    // `is_x86_feature_detected!` gate in `pow_slice`.
+    /// Four copies of `v`.
+    ///
+    /// # Safety
+    ///
+    /// Safe under target-feature 1.1: `_mm256_set1_pd` has no
+    /// preconditions beyond AVX availability, which this attribute
+    /// asserts and which callers discharge behind the runtime
+    /// `is_x86_feature_detected!` gate in `pow_slice`.
     #[target_feature(enable = "avx2")]
     #[inline]
     fn splat(v: f64) -> __m256d {
         _mm256_set1_pd(v)
     }
 
-    /// [`super::ln_core`] on four caller-checked lanes — a safe
-    /// target-feature fn: sole caller `pow_chunk` runs behind the
+    /// [`super::ln_core`] on four caller-checked lanes.
+    ///
+    /// # Safety
+    ///
+    /// A safe target-feature fn: sole caller `pow_chunk` runs behind the
     /// runtime AVX2 detection in `pow_slice_avx2`'s contract, and lane
     /// values are caller-checked finite positives matching `ln_core`'s
     /// domain.
@@ -247,8 +258,11 @@ mod avx2 {
         )
     }
 
-    /// [`super::exp_core`] on four caller-checked lanes — a safe
-    /// target-feature fn: sole caller `pow_chunk` runs behind the
+    /// [`super::exp_core`] on four caller-checked lanes.
+    ///
+    /// # Safety
+    ///
+    /// A safe target-feature fn: sole caller `pow_chunk` runs behind the
     /// runtime AVX2 detection in `pow_slice_avx2`'s contract, and
     /// |x| ≤ EXP_FAST_LIMIT is caller-checked, keeping `k` within i32
     /// for `_mm256_cvttpd_epi32`.

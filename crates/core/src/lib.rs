@@ -1,5 +1,7 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
+// Tests may check the kernels against the std transcendentals.
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 //! # dlt-core
 //!
@@ -59,6 +61,8 @@ pub mod analysis;
 pub mod batch;
 pub mod costmodel;
 pub mod error;
+// The one module allowed `unsafe`: the runtime-detected AVX2 kernels.
+#[allow(unsafe_code)]
 pub mod fastmath;
 pub mod linear;
 pub mod nonlinear;

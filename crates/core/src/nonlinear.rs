@@ -266,7 +266,9 @@ pub struct HomogeneousNonlinear {
 /// The trivial optimal allocation on a fully homogeneous platform
 /// (Section 2): ordering is irrelevant, everyone gets `N/P`.
 ///
-/// Fails with [`DltError::EmptyPlatform`] when `p = 0`.
+/// Fails with [`DltError::EmptyPlatform`] when `p = 0`, and with
+/// [`DltError::InvalidModel`] when `c` is negative or non-finite or `w`
+/// is non-positive or non-finite (the rule `Processor::new` applies).
 ///
 /// # Examples
 ///
@@ -288,6 +290,18 @@ pub fn homogeneous_allocation<M: CostModel>(
     validate(n, &model)?;
     if p == 0 {
         return Err(DltError::EmptyPlatform);
+    }
+    if !(c.is_finite() && c >= 0.0) {
+        return Err(DltError::InvalidModel {
+            what: "inverse bandwidth c must be finite and >= 0",
+            value: c,
+        });
+    }
+    if !(w.is_finite() && w > 0.0) {
+        return Err(DltError::InvalidModel {
+            what: "time per unit of work w must be finite and > 0",
+            value: w,
+        });
     }
     let share = n / p as f64;
     let makespan = model.cost(c, w, share);
@@ -957,6 +971,22 @@ mod tests {
             homogeneous_allocation(0, 10.0, 2.0, 1.0, 1.0),
             Err(DltError::EmptyPlatform)
         );
+        for (c, w) in [
+            (f64::NAN, 1.0),
+            (-1.0, 1.0),
+            (f64::INFINITY, 1.0),
+            (1.0, -1.0),
+            (1.0, 0.0),
+            (1.0, f64::NAN),
+        ] {
+            assert!(
+                matches!(
+                    homogeneous_allocation(4, 10.0, 2.0, c, w),
+                    Err(DltError::InvalidModel { .. })
+                ),
+                "c = {c}, w = {w}"
+            );
+        }
         assert!(equal_finish_parallel_reference(&platform, 0.0, 2.0).is_err());
         assert!(equal_finish_one_port_reference(&platform, 10.0, 2.0, Some(vec![1])).is_err());
     }

@@ -223,6 +223,7 @@ fn main() {
                 &svc_cells,
                 seed,
                 ModelFamily::AlphaPower,
+                threads,
             );
             let t = service_table(profile.name(), svc_p, svc_loads, DEFAULT_UTILIZATION, &pts);
             write_and_print(&t, &format!("multiload_service_{}", profile.name()));

@@ -1,4 +1,4 @@
-//! Service-engine throughput sweep: `cargo run --release -p
+//! Service-engine sweep: `cargo run --release -p
 //! dlt-experiments --bin multiload-service --
 //! [homogeneous|uniform|lognormal|all] [--smoke] [--loads N] [--p P]
 //! [--n BASE_SIZE] [--utilization U] [--seed S] [--trace FILE]
@@ -10,8 +10,8 @@
 //! replays `size,alpha,release` lines instead) through the
 //! `dlt-multiload` service engine, one cell per admission order ×
 //! window × installment policy, printing the table and writing
-//! `results/multiload_service_<profile>.csv`. Cells run serially so
-//! decisions/sec is a clean single-core measurement. `--smoke` trims to
+//! `results/multiload_service_<profile>.csv`. Cells run in parallel on
+//! every core; the CSV does not depend on the thread count. `--smoke` trims to
 //! three cells, 2000 loads, p = 4 and the uniform profile (each
 //! overridable) — the CI soak passes `--smoke --loads 100000
 //! --assert-peak-pending N`, which fails the run if any cell's
@@ -19,7 +19,9 @@
 
 use dlt_experiments::models::model_family;
 use dlt_experiments::multiload::{DEFAULT_ALPHAS, DEFAULT_BASE_SIZE};
-use dlt_experiments::runner::{flag_or, flags, parse_flags, profiles, write_and_print, Positive};
+use dlt_experiments::runner::{
+    flag_or, flags, par_map, parse_flags, profiles, resolve_threads, write_and_print, Positive,
+};
 use dlt_experiments::service::{
     default_cells, file_trace, run_service, run_service_cell, service_table, smoke_cells,
     ServicePoint, DEFAULT_SERVICE_LOADS, DEFAULT_SERVICE_P, DEFAULT_UTILIZATION,
@@ -51,6 +53,7 @@ fn main() {
     } else {
         default_cells()
     };
+    let threads = resolve_threads(0);
 
     let mut peak_violation = false;
     for profile in profiles {
@@ -68,10 +71,9 @@ fn main() {
                 let platform = PlatformSpec::new(p, profile.clone())
                     .generate_stream(seed, 0)
                     .expect("valid spec");
-                cells
-                    .iter()
-                    .map(|&cell| run_service_cell(&platform, file_trace(path), cell))
-                    .collect()
+                par_map(cells.len(), threads, |i| {
+                    run_service_cell(&platform, file_trace(path), cells[i])
+                })
             }
             None => run_service(
                 &profile,
@@ -83,15 +85,16 @@ fn main() {
                 &cells,
                 seed,
                 family,
+                threads,
             ),
         };
         for pt in &points {
             eprintln!(
-                "  {:>16} batch={} {:<14} {:>10.0} decisions/sec peak_pending={}",
+                "  {:>16} batch={} {:<14} {:>10} decisions peak_pending={}",
                 pt.cell.order.name(),
                 pt.cell.batch,
                 pt.cell.installments_label(),
-                pt.decisions_per_sec,
+                pt.report.decisions,
                 pt.report.pending_high_water,
             );
             if pt.report.pending_high_water > peak_cap {

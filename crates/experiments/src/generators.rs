@@ -102,11 +102,14 @@ pub fn regime_loads(
     for _ in 0..n {
         let size = match regime {
             Regime::Poisson | Regime::MmppBurst => base_size * rng.gen_range(0.25..1.0),
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "scenario sampling, not an engine path; the committed competitive CSVs pin these std-powf bits"
+            )]
             Regime::HeavyTail => {
                 // Inverse-CDF bounded Pareto: xm · u^{-1/shape}, capped.
                 let u: f64 = rng.gen_range(0.0..1.0);
                 let xm = base_size * 0.25;
-                // dlt-analyze: allow(raw-powf) — scenario sampling, not an engine path; committed competitive CSVs pin these std-powf bits
                 (xm * (1.0 - u).powf(-1.0 / PARETO_SHAPE)).min(xm * PARETO_CAP)
             }
         };
@@ -126,8 +129,12 @@ pub fn regime_loads(
         };
         // Inverse-CDF exponential gap; 1 − u > 0 because u ∈ [0, 1).
         let u: f64 = rng.gen_range(0.0..1.0);
-        // dlt-analyze: allow(raw-powf) — arrival-time sampling; committed CSVs pin these std-ln bits
-        release += -(1.0 - u).ln() * mean_gap;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "arrival-time sampling; the committed CSVs pin these std-ln bits"
+        )]
+        let gap = -(1.0 - u).ln() * mean_gap;
+        release += gap;
         loads.push(LoadSpec::new(size, alpha, release).expect("valid generated load"));
     }
     loads
@@ -165,8 +172,12 @@ pub fn degradation_trace(
     let mut t = 0.0f64;
     loop {
         let u: f64 = rng.gen_range(0.0..1.0);
-        // dlt-analyze: allow(raw-powf) — failure-wave time sampling; committed CSVs pin these std-ln bits
-        t += -(1.0 - u).ln() * mean_gap;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "failure-wave time sampling; the committed CSVs pin these std-ln bits"
+        )]
+        let gap = -(1.0 - u).ln() * mean_gap;
+        t += gap;
         if t >= horizon {
             break;
         }

@@ -21,7 +21,7 @@
 //! | §4.1.2 partition quality | [`partition_quality::run_partition_quality`] | `partition-quality` |
 //! | Conclusion: affinity dispatch (extension) | [`affinity::run_affinity`] | `affinity` |
 //! | Multi-load scheduling (extension, Gallet–Robert–Vivien) | [`multiload::run_multiload`] | `multiload` |
-//! | Service-engine throughput (extension, streamed arrivals) | [`service::run_service`] | `multiload-service` |
+//! | Service engine (extension, streamed arrivals) | [`service::run_service`] | `multiload-service` |
 //! | Competitive ratios under failures (extension, adversarial) | [`competitive::run_competitive`] | `multiload-competitive` |
 //!
 //! Every runner takes explicit seeds; the binaries default to the seeds

@@ -17,7 +17,7 @@
 //!   the knee `threshold > 0` and `max(alpha_hi, α)` above it.
 
 use dlt_core::costmodel::CostLaw;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A cost-law family parameterized by the swept exponent α.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -136,7 +136,7 @@ impl ModelFamily {
 /// wins, like every repeated flag), exiting with status 2 on a value the
 /// closed grammar rejects — the same contract as
 /// [`crate::runner::parse_flags`] for unknown flags.
-pub fn model_family(flags: &HashMap<String, Vec<String>>) -> ModelFamily {
+pub fn model_family(flags: &BTreeMap<String, Vec<String>>) -> ModelFamily {
     match flags.get("model").and_then(|v| v.last()) {
         None => ModelFamily::AlphaPower,
         Some(raw) => ModelFamily::parse(raw).unwrap_or_else(|e| {

@@ -102,7 +102,7 @@ pub struct MultiloadPoint {
 /// platform (the release window). Every load carries `family.law(alpha)`
 /// as its cost model; the RNG streams are independent of the family, so
 /// two families see identical sizes and releases.
-pub fn generate_loads(
+fn generate_loads(
     n_loads: usize,
     alpha: f64,
     base_size: f64,
@@ -294,7 +294,7 @@ pub struct PolicyPoint {
 
 /// Runs the admission-policy sweep for one profile: every
 /// [`AdmissionOrder`] × installment granularity on the **same** trial
-/// batches the FIFO/round-robin sweep draws ([`generate_loads`]), through
+/// batches the FIFO/round-robin sweep draws (`generate_loads`), through
 /// the **online** scheduler (`dlt_multiload::schedule` with default
 /// arrivals) — specs revealed at release time, no future knowledge.
 /// Stretch denominators come from `dlt_multiload::alone_makespans` at the

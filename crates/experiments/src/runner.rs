@@ -3,7 +3,7 @@
 
 use dlt_platform::SpeedDistribution;
 use dlt_stats::Table;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -92,11 +92,11 @@ pub mod flags {
 /// with a closed flag vocabulary. Positional arguments land under the key
 /// `""` in order, and only when `allowed` contains `""`; an unknown flag
 /// name is an error instead of a silently accepted no-op.
-pub fn try_parse_flags(
+fn try_parse_flags(
     args: impl Iterator<Item = String>,
     allowed: &[&str],
-) -> Result<HashMap<String, Vec<String>>, String> {
-    let mut out: HashMap<String, Vec<String>> = HashMap::new();
+) -> Result<BTreeMap<String, Vec<String>>, String> {
+    let mut out: BTreeMap<String, Vec<String>> = BTreeMap::new();
     let mut key: Option<String> = None;
     for arg in args {
         if let Some(stripped) = arg.strip_prefix("--") {
@@ -133,12 +133,12 @@ pub fn try_parse_flags(
 /// (keeps the dependency list to the approved crates). `allowed` is the
 /// binary's flag vocabulary ([`flags`]); an unknown flag or a positional
 /// argument the binary does not take prints the error and exits with
-/// status 2 — see [`try_parse_flags`] for the fallible form the unit
+/// status 2 — see `try_parse_flags` for the fallible form the unit
 /// tests drive.
 pub fn parse_flags(
     args: impl Iterator<Item = String>,
     allowed: &[&str],
-) -> HashMap<String, Vec<String>> {
+) -> BTreeMap<String, Vec<String>> {
     or_exit(try_parse_flags(args, allowed))
 }
 
@@ -154,8 +154,8 @@ fn or_exit<T>(parsed: Result<T, String>) -> T {
 /// Fallible core of [`profiles`]: the speed profiles named by the
 /// positional argument, or by `default` when it is absent; `all` names
 /// every paper profile.
-pub fn try_profiles(
-    flags: &HashMap<String, Vec<String>>,
+fn try_profiles(
+    flags: &BTreeMap<String, Vec<String>>,
     default: &str,
 ) -> Result<Vec<SpeedDistribution>, String> {
     match flags
@@ -170,10 +170,10 @@ pub fn try_profiles(
     }
 }
 
-/// The speed profiles named on the command line (see [`try_profiles`]).
+/// The speed profiles named on the command line (see `try_profiles`).
 /// An unknown profile name prints the error and exits with status 2, like
 /// a bad flag.
-pub fn profiles(flags: &HashMap<String, Vec<String>>, default: &str) -> Vec<SpeedDistribution> {
+pub fn profiles(flags: &BTreeMap<String, Vec<String>>, default: &str) -> Vec<SpeedDistribution> {
     or_exit(try_profiles(flags, default))
 }
 
@@ -190,7 +190,7 @@ pub fn resolve_threads(requested: usize) -> usize {
 }
 
 /// Reads `--threads N` from parsed flags (`0` / absent → all cores).
-pub fn thread_count(flags: &HashMap<String, Vec<String>>) -> usize {
+pub fn thread_count(flags: &BTreeMap<String, Vec<String>>) -> usize {
     resolve_threads(flag_or(flags, "threads", 0usize))
 }
 
@@ -293,8 +293,8 @@ fn parse_value<T: std::str::FromStr>(key: &str, s: &str) -> Result<T, String> {
 /// **absent**; a present-but-unparseable value is an error. Silent
 /// fallback here once let `--assert-peak-pending 4O96` (a typo'd `4096`)
 /// parse as "no cap" and quietly disable the CI soak gate.
-pub fn try_flag_or<T: std::str::FromStr>(
-    flags: &HashMap<String, Vec<String>>,
+fn try_flag_or<T: std::str::FromStr>(
+    flags: &BTreeMap<String, Vec<String>>,
     key: &str,
     default: T,
 ) -> Result<T, String> {
@@ -306,8 +306,8 @@ pub fn try_flag_or<T: std::str::FromStr>(
 
 /// Fallible core of [`flag_list_or`]: every value of a repeatable flag,
 /// in order, or `default` when the flag is absent.
-pub fn try_flag_list_or<T: std::str::FromStr>(
-    flags: &HashMap<String, Vec<String>>,
+fn try_flag_list_or<T: std::str::FromStr>(
+    flags: &BTreeMap<String, Vec<String>>,
     key: &str,
     default: Vec<T>,
 ) -> Result<Vec<T>, String> {
@@ -321,7 +321,7 @@ pub fn try_flag_list_or<T: std::str::FromStr>(
 /// or `default` when it is absent. An unparseable value prints the error
 /// and exits with status 2, like [`flag_or`].
 pub fn flag_list_or<T: std::str::FromStr>(
-    flags: &HashMap<String, Vec<String>>,
+    flags: &BTreeMap<String, Vec<String>>,
     key: &str,
     default: Vec<T>,
 ) -> Vec<T> {
@@ -331,7 +331,7 @@ pub fn flag_list_or<T: std::str::FromStr>(
 /// Fetches a parsed flag as `T`, defaulting only when the flag is absent.
 /// An unparseable value prints the error and exits with status 2.
 pub fn flag_or<T: std::str::FromStr>(
-    flags: &HashMap<String, Vec<String>>,
+    flags: &BTreeMap<String, Vec<String>>,
     key: &str,
     default: T,
 ) -> T {
@@ -342,7 +342,7 @@ pub fn flag_or<T: std::str::FromStr>(
 mod tests {
     use super::*;
 
-    fn parse(words: &[&str], allowed: &[&str]) -> HashMap<String, Vec<String>> {
+    fn parse(words: &[&str], allowed: &[&str]) -> BTreeMap<String, Vec<String>> {
         try_parse_flags(words.iter().map(|s| s.to_string()), allowed).unwrap()
     }
 

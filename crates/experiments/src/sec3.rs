@@ -153,12 +153,16 @@ pub fn run_sample_sort(ns: &[usize], ps: &[usize], trials: usize, seed: u64) -> 
                 let model = CostModel::evaluate(n, out.oversampling, &out.stats.sizes, &w);
                 cost_frac = model.nondivisible_fraction();
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "reporting column log_n(p), one evaluation per row; the committed CSVs pin these bits"
+            )]
+            let frac_logp_logn = (p as f64).ln() / (n as f64).ln();
             t.row([
                 n.into(),
                 p.into(),
                 s_used.into(),
-                // dlt-analyze: allow(raw-powf) — reporting column log_n(p), one evaluation per row; committed CSVs pin these bits
-                ((p as f64).ln() / (n as f64).ln()).into(),
+                frac_logp_logn.into(),
                 cost_frac.into(),
                 overload.mean().into(),
                 overload.max().into(),

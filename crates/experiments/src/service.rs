@@ -12,14 +12,14 @@
 //! the generator is deterministic in the seed — so rows differ only by
 //! engine configuration.
 //!
-//! Unlike the trial-summary experiments this runner measures
-//! **throughput** (decisions per wall-clock second), so cells run
-//! strictly serially — no `--threads` knob — and the timing columns of
-//! the CSV are *measurements*, not reproducible bytes; the scheduling
-//! columns (decisions, solves, makespan, stretch, peak pending) remain
-//! byte-identical for a given seed.
+//! Cells run in parallel over [`crate::runner::par_map`], and every
+//! column is a scheduling outcome (decisions, solves, makespan, stretch,
+//! peak pending), so the CSV is byte-identical for a given seed at any
+//! thread count. Service throughput is measured by `perfbench` and the
+//! `multiload_service` hot-path record, not here.
 
 use crate::models::ModelFamily;
+use crate::runner::par_map;
 use dlt_multiload::{
     serve_trace, AdmissionOrder, DiscardCompletions, InstallmentPolicy, LoadSpec, ServiceConfig,
     ServiceReport,
@@ -29,7 +29,6 @@ use dlt_platform::{Platform, PlatformSpec, SpeedDistribution};
 use dlt_stats::Table;
 use rand::Rng;
 use std::io::BufRead;
-use std::time::Instant;
 
 /// Loads per trace at full scale — the "millions of arrivals at steady
 /// memory" acceptance point.
@@ -174,8 +173,12 @@ pub fn arrival_trace(
         let alpha = alphas[rng.gen_range(0..alphas.len())];
         // Inverse-CDF exponential gap; 1 − u > 0 because u ∈ [0, 1).
         let u: f64 = rng.gen_range(0.0..1.0);
-        // dlt-analyze: allow(raw-powf) — arrival-time sampling; committed CSVs pin these std-ln bits
-        release += -(1.0 - u).ln() * spacing;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "arrival-time sampling; the committed CSVs pin these std-ln bits"
+        )]
+        let gap = -(1.0 - u).ln() * spacing;
+        release += gap;
         Some(LoadSpec::with_model(size, family.law(alpha), release).expect("valid generated load"))
     })
 }
@@ -213,22 +216,17 @@ pub fn file_trace(path: &std::path::Path) -> impl Iterator<Item = LoadSpec> {
         })
 }
 
-/// One measured cell: the engine's own report plus wall-clock throughput.
+/// One cell's outcome: the configuration and the engine's own report.
 #[derive(Debug, Clone)]
 pub struct ServicePoint {
-    /// The configuration measured.
+    /// The configuration run.
     pub cell: ServiceCell,
     /// The engine's streaming aggregates.
     pub report: ServiceReport,
-    /// Decisions committed per wall-clock second (the service's
-    /// headline throughput number).
-    pub decisions_per_sec: f64,
-    /// Wall-clock seconds the cell took.
-    pub wall_s: f64,
 }
 
 /// Runs one cell on an already-built platform and trace. Exposed so the
-/// binary's `--trace` file mode can reuse the measurement path.
+/// binary's `--trace` file mode can reuse it.
 pub fn run_service_cell(
     platform: &Platform,
     trace: impl Iterator<Item = LoadSpec>,
@@ -240,22 +238,14 @@ pub fn run_service_cell(
         installments: cell.installments,
         track_stretch: true,
     };
-    let start = Instant::now();
     let report = serve_trace(platform, trace, &cfg, &mut DiscardCompletions)
         .expect("service engine handles generated trace");
-    let wall_s = start.elapsed().as_secs_f64();
-    let decisions_per_sec = report.decisions as f64 / wall_s.max(1e-9);
-    ServicePoint {
-        cell,
-        report,
-        decisions_per_sec,
-        wall_s,
-    }
+    ServicePoint { cell, report }
 }
 
-/// Runs the sweep for one profile: every cell serially (throughput
-/// timing must not contend for cores), each on an identical regenerated
-/// trace. Returns one point per cell, in cell order.
+/// Runs the sweep for one profile: the cells on `threads` workers, each
+/// on an identical regenerated trace. Returns one point per cell, in cell
+/// order.
 #[allow(clippy::too_many_arguments)]
 pub fn run_service(
     profile: &SpeedDistribution,
@@ -267,18 +257,16 @@ pub fn run_service(
     cells: &[ServiceCell],
     seed: u64,
     family: ModelFamily,
+    threads: usize,
 ) -> Vec<ServicePoint> {
     let platform = PlatformSpec::new(p, profile.clone())
         .generate_stream(seed, 0)
         .expect("valid spec");
     let spacing = calibrated_spacing(&platform, base_size, alphas, utilization, family);
-    cells
-        .iter()
-        .map(|&cell| {
-            let trace = arrival_trace(loads, base_size, alphas.to_vec(), spacing, seed, family);
-            run_service_cell(&platform, trace, cell)
-        })
-        .collect()
+    par_map(cells.len(), threads, |i| {
+        let trace = arrival_trace(loads, base_size, alphas.to_vec(), spacing, seed, family);
+        run_service_cell(&platform, trace, cells[i])
+    })
 }
 
 /// Tabulates sweep points: one row per cell.
@@ -306,7 +294,6 @@ pub fn service_table(
         "mean_flow",
         "mean_stretch",
         "max_stretch",
-        "decisions_per_sec",
     ])
     .with_title(&format!(
         "Service engine ({profile_name}, p={p}, {loads} streamed loads @ {utilization} utilization)"
@@ -329,7 +316,6 @@ pub fn service_table(
             pt.report.mean_flow().into(),
             pt.report.mean_stretch().into(),
             pt.report.max_stretch.into(),
-            pt.decisions_per_sec.into(),
         ]);
     }
     t
@@ -382,12 +368,13 @@ mod tests {
             &cells,
             1,
             ModelFamily::AlphaPower,
+            2,
         );
         assert_eq!(pts.len(), cells.len());
-        for pt in &pts {
+        for (pt, cell) in pts.iter().zip(&cells) {
+            assert_eq!(pt.cell, *cell, "points come back in cell order");
             assert_eq!(pt.report.loads, 300);
             assert!(pt.report.mean_stretch() >= 1.0 - 1e-9);
-            assert!(pt.decisions_per_sec > 0.0);
             assert!(
                 pt.report.pending_high_water < 300,
                 "at 0.7 utilization the backlog must stay below the trace length"
@@ -400,13 +387,20 @@ mod tests {
     }
 
     #[test]
-    fn identical_seed_gives_identical_scheduling_columns() {
-        let cells = [ServiceCell {
-            order: AdmissionOrder::Srpt,
-            batch: 4,
-            installments: InstallmentPolicy::Adaptive { min: 1, max: 4 },
-        }];
-        let run = |()| {
+    fn identical_seed_gives_identical_reports_at_any_thread_count() {
+        let cells = [
+            ServiceCell {
+                order: AdmissionOrder::Srpt,
+                batch: 4,
+                installments: InstallmentPolicy::Adaptive { min: 1, max: 4 },
+            },
+            ServiceCell {
+                order: AdmissionOrder::Fifo,
+                batch: 1,
+                installments: InstallmentPolicy::Fixed(1),
+            },
+        ];
+        let run = |threads| {
             run_service(
                 &SpeedDistribution::paper_lognormal(),
                 4,
@@ -417,12 +411,17 @@ mod tests {
                 &cells,
                 3,
                 ModelFamily::AlphaPower,
+                threads,
             )
         };
-        let a = run(());
-        let b = run(());
-        // Timing differs run to run; the engine's report must not.
-        assert_eq!(a[0].report, b[0].report);
+        let (a, b) = (run(1), run(2));
+        // Every field of every report, not just the rounded CSV columns.
+        let reports = |pts: &[ServicePoint]| -> Vec<ServiceReport> {
+            pts.iter().map(|p| p.report.clone()).collect()
+        };
+        assert_eq!(reports(&a), reports(&b));
+        let csv = |pts: &[ServicePoint]| service_table("lognormal", 4, 200, 0.8, pts).to_csv();
+        assert_eq!(csv(&a), csv(&b));
     }
 
     #[test]

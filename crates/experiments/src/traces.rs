@@ -118,7 +118,7 @@ mod tests {
     #[test]
     fn fig1_has_master_and_four_workers() {
         let (events, chart) = fig1_sample_sort_trace(4096, 1);
-        let workers: std::collections::HashSet<usize> = events.iter().map(|e| e.worker).collect();
+        let workers: std::collections::BTreeSet<usize> = events.iter().map(|e| e.worker).collect();
         assert_eq!(workers.len(), 5); // master + 4
         assert!(chart.contains("P1"));
         assert!(chart.contains("P5"));

@@ -204,6 +204,7 @@ fn service_runner_oracle_cell_matches_schedule() {
         &cells,
         seed,
         ModelFamily::AlphaPower,
+        1,
     );
 
     let platform = PlatformSpec::new(p, profile)
@@ -419,7 +420,7 @@ fn bin_multiload_service_smoke() {
         ],
         true,
     );
-    assert!(out.contains("decisions_per_sec"));
+    assert!(out.contains("peak_pending") && out.contains("max_stretch"));
     assert!(out.contains("fifo") && out.contains("weighted_stretch"));
 }
 

@@ -1,5 +1,5 @@
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 //! # dlt-linalg
 //!

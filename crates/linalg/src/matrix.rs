@@ -113,11 +113,6 @@ impl Matrix {
     pub fn approx_eq(&self, other: &Matrix, tol: f64) -> bool {
         self.rows == other.rows && self.cols == other.cols && self.max_abs_diff(other) <= tol
     }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -145,9 +140,8 @@ mod tests {
     }
 
     #[test]
-    fn identity_norm() {
+    fn identity_entries() {
         let id = Matrix::identity(4);
-        assert_eq!(id.frobenius_norm(), 2.0);
         assert_eq!(id.get(2, 2), 1.0);
         assert_eq!(id.get(2, 3), 0.0);
     }

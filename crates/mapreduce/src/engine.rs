@@ -77,13 +77,6 @@ impl JobConfig {
             splits: None,
         }
     }
-
-    /// Overrides the split count.
-    pub fn with_splits(mut self, splits: usize) -> Self {
-        assert!(splits >= 1);
-        self.splits = Some(splits);
-        self
-    }
 }
 
 fn partition_of<K: Hash>(key: &K, partitions: usize) -> usize {
@@ -306,7 +299,10 @@ mod tests {
     #[test]
     fn custom_split_count_respected() {
         let inputs: Vec<(u32, u64)> = (0..10).map(|i| (i, 1)).collect();
-        let cfg = JobConfig::new(2, 1).with_splits(10);
+        let cfg = JobConfig {
+            splits: Some(10),
+            ..JobConfig::new(2, 1)
+        };
         let (out, _) = identity_sum_job(inputs, &cfg);
         assert_eq!(out.len(), 10);
     }

@@ -34,7 +34,7 @@ pub struct TripleRecord {
 /// Materializes the paper's `n³`-record input dataset from `A` and `B`.
 /// Deliberately explicit about the cost: this is the data preparation the
 /// paper says non-linear workloads *require* before MapReduce applies.
-pub fn replicate_inputs(a: &Matrix, b: &Matrix) -> Vec<TripleRecord> {
+fn replicate_inputs(a: &Matrix, b: &Matrix) -> Vec<TripleRecord> {
     let n = a.rows();
     assert_eq!(a.cols(), n, "square matrices only");
     assert_eq!(b.rows(), n);

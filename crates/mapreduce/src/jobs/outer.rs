@@ -29,7 +29,7 @@ pub struct BlockRecord {
 /// Cuts the `N×N` outer-product domain into `side × side` blocks and
 /// materializes one [`BlockRecord`] per block (replicating the vector
 /// slices, as the block distribution must).
-pub fn block_inputs(a: &[f64], b: &[f64], side: usize) -> Vec<BlockRecord> {
+fn block_inputs(a: &[f64], b: &[f64], side: usize) -> Vec<BlockRecord> {
     assert_eq!(a.len(), b.len(), "square domain expected");
     assert!(side >= 1);
     let n = a.len();

@@ -1,5 +1,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+// Tests may build reference inputs with the std transcendentals.
+#![cfg_attr(test, allow(clippy::disallowed_methods))]
 
 //! # dlt-multiload
 //!

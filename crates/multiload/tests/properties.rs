@@ -3,8 +3,12 @@
 //! degeneration to the single-load solvers, the installment engine's
 //! indexed selector against its linear-rescan twin (batch `schedule` in
 //! both arrival modes, streamed `serve_trace` across windows and
-//! installment policies), and online = clairvoyant when everything is
-//! released at once.
+//! installment policies), online = clairvoyant when everything is
+//! released at once, and twin coverage: every engine has a `_reference`
+//! twin, and a property suite names both.
+
+// Test code: reference workloads may use the std transcendentals.
+#![allow(clippy::disallowed_methods)]
 
 use dlt_core::nonlinear;
 use dlt_multiload::{
@@ -16,6 +20,8 @@ use dlt_multiload::{
 use dlt_platform::Platform;
 use dlt_sim::{simulate_demand, DemandConfig, DemandTask};
 use proptest::prelude::*;
+use std::collections::BTreeSet;
+use std::path::Path;
 
 /// Random heterogeneous platform (1–8 workers) and load batch (1–6 loads
 /// with mixed sizes, exponents and release times).
@@ -524,4 +530,106 @@ proptest! {
             prop_assert!(c.start >= c.spec.release);
         }
     }
+}
+
+/// The identifier words of `text`, outside `//` comments and string
+/// literals, so a name quoted in prose or in a string is no evidence.
+fn code_words(text: &str) -> BTreeSet<&str> {
+    text.lines()
+        .flat_map(|line| {
+            line.split("//")
+                .next()
+                .unwrap_or_default()
+                .split('"')
+                .step_by(2)
+        })
+        .flat_map(|code| code.split(|c: char| !c.is_alphanumeric() && c != '_'))
+        .filter(|word| !word.is_empty())
+        .collect()
+}
+
+/// The text of every `.rs` file under `dir`, subdirectories included,
+/// whose file stem passes `keep`.
+fn rust_sources(dir: &Path, keep: fn(&str) -> bool) -> String {
+    let mut text = String::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            text += &rust_sources(&path, keep);
+        } else if path.extension().is_some_and(|e| e == "rs")
+            && keep(path.file_stem().unwrap().to_str().unwrap())
+        {
+            text += &std::fs::read_to_string(&path).unwrap();
+            text.push('\n');
+        }
+    }
+    text
+}
+
+/// The free functions `source` declares `pub` or `pub(…)`, at any
+/// indentation (an inline module's too). A method, one whose parameter
+/// list opens with a `self` receiver, is no engine entry point.
+fn free_pub_fns(source: &str) -> BTreeSet<&str> {
+    let lines: Vec<&str> = source.lines().collect();
+    (0..lines.len())
+        .filter_map(|i| {
+            let rest = lines[i].trim_start().strip_prefix("pub")?;
+            let rest = match rest.strip_prefix('(') {
+                Some(visibility) => visibility.split_once(')')?.1,
+                None => rest,
+            };
+            let rest = rest.strip_prefix(" fn ")?;
+            let name = rest
+                .split(|c: char| !c.is_alphanumeric() && c != '_')
+                .next()?;
+            // The parameter list may open on the next line.
+            let signature = [rest, lines.get(i + 1).copied().unwrap_or_default()].concat();
+            let params = signature.split_once('(')?.1.trim_start();
+            let receiver = ["self", "&self", "&mut self", "mut self", "&'"]
+                .iter()
+                .any(|r| params.starts_with(r));
+            (!receiver).then_some(name)
+        })
+        .collect()
+}
+
+/// Twin coverage: every free `pub fn` engine of this crate (a name with
+/// the word `schedule`, or one starting with `serve_trace`) has a
+/// `pub fn {name}_reference` twin, and the crate's property suites name
+/// both in code.
+#[test]
+fn every_engine_has_a_reference_twin_under_property_test() {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let sources = rust_sources(&dir.join("src"), |_| true);
+    let suites = rust_sources(&dir.join("tests"), |stem| stem.contains("properties"));
+    let pub_fns = free_pub_fns(&sources);
+    let suite_words = code_words(&suites);
+    let engines: Vec<&str> = pub_fns
+        .iter()
+        .copied()
+        .filter(|name| !name.contains("reference"))
+        .filter(|name| name.split('_').any(|w| w == "schedule") || name.starts_with("serve_trace"))
+        .collect();
+    for name in &engines {
+        let twin = format!("{name}_reference");
+        assert!(
+            pub_fns.contains(twin.as_str()),
+            "engine `{name}` has no `pub fn {twin}`"
+        );
+        for tested in [*name, &twin] {
+            assert!(
+                suite_words.contains(tested),
+                "no property suite names `{tested}`"
+            );
+        }
+    }
+    assert_eq!(
+        engines,
+        [
+            "round_robin_schedule",
+            "schedule",
+            "serve_trace",
+            "serve_trace_with_failures"
+        ]
+    );
 }

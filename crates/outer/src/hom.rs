@@ -60,7 +60,7 @@ pub fn tile_domain(n: usize, side: usize) -> Vec<IntRect> {
 /// Runs `Commhom` (with optional refinement factor `k` dividing the block
 /// side): tile, then dispatch demand-driven where executing a block costs
 /// `area·w_i` and ships `width + height` data.
-pub fn hom_blocks_with_k(platform: &Platform, n: usize, k: usize) -> HomBlocksOutcome {
+fn hom_blocks_with_k(platform: &Platform, n: usize, k: usize) -> HomBlocksOutcome {
     assert!(k >= 1);
     let side = (hom_block_side(platform, n) / k).max(1);
     let blocks = tile_domain(n, side);

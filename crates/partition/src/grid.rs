@@ -69,7 +69,7 @@ impl IntRect {
     }
 
     /// True when `self` and `other` share at least one cell.
-    pub fn intersects(&self, other: &IntRect) -> bool {
+    fn intersects(&self, other: &IntRect) -> bool {
         self.col0 < other.col1
             && other.col0 < self.col1
             && self.row0 < other.row1

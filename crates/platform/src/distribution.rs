@@ -11,6 +11,11 @@
 //! dependency set to the approved list and makes the sampling logic
 //! auditable.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "inverse-transform speed sampling; the committed CSVs pin these std bits"
+)]
+
 use crate::error::PlatformError;
 use rand::Rng;
 
@@ -148,7 +153,7 @@ impl SpeedDistribution {
 /// The second variate of the Box–Muller pair is discarded; the experiments
 /// here sample a few hundred values per figure, so simplicity wins over the
 /// factor-of-two saving.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // u1 in (0, 1] avoids ln(0).
     let u1: f64 = 1.0 - rng.gen::<f64>();
     let u2: f64 = rng.gen();

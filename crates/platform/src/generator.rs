@@ -31,12 +31,6 @@ impl PlatformSpec {
         }
     }
 
-    /// Overrides the common inverse bandwidth.
-    pub fn with_inv_bandwidth(mut self, c: f64) -> Self {
-        self.inv_bandwidth = c;
-        self
-    }
-
     /// Draws one platform using the given seed. The same `(spec, seed)` pair
     /// always yields the same platform.
     pub fn generate(&self, seed: u64) -> Result<Platform, PlatformError> {
@@ -88,8 +82,10 @@ mod tests {
 
     #[test]
     fn bandwidth_override_applies_to_all() {
-        let spec =
-            PlatformSpec::new(4, SpeedDistribution::paper_homogeneous()).with_inv_bandwidth(0.125);
+        let spec = PlatformSpec {
+            inv_bandwidth: 0.125,
+            ..PlatformSpec::new(4, SpeedDistribution::paper_homogeneous())
+        };
         let p = spec.generate(1).unwrap();
         assert_eq!(p.inv_bandwidths(), vec![0.125; 4]);
     }

@@ -3,7 +3,7 @@
 //! All randomized experiments in this reproduction are driven by explicit
 //! `u64` seeds so that every figure can be regenerated bit-for-bit. Distinct
 //! logical streams (e.g. "trial 17 of figure 4(b)") derive their seed from a
-//! base seed with [`derive_seed`], which passes the pair through SplitMix64
+//! base seed with `derive_seed`, which passes the pair through SplitMix64
 //! so that neighbouring trial indices yield uncorrelated streams.
 
 use rand::rngs::StdRng;
@@ -19,7 +19,7 @@ pub fn seeded(seed: u64) -> StdRng {
 /// This is the SplitMix64 finalizer applied to `base ^ (stream * φ64)`;
 /// it guarantees that `derive_seed(s, 0), derive_seed(s, 1), ...` behave as
 /// independent seeds even though the inputs differ by one bit.
-pub fn derive_seed(base: u64, stream: u64) -> u64 {
+fn derive_seed(base: u64, stream: u64) -> u64 {
     let mut z = base ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);

@@ -6,7 +6,7 @@
 /// the usual sample-sort convention that bucket `i` holds keys in
 /// `(splitter_{i-1}, splitter_i]`.
 #[inline]
-pub fn bucket_of<T: Ord>(key: &T, splitters: &[T]) -> usize {
+fn bucket_of<T: Ord>(key: &T, splitters: &[T]) -> usize {
     splitters.partition_point(|s| s < key)
 }
 

@@ -1,5 +1,10 @@
 //! Bucket statistics and the theoretical bounds they are checked against.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the paper's closed-form oversampling and bucket bounds, not a solver hot path"
+)]
+
 /// The paper's oversampling ratio, `s = (log₂ N)²`, at least 1.
 pub fn paper_oversampling(n: usize) -> usize {
     assert!(n > 0);

@@ -20,16 +20,6 @@ impl WorkerTimeline {
         let comp_end = self.computes.last().map_or(0.0, |c| c.2);
         recv_end.max(comp_end)
     }
-
-    /// Total time spent computing.
-    pub fn busy_time(&self) -> f64 {
-        self.computes.iter().map(|&(_, s, e)| e - s).sum()
-    }
-
-    /// Total data-reception time.
-    pub fn recv_time(&self) -> f64 {
-        self.recvs.iter().map(|&(_, s, e)| e - s).sum()
-    }
 }
 
 /// Result of executing a schedule.
@@ -313,7 +303,8 @@ mod tests {
             CommMode::Parallel,
         );
         let r = simulate(&platform2(), &s);
-        assert_eq!(r.timelines[0].recv_time(), 6.0);
-        assert_eq!(r.timelines[0].busy_time(), 6.0);
+        let total = |spans: &[(usize, f64, f64)]| spans.iter().map(|&(_, s, e)| e - s).sum::<f64>();
+        assert_eq!(total(&r.timelines[0].recvs), 6.0);
+        assert_eq!(total(&r.timelines[0].computes), 6.0);
     }
 }

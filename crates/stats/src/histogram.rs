@@ -65,28 +65,6 @@ impl Histogram {
             self.counts[i] as f64 / self.total as f64
         }
     }
-
-    /// Midpoint of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        let w = (self.hi - self.lo) / self.counts.len() as f64;
-        self.lo + w * (i as f64 + 0.5)
-    }
-
-    /// One-line ASCII rendering (`▁▂▃…` sparkline), handy in examples.
-    pub fn sparkline(&self) -> String {
-        const LEVELS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
-        let max = self.counts.iter().copied().max().unwrap_or(0);
-        if max == 0 {
-            return " ".repeat(self.counts.len());
-        }
-        self.counts
-            .iter()
-            .map(|&c| {
-                let lvl = (c as f64 / max as f64 * (LEVELS.len() - 1) as f64).round() as usize;
-                LEVELS[lvl]
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -128,29 +106,6 @@ mod tests {
         h.extend(&[0.1, 0.3, 0.5, 0.7, 0.9, 0.95]);
         let sum: f64 = (0..5).map(|i| h.fraction(i)).sum();
         assert!((sum - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn bin_centers() {
-        let h = Histogram::new(0.0, 10.0, 10);
-        assert!((h.bin_center(0) - 0.5).abs() < 1e-12);
-        assert!((h.bin_center(9) - 9.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn sparkline_has_one_char_per_bin() {
-        let mut h = Histogram::new(0.0, 1.0, 8);
-        h.extend(&[0.05, 0.05, 0.6]);
-        let s = h.sparkline();
-        assert_eq!(s.chars().count(), 8);
-        // The twice-populated first bin must be the tallest glyph.
-        assert_eq!(s.chars().next().unwrap(), '█');
-    }
-
-    #[test]
-    fn empty_sparkline_is_blank() {
-        let h = Histogram::new(0.0, 1.0, 3);
-        assert_eq!(h.sparkline(), "   ");
     }
 
     #[test]

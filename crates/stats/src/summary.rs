@@ -65,7 +65,7 @@ impl Summary {
     }
 
     /// Population variance (divides by `n`).
-    pub fn population_variance(&self) -> f64 {
+    fn population_variance(&self) -> f64 {
         if self.n == 0 {
             0.0
         } else {
@@ -73,24 +73,10 @@ impl Summary {
         }
     }
 
-    /// Sample variance (divides by `n − 1`; 0 when `n < 2`).
-    pub fn sample_variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
-    }
-
     /// Population standard deviation — this is the "error bar" statistic the
     /// paper plots.
     pub fn population_std(&self) -> f64 {
         self.population_variance().sqrt()
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_std(&self) -> f64 {
-        self.sample_variance().sqrt()
     }
 
     /// Smallest observation (`+inf` when empty).
@@ -144,7 +130,6 @@ mod tests {
         assert_eq!(s.count(), 0);
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
     }
 
     #[test]
@@ -152,7 +137,6 @@ mod tests {
         let s = Summary::of(&[3.0]);
         assert_eq!(s.mean(), 3.0);
         assert_eq!(s.population_std(), 0.0);
-        assert_eq!(s.sample_std(), 0.0);
         assert_eq!(s.min(), 3.0);
         assert_eq!(s.max(), 3.0);
     }
@@ -162,7 +146,6 @@ mod tests {
         let s = Summary::of(&[2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.population_std() - 2.0).abs() < 1e-12);
-        assert!((s.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
     }

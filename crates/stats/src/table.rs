@@ -1,4 +1,4 @@
-//! Column-oriented result tables with plain-text, markdown and CSV output.
+//! Column-oriented result tables with plain-text and CSV output.
 
 use std::fmt::Write as _;
 use std::io;
@@ -9,7 +9,7 @@ use std::path::Path;
 pub enum Cell {
     /// Integer (worker counts, trial counts, ...).
     Int(i64),
-    /// Floating-point value, rendered with the table's precision.
+    /// Floating-point value, rendered with four decimals.
     Float(f64),
     /// Free-form label.
     Text(String),
@@ -46,12 +46,15 @@ impl From<String> for Cell {
     }
 }
 
+/// Decimal places of every rendered float.
+const PRECISION: usize = 4;
+
 impl Cell {
-    fn render(&self, precision: usize) -> String {
+    fn render(&self) -> String {
         match self {
             Cell::Int(v) => v.to_string(),
             Cell::Float(v) => {
-                let s = format!("{v:.precision$}");
+                let s = format!("{v:.PRECISION$}");
                 // A value that rounds to zero prints without a sign, so the
                 // bytes never depend on the sign of rounding noise.
                 match s.strip_prefix('-') {
@@ -63,12 +66,12 @@ impl Cell {
         }
     }
 
-    fn render_csv(&self, precision: usize) -> String {
+    fn render_csv(&self) -> String {
         match self {
             Cell::Text(s) if s.contains(',') || s.contains('"') || s.contains('\n') => {
                 format!("\"{}\"", s.replace('"', "\"\""))
             }
-            other => other.render(precision),
+            other => other.render(),
         }
     }
 }
@@ -87,7 +90,6 @@ impl Cell {
 pub struct Table {
     headers: Vec<String>,
     rows: Vec<Vec<Cell>>,
-    precision: usize,
     title: Option<String>,
 }
 
@@ -97,15 +99,8 @@ impl Table {
         Self {
             headers: headers.iter().map(|s| s.to_string()).collect(),
             rows: Vec::new(),
-            precision: 4,
             title: None,
         }
-    }
-
-    /// Sets the float rendering precision (decimal places); default 4.
-    pub fn with_precision(mut self, precision: usize) -> Self {
-        self.precision = precision;
-        self
     }
 
     /// Sets a title displayed above plain-text renderings.
@@ -133,11 +128,6 @@ impl Table {
         self.rows.len()
     }
 
-    /// Number of columns.
-    pub fn n_cols(&self) -> usize {
-        self.headers.len()
-    }
-
     /// Column headers.
     pub fn headers(&self) -> &[String] {
         &self.headers
@@ -163,7 +153,7 @@ impl Table {
         let rows = self
             .rows
             .iter()
-            .map(|r| r.iter().map(|c| c.render(self.precision)).collect())
+            .map(|r| r.iter().map(Cell::render).collect())
             .collect();
         (header, rows)
     }
@@ -198,28 +188,12 @@ impl Table {
         out
     }
 
-    /// GitHub-flavoured markdown rendering (used by EXPERIMENTS.md).
-    pub fn to_markdown(&self) -> String {
-        let (header, rows) = self.rendered();
-        let mut out = String::new();
-        let _ = writeln!(out, "| {} |", header.join(" | "));
-        let _ = writeln!(
-            out,
-            "|{}|",
-            header.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-        );
-        for row in rows {
-            let _ = writeln!(out, "| {} |", row.join(" | "));
-        }
-        out
-    }
-
     /// CSV rendering with a header line.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.headers.join(","));
         for row in &self.rows {
-            let line: Vec<String> = row.iter().map(|c| c.render_csv(self.precision)).collect();
+            let line: Vec<String> = row.iter().map(Cell::render_csv).collect();
             let _ = writeln!(out, "{}", line.join(","));
         }
         out
@@ -239,7 +213,7 @@ mod tests {
     use super::*;
 
     fn sample() -> Table {
-        let mut t = Table::new(&["p", "strategy", "ratio"]).with_precision(2);
+        let mut t = Table::new(&["p", "strategy", "ratio"]);
         t.row([10.into(), "hom".into(), 1.5.into()]);
         t.row([100.into(), "het".into(), 1.01.into()]);
         t
@@ -259,14 +233,6 @@ mod tests {
     fn title_is_rendered() {
         let t = sample().with_title("Figure 4");
         assert!(t.to_text().starts_with("# Figure 4"));
-    }
-
-    #[test]
-    fn markdown_rendering() {
-        let md = sample().to_markdown();
-        assert!(md.starts_with("| p | strategy | ratio |"));
-        assert!(md.contains("|---|---|---|"));
-        assert!(md.contains("| 100 | het | 1.01 |"));
     }
 
     #[test]
@@ -308,9 +274,9 @@ mod tests {
 
     #[test]
     fn precision_applies_to_floats_only() {
-        let mut t = Table::new(&["x"]).with_precision(1);
+        let mut t = Table::new(&["x"]);
         t.row([1.25.into()]);
-        assert!(t.to_text().contains("1.2") || t.to_text().contains("1.3"));
+        assert!(t.to_text().contains("1.2500"));
         let mut t2 = Table::new(&["n"]);
         t2.row([7usize.into()]);
         assert!(t2.to_text().contains('7'));
@@ -320,16 +286,20 @@ mod tests {
     #[test]
     fn floats_that_round_to_zero_print_without_a_sign() {
         let mut t = Table::new(&["x"]);
-        for v in [-1e-17, -0.0, -0.00004, 0.0, -0.0002, -1.5] {
+        for v in [
+            -1e-17,
+            -0.0,
+            -0.00004,
+            0.0,
+            -0.0002,
+            -1.5,
+            f64::NEG_INFINITY,
+        ] {
             t.row([v.into()]);
         }
         assert_eq!(
             t.to_csv(),
-            "x\n0.0000\n0.0000\n0.0000\n0.0000\n-0.0002\n-1.5000\n"
+            "x\n0.0000\n0.0000\n0.0000\n0.0000\n-0.0002\n-1.5000\n-inf\n"
         );
-        let mut t0 = Table::new(&["x"]).with_precision(0);
-        t0.row([(-0.4).into()]);
-        t0.row([f64::NEG_INFINITY.into()]);
-        assert_eq!(t0.to_csv(), "x\n0\n-inf\n");
     }
 }

@@ -6,6 +6,9 @@
 //! cargo run --release --example sample_sort
 //! ```
 
+// Example code: prints log ratios with the std transcendentals.
+#![allow(clippy::disallowed_methods)]
+
 use nonlinear_dlt::platform::rng::seeded;
 use nonlinear_dlt::samplesort::{max_bucket_bound, sample_sort, CostModel, SampleSortConfig};
 use rand::Rng;
