@@ -1,5 +1,10 @@
-//! Hot-path kernels vs their executable specifications, with a JSON
-//! trajectory emitter.
+//! Hot-path kernels vs their executable specifications: times each
+//! kernel/reference pair once and writes the trajectory file
+//! `BENCH_hotpaths.json`.
+//!
+//! ```text
+//! cargo bench -p dlt-bench --bench hotpaths
+//! ```
 //!
 //! The kernels that dominate reproduction wall-clock (ROADMAP perf
 //! items):
@@ -31,40 +36,34 @@
 //!   point (`serve_trace`, `O(log n)` heap selection) vs its rescan twin
 //!   (`serve_trace_reference`), on a 4096-load burst; the record also
 //!   carries the service's decisions-per-second throughput;
-//! * the `solver` group — the equal-finish lanes kernel through one warm
-//!   `BatchSolver` handle vs the nested-bisection oracle
+//! * `solver_equal_finish` — the equal-finish lanes kernel through one
+//!   warm `BatchSolver` handle vs the nested-bisection oracle
 //!   (`equal_finish_parallel_reference`), on a FIFO-style sequence of
 //!   shrinking installments at p = 8 (the service's platform) and
 //!   p = 512 (the `dlt-multiload` and sweep hot path);
-//! * the `costmodel` group — the same pair with the law passed as
-//!   `CostLaw::AlphaPower` instead of a bare `f64` α, so the kernel pays
-//!   its once-per-solve law match in `BatchSolver::solve`. Its kernel
-//!   time next to the `solver` group's shows the `CostModel` dispatch
-//!   cost (expected ≈ 0);
-//! * the `solver_sweep` group — the shared-α sweep of the sec2 /
-//!   sec-amdahl runners (`BatchSolver::solve_sweep`: one platform scan,
-//!   share seeds chained law to law) vs one oracle solve per law.
+//! * `solver_batched` — the shared-α sweep of the sec2 / sec-amdahl
+//!   runners (`BatchSolver::solve_sweep`: one platform scan, share seeds
+//!   chained law to law) vs one oracle solve per law, at the same two
+//!   platform sizes.
 //!
-//! Besides the criterion groups, the run re-times each pair directly and
-//! writes `BENCH_hotpaths.json` (override the path with
-//! `DLT_BENCH_JSON`): one record per kernel with baseline/optimized
-//! nanoseconds and the speedup. CI uploads the file as an artifact so the
-//! perf trajectory of future PRs stays diffable; the committed copy holds
-//! the numbers quoted in CHANGES.md, and the `bench-guard` binary fails
-//! CI when a fresh measurement regresses a committed speedup by more
-//! than 2×.
+//! Each side of a pair is sampled: one warm-up call, then `n` timed
+//! calls. A record keeps each side's median, lower and upper quartile
+//! (nanoseconds) and `n`, and its `speedup` is the ratio of the two
+//! medians. CI uploads the file as an artifact so the perf trajectory of
+//! future PRs stays diffable; the committed copy holds the numbers quoted
+//! in CHANGES.md, and the `bench-guard` binary fails CI when a fresh
+//! measurement regresses a committed speedup by more than 2×.
 //!
-//! Set `DLT_BENCH_SMOKE=1` to skip the criterion groups and emit the JSON
-//! from fewer repetitions — the CI regression-guard mode, which keeps the
-//! bench job fast while still producing comparable speedup ratios.
+//! `DLT_BENCH_JSON` overrides the output path. `DLT_BENCH_SMOKE=1` divides
+//! the sample counts by five (at least 5 per side) — the CI
+//! regression-guard mode, which keeps the bench job fast while still
+//! producing comparable speedup ratios.
 
 // Benchmark code: timing reads the wall clock by design.
 #![allow(clippy::disallowed_methods)]
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use dlt_bench::BENCH_SEED;
 use dlt_core::batch::BatchSolver;
-use dlt_core::costmodel::{CostLaw, CostModel};
+use dlt_core::costmodel::CostLaw;
 use dlt_core::nonlinear;
 use dlt_multiload::{
     round_robin_schedule, round_robin_schedule_reference, schedule, schedule_reference,
@@ -82,8 +81,10 @@ use dlt_sim::{
 use std::hint::black_box;
 use std::time::Instant;
 
-/// True when the run is the CI smoke/guard mode: criterion groups are
-/// skipped and the JSON emitter uses fewer repetitions.
+/// Deterministic seed of every generated platform.
+const BENCH_SEED: u64 = 42;
+
+/// True when the run is the CI smoke/guard mode: fewer samples per side.
 fn smoke_mode() -> bool {
     std::env::var_os("DLT_BENCH_SMOKE").is_some_and(|v| v != "0" && !v.is_empty())
 }
@@ -278,29 +279,29 @@ fn solver_instance(p: usize, installments: usize) -> (Platform, Vec<f64>) {
 
 /// Runs the FIFO-style sequence through the lanes kernel with one warm
 /// handle (the configuration of the installment engine).
-fn solver_kernel_warm<M: CostModel>(platform: &Platform, sizes: &[f64], model: M) -> f64 {
+fn solver_kernel_warm(platform: &Platform, sizes: &[f64], alpha: f64) -> f64 {
     let config = nonlinear::SolverConfig::default();
     let mut solver = BatchSolver::default();
     let mut acc = 0.0;
     for &n in sizes {
-        acc += solver.solve(platform, n, model, &config).unwrap().makespan;
+        acc += solver.solve(platform, n, alpha, &config).unwrap().makespan;
     }
     acc
 }
 
 /// The same sequence through the nested-bisection oracle (no warm start —
 /// the seed implementation had none).
-fn solver_reference<M: CostModel>(platform: &Platform, sizes: &[f64], model: M) -> f64 {
+fn solver_reference(platform: &Platform, sizes: &[f64], alpha: f64) -> f64 {
     let mut acc = 0.0;
     for &n in sizes {
-        acc += nonlinear::equal_finish_parallel_reference(platform, n, model)
+        acc += nonlinear::equal_finish_parallel_reference(platform, n, alpha)
             .unwrap()
             .makespan;
     }
     acc
 }
 
-/// The shared-α sweep workload of the `solver_sweep` group: `width`
+/// The shared-α sweep workload of the `solver_batched` records: `width`
 /// α-power laws solved on one platform for one load — exactly the
 /// per-platform inner loop of the sec2 / sec-amdahl sweeps.
 fn sweep_laws(width: usize) -> Vec<CostLaw> {
@@ -333,474 +334,253 @@ fn sweep_kernel(platform: &Platform, n: f64, laws: &[CostLaw]) -> f64 {
         .sum()
 }
 
-fn bench_costmodel(c: &mut Criterion) {
-    if smoke_mode() {
-        return;
-    }
-    let mut group = c.benchmark_group("costmodel");
-    let law = CostLaw::alpha_power(1.5);
-    for &(p, installments) in &[(8usize, 8usize), (512, 8)] {
-        let (platform, sizes) = solver_instance(p, installments);
-        let id = format!("p{p}_seq{installments}");
-        group.bench_with_input(BenchmarkId::new("kernel_costlaw", &id), &p, |b, _| {
-            b.iter(|| solver_kernel_warm(black_box(&platform), black_box(&sizes), black_box(law)))
-        });
-        group.bench_with_input(BenchmarkId::new("bisection_costlaw", &id), &p, |b, _| {
-            b.iter(|| solver_reference(black_box(&platform), black_box(&sizes), black_box(law)))
-        });
-    }
-    group.finish();
+/// Wall-clock samples of one side of a pair, in nanoseconds.
+struct Samples {
+    median: f64,
+    q1: f64,
+    q3: f64,
+    n: usize,
 }
 
-fn bench_solver(c: &mut Criterion) {
-    if smoke_mode() {
-        return;
-    }
-    let mut group = c.benchmark_group("solver");
-    for &(p, installments) in &[(8usize, 8usize), (512, 8)] {
-        let (platform, sizes) = solver_instance(p, installments);
-        let id = format!("p{p}_seq{installments}");
-        group.bench_with_input(BenchmarkId::new("kernel_warm", &id), &p, |b, _| {
-            b.iter(|| solver_kernel_warm(black_box(&platform), black_box(&sizes), black_box(1.5)))
-        });
-        group.bench_with_input(BenchmarkId::new("bisection_reference", &id), &p, |b, _| {
-            b.iter(|| solver_reference(black_box(&platform), black_box(&sizes), black_box(1.5)))
-        });
-    }
-    group.finish();
-}
-
-fn bench_solver_sweep(c: &mut Criterion) {
-    if smoke_mode() {
-        return;
-    }
-    let mut group = c.benchmark_group("solver_sweep");
-    let laws = sweep_laws(8);
-    for &p in &[8usize, 512] {
-        let (platform, _) = solver_instance(p, 8);
-        let id = format!("p{p}_sweep8");
-        group.bench_with_input(BenchmarkId::new("kernel_sweep", &id), &p, |b, _| {
-            b.iter(|| sweep_kernel(black_box(&platform), black_box(4096.0), black_box(&laws)))
-        });
-        group.bench_with_input(BenchmarkId::new("bisection_sweep", &id), &p, |b, _| {
-            b.iter(|| sweep_reference(black_box(&platform), black_box(4096.0), black_box(&laws)))
-        });
-    }
-    group.finish();
-}
-
-fn bench_demand(c: &mut Criterion) {
-    if smoke_mode() {
-        return;
-    }
-    let mut group = c.benchmark_group("simulate_demand");
-    for &(p, t) in &[(64usize, 2_000usize), (512, 10_000)] {
-        let (platform, tasks) = demand_instance(p, t);
-        let id = format!("p{p}_t{t}");
-        group.bench_with_input(BenchmarkId::new("heap", &id), &p, |b, _| {
-            b.iter(|| {
-                simulate_demand(
-                    black_box(&platform),
-                    black_box(&tasks),
-                    DemandConfig::default(),
-                )
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("linear_reference", &id), &p, |b, _| {
-            b.iter(|| {
-                simulate_demand_reference(
-                    black_box(&platform),
-                    black_box(&tasks),
-                    DemandConfig::default(),
-                )
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_demand_identical(c: &mut Criterion) {
-    if smoke_mode() {
-        return;
-    }
-    let mut group = c.benchmark_group("demand_identical");
-    let (platform, levels) = refinement_instance(100, 10_000);
-    let id = format!("p100_n10000_k{}", levels.len());
-    group.bench_with_input(BenchmarkId::new("chains", &id), &levels, |b, levels| {
-        b.iter(|| refinement_identical(black_box(&platform), black_box(levels)))
-    });
-    group.bench_with_input(
-        BenchmarkId::new("heap_materialised", &id),
-        &levels,
-        |b, levels| b.iter(|| refinement_heap(black_box(&platform), black_box(levels))),
-    );
-    group.finish();
-}
-
-fn bench_peri_sum(c: &mut Criterion) {
-    if smoke_mode() {
-        return;
-    }
-    let mut group = c.benchmark_group("peri_sum_dp");
-    for &p in &[64usize, 512] {
-        let w = partition_weights(p);
-        group.bench_with_input(BenchmarkId::new("pruned_workspace", p), &p, |b, _| {
-            let mut ws = PeriSumDp::new();
-            b.iter(|| ws.partition(black_box(&w)).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("full_reference", p), &p, |b, _| {
-            b.iter(|| peri_sum_partition_reference(black_box(&w)).unwrap())
-        });
-    }
-    group.finish();
-}
-
-fn bench_multiload(c: &mut Criterion) {
-    if smoke_mode() {
-        return;
-    }
-    let mut group = c.benchmark_group("multiload");
-    for &(p, loads, chunks) in &[(64usize, 16usize, 64usize), (512, 64, 128)] {
-        let (platform, batch, config, alone) = multiload_instance(p, loads, chunks);
-        let id = format!("p{p}_l{loads}_c{chunks}");
-        group.bench_with_input(BenchmarkId::new("rr_heap", &id), &p, |b, _| {
-            b.iter(|| {
-                round_robin_schedule(black_box(&platform), black_box(&batch), &config, &alone)
-                    .unwrap()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("rr_linear_reference", &id), &p, |b, _| {
-            b.iter(|| {
-                round_robin_schedule_reference(
-                    black_box(&platform),
-                    black_box(&batch),
-                    &config,
-                    &alone,
-                )
-                .unwrap()
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_policy(c: &mut Criterion) {
-    if smoke_mode() {
-        return;
-    }
-    let mut group = c.benchmark_group("multiload_policy");
-    for &(p, loads, installments) in &[(8usize, 128usize, 2usize), (8, 768, 2)] {
-        let (platform, batch, config, alone) = policy_instance(p, loads, installments);
-        let opts = ScheduleOptions {
-            alone: Some(&alone),
-            ..ScheduleOptions::default()
-        };
-        let id = format!("p{p}_l{loads}_k{installments}");
-        group.bench_with_input(BenchmarkId::new("srpt_indexed_heap", &id), &p, |b, _| {
-            b.iter(|| schedule(black_box(&platform), black_box(&batch), &config, &opts).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("srpt_linear_rescan", &id), &p, |b, _| {
-            b.iter(|| {
-                schedule_reference(black_box(&platform), black_box(&batch), &config, &opts).unwrap()
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_failure(c: &mut Criterion) {
-    if smoke_mode() {
-        return;
-    }
-    let mut group = c.benchmark_group("multiload_failure");
-    for &(p, loads, installments) in &[(8usize, 128usize, 2usize), (8, 768, 2)] {
-        let (platform, batch, config, alone) = policy_instance(p, loads, installments);
-        let failures = failure_instance(p, 12);
-        let opts = ScheduleOptions {
-            failures: Some(&failures),
-            alone: Some(&alone),
-            ..ScheduleOptions::default()
-        };
-        let id = format!("p{p}_l{loads}_k{installments}");
-        group.bench_with_input(BenchmarkId::new("indexed_heap_failure", &id), &p, |b, _| {
-            b.iter(|| schedule(black_box(&platform), black_box(&batch), &config, &opts).unwrap())
-        });
-        group.bench_with_input(
-            BenchmarkId::new("linear_rescan_failure", &id),
-            &p,
-            |b, _| {
-                b.iter(|| {
-                    schedule_reference(black_box(&platform), black_box(&batch), &config, &opts)
-                        .unwrap()
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-fn bench_service(c: &mut Criterion) {
-    if smoke_mode() {
-        return;
-    }
-    let mut group = c.benchmark_group("multiload_service");
-    for &(p, loads) in &[(8usize, 1_024usize), (8, 4_096)] {
-        let (platform, batch, config) = service_instance(p, loads);
-        let id = format!("p{p}_l{loads}");
-        group.bench_with_input(BenchmarkId::new("indexed_heap_service", &id), &p, |b, _| {
-            b.iter(|| {
-                serve_trace(
-                    black_box(&platform),
-                    batch.iter().copied(),
-                    &config,
-                    &mut DiscardCompletions,
-                )
-                .unwrap()
-            })
-        });
-        group.bench_with_input(
-            BenchmarkId::new("linear_rescan_service", &id),
-            &p,
-            |b, _| {
-                b.iter(|| {
-                    serve_trace_reference(
-                        black_box(&platform),
-                        black_box(&batch),
-                        &config,
-                        &mut DiscardCompletions,
-                    )
-                    .unwrap()
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
-/// Minimum wall-clock of `reps` calls, in nanoseconds (min is the most
-/// reproducible point estimate for a CPU-bound kernel).
-fn time_min_ns<O>(reps: usize, mut f: impl FnMut() -> O) -> f64 {
+/// One warm-up call of `f`, then `n` timed calls.
+fn sample<O>(n: usize, mut f: impl FnMut() -> O) -> Samples {
     black_box(f());
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        black_box(f());
-        best = best.min(start.elapsed().as_nanos() as f64);
+    let mut ns: Vec<f64> = (0..n)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(f());
+            start.elapsed().as_nanos() as f64
+        })
+        .collect();
+    ns.sort_by(f64::total_cmp);
+    Samples {
+        median: quantile(&ns, 0.5),
+        q1: quantile(&ns, 0.25),
+        q3: quantile(&ns, 0.75),
+        n,
     }
-    best
 }
 
-fn emit_json(c: &mut Criterion) {
-    // Touch the harness handle so the signature matches criterion_group!.
-    let _ = c;
+/// The `q`-quantile of non-empty sorted samples, interpolated between
+/// ranks.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let rank = q * (sorted.len() - 1) as f64;
+    let (lo, hi) = (rank.floor() as usize, rank.ceil() as usize);
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
+}
 
-    // Smoke mode (CI regression guard) divides the repetition counts:
-    // min-of-reps stays a stable point estimate, and only the *ratio*
-    // baseline/optimized is compared — against a 2× tolerance.
+/// One kernel/reference pair of the trajectory file.
+struct Record {
+    bench: String,
+    config: String,
+    baseline: &'static str,
+    optimized: &'static str,
+    base: Samples,
+    opt: Samples,
+}
+
+impl Record {
+    fn speedup(&self) -> f64 {
+        self.base.median / self.opt.median
+    }
+
+    fn to_json(&self) -> String {
+        let side = |s: &Samples| {
+            format!(
+                "{{ \"median\": {:.0}, \"q1\": {:.0}, \"q3\": {:.0}, \"n\": {} }}",
+                s.median, s.q1, s.q3, s.n
+            )
+        };
+        format!(
+            "  {{\n    \"bench\": \"{}\",\n    \"config\": \"{}\",\n    \
+             \"baseline\": \"{}\",\n    \"baseline_ns\": {},\n    \
+             \"optimized\": \"{}\",\n    \"optimized_ns\": {},\n    \
+             \"speedup\": {:.2}\n  }}",
+            self.bench,
+            self.config,
+            self.baseline,
+            side(&self.base),
+            self.optimized,
+            side(&self.opt),
+            self.speedup()
+        )
+    }
+}
+
+fn main() {
+    // Smoke mode (CI regression guard) divides the sample counts; only
+    // the *ratio* of the medians is compared, against a 2× floor.
     let reps = |full: usize| {
         if smoke_mode() {
-            (full / 5).max(3)
+            (full / 5).max(5)
         } else {
             full
         }
     };
+    let mut records = Vec::new();
 
     let (platform, tasks) = demand_instance(512, 10_000);
     let config = DemandConfig::default();
-    let sim_base = time_min_ns(reps(10), || {
-        simulate_demand_reference(&platform, &tasks, config)
+    records.push(Record {
+        bench: "simulate_demand".into(),
+        config: "p=512, tasks=10000, uniform profile".into(),
+        baseline: "linear per-task worker scan (simulate_demand_reference)",
+        optimized: "binary-heap free-time scheduler (simulate_demand)",
+        base: sample(reps(10), || {
+            simulate_demand_reference(&platform, &tasks, config)
+        }),
+        opt: sample(reps(50), || simulate_demand(&platform, &tasks, config)),
     });
-    let sim_opt = time_min_ns(reps(50), || simulate_demand(&platform, &tasks, config));
 
-    let (ref_platform, ref_levels) = refinement_instance(100, 10_000);
-    let ref_blocks: usize = ref_levels.iter().map(|&(_, count)| count).sum();
-    let ref_base = time_min_ns(reps(10), || refinement_heap(&ref_platform, &ref_levels));
-    let ref_opt = time_min_ns(reps(50), || {
-        refinement_identical(&ref_platform, &ref_levels)
+    let (platform, levels) = refinement_instance(100, 10_000);
+    let blocks: usize = levels.iter().map(|&(_, count)| count).sum();
+    records.push(Record {
+        bench: "demand_identical".into(),
+        config: format!(
+            "p=100, N=10000, uniform profile, Commhom/k levels k=1..{}, {blocks} blocks",
+            levels.len()
+        ),
+        baseline: "blocks materialised, heap per level (simulate_demand)",
+        optimized: "per-worker free-time chains, O(p) memory (simulate_demand_identical)",
+        base: sample(reps(10), || refinement_heap(&platform, &levels)),
+        opt: sample(reps(50), || refinement_identical(&platform, &levels)),
     });
 
     let w = partition_weights(512);
-    let dp_base = time_min_ns(reps(50), || peri_sum_partition_reference(&w).unwrap());
     let mut ws = PeriSumDp::new();
-    let dp_opt = time_min_ns(reps(200), || ws.partition(&w).unwrap());
-
-    // The equal-finish kernel against the bisection oracle, at the
-    // service's p = 8 and the sweeps' p = 512: a warm installment
-    // sequence with a bare α, the same sequence through the `CostLaw`
-    // enum (its kernel time next to the bare-α one is the dispatch
-    // cost), and the shared-α sweep.
-    let law = CostLaw::alpha_power(1.5);
-    let bt_laws = sweep_laws(8);
-    let solver_records = [8usize, 512].map(|p| {
-        let (platform, sizes) = solver_instance(p, 8);
-        // One p = 512 oracle pass is most of a second.
-        let oracle_reps = reps(if p == 512 { 10 } else { 50 });
-        let pair = |base: &dyn Fn() -> f64, opt: &dyn Fn() -> f64| {
-            (time_min_ns(oracle_reps, base), time_min_ns(reps(200), opt))
-        };
-        [
-            pair(
-                &|| solver_reference(&platform, &sizes, black_box(1.5)),
-                &|| solver_kernel_warm(&platform, &sizes, black_box(1.5)),
-            ),
-            pair(
-                &|| solver_reference(&platform, &sizes, black_box(law)),
-                &|| solver_kernel_warm(&platform, &sizes, black_box(law)),
-            ),
-            pair(
-                &|| sweep_reference(&platform, black_box(4096.0), &bt_laws),
-                &|| sweep_kernel(&platform, black_box(4096.0), &bt_laws),
-            ),
-        ]
+    records.push(Record {
+        bench: "peri_sum_dp".into(),
+        config: "p=512, uniform profile".into(),
+        baseline: "full O(p^2) suffix DP (peri_sum_partition_reference)",
+        optimized: "dominance-pruned DP with reused workspace (PeriSumDp)",
+        base: sample(reps(50), || peri_sum_partition_reference(&w).unwrap()),
+        opt: sample(reps(200), || ws.partition(&w).unwrap()),
     });
 
-    let (ml_platform, ml_batch, ml_config, ml_alone) = multiload_instance(512, 64, 128);
-    let ml_base = time_min_ns(reps(10), || {
-        round_robin_schedule_reference(&ml_platform, &ml_batch, &ml_config, &ml_alone).unwrap()
-    });
-    let ml_opt = time_min_ns(reps(50), || {
-        round_robin_schedule(&ml_platform, &ml_batch, &ml_config, &ml_alone).unwrap()
+    let (platform, batch, config, alone) = multiload_instance(512, 64, 128);
+    records.push(Record {
+        bench: "multiload_round_robin".into(),
+        config: "p=512, loads=64, chunks=128, uniform profile".into(),
+        baseline: "linear per-chunk worker scan (round_robin_schedule_reference)",
+        optimized: "binary-heap chunk dispatcher (round_robin_schedule)",
+        base: sample(reps(10), || {
+            round_robin_schedule_reference(&platform, &batch, &config, &alone).unwrap()
+        }),
+        opt: sample(reps(50), || {
+            round_robin_schedule(&platform, &batch, &config, &alone).unwrap()
+        }),
     });
 
     // One instance for the healthy and the failure pair: the same 768
     // loads, placeholder denominators, with and without the trace.
-    let (po_platform, po_batch, po_config, po_alone) = policy_instance(8, 768, 2);
-    let fa_trace = failure_instance(8, 12);
-    let time_pair = |failures: Option<&FailureTrace>| {
+    let (platform, batch, config, alone) = policy_instance(8, 768, 2);
+    let trace = failure_instance(8, 12);
+    let time_schedule = |failures: Option<&FailureTrace>| {
         let opts = ScheduleOptions {
             failures,
-            alone: Some(&po_alone),
+            alone: Some(&alone),
             ..ScheduleOptions::default()
         };
-        let base = time_min_ns(reps(10), || {
-            schedule_reference(&po_platform, &po_batch, &po_config, &opts).unwrap()
-        });
-        let opt = time_min_ns(reps(50), || {
-            schedule(&po_platform, &po_batch, &po_config, &opts).unwrap()
-        });
-        (base, opt)
+        (
+            sample(reps(10), || {
+                schedule_reference(&platform, &batch, &config, &opts).unwrap()
+            }),
+            sample(reps(50), || {
+                schedule(&platform, &batch, &config, &opts).unwrap()
+            }),
+        )
     };
-    let (po_base, po_opt) = time_pair(None);
-    let (fa_base, fa_opt) = time_pair(Some(&fa_trace));
-
-    let (se_platform, se_batch, se_config) = service_instance(8, 4_096);
-    let se_base = time_min_ns(reps(10), || {
-        serve_trace_reference(&se_platform, &se_batch, &se_config, &mut DiscardCompletions).unwrap()
+    let (base, opt) = time_schedule(None);
+    records.push(Record {
+        bench: "multiload_policy".into(),
+        config: "p=8, loads=768, installments=2, SRPT online, uniform profile".into(),
+        baseline: "linear rescan + per-candidate powf (schedule_reference)",
+        optimized: "indexed pending set, cached keys (schedule)",
+        base,
+        opt,
     });
-    let se_opt = time_min_ns(reps(10), || {
+    let (base, opt) = time_schedule(Some(&trace));
+    records.push(Record {
+        bench: "multiload_failure".into(),
+        config: "p=8, loads=768, installments=2, SRPT online, 12 failure waves, uniform profile"
+            .into(),
+        baseline: "linear rescan under failures (schedule_reference)",
+        optimized: "indexed pending set under failures (schedule)",
+        base,
+        opt,
+    });
+
+    let (platform, batch, config) = service_instance(8, 4_096);
+    let base = sample(reps(10), || {
+        serve_trace_reference(&platform, &batch, &config, &mut DiscardCompletions).unwrap()
+    });
+    let opt = sample(reps(10), || {
         serve_trace(
-            &se_platform,
-            se_batch.iter().copied(),
-            &se_config,
+            &platform,
+            batch.iter().copied(),
+            &config,
             &mut DiscardCompletions,
         )
         .unwrap()
     });
     // The service's headline number: admission decisions committed per
     // wall-clock second on the burst (one decision per load at k = 1).
-    let se_decisions_per_sec = se_batch.len() as f64 / (se_opt / 1e9);
+    let decisions_per_sec = batch.len() as f64 / (opt.median / 1e9);
+    records.push(Record {
+        bench: "multiload_service".into(),
+        config: format!(
+            "p=8, loads=4096 burst, SRPT batch=1 k=1, uniform profile, \
+             {decisions_per_sec:.0} decisions/sec"
+        ),
+        baseline: "linear rescan + per-candidate powf (serve_trace_reference)",
+        optimized: "indexed heap pending set (serve_trace)",
+        base,
+        opt,
+    });
 
-    let record = |name: &str, config: &str, baseline: &str, optimized: &str, b: f64, o: f64| {
-        format!(
-            "  {{\n    \"bench\": \"{name}\",\n    \"config\": \"{config}\",\n    \
-             \"baseline\": \"{baseline}\",\n    \"baseline_ns\": {b:.0},\n    \
-             \"optimized\": \"{optimized}\",\n    \"optimized_ns\": {o:.0},\n    \
-             \"speedup\": {:.2}\n  }}",
-            b / o
-        )
-    };
-    let mut records = vec![
-        record(
-            "simulate_demand",
-            "p=512, tasks=10000, uniform profile",
-            "linear per-task worker scan (simulate_demand_reference)",
-            "binary-heap free-time scheduler (simulate_demand)",
-            sim_base,
-            sim_opt,
-        ),
-        record(
-            "demand_identical",
-            &format!(
-                "p=100, N=10000, uniform profile, Commhom/k levels k=1..{}, {ref_blocks} blocks",
-                ref_levels.len()
-            ),
-            "blocks materialised, heap per level (simulate_demand)",
-            "per-worker free-time chains, O(p) memory (simulate_demand_identical)",
-            ref_base,
-            ref_opt,
-        ),
-        record(
-            "peri_sum_dp",
-            "p=512, uniform profile",
-            "full O(p^2) suffix DP (peri_sum_partition_reference)",
-            "dominance-pruned DP with reused workspace (PeriSumDp)",
-            dp_base,
-            dp_opt,
-        ),
-        record(
-            "multiload_round_robin",
-            "p=512, loads=64, chunks=128, uniform profile",
-            "linear per-chunk worker scan (round_robin_schedule_reference)",
-            "binary-heap chunk dispatcher (round_robin_schedule)",
-            ml_base,
-            ml_opt,
-        ),
-        record(
-            "multiload_policy",
-            "p=8, loads=768, installments=2, SRPT online, uniform profile",
-            "linear rescan + per-candidate powf (schedule_reference)",
-            "indexed pending set, cached keys (schedule)",
-            po_base,
-            po_opt,
-        ),
-        record(
-            "multiload_failure",
-            "p=8, loads=768, installments=2, SRPT online, 12 failure waves, uniform profile",
-            "linear rescan under failures (schedule_reference)",
-            "indexed pending set under failures (schedule)",
-            fa_base,
-            fa_opt,
-        ),
-        record(
-            "multiload_service",
-            &format!(
-                "p=8, loads=4096 burst, SRPT batch=1 k=1, uniform profile, \
-                 {se_decisions_per_sec:.0} decisions/sec"
-            ),
-            "linear rescan + per-candidate powf (serve_trace_reference)",
-            "indexed heap pending set (serve_trace)",
-            se_base,
-            se_opt,
-        ),
-    ];
-    for (p, timed) in [8usize, 512].into_iter().zip(&solver_records) {
+    // The equal-finish kernel against the bisection oracle, at the
+    // service's p = 8 and the sweeps' p = 512: a warm installment
+    // sequence, and the shared-α sweep.
+    let laws = sweep_laws(8);
+    for p in [8usize, 512] {
+        let (platform, sizes) = solver_instance(p, 8);
         let suffix = if p == 512 { "" } else { "_p8" };
-        records.push(record(
-            &format!("solver_equal_finish{suffix}"),
-            &format!("p={p}, 8 shrinking installments, alpha=1.5, uniform profile"),
-            "nested bisection (equal_finish_parallel_reference)",
-            "lanes kernel, one warm handle (BatchSolver::solve)",
-            timed[0].0,
-            timed[0].1,
-        ));
-        records.push(record(
-            &format!("costmodel_dispatch{suffix}"),
-            &format!("p={p}, 8 shrinking installments, CostLaw::AlphaPower(1.5), uniform profile"),
-            "nested bisection over CostLaw (equal_finish_parallel_reference)",
-            "lanes kernel over CostLaw, one warm handle (BatchSolver::solve)",
-            timed[1].0,
-            timed[1].1,
-        ));
-        records.push(record(
-            &format!("solver_batched{suffix}"),
-            &format!("p={p}, shared-alpha sweep width 8, n=4096, uniform profile"),
-            "nested bisection per law (equal_finish_parallel_reference)",
-            "lanes kernel sweep, share seeds chained (BatchSolver::solve_sweep)",
-            timed[2].0,
-            timed[2].1,
-        ));
+        // One p = 512 oracle pass is most of a second.
+        let oracle_reps = reps(if p == 512 { 10 } else { 50 });
+        records.push(Record {
+            bench: format!("solver_equal_finish{suffix}"),
+            config: format!("p={p}, 8 shrinking installments, alpha=1.5, uniform profile"),
+            baseline: "nested bisection (equal_finish_parallel_reference)",
+            optimized: "lanes kernel, one warm handle (BatchSolver::solve)",
+            base: sample(oracle_reps, || {
+                solver_reference(&platform, &sizes, black_box(1.5))
+            }),
+            opt: sample(reps(200), || {
+                solver_kernel_warm(&platform, &sizes, black_box(1.5))
+            }),
+        });
+        records.push(Record {
+            bench: format!("solver_batched{suffix}"),
+            config: format!("p={p}, shared-alpha sweep width 8, n=4096, uniform profile"),
+            baseline: "nested bisection per law (equal_finish_parallel_reference)",
+            optimized: "lanes kernel sweep, share seeds chained (BatchSolver::solve_sweep)",
+            base: sample(oracle_reps, || {
+                sweep_reference(&platform, black_box(4096.0), &laws)
+            }),
+            opt: sample(reps(200), || {
+                sweep_kernel(&platform, black_box(4096.0), &laws)
+            }),
+        });
     }
-    let json = format!("[\n{}\n]\n", records.join(",\n"));
+
+    let json = format!(
+        "[\n{}\n]\n",
+        records
+            .iter()
+            .map(Record::to_json)
+            .collect::<Vec<_>>()
+            .join(",\n")
+    );
     // Bench binaries run with CWD = crates/bench; default to the
     // workspace root so the trajectory file lands next to CHANGES.md.
     let path = std::env::var_os("DLT_BENCH_JSON").unwrap_or_else(|| {
@@ -813,41 +593,7 @@ fn emit_json(c: &mut Criterion) {
             std::path::Path::new(&path).display()
         ),
     }
-    let [p8, p512] = solver_records.map(|t| t.map(|(b, o)| b / o));
-    eprintln!(
-        "hotpaths: simulate_demand {:.1}x, demand_identical {:.1}x, peri_sum_dp {:.1}x, \
-         multiload_round_robin {:.1}x, multiload_policy {:.1}x, multiload_failure {:.1}x, \
-         multiload_service {:.1}x ({:.0} decisions/sec), solver_equal_finish {:.1}x / {:.1}x, \
-         costmodel_dispatch {:.1}x / {:.1}x, solver_batched {:.1}x / {:.1}x (p = 8 / 512)",
-        sim_base / sim_opt,
-        ref_base / ref_opt,
-        dp_base / dp_opt,
-        ml_base / ml_opt,
-        po_base / po_opt,
-        fa_base / fa_opt,
-        se_base / se_opt,
-        se_decisions_per_sec,
-        p8[0],
-        p512[0],
-        p8[1],
-        p512[1],
-        p8[2],
-        p512[2]
-    );
+    for r in &records {
+        eprintln!("hotpaths: {:<24} {:>8.1}x", r.bench, r.speedup());
+    }
 }
-
-criterion_group!(
-    benches,
-    bench_demand,
-    bench_demand_identical,
-    bench_peri_sum,
-    bench_multiload,
-    bench_policy,
-    bench_failure,
-    bench_service,
-    bench_solver,
-    bench_costmodel,
-    bench_solver_sweep,
-    emit_json
-);
-criterion_main!(benches);

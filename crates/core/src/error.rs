@@ -25,8 +25,6 @@ pub enum DltError {
     },
     /// A provided worker ordering is not a permutation of `0..p`.
     InvalidOrder,
-    /// The platform has no workers to share the load.
-    EmptyPlatform,
     /// Numerical root finding failed to converge (should not happen for
     /// well-posed inputs; reported instead of silently returning garbage).
     NoConvergence {
@@ -48,7 +46,6 @@ impl fmt::Display for DltError {
                 write!(f, "{what}, got {value}")
             }
             DltError::InvalidOrder => write!(f, "ordering must be a permutation of 0..p"),
-            DltError::EmptyPlatform => write!(f, "platform must have at least one worker"),
             DltError::NoConvergence { context } => {
                 write!(f, "root finding failed to converge in {context}")
             }
@@ -77,7 +74,6 @@ mod tests {
         .to_string()
         .contains("1.5"));
         assert!(DltError::InvalidOrder.to_string().contains("permutation"));
-        assert!(DltError::EmptyPlatform.to_string().contains("worker"));
         assert!(DltError::NoConvergence { context: "x" }
             .to_string()
             .contains('x'));

@@ -23,7 +23,8 @@
 //! previous shares and is the single scalar consumer of the inner Newton
 //! here. The original nested bisection is kept as
 //! [`equal_finish_parallel_reference`] / [`equal_finish_one_port_reference`]
-//! — the property-tested ≤ 1e-9 oracles and the `solver` bench baseline.
+//! — the property-tested ≤ 1e-9 oracles and the baselines of the
+//! `hotpaths` bench's `solver_*` records.
 //!
 //! Every solver is generic over the per-worker cost law via the
 //! [`CostModel`] trait: a bare `f64` α is the paper's `c·x + w·x^α` (so
@@ -243,75 +244,6 @@ fn invert_cost_reference<M: CostModel>(model: M, c: f64, w: f64, t: f64) -> f64 
         }
     }
     0.5 * (lo + hi)
-}
-
-// ---------------------------------------------------------------------------
-// Closed forms
-// ---------------------------------------------------------------------------
-
-/// Homogeneous closed form (Section 2): each of the `P` workers receives
-/// `N/P` and finishes at `c·N/P + w·(N/P)^α`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HomogeneousNonlinear {
-    /// Share per worker, `N/P`.
-    pub per_worker: f64,
-    /// Finish time `c·N/P + w·(N/P)^α`.
-    pub makespan: f64,
-    /// `W_partial = P·(N/P)^α = N^α / P^{α-1}`.
-    pub work_done: f64,
-    /// `W_partial / W = 1/P^{α-1}`.
-    pub work_fraction: f64,
-}
-
-/// The trivial optimal allocation on a fully homogeneous platform
-/// (Section 2): ordering is irrelevant, everyone gets `N/P`.
-///
-/// Fails with [`DltError::EmptyPlatform`] when `p = 0`, and with
-/// [`DltError::InvalidModel`] when `c` is negative or non-finite or `w`
-/// is non-positive or non-finite (the rule `Processor::new` applies).
-///
-/// # Examples
-///
-/// ```
-/// use dlt_core::nonlinear::homogeneous_allocation;
-///
-/// // 16 workers, quadratic load: one round does 1/16 of the work.
-/// let r = homogeneous_allocation(16, 1000.0, 2.0, 1.0, 1.0).unwrap();
-/// assert_eq!(r.per_worker, 1000.0 / 16.0);
-/// assert!((r.work_fraction - 1.0 / 16.0).abs() < 1e-12);
-/// ```
-pub fn homogeneous_allocation<M: CostModel>(
-    p: usize,
-    n: f64,
-    model: M,
-    c: f64,
-    w: f64,
-) -> Result<HomogeneousNonlinear, DltError> {
-    validate(n, &model)?;
-    if p == 0 {
-        return Err(DltError::EmptyPlatform);
-    }
-    if !(c.is_finite() && c >= 0.0) {
-        return Err(DltError::InvalidModel {
-            what: "inverse bandwidth c must be finite and >= 0",
-            value: c,
-        });
-    }
-    if !(w.is_finite() && w > 0.0) {
-        return Err(DltError::InvalidModel {
-            what: "time per unit of work w must be finite and > 0",
-            value: w,
-        });
-    }
-    let share = n / p as f64;
-    let makespan = model.cost(c, w, share);
-    let work_done = p as f64 * model.work(share);
-    Ok(HomogeneousNonlinear {
-        per_worker: share,
-        makespan,
-        work_done,
-        work_fraction: work_done / model.work(n),
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -759,27 +691,17 @@ mod tests {
     }
 
     #[test]
-    fn homogeneous_closed_form_matches_paper() {
-        // W_partial/W = 1/P^{α−1}.
-        let r = homogeneous_allocation(16, 1000.0, 2.0, 1.0, 1.0).unwrap();
-        assert!((r.work_fraction - 1.0 / 16.0).abs() < 1e-12);
-        let r3 = homogeneous_allocation(16, 1000.0, 3.0, 1.0, 1.0).unwrap();
-        assert!((r3.work_fraction - 1.0 / 256.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn solver_matches_homogeneous_closed_form() {
-        let p = 8;
-        let n = 64.0;
-        let alpha = 2.0;
+        // Section 2: each of P identical workers receives N/P and finishes
+        // at c·N/P + w·(N/P)^α, so one round does 1/P^{α−1} of the work.
+        let (p, n) = (8, 64.0);
         let platform = Platform::homogeneous(p, 1.0, 1.0).unwrap();
-        let solved = equal_finish_parallel(&platform, n, alpha).unwrap();
-        let closed = homogeneous_allocation(p, n, alpha, 1.0, 1.0).unwrap();
+        let solved = equal_finish_parallel(&platform, n, 2.0).unwrap();
         for &xi in &solved.x {
-            assert!((xi - closed.per_worker).abs() < 1e-6, "xi {xi}");
+            assert!((xi - 8.0).abs() < 1e-6, "xi {xi}");
         }
-        assert!((solved.makespan - closed.makespan).abs() < 1e-6);
-        assert!((solved.work_fraction_done() - closed.work_fraction).abs() < 1e-9);
+        assert!((solved.makespan - (8.0 + 8.0 * 8.0)).abs() < 1e-6);
+        assert!((solved.work_fraction_done() - 1.0 / 8.0).abs() < 1e-9);
     }
 
     #[test]
@@ -966,27 +888,6 @@ mod tests {
         assert!(equal_finish_parallel(&platform, 0.0, 2.0).is_err());
         assert!(equal_finish_parallel(&platform, 10.0, 0.5).is_err());
         assert!(equal_finish_one_port(&platform, 10.0, 2.0, Some(vec![1])).is_err());
-        assert!(homogeneous_allocation(4, f64::NAN, 2.0, 1.0, 1.0).is_err());
-        assert_eq!(
-            homogeneous_allocation(0, 10.0, 2.0, 1.0, 1.0),
-            Err(DltError::EmptyPlatform)
-        );
-        for (c, w) in [
-            (f64::NAN, 1.0),
-            (-1.0, 1.0),
-            (f64::INFINITY, 1.0),
-            (1.0, -1.0),
-            (1.0, 0.0),
-            (1.0, f64::NAN),
-        ] {
-            assert!(
-                matches!(
-                    homogeneous_allocation(4, 10.0, 2.0, c, w),
-                    Err(DltError::InvalidModel { .. })
-                ),
-                "c = {c}, w = {w}"
-            );
-        }
         assert!(equal_finish_parallel_reference(&platform, 0.0, 2.0).is_err());
         assert!(equal_finish_one_port_reference(&platform, 10.0, 2.0, Some(vec![1])).is_err());
     }

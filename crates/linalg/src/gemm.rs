@@ -25,34 +25,6 @@ pub fn gemm_naive(a: &Matrix, b: &Matrix) -> Matrix {
     c
 }
 
-/// Cache-blocked kernel with `block × block` tiles.
-pub fn gemm_blocked(a: &Matrix, b: &Matrix, block: usize) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    assert!(block > 0, "block size must be positive");
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut c = Matrix::zeros(m, n);
-    for i0 in (0..m).step_by(block) {
-        let i1 = (i0 + block).min(m);
-        for l0 in (0..k).step_by(block) {
-            let l1 = (l0 + block).min(k);
-            for j0 in (0..n).step_by(block) {
-                let j1 = (j0 + block).min(n);
-                for i in i0..i1 {
-                    for l in l0..l1 {
-                        let aval = a.get(i, l);
-                        let brow = &b.row(l)[j0..j1];
-                        let crow = &mut c.row_mut(i)[j0..j1];
-                        for (cv, &bv) in crow.iter_mut().zip(brow) {
-                            *cv += aval * bv;
-                        }
-                    }
-                }
-            }
-        }
-    }
-    c
-}
-
 /// Multi-threaded kernel: rows of `C` are cut into bands, one scoped
 /// thread per band (`std::thread::scope` ⇒ no `'static` bound, no unsafety).
 pub fn gemm_parallel(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
@@ -115,16 +87,6 @@ mod tests {
         let b = Matrix::from_fn(2, 2, |i, j| ((i + j) % 2) as f64); // [[0,1],[1,0]]
         let c = gemm_naive(&a, &b);
         assert_eq!(c.as_slice(), &[2.0, 1.0, 4.0, 3.0]);
-    }
-
-    #[test]
-    fn blocked_matches_naive() {
-        let (a, b) = random_pair(17, 23, 11, 2);
-        let reference = gemm_naive(&a, &b);
-        for block in [1usize, 3, 8, 64] {
-            let c = gemm_blocked(&a, &b, block);
-            assert!(c.approx_eq(&reference, 1e-10), "block={block}");
-        }
     }
 
     #[test]

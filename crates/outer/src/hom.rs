@@ -18,8 +18,6 @@ pub struct HomBlocksOutcome {
     pub owner: Vec<usize>,
     /// Block side `D` used.
     pub block_side: usize,
-    /// Refinement factor `k` (1 for plain `Commhom`).
-    pub k: usize,
     /// Total data shipped: `Σ (width + height)` over all assigned blocks —
     /// the paper's no-reuse accounting.
     pub comm_volume: f64,
@@ -57,12 +55,11 @@ pub fn tile_domain(n: usize, side: usize) -> Vec<IntRect> {
     blocks
 }
 
-/// Runs `Commhom` (with optional refinement factor `k` dividing the block
-/// side): tile, then dispatch demand-driven where executing a block costs
+/// Runs `Commhom` on the integer grid: tile with [`hom_block_side`]
+/// squares, then dispatch demand-driven where executing a block costs
 /// `area·w_i` and ships `width + height` data.
-fn hom_blocks_with_k(platform: &Platform, n: usize, k: usize) -> HomBlocksOutcome {
-    assert!(k >= 1);
-    let side = (hom_block_side(platform, n) / k).max(1);
+pub fn hom_blocks(platform: &Platform, n: usize) -> HomBlocksOutcome {
+    let side = hom_block_side(platform, n);
     let blocks = tile_domain(n, side);
     let tasks: Vec<DemandTask> = blocks
         .iter()
@@ -82,16 +79,10 @@ fn hom_blocks_with_k(platform: &Platform, n: usize, k: usize) -> HomBlocksOutcom
         comm_volume: demand.total_comm(),
         imbalance: demand.imbalance(),
         block_side: side,
-        k,
         owner,
         blocks,
         demand,
     }
-}
-
-/// Plain `Commhom` (`k = 1`).
-pub fn hom_blocks(platform: &Platform, n: usize) -> HomBlocksOutcome {
-    hom_blocks_with_k(platform, n, 1)
 }
 
 /// Outcome of the paper's *arithmetic* `Commhom` accounting (see
@@ -117,8 +108,9 @@ pub struct AbstractHomOutcome {
 /// `B = k²/x₁` square blocks of side `D = √x₁·N/k` ("let us assume that N
 /// is large so that we can assume this value is an integer"), each
 /// shipping `2D` data, dispatched demand-driven. This is what Figure 4
-/// plots; the geometric [`hom_blocks`] additionally pays for clipped edge
-/// blocks when `N/D` is not integral, which is kept as an ablation.
+/// plots; the geometric [`hom_blocks`], which the footprint experiment
+/// uses, additionally pays for clipped edge blocks when `N/D` is not
+/// integral.
 ///
 /// The blocks are identical, so they are dispatched by
 /// [`simulate_demand_identical`]: bit-identical to `simulate_demand` on
@@ -175,33 +167,6 @@ pub fn hom_blocks_refined_abstract(
     best.expect("at least one refinement level was evaluated")
 }
 
-/// `Commhom/k`: doubles down on block refinement (`k = 1, 2, 3, …`) until
-/// the demand-driven imbalance is at most `target` (the paper stops at
-/// `e ≤ 1%`) or the blocks degenerate to single cells. Returns the first
-/// outcome meeting the target, or the best (lowest-imbalance) one seen.
-pub fn hom_blocks_refined(platform: &Platform, n: usize, target: f64) -> HomBlocksOutcome {
-    assert!(target >= 0.0);
-    let mut best: Option<HomBlocksOutcome> = None;
-    let base_side = hom_block_side(platform, n);
-    let mut k = 1;
-    loop {
-        let outcome = hom_blocks_with_k(platform, n, k);
-        let side = outcome.block_side;
-        let done = outcome.imbalance <= target;
-        let better = best
-            .as_ref()
-            .is_none_or(|b| outcome.imbalance < b.imbalance);
-        if better {
-            best = Some(outcome);
-        }
-        if done || side == 1 || k >= base_side {
-            break;
-        }
-        k += 1;
-    }
-    best.expect("at least one refinement level was evaluated")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,34 +212,6 @@ mod tests {
         assert!(counts[3] > counts[1]);
         let total: usize = counts.iter().sum();
         assert_eq!(total, out.blocks.len());
-    }
-
-    #[test]
-    fn refinement_reduces_imbalance() {
-        // Speeds with awkward ratios: k = 1 leaves imbalance, refinement
-        // brings it under 1%.
-        let platform = Platform::from_speeds(&[1.0, 1.7, 2.3, 3.1]).unwrap();
-        let coarse = hom_blocks(&platform, 256);
-        let refined = hom_blocks_refined(&platform, 256, 0.01);
-        assert!(refined.imbalance <= coarse.imbalance + 1e-12);
-        assert!(
-            refined.imbalance <= 0.01 || refined.block_side == 1,
-            "imbalance {} side {}",
-            refined.imbalance,
-            refined.block_side
-        );
-        assert!(refined.k >= 1);
-    }
-
-    #[test]
-    fn refinement_multiplies_volume() {
-        // Volume scales like k (blocks: k²/x₁, data per block 2D/k).
-        let platform = Platform::from_speeds(&[1.0, 1.0, 1.0, 1.0]).unwrap();
-        let k1 = hom_blocks_with_k(&platform, 128, 1);
-        let k2 = hom_blocks_with_k(&platform, 128, 2);
-        let k4 = hom_blocks_with_k(&platform, 128, 4);
-        assert!((k2.comm_volume / k1.comm_volume - 2.0).abs() < 0.05);
-        assert!((k4.comm_volume / k1.comm_volume - 4.0).abs() < 0.05);
     }
 
     #[test]

@@ -15,10 +15,11 @@
 //! * [`hom_blocks`] — **`Commhom`**: the MapReduce-style baseline. Square
 //!   blocks sized so the *slowest* worker gets exactly one
 //!   (`D = √x₁·N`), handed out demand-driven. Each block ships `2D` data.
-//! * [`hom_blocks_refined`] — **`Commhom/k`**: same, but the block side is
-//!   divided by increasing `k` until the demand-driven run's load
-//!   imbalance `e = (tmax − tmin)/tmin` drops below a threshold (1% in the
-//!   paper) — the realistic variant, since `s_i/s_1` is never an integer.
+//! * [`hom_blocks_refined_abstract`] — **`Commhom/k`**: same, but the
+//!   block side is divided by increasing `k` until the demand-driven
+//!   run's load imbalance `e = (tmax − tmin)/tmin` drops below a
+//!   threshold (1% in the paper) — the realistic variant, since
+//!   `s_i/s_1` is never an integer.
 //! * [`het_rects`] — **`Commhet`**: one rectangle per worker with area
 //!   proportional to its speed, chosen by the PERI-SUM partitioner of
 //!   [`dlt_partition`]; communication is the sum of half-perimeters,
@@ -38,7 +39,6 @@ pub mod het;
 pub mod hom;
 pub mod matmul;
 pub mod ratio;
-pub mod rows;
 pub mod strategies;
 
 pub use affinity::{demand_driven_affinity, AffinityOutcome};
@@ -46,10 +46,8 @@ pub use dlt_partition::IntRect;
 pub use footprint::{footprints, Footprint};
 pub use het::het_rects;
 pub use hom::{
-    hom_block_side, hom_blocks, hom_blocks_abstract, hom_blocks_refined,
-    hom_blocks_refined_abstract, tile_domain,
+    hom_block_side, hom_blocks, hom_blocks_abstract, hom_blocks_refined_abstract, tile_domain,
 };
 pub use matmul::{block_cyclic_rects, execute_partitioned_matmul, summa_comm_volume, SummaSim};
-pub use ratio::{commhet_upper_bound, commhom_analytic, rho_lower_bound, two_class_rho_bound};
-pub use rows::{row_bands, RowBandsOutcome};
+pub use ratio::{commhom_analytic, rho_lower_bound, two_class_rho_bound};
 pub use strategies::{comm_lower_bound, evaluate, Strategy, StrategyReport};

@@ -10,13 +10,6 @@ pub fn commhom_analytic(platform: &Platform, n: usize) -> f64 {
     2.0 * n as f64 * (platform.total_speed() / platform.min_speed()).sqrt()
 }
 
-/// Analytic upper bound on the `Commhet` volume (Section 4.1.2):
-///
-/// `Commhet ≤ (7N/2) Σ √x_i = (7/4)·LBComm`.
-pub fn commhet_upper_bound(platform: &Platform, n: usize) -> f64 {
-    1.75 * crate::strategies::comm_lower_bound(platform, n)
-}
-
 /// The paper's lower bound on the ratio `ρ = Commhom / Commhet`
 /// (Section 4.1.3):
 ///

@@ -2,15 +2,14 @@
 //! machinery behind the paper's Figure 4.
 
 use crate::het::het_rects;
-use crate::hom::{hom_blocks, hom_blocks_abstract, hom_blocks_refined_abstract};
+use crate::hom::{hom_blocks_abstract, hom_blocks_refined_abstract};
 use dlt_platform::Platform;
 
 /// The load imbalance threshold the paper uses for `Commhom/k` ("the
 /// stopping criterion for this process is when e ≤ 1%").
 pub const PAPER_IMBALANCE_TARGET: f64 = 0.01;
 
-/// The data-distribution strategies compared in Section 4.3 (plus one
-/// ablation variant).
+/// The data-distribution strategies compared in Section 4.3.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Strategy {
     /// `Commhom`: homogeneous blocks sized for the slowest worker,
@@ -25,10 +24,6 @@ pub enum Strategy {
     },
     /// `Commhet`: heterogeneity-aware rectangles via PERI-SUM.
     HetRects,
-    /// Ablation: `Commhom` with *geometric* tiling of the integer grid —
-    /// pays extra for clipped edge blocks whenever `N/D` is fractional
-    /// (the paper assumes this away; the gap is measured in the benches).
-    HomBlocksTiled,
 }
 
 impl Strategy {
@@ -49,7 +44,6 @@ impl Strategy {
             Strategy::HomBlocks => "Commhom",
             Strategy::HomBlocksRefined { .. } => "Commhom/k",
             Strategy::HetRects => "Commhet",
-            Strategy::HomBlocksTiled => "Commhom-tiled",
         }
     }
 }
@@ -109,17 +103,6 @@ pub fn evaluate(platform: &Platform, n: usize, strategy: Strategy) -> StrategyRe
                 imbalance: out.imbalance,
                 k: out.k,
                 n_chunks: out.n_blocks,
-            }
-        }
-        Strategy::HomBlocksTiled => {
-            let out = hom_blocks(platform, n);
-            StrategyReport {
-                strategy,
-                comm_volume: out.comm_volume,
-                ratio_to_lb: out.comm_volume / lb,
-                imbalance: out.imbalance,
-                k: out.k,
-                n_chunks: out.blocks.len(),
             }
         }
         Strategy::HetRects => {

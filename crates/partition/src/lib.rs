@@ -15,28 +15,23 @@
 //! NP-completeness and approximation algorithms"*, Algorithmica 34(3), 2002
 //! (the paper's reference 41).
 //!
-//! Two objectives are supported:
-//!
-//! * **PERI-SUM** — minimize `Σ half-perimeters` (total communication
-//!   volume). [`peri_sum_partition`] computes the *optimal column-based*
-//!   partition by dynamic programming; the 2002 paper proves any optimal
-//!   column-based partition satisfies
-//!   `Ĉ ≤ 1 + (5/4)·LB ≤ (7/4)·LB` where `LB = 2 Σ √a_i` is a lower bound
-//!   on any partition (Section 4.1.2 of the reproduced paper).
-//! * **PERI-MAX** — minimize `max half-perimeter`. [`peri_max_partition`]
-//!   is the column-based analogue.
+//! The objective is **PERI-SUM**: minimize `Σ half-perimeters` (total
+//! communication volume). [`peri_sum_partition`] computes the *optimal
+//! column-based* partition by dynamic programming; the 2002 paper proves
+//! any optimal column-based partition satisfies
+//! `Ĉ ≤ 1 + (5/4)·LB ≤ (7/4)·LB` where `LB = 2 Σ √a_i` is a lower bound
+//! on any partition (Section 4.1.2 of the reproduced paper).
 //!
 //! A [`bisection_partition`] baseline and a fixed-column
-//! [`sqrt_columns_partition`] heuristic are provided for the ablation
-//! benches, plus exact integer-grid scaling ([`grid::scale_to_grid`]) so
-//! the matrix-multiplication simulator can tile an `N × N` domain with no
-//! rounding gaps.
+//! [`sqrt_columns_partition`] heuristic are provided for the
+//! partition-quality experiment, plus exact integer-grid scaling
+//! ([`grid::scale_to_grid`]) so the matrix-multiplication simulator can
+//! tile an `N × N` domain with no rounding gaps.
 
 pub mod bisection;
 pub mod error;
 pub mod grid;
 pub mod lower_bound;
-pub mod peri_max;
 pub mod peri_sum;
 pub mod rect;
 pub mod validate;
@@ -45,7 +40,6 @@ pub use bisection::bisection_partition;
 pub use error::PartitionError;
 pub use grid::{scale_to_grid, IntRect};
 pub use lower_bound::{lower_bound, peri_sum_upper_bound};
-pub use peri_max::peri_max_partition;
 pub use peri_sum::{
     peri_sum_partition, peri_sum_partition_reference, sqrt_columns_partition, PeriSumDp,
 };

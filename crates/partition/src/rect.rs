@@ -78,14 +78,6 @@ impl SquarePartition {
         self.rects.iter().map(Rect::half_perimeter).sum()
     }
 
-    /// `max (w_i + h_i)` — the PERI-MAX objective.
-    pub fn max_half_perimeter(&self) -> f64 {
-        self.rects
-            .iter()
-            .map(Rect::half_perimeter)
-            .fold(0.0, f64::max)
-    }
-
     /// Number of rectangles.
     pub fn len(&self) -> usize {
         self.rects.len()
@@ -139,7 +131,6 @@ mod tests {
             rects: vec![Rect::new(0.0, 0.0, 0.5, 1.0), Rect::new(0.5, 0.0, 0.5, 1.0)],
         };
         assert!((p.total_half_perimeter() - 3.0).abs() < 1e-12);
-        assert!((p.max_half_perimeter() - 1.5).abs() < 1e-12);
         assert_eq!(p.len(), 2);
         assert_eq!(p.areas(), vec![0.5, 0.5]);
     }

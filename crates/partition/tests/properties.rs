@@ -2,9 +2,8 @@
 //! within its theoretical guarantee on arbitrary inputs.
 
 use dlt_partition::{
-    bisection_partition, lower_bound, peri_max_partition, peri_sum_partition,
-    peri_sum_partition_reference, peri_sum_upper_bound, scale_to_grid, sqrt_columns_partition,
-    validate_partition, PeriSumDp,
+    bisection_partition, lower_bound, peri_sum_partition, peri_sum_partition_reference,
+    peri_sum_upper_bound, scale_to_grid, sqrt_columns_partition, validate_partition, PeriSumDp,
 };
 use proptest::prelude::*;
 
@@ -24,16 +23,6 @@ proptest! {
         let ub = peri_sum_upper_bound(&w).unwrap();
         prop_assert!(cost >= lb - 1e-9, "cost {cost} below lower bound {lb}");
         prop_assert!(cost <= ub + 1e-9, "cost {cost} above guarantee {ub}");
-    }
-
-    #[test]
-    fn peri_max_is_valid(w in weights()) {
-        let part = peri_max_partition(&w).unwrap();
-        prop_assert!(validate_partition(&part, &w, 1e-8).is_ok());
-        // Max half-perimeter is at least the square bound of the largest area.
-        let total: f64 = w.iter().sum();
-        let amax = w.iter().cloned().fold(0.0, f64::max) / total;
-        prop_assert!(part.max_half_perimeter() >= 2.0 * amax.sqrt() - 1e-9);
     }
 
     #[test]

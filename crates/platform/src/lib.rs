@@ -51,5 +51,5 @@ pub mod rng;
 pub use distribution::SpeedDistribution;
 pub use error::PlatformError;
 pub use generator::PlatformSpec;
-pub use platform::{Platform, PlatformBuilder};
+pub use platform::Platform;
 pub use processor::Processor;

@@ -7,7 +7,7 @@ use crate::processor::Processor;
 ///
 /// Workers are stored in id order (`worker(i).id() == i`). Most paper
 /// formulas refer to workers *sorted by non-decreasing speed*; use
-/// [`Platform::sorted_by_speed`] or [`Platform::min_speed`] for that view
+/// [`Platform::min_speed`] and [`Platform::max_speed`] for that view
 /// rather than reordering the platform itself, so worker ids stay stable
 /// across the simulator, the strategies and the reports.
 #[derive(Debug, Clone, PartialEq)]
@@ -131,32 +131,12 @@ impl Platform {
         self.workers.iter().map(|w| w.speed()).fold(0.0, f64::max)
     }
 
-    /// Worker indices sorted by non-decreasing speed (the paper's
-    /// `s_1 ≤ s_2 ≤ … ≤ s_p` convention), ties broken by id for
-    /// determinism.
-    pub fn sorted_by_speed(&self) -> Vec<usize> {
-        let mut idx: Vec<usize> = (0..self.len()).collect();
-        idx.sort_by(|&a, &b| {
-            self.workers[a]
-                .speed()
-                .partial_cmp(&self.workers[b].speed())
-                .unwrap()
-                .then(a.cmp(&b))
-        });
-        idx
-    }
-
     /// True when all speeds are within relative tolerance `tol` of each
     /// other.
     pub fn is_speed_homogeneous(&self, tol: f64) -> bool {
         let min = self.min_speed();
         let max = self.max_speed();
         (max - min) <= tol * max
-    }
-
-    /// Heterogeneity measure used in reports: `s_max / s_min`.
-    pub fn speed_ratio(&self) -> f64 {
-        self.max_speed() / self.min_speed()
     }
 }
 
@@ -165,49 +145,6 @@ impl<'a> IntoIterator for &'a Platform {
     type IntoIter = std::slice::Iter<'a, Processor>;
     fn into_iter(self) -> Self::IntoIter {
         self.workers.iter()
-    }
-}
-
-/// Incremental construction of heterogeneous platforms.
-///
-/// ```
-/// use dlt_platform::PlatformBuilder;
-/// let platform = PlatformBuilder::new()
-///     .worker(1.0, 1.0)
-///     .worker(2.0, 0.5)
-///     .build()
-///     .unwrap();
-/// assert_eq!(platform.len(), 2);
-/// ```
-#[derive(Debug, Default, Clone)]
-pub struct PlatformBuilder {
-    speeds: Vec<f64>,
-    costs: Vec<f64>,
-}
-
-impl PlatformBuilder {
-    /// Empty builder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one worker with speed `s` and inverse bandwidth `c`.
-    pub fn worker(mut self, speed: f64, inv_bandwidth: f64) -> Self {
-        self.speeds.push(speed);
-        self.costs.push(inv_bandwidth);
-        self
-    }
-
-    /// Adds `n` identical workers.
-    pub fn workers(mut self, n: usize, speed: f64, inv_bandwidth: f64) -> Self {
-        self.speeds.extend(std::iter::repeat_n(speed, n));
-        self.costs.extend(std::iter::repeat_n(inv_bandwidth, n));
-        self
-    }
-
-    /// Finalizes the platform, validating every worker.
-    pub fn build(self) -> Result<Platform, PlatformError> {
-        Platform::from_speeds_and_costs(&self.speeds, &self.costs)
     }
 }
 
@@ -247,23 +184,10 @@ mod tests {
     }
 
     #[test]
-    fn sorted_by_speed_is_nondecreasing_and_stable() {
-        let p = Platform::from_speeds(&[2.0, 1.0, 2.0, 0.5]).unwrap();
-        let order = p.sorted_by_speed();
-        assert_eq!(order, vec![3, 1, 0, 2]);
-        let mut prev = 0.0;
-        for &i in &order {
-            assert!(p.worker(i).speed() >= prev);
-            prev = p.worker(i).speed();
-        }
-    }
-
-    #[test]
-    fn min_max_and_ratio() {
+    fn min_and_max() {
         let p = Platform::from_speeds(&[4.0, 1.0, 8.0]).unwrap();
         assert_eq!(p.min_speed(), 1.0);
         assert_eq!(p.max_speed(), 8.0);
-        assert_eq!(p.speed_ratio(), 8.0);
     }
 
     #[test]
@@ -280,25 +204,12 @@ mod tests {
         let p = Platform::two_class(6, 1.0, 4.0).unwrap();
         assert_eq!(p.speeds(), vec![1.0, 1.0, 1.0, 4.0, 4.0, 4.0]);
         assert!(!p.is_speed_homogeneous(0.1));
-        assert_eq!(p.speed_ratio(), 4.0);
     }
 
     #[test]
     #[should_panic(expected = "even worker count")]
     fn two_class_requires_even_p() {
         let _ = Platform::two_class(5, 1.0, 2.0);
-    }
-
-    #[test]
-    fn builder_collects_workers() {
-        let p = PlatformBuilder::new()
-            .worker(1.0, 1.0)
-            .workers(2, 3.0, 0.25)
-            .build()
-            .unwrap();
-        assert_eq!(p.len(), 3);
-        assert_eq!(p.worker(1).speed(), 3.0);
-        assert_eq!(p.worker(2).inv_bandwidth(), 0.25);
     }
 
     #[test]

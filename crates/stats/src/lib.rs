@@ -12,19 +12,16 @@
 //! * [`Table`] — a column-oriented results table that renders to aligned
 //!   plain text, GitHub markdown and CSV (the figure/table files written
 //!   under `results/`);
-//! * [`Histogram`] — fixed-width binning for distribution sanity checks;
 //! * [`plot`] — ASCII scatter/series plots so `cargo run -p
 //!   dlt-experiments --bin fig4` can draw the figure directly in a terminal.
 //!
 //! Nothing in this crate knows about scheduling; it exists so the
 //! experiment binaries stay tiny and uniform.
 
-pub mod histogram;
 pub mod plot;
 pub mod summary;
 pub mod table;
 
-pub use histogram::Histogram;
 pub use plot::AsciiPlot;
 pub use summary::Summary;
 pub use table::Table;

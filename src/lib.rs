@@ -28,7 +28,7 @@
 //!   dispatch, Gantt traces;
 //! * [`dlt`] — linear/non-linear divisible-load solvers and the
 //!   no-free-lunch analysis;
-//! * [`partition`] — PERI-SUM / PERI-MAX square partitioning;
+//! * [`partition`] — PERI-SUM square partitioning;
 //! * [`samplesort`] — parallel sample sort with heterogeneous splitters;
 //! * [`linalg`] — dense GEMM / outer-product kernels;
 //! * [`outer`] — the `Commhom` / `Commhom/k` / `Commhet` strategies and
