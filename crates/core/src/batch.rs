@@ -489,6 +489,28 @@ mod tests {
     }
 
     #[test]
+    fn a_hint_far_above_the_root_still_converges() {
+        // A piecewise solve with α_lo = 24 can leave a hint of ~7e79 on
+        // a handle whose next root is ~4.5e3: bisecting down from the
+        // hint alone needs more than `max_outer` halvings.
+        let platform = Platform::from_speeds(&[1.0]).unwrap();
+        let law = CostLaw::AmdahlSerial {
+            serial: 0.0,
+            alpha: 1.61,
+        };
+        let config = SolverConfig::default();
+        let cold = BatchSolver::default()
+            .solve(&platform, 180.0, law, &config)
+            .unwrap();
+        let stale = BatchSolver::seeded(7e79)
+            .solve(&platform, 180.0, law, &config)
+            .unwrap();
+        assert_close(cold.makespan, stale.makespan, "stale-hint makespan");
+        let r = equal_finish_parallel_reference(&platform, 180.0, law).unwrap();
+        assert_close(r.makespan, stale.makespan, "stale-hint makespan vs oracle");
+    }
+
+    #[test]
     fn invalid_inputs_are_rejected() {
         let platform = platform3();
         let config = SolverConfig::default();

@@ -544,12 +544,11 @@ impl CostModel for Piecewise {
 ///
 /// Use this wherever a model has to be *stored* in a struct (e.g. a
 /// `LoadSpec`, a [`crate::nonlinear::NonlinearAllocation`]) or selected
-/// at runtime (a `--model` CLI flag); it implements [`CostModel`] by
+/// at runtime (a sweep's per-α law); it implements [`CostModel`] by
 /// delegating to the matching concrete law, so it can be passed straight
 /// into the solvers. [`crate::batch::BatchSolver::solve`] matches the
 /// variant once per solve and runs its Newton loops on the concrete law,
-/// so the enum costs no per-iteration branch (measured by the
-/// `costmodel` bench group in `BENCH_hotpaths.json`).
+/// so the enum costs no per-iteration branch.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CostLaw {
     /// The α-power law (a bare `f64` α): `c·x + w·x^α`.

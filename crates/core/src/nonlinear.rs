@@ -459,7 +459,8 @@ pub fn equal_finish_one_port_reference<M: CostModel>(
 /// (`g < 0` everywhere so far, possible under a stale hint), the hunt
 /// doubles `t` unless Newton already jumps further right. The bound costs
 /// `p` cost evaluations, so it is computed only when first needed: a warm
-/// solve that converges without hunting never pays for it.
+/// solve that converges without hunting never pays for it. A hinted solve
+/// that exhausts `config.max_outer` runs once more from the bound.
 ///
 /// Returns the last evaluated iterate, whose residual is below
 /// `config.residual_tol · n` (or whose bracket is tight); the caller's
@@ -516,6 +517,12 @@ pub(crate) fn outer_newton<M: CostModel>(
                 doubled
             }
         };
+    }
+    // A stale hint far above the root (more than ~2^250 times it) needs
+    // more halvings than `max_outer`; start over from the single-worker
+    // bound. Only solves that would fail take this path.
+    if hint.is_some() {
+        return outer_newton(platform, n, model, None, config, eval);
     }
     Err(DltError::NoConvergence {
         context: "outer Newton iteration",

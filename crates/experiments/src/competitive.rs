@@ -41,36 +41,27 @@ use dlt_multiload::{
 use dlt_platform::{Platform, PlatformSpec, SpeedDistribution};
 use dlt_stats::{Summary, Table};
 
-/// Loads per trial batch at full scale.
-pub const DEFAULT_COMPETITIVE_LOADS: usize = 48;
-
-/// Trials per cell at full scale.
-pub const DEFAULT_COMPETITIVE_TRIALS: usize = 30;
-
-/// Default worker count.
-pub const DEFAULT_COMPETITIVE_P: usize = 8;
-
 /// Base load size the regime generators scale from.
-pub const COMPETITIVE_BASE_SIZE: f64 = 200.0;
+const COMPETITIVE_BASE_SIZE: f64 = 200.0;
 
 /// Nonlinearity exponents mixed into every batch.
-pub const COMPETITIVE_ALPHAS: [f64; 3] = [1.0, 1.5, 2.0];
+const COMPETITIVE_ALPHAS: [f64; 3] = [1.0, 1.5, 2.0];
 
 /// Offered utilization the nominal spacing is calibrated to.
-pub const COMPETITIVE_UTILIZATION: f64 = 0.7;
+const COMPETITIVE_UTILIZATION: f64 = 0.7;
 
 /// Installment granularities swept (1 = non-preemptive).
-pub const COMPETITIVE_INSTALLMENTS: [usize; 2] = [1, 4];
+const COMPETITIVE_INSTALLMENTS: [usize; 2] = [1, 4];
 
 /// Expected failure waves over the arrival horizon, light scenario.
-pub const FAILURE_RATE_LOW: f64 = 2.0;
+const FAILURE_RATE_LOW: f64 = 2.0;
 
 /// Expected failure waves over the arrival horizon, heavy scenario.
-pub const FAILURE_RATE_HIGH: f64 = 6.0;
+const FAILURE_RATE_HIGH: f64 = 6.0;
 
 /// One `(regime, failure_rate)` scenario of the sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CompetitiveCell {
+pub(crate) struct CompetitiveCell {
     /// Arrival regime.
     pub regime: Regime,
     /// Expected failure waves over the horizon (0 = failure-free).
@@ -80,7 +71,7 @@ pub struct CompetitiveCell {
 /// Full-scale scenario grid: every arrival regime failure-free, plus
 /// Poisson under light and heavy failures and bursty arrivals under
 /// heavy failures (burst + degradation is the adversarial worst case).
-pub fn default_cells() -> Vec<CompetitiveCell> {
+pub(crate) fn default_cells() -> Vec<CompetitiveCell> {
     vec![
         CompetitiveCell {
             regime: Regime::Poisson,
@@ -110,7 +101,7 @@ pub fn default_cells() -> Vec<CompetitiveCell> {
 }
 
 /// Trimmed grid for smoke runs: one failure-free cell, one injected.
-pub fn smoke_cells() -> Vec<CompetitiveCell> {
+pub(crate) fn smoke_cells() -> Vec<CompetitiveCell> {
     vec![
         CompetitiveCell {
             regime: Regime::Poisson,
@@ -126,7 +117,7 @@ pub fn smoke_cells() -> Vec<CompetitiveCell> {
 /// One summarized table row: a `(cell, order, installments)`
 /// configuration across trials.
 #[derive(Debug, Clone)]
-pub struct CompetitivePoint {
+pub(crate) struct CompetitivePoint {
     /// The scenario.
     pub cell: CompetitiveCell,
     /// Admission order measured.
@@ -162,7 +153,7 @@ fn mean_realized_stretch(platform: &Platform, loads: &[LoadSpec], out: &PolicyOu
 /// Runs the sweep for one profile. Trials are dispatched over `threads`
 /// scoped workers and folded in trial order: tables are byte-identical
 /// for every thread count.
-pub fn run_competitive(
+pub(crate) fn run_competitive(
     profile: &SpeedDistribution,
     p: usize,
     n_loads: usize,
@@ -267,7 +258,7 @@ pub fn run_competitive(
 
 /// Tabulates sweep points: one row per `(regime, failure_rate, policy,
 /// installments)`.
-pub fn competitive_table(
+pub(crate) fn competitive_table(
     profile_name: &str,
     p: usize,
     n_loads: usize,

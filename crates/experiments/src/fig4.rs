@@ -14,9 +14,6 @@ use dlt_stats::{Summary, Table};
 /// The processor counts of Figure 4.
 pub const PAPER_P_VALUES: [usize; 6] = [10, 20, 40, 60, 80, 100];
 
-/// Number of random platforms per point in the paper.
-pub const PAPER_TRIALS: usize = 100;
-
 /// One figure point before tabulation.
 #[derive(Debug, Clone)]
 pub struct Fig4Point {

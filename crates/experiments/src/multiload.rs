@@ -28,24 +28,11 @@ use dlt_platform::{PlatformSpec, SpeedDistribution};
 use dlt_stats::{Summary, Table};
 use rand::Rng;
 
-/// Load counts swept by default.
-pub const DEFAULT_LOAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
 /// Nonlinearity exponents swept by default (linear, sort-like, quadratic).
 pub const DEFAULT_ALPHAS: [f64; 3] = [1.0, 1.5, 2.0];
 
-/// Default worker count.
-pub const DEFAULT_P: usize = 16;
-
 /// Default base load size.
 pub const DEFAULT_BASE_SIZE: f64 = 1000.0;
-
-/// Default chunks per load for the round-robin scheduler.
-pub const DEFAULT_CHUNKS: usize = 32;
-
-/// Installment granularities swept by the policy experiment: `1` is
-/// non-preemptive, `4` lets a load be paused at three boundaries.
-pub const DEFAULT_INSTALLMENTS: [usize; 2] = [1, 4];
 
 /// Salt mixed into the base seed for the load-generation streams, so load
 /// parameters are independent of the platform draws sharing the seed.

@@ -28,14 +28,6 @@ use dlt_platform::rng::seeded_stream;
 use dlt_platform::{Platform, PlatformSpec, SpeedDistribution};
 use dlt_stats::Table;
 use rand::Rng;
-use std::io::BufRead;
-
-/// Loads per trace at full scale — the "millions of arrivals at steady
-/// memory" acceptance point.
-pub const DEFAULT_SERVICE_LOADS: usize = 1_000_000;
-
-/// Default worker count of the service platform.
-pub const DEFAULT_SERVICE_P: usize = 8;
 
 /// Default offered utilization: loaded enough that admission genuinely
 /// queues, light enough that the backlog stays bounded.
@@ -63,7 +55,7 @@ pub struct ServiceCell {
 
 impl ServiceCell {
     /// Compact label for the installment policy (CSV column).
-    pub fn installments_label(&self) -> String {
+    fn installments_label(&self) -> String {
         match self.installments {
             InstallmentPolicy::Fixed(k) => format!("fixed:{k}"),
             InstallmentPolicy::Adaptive { min, max } => format!("adaptive:{min}-{max}"),
@@ -75,7 +67,7 @@ impl ServiceCell {
 /// one installment — what `dlt_multiload::schedule` runs) and at the
 /// amortized point (window 8, adaptive installments), plus SRPT at a
 /// fixed preemptive granularity.
-pub fn default_cells() -> Vec<ServiceCell> {
+pub(crate) fn default_cells() -> Vec<ServiceCell> {
     let amortized = InstallmentPolicy::Adaptive { min: 1, max: 16 };
     let mut cells = Vec::new();
     for order in AdmissionOrder::ALL {
@@ -183,39 +175,6 @@ pub fn arrival_trace(
     })
 }
 
-/// Streams a trace from a file: one `size,alpha,release` triple per line
-/// (blank lines and `#` comments skipped), read lazily so file-fed runs
-/// stay steady-memory too. Panics with the offending line on malformed
-/// input — trace files are operator-provided, not untrusted.
-pub fn file_trace(path: &std::path::Path) -> impl Iterator<Item = LoadSpec> {
-    let file = std::fs::File::open(path)
-        .unwrap_or_else(|e| panic!("cannot open trace file {}: {e}", path.display()));
-    let reader = std::io::BufReader::new(file);
-    reader
-        .lines()
-        .map(|line| line.expect("readable trace line"))
-        .filter(|line| {
-            let t = line.trim();
-            !t.is_empty() && !t.starts_with('#')
-        })
-        .map(|line| {
-            let fields: Vec<f64> = line
-                .split(',')
-                .map(|f| {
-                    f.trim()
-                        .parse()
-                        .unwrap_or_else(|e| panic!("bad trace line {line:?}: {e}"))
-                })
-                .collect();
-            assert!(
-                fields.len() == 3,
-                "bad trace line {line:?}: want size,alpha,release"
-            );
-            LoadSpec::new(fields[0], fields[1], fields[2])
-                .unwrap_or_else(|e| panic!("bad trace line {line:?}: {e}"))
-        })
-}
-
 /// One cell's outcome: the configuration and the engine's own report.
 #[derive(Debug, Clone)]
 pub struct ServicePoint {
@@ -225,9 +184,8 @@ pub struct ServicePoint {
     pub report: ServiceReport,
 }
 
-/// Runs one cell on an already-built platform and trace. Exposed so the
-/// binary's `--trace` file mode can reuse it.
-pub fn run_service_cell(
+/// Runs one cell on an already-built platform and trace.
+fn run_service_cell(
     platform: &Platform,
     trace: impl Iterator<Item = LoadSpec>,
     cell: ServiceCell,
@@ -270,7 +228,7 @@ pub fn run_service(
 }
 
 /// Tabulates sweep points: one row per cell.
-pub fn service_table(
+pub(crate) fn service_table(
     profile_name: &str,
     p: usize,
     loads: usize,
@@ -422,33 +380,5 @@ mod tests {
         assert_eq!(reports(&a), reports(&b));
         let csv = |pts: &[ServicePoint]| service_table("lognormal", 4, 200, 0.8, pts).to_csv();
         assert_eq!(csv(&a), csv(&b));
-    }
-
-    #[test]
-    fn file_trace_round_trips_a_generated_trace() {
-        let spacing = 2.5;
-        let generated: Vec<LoadSpec> = arrival_trace(
-            32,
-            80.0,
-            vec![1.0, 1.5],
-            spacing,
-            9,
-            ModelFamily::AlphaPower,
-        )
-        .collect();
-        let mut text = String::from("# size,alpha,release\n\n");
-        for spec in &generated {
-            text.push_str(&format!(
-                "{},{},{}\n",
-                spec.size,
-                spec.alpha(),
-                spec.release
-            ));
-        }
-        let path = std::env::temp_dir().join(format!("dlt-trace-{}.csv", std::process::id()));
-        std::fs::write(&path, text).unwrap();
-        let replayed: Vec<LoadSpec> = file_trace(&path).collect();
-        let _ = std::fs::remove_file(&path);
-        assert_eq!(replayed, generated);
     }
 }

@@ -1,6 +1,8 @@
 //! Integration smoke tests for the experiment harness: every runner must
 //! produce a well-formed table whose key invariants hold even at tiny
-//! trial counts (the full-scale numbers live in EXPERIMENTS.md).
+//! trial counts (the full-scale numbers are the committed `results/`
+//! CSVs; `docs/paper-map.md` maps them to the paper), and the `all`
+//! binary must run every artifact and reject what it does not take.
 
 use dlt_experiments::models::ModelFamily;
 use dlt_experiments::{
@@ -241,367 +243,129 @@ fn traces_render_non_trivially() {
 }
 
 // ---------------------------------------------------------------------------
-// Binary smoke tests: every experiment binary must parse its flags and run
-// its smallest configuration to completion. Cargo builds the binaries for
-// integration tests and exposes their paths via `CARGO_BIN_EXE_<name>`.
+// The `all` binary. Cargo builds it for integration tests and exposes its
+// path via `CARGO_BIN_EXE_all`.
 // ---------------------------------------------------------------------------
 
-/// Runs one experiment binary with `args`, pointing `DLT_RESULTS` at a
-/// unique per-run temp directory, and returns its stdout. When
-/// `expects_csv` is set, asserts at least one CSV landed in that
-/// directory — `write_and_print` only warns on write failures, so without
-/// this check a CSV-output regression would pass the smoke suite silently.
-fn run_bin(exe: &str, tag: &str, args: &[&str], expects_csv: bool) -> String {
+/// Runs `all` with `args`, pointing `DLT_RESULTS` at a unique per-run
+/// temp directory, and returns its stdout and the sorted names of the
+/// CSVs it wrote. `write_and_print` only warns on write failures, so the
+/// callers check the CSV list: without it a CSV-output regression would
+/// pass silently.
+fn run_all(tag: &str, args: &[&str]) -> (String, Vec<String>) {
     let results = std::env::temp_dir().join(format!("dlt-smoke-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&results).expect("create smoke results dir");
-    let out = std::process::Command::new(exe)
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_all"))
         .args(args)
         .env("DLT_RESULTS", &results)
         .output()
-        .unwrap_or_else(|e| panic!("failed to spawn {exe}: {e}"));
+        .expect("spawn all");
     assert!(
         out.status.success(),
-        "{exe} {args:?} exited with {}\nstderr:\n{}",
+        "all {args:?} exited with {}\nstderr:\n{}",
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
-    let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-    assert!(!stdout.is_empty(), "{exe} produced no output");
-    if expects_csv {
-        let csvs = std::fs::read_dir(&results)
-            .expect("read smoke results dir")
-            .filter_map(Result::ok)
-            .filter(|e| e.path().extension().is_some_and(|x| x == "csv"))
-            .count();
-        assert!(csvs > 0, "{exe} wrote no CSV under {}", results.display());
-    }
+    let mut csvs: Vec<String> = std::fs::read_dir(&results)
+        .expect("read smoke results dir")
+        .filter_map(Result::ok)
+        .map(|e| e.file_name().to_string_lossy().into_owned())
+        .filter(|name| name.ends_with(".csv"))
+        .collect();
+    csvs.sort();
     let _ = std::fs::remove_dir_all(&results);
-    stdout
-}
-
-#[test]
-fn bin_affinity_smoke() {
-    let out = run_bin(
-        env!("CARGO_BIN_EXE_affinity"),
-        "affinity",
-        &["--p", "4", "--n", "128", "--trials", "1", "--seed", "1"],
-        true,
-    );
-    assert!(out.contains("affinity"));
+    (String::from_utf8_lossy(&out.stdout).into_owned(), csvs)
 }
 
 #[test]
 fn bin_all_smoke() {
-    let out = run_bin(env!("CARGO_BIN_EXE_all"), "all", &["--smoke"], true);
+    let (out, csvs) = run_all("all", &["--smoke"]);
     assert!(out.contains("all experiments done."));
-}
-
-#[test]
-fn bin_fig1_trace_smoke() {
-    let out = run_bin(
-        env!("CARGO_BIN_EXE_fig1-trace"),
-        "fig1",
-        &["--n", "512", "--seed", "1"],
-        false,
-    );
-    assert!(out.contains("Figure 1"));
-    assert!(out.contains("trace events"));
-}
-
-#[test]
-fn bin_fig2_footprint_smoke() {
-    let out = run_bin(
-        env!("CARGO_BIN_EXE_fig2-footprint"),
-        "fig2",
-        &["--p", "2", "--k", "4", "--n", "24"],
-        true,
-    );
-    assert!(out.contains("footprint"));
-}
-
-#[test]
-fn bin_fig3_matmul_trace_smoke() {
-    let out = run_bin(
-        env!("CARGO_BIN_EXE_fig3-matmul-trace"),
-        "fig3",
-        &["--n", "4", "--q", "2", "--steps", "1"],
-        false,
-    );
-    assert!(out.contains("Figure 3"));
-}
-
-#[test]
-fn bin_fig4_smoke() {
-    let out = run_bin(
-        env!("CARGO_BIN_EXE_fig4"),
-        "fig4",
-        &[
-            "uniform",
-            "--trials",
-            "1",
-            "--n",
-            "400",
-            "--seed",
-            "1",
-            "--threads",
-            "2",
-        ],
-        true,
-    );
-    assert!(out.contains("Commhet"));
-}
-
-#[test]
-fn bin_multiload_smoke() {
-    let out = run_bin(
-        env!("CARGO_BIN_EXE_multiload"),
-        "multiload",
-        &[
-            "uniform",
-            "--p",
-            "4",
-            "--trials",
-            "1",
-            "--n",
-            "100",
-            "--chunks",
-            "4",
-            "--seed",
-            "1",
-            "--threads",
-            "2",
-        ],
-        true,
-    );
-    assert!(out.contains("fifo") && out.contains("round_robin"));
-}
-
-#[test]
-fn bin_multiload_policy_smoke() {
-    let out = run_bin(
-        env!("CARGO_BIN_EXE_multiload-policy"),
-        "multiload-policy",
-        &[
-            "uniform",
-            "--p",
-            "4",
-            "--trials",
-            "1",
-            "--n",
-            "100",
-            "--installments",
-            "1",
-            "--installments",
-            "2",
-            "--seed",
-            "1",
-            "--threads",
-            "2",
-        ],
-        true,
-    );
-    // The sweep covers every admission order.
-    assert!(out.contains("fifo") && out.contains("srpt") && out.contains("weighted_stretch"));
-}
-
-#[test]
-fn bin_multiload_service_smoke() {
-    let out = run_bin(
-        env!("CARGO_BIN_EXE_multiload-service"),
-        "mlservice",
-        &[
-            "--smoke",
-            "--loads",
-            "200",
-            "--seed",
-            "1",
-            "--assert-peak-pending",
-            "200",
-        ],
-        true,
-    );
-    assert!(out.contains("peak_pending") && out.contains("max_stretch"));
-    assert!(out.contains("fifo") && out.contains("weighted_stretch"));
-}
-
-#[test]
-fn bin_multiload_competitive_smoke() {
-    let out = run_bin(
-        env!("CARGO_BIN_EXE_multiload-competitive"),
-        "mlcompetitive",
-        &["uniform", "--smoke", "--seed", "1", "--threads", "2"],
-        true,
-    );
-    assert!(out.contains("competitive_ratio_mean"));
-    assert!(out.contains("poisson") && out.contains("mmpp_burst"));
-    assert!(out.contains("fifo") && out.contains("srpt") && out.contains("weighted_stretch"));
-}
-
-#[test]
-fn bin_multiload_competitive_soak_smoke() {
-    let out = run_bin(
-        env!("CARGO_BIN_EXE_multiload-competitive"),
-        "mlsoak",
-        &["--soak", "300", "--p", "4", "--seed", "7"],
-        false,
-    );
-    assert!(out.contains("soak ok"), "soak must report success: {out}");
-}
-
-/// Runs a binary expecting the strict flag parser to reject the
-/// invocation: exit code 2 and a diagnostic naming the offender.
-fn run_bin_expect_flag_error(exe: &str, args: &[&str], needle: &str) {
-    let out = std::process::Command::new(exe)
-        .args(args)
-        .output()
-        .unwrap_or_else(|e| panic!("failed to spawn {exe}: {e}"));
-    assert_eq!(
-        out.status.code(),
-        Some(2),
-        "{exe} {args:?} must exit 2 on a bad flag, got {}",
-        out.status
-    );
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        stderr.contains(needle),
-        "{exe} {args:?} stderr must mention {needle:?}:\n{stderr}"
-    );
-}
-
-#[test]
-fn bins_reject_unknown_flags_instead_of_ignoring_them() {
-    // A typo'd flag must be a hard error on every binary, not a silently
-    // ignored word — `--trails` once cost a full sweep re-run.
-    run_bin_expect_flag_error(env!("CARGO_BIN_EXE_fig4"), &["--trails", "5"], "--trails");
-    run_bin_expect_flag_error(
-        env!("CARGO_BIN_EXE_multiload-competitive"),
-        &["--fail-rate", "2"],
-        "--fail-rate",
-    );
-    run_bin_expect_flag_error(
-        env!("CARGO_BIN_EXE_multiload-service"),
-        &["--asert-peak-pending", "4096"],
-        "--asert-peak-pending",
-    );
-    // One equal-finish kernel runs everywhere: there is no solver choice.
-    run_bin_expect_flag_error(
-        env!("CARGO_BIN_EXE_sec-amdahl"),
-        &["--solver", "batched"],
-        "--solver",
-    );
-}
-
-#[test]
-fn bins_reject_unknown_profiles_like_bad_flags() {
-    // An unknown profile name takes the bad-flag path (exit 2, `error: …`
-    // naming it), not a panic.
-    for exe in [
-        env!("CARGO_BIN_EXE_fig4"),
-        env!("CARGO_BIN_EXE_multiload"),
-        env!("CARGO_BIN_EXE_multiload-policy"),
-        env!("CARGO_BIN_EXE_multiload-service"),
-        env!("CARGO_BIN_EXE_multiload-competitive"),
+    assert!(!csvs.is_empty(), "all --smoke wrote no CSV");
+    // One string per artifact: its table columns, its chart or its
+    // reading paragraph.
+    for needle in [
+        "remaining",
+        "overload",
+        "max_overload",
+        "Figure 1",
+        "trace events",
+        "footprint",
+        "Figure 3",
+        "Commhet",
+        "rho",
+        "peri_sum",
+        "fifo",
+        "round_robin",
+        "srpt",
+        "weighted_stretch",
+        "peak_pending",
+        "max_stretch",
+        "competitive_ratio_mean",
+        "poisson",
+        "mmpp_burst",
+        "affinity",
     ] {
-        run_bin_expect_flag_error(
-            exe,
-            &["bogus"],
-            "error: invalid speed distribution: unknown profile 'bogus'",
+        assert!(out.contains(needle), "all --smoke output lacks {needle:?}");
+    }
+}
+
+#[test]
+fn every_smoke_csv_is_committed() {
+    // CI regenerates `results/` and runs `git diff`, which cannot see an
+    // untracked file: a new artifact's CSV must be committed too.
+    let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let (_, csvs) = run_all("committed", &["--smoke"]);
+    for name in &csvs {
+        assert!(
+            committed.join(name).is_file(),
+            "all --smoke writes {name}, which results/ does not hold"
         );
     }
 }
 
 #[test]
-fn bins_reject_unparseable_flag_values_instead_of_defaulting() {
-    // The original bug: `--assert-peak-pending 4O96` (letter O) parsed as
-    // "no cap" and silently disabled the CI soak gate.
-    run_bin_expect_flag_error(
-        env!("CARGO_BIN_EXE_multiload-service"),
-        &["--smoke", "--assert-peak-pending", "4O96"],
-        "4O96",
+fn one_named_artifact_writes_only_its_csvs() {
+    let (out, csvs) = run_all("fig4", &["fig4", "--smoke"]);
+    assert_eq!(
+        csvs,
+        [
+            "fig4_homogeneous.csv",
+            "fig4_lognormal.csv",
+            "fig4_uniform.csv"
+        ]
     );
-    run_bin_expect_flag_error(
-        env!("CARGO_BIN_EXE_multiload-competitive"),
-        &["--trials", "ten"],
-        "ten",
-    );
-    // Out of range is unparseable too: an empty platform, a zero-size
-    // load, no installments or chunks, an empty trace or zero
-    // utilization used to reach an `expect` or an assert and exit 101.
-    let ml = env!("CARGO_BIN_EXE_multiload");
-    let policy = env!("CARGO_BIN_EXE_multiload-policy");
-    let service = env!("CARGO_BIN_EXE_multiload-service");
-    let competitive = env!("CARGO_BIN_EXE_multiload-competitive");
-    let cases: &[(&str, &[&str], &str)] = &[
-        (policy, &["--installments", "x"], "--installments"),
-        (policy, &["--installments", "0"], "--installments"),
-        (ml, &["--chunks", "0"], "--chunks"),
-        (ml, &["--p", "0"], "--p"),
-        (policy, &["--p", "0"], "--p"),
-        (service, &["--smoke", "--p", "0"], "--p"),
-        (competitive, &["--smoke", "--p", "0"], "--p"),
-        (ml, &["--n", "0"], "--n"),
-        (policy, &["--n", "0"], "--n"),
-        (service, &["--smoke", "--n", "0"], "--n"),
-        (competitive, &["--smoke", "--n", "0"], "--n"),
-        (competitive, &["--soak", "0"], "--soak"),
-        (service, &["--smoke", "--utilization", "0"], "--utilization"),
+    assert!(out.contains("Figure 4 (uniform)"), "the plot is printed");
+}
+
+#[test]
+fn all_rejects_what_it_does_not_take() {
+    // A typo'd or unknown flag is a hard error, not a silently ignored
+    // word: `--trails` once cost a full sweep re-run. `--threads` takes
+    // a count, and an artifact name must be in the table.
+    let cases: [(&[&str], &str); 5] = [
+        (&["--trails", "5"], "--trails"),
+        (&["--solver", "batched"], "--solver"),
+        (&["--quick"], "--quick"),
+        (&["--threads", "ten"], "ten"),
+        (&["fig5"], "fig5"),
     ];
-    for &(exe, args, needle) in cases {
-        run_bin_expect_flag_error(exe, args, needle);
+    for (args, needle) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_all"))
+            .args(args)
+            .output()
+            .expect("spawn all");
+        assert_eq!(out.status.code(), Some(2), "all {args:?}: {}", out.status);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with("error: ") && stderr.contains(needle),
+            "all {args:?} must name {needle:?}:\n{stderr}"
+        );
+        if args == ["fig5"] {
+            // The unknown-name error lists the valid names.
+            for artifact in &dlt_experiments::artifacts::ARTIFACTS {
+                assert!(stderr.contains(artifact.name), "{stderr}");
+            }
+        }
     }
-}
-
-#[test]
-fn bin_partition_quality_smoke() {
-    let out = run_bin(
-        env!("CARGO_BIN_EXE_partition-quality"),
-        "partq",
-        &["--trials", "1", "--seed", "1", "--threads", "2"],
-        true,
-    );
-    assert!(out.contains("peri_sum"));
-}
-
-#[test]
-fn bin_rho_table_smoke() {
-    let out = run_bin(
-        env!("CARGO_BIN_EXE_rho-table"),
-        "rho",
-        &["--p", "4", "--n", "256"],
-        true,
-    );
-    assert!(out.contains("rho"));
-}
-
-#[test]
-fn bin_sec2_no_free_lunch_smoke() {
-    let out = run_bin(
-        env!("CARGO_BIN_EXE_sec2-no-free-lunch"),
-        "sec2",
-        &["--n", "64", "--seed", "1"],
-        true,
-    );
-    assert!(out.contains("remaining"));
-}
-
-#[test]
-fn bin_sec3_hetero_sort_smoke() {
-    let out = run_bin(
-        env!("CARGO_BIN_EXE_sec3-hetero-sort"),
-        "sec3het",
-        &["--trials", "1", "--n", "4096", "--seed", "1"],
-        true,
-    );
-    assert!(out.contains("max_overload"));
-}
-
-#[test]
-fn bin_sec3_sample_sort_smoke() {
-    let out = run_bin(
-        env!("CARGO_BIN_EXE_sec3-sample-sort"),
-        "sec3ss",
-        &["--trials", "1", "--seed", "1"],
-        true,
-    );
-    assert!(out.contains("overload"));
 }

@@ -83,7 +83,7 @@ pub enum AdmissionOrder {
 }
 
 impl AdmissionOrder {
-    /// Every variant, in sweep order — what the experiment binaries and
+    /// Every variant, in sweep order — what the experiment runners and
     /// smoke tests iterate over.
     pub const ALL: [AdmissionOrder; 3] = [Self::Fifo, Self::Srpt, Self::WeightedStretch];
 

@@ -124,26 +124,12 @@ impl SpeedDistribution {
         (0..n).map(|_| self.sample(rng)).collect()
     }
 
-    /// Short machine-readable name (used in CSV headers and CLI flags).
+    /// Short machine-readable name (used in CSV names and columns).
     pub fn name(&self) -> &'static str {
         match self {
             SpeedDistribution::Homogeneous { .. } => "homogeneous",
             SpeedDistribution::Uniform { .. } => "uniform",
             SpeedDistribution::LogNormal { .. } => "lognormal",
-        }
-    }
-
-    /// Parses the paper profile names used on experiment command lines.
-    pub fn from_profile_name(name: &str) -> Result<Self, PlatformError> {
-        match name {
-            "homogeneous" | "hom" | "a" => Ok(Self::paper_homogeneous()),
-            "uniform" | "uni" | "b" => Ok(Self::paper_uniform()),
-            "lognormal" | "log" | "c" => Ok(Self::paper_lognormal()),
-            other => Err(PlatformError::InvalidDistribution {
-                reason: format!(
-                    "unknown profile '{other}' (expected homogeneous|uniform|lognormal)"
-                ),
-            }),
         }
     }
 }
@@ -252,15 +238,6 @@ mod tests {
         for p in SpeedDistribution::paper_profiles() {
             assert!(p.validate().is_ok());
         }
-    }
-
-    #[test]
-    fn profile_names_roundtrip() {
-        for p in SpeedDistribution::paper_profiles() {
-            let back = SpeedDistribution::from_profile_name(p.name()).unwrap();
-            assert_eq!(back, p);
-        }
-        assert!(SpeedDistribution::from_profile_name("exponential").is_err());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! ASCII Gantt charts of simulation traces.
 //!
-//! Used by the experiment binaries that regenerate the paper's illustrative
+//! Used by the experiment artifacts that regenerate the paper's illustrative
 //! figures (the sample-sort phases of Figure 1 and the outer-product-based
 //! matrix multiplication of Figure 3) as machine-checkable traces.
 
@@ -19,7 +19,7 @@ pub enum TraceKind {
 
 impl TraceKind {
     /// Glyph used when rendering.
-    pub fn glyph(self) -> char {
+    fn glyph(self) -> char {
         match self {
             TraceKind::Recv => '-',
             TraceKind::Compute => '#',

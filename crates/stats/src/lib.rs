@@ -13,10 +13,11 @@
 //!   plain text, GitHub markdown and CSV (the figure/table files written
 //!   under `results/`);
 //! * [`plot`] — ASCII scatter/series plots so `cargo run -p
-//!   dlt-experiments --bin fig4` can draw the figure directly in a terminal.
+//!   dlt-experiments --bin all -- fig4` can draw the figure directly in a
+//!   terminal.
 //!
 //! Nothing in this crate knows about scheduling; it exists so the
-//! experiment binaries stay tiny and uniform.
+//! experiment runners stay tiny and uniform.
 
 pub mod plot;
 pub mod summary;

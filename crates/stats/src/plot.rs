@@ -1,4 +1,4 @@
-//! ASCII series plots so experiment binaries can draw figures in a
+//! ASCII series plots so the experiment harness can draw figures in a
 //! terminal without any plotting dependency.
 //!
 //! The output deliberately mimics the layout of the paper's Figure 4: the
