@@ -225,30 +225,12 @@ impl BatchSolver {
             self.x[..p].fill(0.0);
             return 0.0;
         }
-        // Exact closed forms (α = 1, starved affine-latency windows)
-        // bypass the iteration. Whether a closed form exists depends only
-        // on the model and `t` for the shipped laws, so lanes agree; a
-        // hypothetical mixed law falls back to the per-lane inverse.
-        let mut n_exact = 0usize;
-        for i in 0..p {
-            if let Some((xi, di)) = model.exact_inverse(self.c[i], self.w[i], t) {
-                self.x[i] = xi;
-                self.invd[i] = di;
-                n_exact += 1;
-            }
-        }
-        if n_exact == p {
-            return self.invd[..p].iter().sum();
-        }
-        if n_exact > 0 {
-            let mut slope = 0.0;
+        // A linear law takes the closed form on every lane, no iteration.
+        if model.is_linear() {
             for i in 0..p {
-                let (xi, di) =
-                    nonlinear::invert_cost_newton(*model, self.c[i], self.w[i], t, max_inner);
-                self.x[i] = xi;
-                slope += di;
+                (self.x[i], self.invd[i]) = nonlinear::linear_inverse(self.c[i], self.w[i], t);
             }
-            return slope;
+            return self.invd[..p].iter().sum();
         }
 
         model.inverse_upper_bound_batch(&self.c, &self.w, t, &mut self.hi);
@@ -256,7 +238,9 @@ impl BatchSolver {
         for i in 0..p {
             let ub = self.hi[i];
             if ub.is_nan() || ub <= 0.0 || ub.is_infinite() {
-                // No positive share fits in this window.
+                // Float extremes only (the bound underflowed to 0 or
+                // overflowed to ∞): the lane gets nothing, as in
+                // `nonlinear::invert_cost_newton`.
                 self.x[i] = 0.0;
                 self.invd[i] = 0.0;
                 self.done[i] = true;
@@ -490,9 +474,10 @@ mod tests {
 
     #[test]
     fn a_hint_far_above_the_root_still_converges() {
-        // A piecewise solve with α_lo = 24 can leave a hint of ~7e79 on
-        // a handle whose next root is ~4.5e3: bisecting down from the
-        // hint alone needs more than `max_outer` halvings.
+        // A hint of ~7e79 on a handle whose next root is ~4.5e3:
+        // bisecting down from the hint alone needs more than `max_outer`
+        // halvings, so the solve must restart from the single-worker
+        // bound.
         let platform = Platform::from_speeds(&[1.0]).unwrap();
         let law = CostLaw::AmdahlSerial {
             serial: 0.0,

@@ -15,8 +15,8 @@ pub enum DltError {
         /// The rejected exponent.
         value: f64,
     },
-    /// A cost-model parameter is out of its documented range (e.g. an
-    /// Amdahl serial fraction outside `[0, 1]`, a negative latency).
+    /// A cost-model parameter is out of its documented range (an Amdahl
+    /// serial fraction outside `[0, 1]`).
     InvalidModel {
         /// Which constraint was violated.
         what: &'static str,

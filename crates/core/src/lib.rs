@@ -29,9 +29,8 @@
 //!   These are the *baselines* whose asymptotic irrelevance the paper
 //!   proves. The solvers are generic over a pluggable
 //!   [`costmodel::CostModel`] — a bare `f64` α is the paper's power law,
-//!   and [`costmodel::AmdahlSerial`],
-//!   [`costmodel::AffineLatency`], and [`costmodel::Piecewise`] open the
-//!   scenario families of arXiv:1902.01952 and friends.
+//!   and [`costmodel::AmdahlSerial`] is the serial-fraction law of
+//!   arXiv:1902.01952.
 //! * **The no-free-lunch analysis** ([`analysis`]) — Section 2's result:
 //!   a single DLT round of `N` data over `P` homogeneous workers executes
 //!   only `W_partial/W = 1/P^(α−1)` of the total work, so the remaining
@@ -68,5 +67,5 @@ pub mod linear;
 pub mod nonlinear;
 
 pub use batch::{BatchSolver, SolveBackend};
-pub use costmodel::{AffineLatency, AmdahlSerial, CostLaw, CostModel, Piecewise};
+pub use costmodel::{AmdahlSerial, CostLaw, CostModel};
 pub use error::DltError;

@@ -29,8 +29,8 @@
 //! Every solver is generic over the per-worker cost law via the
 //! [`CostModel`] trait: a bare `f64` α is the paper's `c·x + w·x^α` (so
 //! historical call sites are unchanged, bit for bit), and
-//! [`crate::costmodel`] ships Amdahl-like, affine-latency, and piecewise
-//! laws that ride the same Newton machinery.
+//! [`crate::costmodel`] ships the Amdahl serial-fraction law, which rides
+//! the same Newton machinery.
 
 use crate::costmodel::{CostLaw, CostModel};
 use crate::error::DltError;
@@ -56,7 +56,7 @@ pub struct NonlinearAllocation {
 }
 
 impl NonlinearAllocation {
-    /// Primary exponent of the workload's cost law.
+    /// Exponent α of the workload's cost law.
     pub fn alpha(&self) -> f64 {
         self.model.alpha()
     }
@@ -146,9 +146,9 @@ pub(crate) fn validate<M: CostModel>(n: f64, model: &M) -> Result<(), DltError> 
 /// — so Newton descends monotonically onto the root with no doubling
 /// search. A bisection step replaces any iterate that leaves the bracket
 /// `[lo, hi]` maintained alongside (finite arithmetic can push Newton
-/// past the root near convergence, and piecewise laws kink the
-/// derivative). Exact closed forms ([`CostModel::exact_inverse`], e.g.
-/// the α = 1 linear degeneration) bypass the loop entirely.
+/// past the root near convergence). A linear law
+/// ([`CostModel::is_linear`]) bypasses the loop entirely through
+/// [`linear_inverse`].
 ///
 /// Returns `(0, 0)` when `t ≤ 0` — in the one-port model a worker whose
 /// remaining window is exhausted gets nothing and contributes no slope.
@@ -162,14 +162,14 @@ pub(crate) fn invert_cost_newton<M: CostModel>(
     if t <= 0.0 {
         return (0.0, 0.0);
     }
-    if let Some(exact) = model.exact_inverse(c, w, t) {
-        return exact;
+    if model.is_linear() {
+        return linear_inverse(c, w, t);
     }
     let mut x = model.inverse_upper_bound(c, w, t);
-    // NaN and non-positive bounds both mean "no positive share fits".
     if x.is_nan() || x <= 0.0 || x.is_infinite() {
-        // No positive share fits in this window (e.g. t below an affine
-        // latency). Unreachable for the α-power law with t > 0.
+        // Float extremes only: `t/c` or `(t/w)^{1/α}` underflowed to 0
+        // or overflowed to ∞. Give the worker nothing rather than iterate
+        // on a meaningless bracket.
         return (0.0, 0.0);
     }
     let (mut lo, mut hi) = (0.0f64, x);
@@ -202,6 +202,14 @@ pub(crate) fn invert_cost_newton<M: CostModel>(
         }
     }
     (x, 1.0 / deriv)
+}
+
+/// The closed-form inverse of a linear law, `cost = (c + w)·x = t`:
+/// `(x, dx/dt) = (t/(c + w), 1/(c + w))`. Both equal-finish solvers take
+/// it whenever [`CostModel::is_linear`] holds.
+pub(crate) fn linear_inverse(c: f64, w: f64, t: f64) -> (f64, f64) {
+    let d = c + w;
+    (t / d, 1.0 / d)
 }
 
 /// Halving cap of the reference bisections: enough to shrink any finite
@@ -625,56 +633,44 @@ mod tests {
 
     #[test]
     fn invert_cost_linear_is_closed_form() {
-        // α = 1 takes the exact closed-form path: t / (c + w).
-        let (x, slope) = invert_cost_newton(1.0, 2.0, 3.0, 10.0, 64);
-        assert_eq!(x, 2.0);
-        assert_eq!(slope, 0.2);
+        // α = 1, and Amdahl at s = 1, take the exact closed-form path:
+        // t / (c + w).
+        use crate::costmodel::AmdahlSerial;
+        assert_eq!(invert_cost_newton(1.0, 2.0, 3.0, 10.0, 64), (2.0, 0.2));
+        let serial = AmdahlSerial {
+            serial: 1.0,
+            alpha: 3.0,
+        };
+        assert_eq!(invert_cost_newton(serial, 2.0, 3.0, 10.0, 64), (2.0, 0.2));
     }
 
     #[test]
     fn invert_cost_generic_models_roundtrip() {
-        // Every shipped law inverts its own cost through the generic
-        // Newton loop and agrees with its bisection reference.
-        use crate::costmodel::{AffineLatency, AmdahlSerial, Piecewise};
+        // The Amdahl law inverts its own cost through the generic Newton
+        // loop and agrees with its bisection reference, in both spellings.
+        use crate::costmodel::AmdahlSerial;
         let amdahl = AmdahlSerial {
             serial: 0.3,
             alpha: 2.5,
         };
-        let affine = AffineLatency {
-            latency: 0.7,
-            alpha: 2.0,
-        };
-        let piecewise = Piecewise {
-            threshold: 4.0,
-            alpha_lo: 1.5,
-            alpha_hi: 3.0,
-        };
-        fn check<M: CostModel>(model: M) {
+        fn check<M: CostModel + std::fmt::Debug>(model: M) {
             for &x in &[0.1, 1.0, 3.9, 4.1, 42.0] {
                 let t = model.cost(0.5, 1.5, x);
                 let (back, slope) = invert_cost_newton(model, 0.5, 1.5, t, 64);
                 assert!(
                     (back - x).abs() < 1e-9 * x.max(1.0),
-                    "{}: x={x} back={back}",
-                    model.name()
+                    "{model:?}: x={x} back={back}"
                 );
                 assert!(slope > 0.0 && slope.is_finite());
                 let reference = invert_cost_reference(model, 0.5, 1.5, t);
                 assert!(
                     (back - reference).abs() < 1e-9 * x.max(1.0),
-                    "{}: {back} vs {reference}",
-                    model.name()
+                    "{model:?}: {back} vs {reference}"
                 );
             }
         }
         check(amdahl);
-        check(affine);
-        check(piecewise);
         check(amdahl.as_law());
-        check(affine.as_law());
-        check(piecewise.as_law());
-        // An affine window shorter than the latency starves the worker.
-        assert_eq!(invert_cost_newton(affine, 0.5, 1.5, 0.5, 64), (0.0, 0.0));
     }
 
     #[test]

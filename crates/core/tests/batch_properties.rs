@@ -13,7 +13,7 @@
 //! * platform widths p ∈ {1, 2, 7, 8, 64, 512} — the service's p = 8,
 //!   and widths that are not a multiple of the 4-lane AVX2 chunk, so
 //!   remainder lanes stay honest;
-//! * every [`CostLaw`] variant with α ∈ (1, 24] plus the α = 1 exact
+//! * both [`CostLaw`] variants with α ∈ (1, 24] plus the α = 1 exact
 //!   linear path;
 //! * cold, warm (chained installment sequences) and stale-warm
 //!   (mis-seeded anywhere in the positive finite f64 range) handles.
@@ -65,32 +65,22 @@ fn remainder_platform_strategy() -> impl Strategy<Value = Platform> {
     (0usize..REMAINDER_WIDTHS.len()).prop_flat_map(|i| platform_of_width(REMAINDER_WIDTHS[i]))
 }
 
-/// Every `CostLaw` variant; α ∈ (1, 24], with the exact linear α = 1
+/// Both `CostLaw` variants; α ∈ (1, 24], with the exact linear α = 1
 /// corner forced into the α-power sweep. The selector weights the arms
-/// (3 random-α power : 1 pinned α = 1 : 1 pinned α = 24 : 2 Amdahl :
-/// 2 affine-latency : 2 piecewise out of 11 draws); the remaining
-/// components are drawn unconditionally and the match keeps the ones
-/// the chosen variant needs.
+/// (3 random-α power : 1 pinned α = 1 : 1 pinned α = 24 : 2 Amdahl out
+/// of 7 draws); the serial fraction is drawn unconditionally and only
+/// the Amdahl arm keeps it.
 fn law_strategy() -> impl Strategy<Value = CostLaw> {
     (
-        0usize..11,
+        0usize..7,
         1.0f64 + 1e-9..24.0f64, // alpha
         0.0f64..=1.0,           // Amdahl serial fraction
-        0.0f64..5.0,            // affine latency
-        1.0f64..6.0,            // piecewise low-regime exponent
-        0.5f64..50.0,           // piecewise threshold
     )
-        .prop_map(|(sel, alpha, serial, latency, lo, threshold)| match sel {
+        .prop_map(|(sel, alpha, serial)| match sel {
             0..=2 => CostLaw::AlphaPower { alpha },
             3 => CostLaw::AlphaPower { alpha: 1.0 },
             4 => CostLaw::AlphaPower { alpha: 24.0 },
-            5 | 6 => CostLaw::AmdahlSerial { serial, alpha },
-            7 | 8 => CostLaw::AffineLatency { latency, alpha },
-            _ => CostLaw::Piecewise {
-                threshold,
-                alpha_lo: lo.min(alpha),
-                alpha_hi: alpha,
-            },
+            _ => CostLaw::AmdahlSerial { serial, alpha },
         })
 }
 
@@ -159,15 +149,6 @@ fn every_width_law_and_handle_kind_meets_the_oracle_bound() {
         CostLaw::AmdahlSerial {
             serial: 0.3,
             alpha: 2.0,
-        },
-        CostLaw::AffineLatency {
-            latency: 0.5,
-            alpha: 1.8,
-        },
-        CostLaw::Piecewise {
-            threshold: 4.0,
-            alpha_lo: 1.5,
-            alpha_hi: 3.0,
         },
     ];
     for p in WIDTHS {

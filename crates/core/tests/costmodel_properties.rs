@@ -11,13 +11,13 @@
 //!    what lets `LoadSpec` store a `CostLaw` while the single-load solver
 //!    takes a bare α without changing a committed CSV byte.
 //!
-//! 2. **Accuracy of the other laws.** For [`AmdahlSerial`] and
-//!    [`AffineLatency`] (including the degenerate corners `s → 0`,
-//!    `s → 1`, `L = 0`) the kernel must agree with the nested-bisection
-//!    reference oracle to `1e-9` relative error.
+//! 2. **Accuracy of the Amdahl law.** For [`AmdahlSerial`] (including
+//!    the degenerate corners `s → 0` and `s → 1`) the kernel must agree
+//!    with the nested-bisection reference oracle to `1e-9` relative
+//!    error.
 
 use dlt_core::batch::BatchSolver;
-use dlt_core::costmodel::{AffineLatency, AmdahlSerial, CostLaw};
+use dlt_core::costmodel::{AmdahlSerial, CostLaw};
 use dlt_core::nonlinear::{equal_finish_parallel, equal_finish_parallel_reference, SolverConfig};
 use dlt_platform::Platform;
 use proptest::prelude::*;
@@ -104,56 +104,6 @@ proptest! {
             );
         }
     }
-
-    // Affine-latency law: kernel vs bisection to 1e-9, including L = 0
-    // (which must degenerate to the pure α-power law) and latencies
-    // large enough to starve slow workers.
-    #[test]
-    fn affine_newton_matches_bisection_reference(
-        platform in platform_strategy(),
-        load in 1.0f64..500.0,
-        alpha in 1.0f64..3.0,
-        latency_sel in 0usize..3,
-        latency_mid in 0.0f64..5.0,
-    ) {
-        let latency = [0.0, latency_mid, 50.0][latency_sel];
-        let model = AffineLatency { latency, alpha };
-        let newton = equal_finish_parallel(&platform, load, model).unwrap();
-        let oracle = equal_finish_parallel_reference(&platform, load, model).unwrap();
-        prop_assert!(
-            (newton.makespan - oracle.makespan).abs() <= 1e-9 * oracle.makespan,
-            "makespan {} vs oracle {} (L={latency}, alpha={alpha})",
-            newton.makespan,
-            oracle.makespan
-        );
-        for (a, b) in newton.x.iter().zip(&oracle.x) {
-            prop_assert!(
-                (a - b).abs() <= 1e-9 * load,
-                "share {a} vs oracle {b} (L={latency}, alpha={alpha})"
-            );
-        }
-        // Load conservation survives starvation (some x_i may be 0).
-        prop_assert!((newton.x.iter().sum::<f64>() - load).abs() <= 1e-9 * load);
-    }
-}
-
-#[test]
-fn affine_zero_latency_is_bitwise_the_alpha_power_law() {
-    // L = 0 must not merely be close: the affine law's arithmetic reduces
-    // to the α-power expressions operation for operation.
-    let platform = Platform::from_speeds_and_costs(&[1.0, 3.0, 7.0], &[0.5, 0.2, 0.1]).unwrap();
-    let a = equal_finish_parallel(
-        &platform,
-        120.0,
-        AffineLatency {
-            latency: 0.0,
-            alpha: 1.7,
-        },
-    )
-    .unwrap();
-    let b = equal_finish_parallel(&platform, 120.0, 1.7f64).unwrap();
-    assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
-    assert_eq!(bits_of(&a.x), bits_of(&b.x));
 }
 
 #[test]

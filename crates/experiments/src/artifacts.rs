@@ -66,8 +66,9 @@ pub struct Artifact {
     pub name: &'static str,
     /// The heading `all` prints before running it.
     pub title: &'static str,
-    /// Computes the artifact, prints it and writes its CSVs.
-    pub run: fn(Settings),
+    /// Computes the artifact, prints it and writes its CSVs; a CSV that
+    /// cannot be written is an error naming its path.
+    pub run: fn(Settings) -> Result<(), String>,
 }
 
 /// Every artifact, in the order `all` runs them.
@@ -195,7 +196,7 @@ pub fn parse_args(
 /// The processor counts of the Section 2 and Amdahl sweeps.
 const SEC2_PS: [usize; 10] = [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024];
 
-fn sec2_no_free_lunch(_: Settings) {
+fn sec2_no_free_lunch(_: Settings) -> Result<(), String> {
     let t = run_sec2(
         &SEC2_PS,
         &PAPER_ALPHAS,
@@ -203,57 +204,61 @@ fn sec2_no_free_lunch(_: Settings) {
         SEED,
         ModelFamily::AlphaPower,
     );
-    write_and_print(&t, "sec2_no_free_lunch");
+    write_and_print(&t, "sec2_no_free_lunch")?;
     println!(
         "Reading: for α > 1 the remaining fraction 1 − 1/P^(α−1) tends to 1 —\n\
          a single DLT round leaves asymptotically all of the work undone\n\
          (the paper's no-free-lunch result). The α = 1 rows stay at 0."
     );
+    Ok(())
 }
 
-fn sec_amdahl(s: Settings) {
+fn sec_amdahl(s: Settings) -> Result<(), String> {
     let ps: &[usize] = s.pick(&[2, 8, 32], &SEC2_PS);
     let t = run_sec_amdahl(ps, &PAPER_SERIALS, &PAPER_ALPHAS, 4096.0, SEED, s.threads);
-    write_and_print(&t, "sec_amdahl");
+    write_and_print(&t, "sec_amdahl")?;
     println!(
         "Reading: a serial fraction s caps the superlinear share of the work at\n\
          1 − s, so the remaining fraction no longer tends to 1 with P — the\n\
          no-free-lunch penalty applies only to the Amdahl-style parallelizable\n\
          part. s = 0 reproduces the paper's x^α rows; s = 1 is classical DLT."
     );
+    Ok(())
 }
 
-fn sec3_sample_sort(s: Settings) {
+fn sec3_sample_sort(s: Settings) -> Result<(), String> {
     let ns: &[usize] = s.pick(&[1 << 12], &[1 << 14, 1 << 16, 1 << 18, 1 << 20]);
     let (robustness_n, trials) = s.pick((1 << 12, 1), (1 << 18, 5));
     let t = run_sample_sort(ns, &[4, 16, 64], trials, SEED);
-    write_and_print(&t, "sec3_sample_sort");
+    write_and_print(&t, "sec3_sample_sort")?;
     let t = run_distribution_robustness(robustness_n, 16, trials, SEED);
-    write_and_print(&t, "sec3_distribution_robustness");
+    write_and_print(&t, "sec3_distribution_robustness")?;
     println!(
         "Reading: frac_logp_logN = log p / log N is the non-divisible share of\n\
          the work; it shrinks as N grows. max_overload stays below the\n\
          Theorem B.4 bound (bound_overload) with high probability."
     );
+    Ok(())
 }
 
-fn sec3_hetero_sort(s: Settings) {
+fn sec3_hetero_sort(s: Settings) -> Result<(), String> {
     let (n, trials) = s.pick((1 << 12, 1), (1 << 18, 5));
     for profile in [
         SpeedDistribution::paper_uniform(),
         SpeedDistribution::paper_lognormal(),
     ] {
         let t = run_hetero_sort(n, &[4, 8, 16, 32], &profile, trials, SEED);
-        write_and_print(&t, &format!("sec3_hetero_sort_{}", profile.name()));
+        write_and_print(&t, &format!("sec3_hetero_sort_{}", profile.name()))?;
     }
     println!(
         "Reading: max_overload ≈ 1 means every worker's bucket matches its\n\
          speed share N·x_i — sorting stays divisible-load friendly even on\n\
          heterogeneous platforms (Section 3.2)."
     );
+    Ok(())
 }
 
-fn fig1_trace(_: Settings) {
+fn fig1_trace(_: Settings) -> Result<(), String> {
     let n = 4096;
     let (events, chart) = fig1_sample_sort_trace(n, SEED);
     println!("Figure 1: sample sort, p = 4, s = 4, N = {n}");
@@ -261,20 +266,22 @@ fn fig1_trace(_: Settings) {
     println!(" construction; P2..P5 receive their bucket and sort locally.)\n");
     println!("{chart}");
     println!("{} trace events", events.len());
+    Ok(())
 }
 
-fn fig2_footprint(_: Settings) {
+fn fig2_footprint(_: Settings) -> Result<(), String> {
     let t = run_fig2(4, 12.0, 240);
-    write_and_print(&t, "fig2_footprint");
+    write_and_print(&t, "fig2_footprint")?;
     println!(
         "Reading: under Commhom (demand-driven blocks) the fast workers'\n\
          footprint on a and b approaches 2N, while their Commhet rectangle\n\
          needs only its half-perimeter — Figure 2's 'memory footprint will\n\
          be high' vs 'highly reduced'."
     );
+    Ok(())
 }
 
-fn fig3_matmul(_: Settings) {
+fn fig3_matmul(_: Settings) -> Result<(), String> {
     let (n, q, steps) = (16, 2, 4);
     let (events, chart) = fig3_matmul_trace(n, q, steps);
     println!("Figure 3: outer-product MM on a {q}x{q} grid, N = {n}, first {steps} steps");
@@ -282,16 +289,17 @@ fn fig3_matmul(_: Settings) {
     println!(" apply the rank-1 update to the local C rectangle)\n");
     println!("{chart}");
     println!("{} trace events", events.len());
+    Ok(())
 }
 
-fn fig4(s: Settings) {
+fn fig4(s: Settings) -> Result<(), String> {
     // Paper scale: 100 random platforms per point on a 10⁴ × 10⁴ domain.
     let ps: &[usize] = s.pick(&[10, 20], &PAPER_P_VALUES);
     let (trials, n) = s.pick((1, 1_000), (100, 10_000));
     for profile in SpeedDistribution::paper_profiles() {
         let name = profile.name();
         let points = run_fig4(&profile, ps, trials, n, SEED, s.threads);
-        write_and_print(&fig4_table(name, &points), &format!("fig4_{name}"));
+        write_and_print(&fig4_table(name, &points), &format!("fig4_{name}"))?;
         let mut plot = AsciiPlot::new(
             &format!("Figure 4 ({name}): communication / lower bound vs p"),
             64,
@@ -306,36 +314,39 @@ fn fig4(s: Settings) {
         plot.series("Commhom/k", 'k', &series_for(&points, refined));
         println!("{}", plot.render());
     }
+    Ok(())
 }
 
-fn rho_table(s: Settings) {
+fn rho_table(s: Settings) -> Result<(), String> {
     let (p, n) = s.pick((4, 256), (32, 4096));
     let ks = [1.0, 2.0, 4.0, 9.0, 16.0, 25.0, 36.0, 49.0, 64.0];
     let t = run_rho_table(&ks, p, n, s.threads);
-    write_and_print(&t, "rho_table");
+    write_and_print(&t, "rho_table")?;
     println!(
         "Reading: the measured ratio rho grows like sqrt(k) and dominates the\n\
          rigorous bound (4/7)·Σs/(√s₁·Σ√s); the paper's headline two-class\n\
          bound (1+k)/(1+√k) ≥ √k−1 tracks it because Commhet sits within a\n\
          few percent of the lower bound."
     );
+    Ok(())
 }
 
-fn partition_quality(s: Settings) {
+fn partition_quality(s: Settings) -> Result<(), String> {
     let ps: &[usize] = s.pick(&[2, 8, 32], &[2, 4, 8, 16, 32, 64, 128, 256, 512]);
     let trials = s.pick(1, 50);
     for profile in SpeedDistribution::paper_profiles() {
         let t = run_partition_quality(ps, &profile, trials, SEED, s.threads);
-        write_and_print(&t, &format!("partition_quality_{}", profile.name()));
+        write_and_print(&t, &format!("partition_quality_{}", profile.name()))?;
     }
     println!(
         "Reading: peri_sum_max is the worst cost/LB ratio observed; the paper\n\
          reports ≤ ~1.02 for large p. guarantee_1_plus_5_4 must stay ≤ 1\n\
          (the proven bound Ĉ ≤ 1 + (5/4)·LB)."
     );
+    Ok(())
 }
 
-fn multiload(s: Settings) {
+fn multiload(s: Settings) -> Result<(), String> {
     // Round-robin cuts each load into `chunks` pieces.
     let (p, base_size, chunks, trials) = s.pick((4, 100.0, 4, 1), (16, DEFAULT_BASE_SIZE, 32, 50));
     let loads: &[usize] = s.pick(&[1, 2], &[1, 2, 4, 8]);
@@ -353,11 +364,12 @@ fn multiload(s: Settings) {
             ModelFamily::AlphaPower,
         );
         let t = multiload_table(profile.name(), p, &points);
-        write_and_print(&t, &format!("multiload_{}", profile.name()));
+        write_and_print(&t, &format!("multiload_{}", profile.name()))?;
     }
+    Ok(())
 }
 
-fn multiload_policy(s: Settings) {
+fn multiload_policy(s: Settings) -> Result<(), String> {
     let (p, base_size, trials) = s.pick((4, 100.0, 1), (16, DEFAULT_BASE_SIZE, 50));
     let loads: &[usize] = s.pick(&[1, 2], &[1, 2, 4, 8]);
     // Installments per load: 1 is non-preemptive, 4 lets a load be
@@ -377,11 +389,12 @@ fn multiload_policy(s: Settings) {
             ModelFamily::AlphaPower,
         );
         let t = multiload_policy_table(profile.name(), p, &points);
-        write_and_print(&t, &format!("multiload_policy_{}", profile.name()));
+        write_and_print(&t, &format!("multiload_policy_{}", profile.name()))?;
     }
+    Ok(())
 }
 
-fn multiload_service(s: Settings) {
+fn multiload_service(s: Settings) -> Result<(), String> {
     // Paper scale streams a million loads per cell: the "millions of
     // arrivals at steady memory" point.
     let (p, loads, base_size) = s.pick((4, 2_000, 100.0), (8, 1_000_000, DEFAULT_BASE_SIZE));
@@ -400,28 +413,30 @@ fn multiload_service(s: Settings) {
             s.threads,
         );
         let t = service_table(profile.name(), p, loads, DEFAULT_UTILIZATION, &points);
-        write_and_print(&t, &format!("multiload_service_{}", profile.name()));
+        write_and_print(&t, &format!("multiload_service_{}", profile.name()))?;
     }
+    Ok(())
 }
 
-fn multiload_competitive(s: Settings) {
+fn multiload_competitive(s: Settings) -> Result<(), String> {
     let (p, loads, trials) = s.pick((4, 8, 2), (8, 48, 30));
     let cells = s.pick(competitive::smoke_cells(), competitive::default_cells());
     for profile in SpeedDistribution::paper_profiles() {
         let points = run_competitive(&profile, p, loads, &cells, trials, SEED, s.threads);
         let t = competitive_table(profile.name(), p, loads, trials, &points);
-        write_and_print(&t, &format!("multiload_competitive_{}", profile.name()));
+        write_and_print(&t, &format!("multiload_competitive_{}", profile.name()))?;
     }
+    Ok(())
 }
 
-fn affinity(s: Settings) {
+fn affinity(s: Settings) -> Result<(), String> {
     let (p, n, trials) = s.pick((4, 256, 1), (32, 2048, 20));
     for profile in [
         SpeedDistribution::paper_uniform(),
         SpeedDistribution::paper_lognormal(),
     ] {
         let t = run_affinity(p, n, &profile, &[1, 2, 4, 8, 16, 32, 64], trials, SEED);
-        write_and_print(&t, &format!("affinity_{}", profile.name()));
+        write_and_print(&t, &format!("affinity_{}", profile.name()))?;
     }
     println!(
         "Reading: window = 1 is plain demand-driven FIFO; larger windows let a\n\
@@ -430,6 +445,7 @@ fn affinity(s: Settings) {
          accounting and the load balance stay put — the improvement the paper's\n\
          conclusion predicts from affinity directives in MapReduce."
     );
+    Ok(())
 }
 
 #[cfg(test)]

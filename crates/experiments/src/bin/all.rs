@@ -10,7 +10,8 @@
 //! seconds even in a debug build. `--threads W` caps the trial-loop
 //! worker pool (default `0` = all cores); every CSV is byte-identical
 //! for any thread count. Any other argument prints `error: …` and exits
-//! with status 2.
+//! with status 2. A CSV that cannot be written stops the run: `all`
+//! prints `error: could not write <path>: …` and exits with status 1.
 
 use dlt_experiments::artifacts::parse_args;
 
@@ -21,7 +22,10 @@ fn main() {
     });
     for artifact in artifacts {
         println!("== {} ==", artifact.title);
-        (artifact.run)(settings);
+        if let Err(e) = (artifact.run)(settings) {
+            eprintln!("error: {e}");
+            std::process::exit(1);
+        }
     }
     println!("all experiments done.");
 }

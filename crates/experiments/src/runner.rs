@@ -12,14 +12,16 @@ fn results_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("results"))
 }
 
-/// Prints the table to stdout and writes `results/<name>.csv`.
-pub(crate) fn write_and_print(table: &Table, name: &str) {
+/// Prints the table to stdout and writes `results/<name>.csv`; a failed
+/// write is an error naming the file.
+pub(crate) fn write_and_print(table: &Table, name: &str) -> Result<(), String> {
     println!("{}", table.to_text());
     let path = results_dir().join(format!("{name}.csv"));
-    match table.write_csv(&path) {
-        Ok(()) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("warning: could not write {}: {e}", path.display()),
-    }
+    table
+        .write_csv(&path)
+        .map_err(|e| format!("could not write {}: {e}", path.display()))?;
+    println!("wrote {}", path.display());
+    Ok(())
 }
 
 /// Resolves a requested thread count: `0` means "all available cores"

@@ -16,7 +16,7 @@ fn random_keys(n: usize, seed: u64) -> Vec<u64> {
 /// distribution of keys" (Section 3.1); these exercise the usual
 /// adversaries of quicksort-style pivoting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeyDistribution {
+enum KeyDistribution {
     /// Uniform random 64-bit keys.
     Uniform,
     /// Already sorted ascending.
@@ -32,7 +32,7 @@ pub enum KeyDistribution {
 
 impl KeyDistribution {
     /// All distributions, in table order.
-    pub fn all() -> [KeyDistribution; 5] {
+    fn all() -> [KeyDistribution; 5] {
         [
             KeyDistribution::Uniform,
             KeyDistribution::Sorted,
@@ -43,7 +43,7 @@ impl KeyDistribution {
     }
 
     /// Short name for tables.
-    pub fn name(&self) -> &'static str {
+    fn name(&self) -> &'static str {
         match self {
             KeyDistribution::Uniform => "uniform",
             KeyDistribution::Sorted => "sorted",
@@ -54,7 +54,7 @@ impl KeyDistribution {
     }
 
     /// Materializes `n` keys.
-    pub fn generate(&self, n: usize, seed: u64) -> Vec<u64> {
+    fn generate(&self, n: usize, seed: u64) -> Vec<u64> {
         let mut rng = dlt_platform::rng::seeded(seed);
         match self {
             KeyDistribution::Uniform => random_keys(n, seed),

@@ -249,9 +249,9 @@ fn traces_render_non_trivially() {
 
 /// Runs `all` with `args`, pointing `DLT_RESULTS` at a unique per-run
 /// temp directory, and returns its stdout and the sorted names of the
-/// CSVs it wrote. `write_and_print` only warns on write failures, so the
-/// callers check the CSV list: without it a CSV-output regression would
-/// pass silently.
+/// CSVs it wrote. A failed write exits non-zero (see
+/// `a_failed_csv_write_fails_all`); the callers check the CSV list too,
+/// so an artifact that stops writing a CSV cannot pass silently.
 fn run_all(tag: &str, args: &[&str]) -> (String, Vec<String>) {
     let results = std::env::temp_dir().join(format!("dlt-smoke-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&results).expect("create smoke results dir");
@@ -336,6 +336,31 @@ fn one_named_artifact_writes_only_its_csvs() {
         ]
     );
     assert!(out.contains("Figure 4 (uniform)"), "the plot is printed");
+}
+
+#[test]
+fn a_failed_csv_write_fails_all() {
+    // `DLT_RESULTS` below a regular file: the directory does not exist
+    // and cannot be created, so the first CSV write fails. `all` must
+    // name the file and exit 1 (2 is the usage error), never report
+    // success with nothing written.
+    let blocker = std::env::temp_dir().join(format!("dlt-smoke-blocker-{}", std::process::id()));
+    std::fs::write(&blocker, "not a directory").expect("create blocker file");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_all"))
+        .args(["fig2-footprint", "--smoke"])
+        .env("DLT_RESULTS", blocker.join("results"))
+        .output()
+        .expect("spawn all");
+    let _ = std::fs::remove_file(&blocker);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{}\n{stderr}", out.status);
+    assert!(
+        stderr
+            .lines()
+            .any(|l| l.starts_with("error: ") && l.contains("fig2_footprint.csv")),
+        "stderr must name the unwritten CSV:\n{stderr}"
+    );
+    assert!(!String::from_utf8_lossy(&out.stdout).contains("all experiments done."));
 }
 
 #[test]

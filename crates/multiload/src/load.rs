@@ -54,7 +54,7 @@ impl LoadSpec {
         Self::new(size, alpha, 0.0)
     }
 
-    /// The primary exponent `α_j` of this load's cost law.
+    /// The exponent `α_j` of this load's cost law.
     pub fn alpha(&self) -> f64 {
         self.model.alpha()
     }
