@@ -7,7 +7,8 @@
 //! thread a [`BatchSolver`] through consecutive solves.
 //!
 //! The system is `cᵢxᵢ + wᵢxᵢ^α = T` on every worker with `Σxᵢ = N`:
-//! an outer safeguarded Newton on `T` over inner per-worker inverses.
+//! an outer safeguarded Newton on `T` (taken in log–log coordinates) over
+//! inner per-worker inverses.
 //! [`BatchSolver`] keeps the platform as structure-of-arrays lanes
 //! (contiguous `c[]`, `w[]` plus per-lane Newton state) and advances
 //! *all* inner inverses in lockstep: every inner iteration is one
@@ -474,10 +475,8 @@ mod tests {
 
     #[test]
     fn a_hint_far_above_the_root_still_converges() {
-        // A hint of ~7e79 on a handle whose next root is ~4.5e3:
-        // bisecting down from the hint alone needs more than `max_outer`
-        // halvings, so the solve must restart from the single-worker
-        // bound.
+        // A hint of ~7e79 on a handle whose next root is ~4.5e3: plain
+        // halving down from it would need more than `max_outer` steps.
         let platform = Platform::from_speeds(&[1.0]).unwrap();
         let law = CostLaw::AmdahlSerial {
             serial: 0.0,

@@ -9,10 +9,11 @@
 //! homogeneous platform, is a vanishing fraction of the total `N^α`.
 //!
 //! Solvers use safeguarded Newton iterations at both levels: the outer
-//! loop finds the common finish time `T` with `Σ x_i(T) = N` by a
-//! derivative-driven root-finder that accepts a warm-start hint and falls
-//! back to bisection whenever a Newton step leaves the current bracket
-//! (one loop, shared by both communication models);
+//! loop finds the common finish time `T` with `Σ x_i(T) = N` by Newton on
+//! `ln Σx` against `ln T`, which accepts a warm-start hint and falls back
+//! to bisection (geometric while the bracket spans more than a factor of
+//! 4) whenever a step leaves the current bracket (one loop, shared by
+//! both communication models);
 //! the inner loop inverts the strictly monotone per-worker cost
 //! `c_i·x + w_i·x^α = T` by Newton descent from a closed-form upper bound
 //! (see `docs/solver.md` for the derivation and the convergence
@@ -34,6 +35,7 @@
 
 use crate::costmodel::{CostLaw, CostModel};
 use crate::error::DltError;
+use crate::fastmath::fast_powf;
 use dlt_platform::Platform;
 use dlt_sim::{ChunkAssignment, CommMode, Schedule};
 
@@ -455,20 +457,27 @@ pub fn equal_finish_one_port_reference<M: CostModel>(
 // ---------------------------------------------------------------------------
 
 /// The outer root-finder of both communication models: finds `T` with
-/// `Σ xᵢ(T) = n` by safeguarded Newton on the monotone total.
+/// `Σ xᵢ(T) = n` by safeguarded Newton on the monotone total, taken in
+/// log–log coordinates.
 ///
 /// `eval(t)` computes the shares at `t` into the caller's own storage and
-/// returns their sum and the analytic slope `d(Σx)/dt`. The iteration
-/// maintains a bracket `[lo, hi]` around the root: a Newton step is
-/// accepted only when it lands strictly inside, otherwise the midpoint is
-/// taken (so the worst case degenerates to plain bisection, never
-/// divergence). The first probe is `hint` when there is one, else the
-/// single-best-worker bound; while no upper bound has been confirmed yet
-/// (`g < 0` everywhere so far, possible under a stale hint), the hunt
-/// doubles `t` unless Newton already jumps further right. The bound costs
-/// `p` cost evaluations, so it is computed only when first needed: a warm
-/// solve that converges without hunting never pays for it. A hinted solve
-/// that exhausts `config.max_outer` runs once more from the bound.
+/// returns their sum `S` and the analytic slope `S′ = d(Σx)/dt`. The step
+/// is Newton on `ln S` against `ln T`, `t′ = t·(n/S)^{S/(t·S′)}`: it
+/// lands on the root in one move wherever `S` is a power of `T` (a share
+/// tends to `t/c` at small `t` and to `(t/w)^{1/α}` at large `t`), it is
+/// the plain Newton step to first order as `S → n`, and it never leaves
+/// `T > 0`. The iteration maintains a bracket `[lo, hi]` around the root
+/// and accepts a step only when it lands strictly inside; otherwise it
+/// takes the geometric midpoint `√(lo·hi)` while `hi > 4·lo > 0`, the
+/// arithmetic one below that, so the worst case is a bisection in `ln T`
+/// and then in `T`, never divergence. While no upper bound has been
+/// confirmed (`S < n` everywhere so far, as under a hint below the root)
+/// it takes the step when it moves right and doubles `t` otherwise.
+///
+/// The first probe is `hint` when there is one, else the
+/// single-best-worker bound `T₀`, which costs `p` cost evaluations and is
+/// computed only then. A hinted solve that exhausts `config.max_outer` or
+/// hunts past `1e300` runs once more from `T₀`.
 ///
 /// Returns the last evaluated iterate, whose residual is below
 /// `config.residual_tol · n` (or whose bracket is tight); the caller's
@@ -482,14 +491,11 @@ pub(crate) fn outer_newton<M: CostModel>(
     config: &SolverConfig,
     mut eval: impl FnMut(f64) -> (f64, f64),
 ) -> Result<f64, DltError> {
-    let mut bound = None;
-    let mut t_hi_seed =
-        || *bound.get_or_insert_with(|| t_single_worker_bound(platform, n, model).max(1e-300));
     let mut lo = 0.0f64;
     let mut hi = f64::INFINITY;
     let mut t = match hint {
         Some(seed) => seed,
-        None => t_hi_seed(),
+        None => t_single_worker_bound(platform, n, model).max(1e-300),
     };
     for _ in 0..config.max_outer {
         let (total, slope) = eval(t);
@@ -503,32 +509,31 @@ pub(crate) fn outer_newton<M: CostModel>(
         if g.abs() <= config.residual_tol * n || bracket_tight {
             return Ok(t);
         }
-        let newton = if slope > 0.0 { t - g / slope } else { f64::NAN };
+        let step = if slope > 0.0 {
+            t * fast_powf(n / total, total / (t * slope))
+        } else {
+            f64::NAN
+        };
         t = if hi.is_finite() {
-            if newton.is_finite() && newton > lo && newton < hi {
-                newton
+            if step > lo && step < hi {
+                step
+            } else if lo > 0.0 && hi > 4.0 * lo {
+                lo.sqrt() * hi.sqrt()
             } else {
                 0.5 * (lo + hi)
             }
         } else {
-            // Still hunting an upper bound (stale hint below the root):
-            // take the Newton step when it outruns doubling.
-            let doubled = (2.0 * t).max(t_hi_seed());
-            if doubled > 1e300 {
-                return Err(DltError::NoConvergence {
-                    context: "outer upper-bound hunt",
-                });
-            }
-            if newton.is_finite() && newton > doubled {
-                newton
+            let next = if step > t && step.is_finite() {
+                step
             } else {
-                doubled
+                2.0 * t
+            };
+            if next > 1e300 {
+                break;
             }
+            next
         };
     }
-    // A stale hint far above the root (more than ~2^250 times it) needs
-    // more halvings than `max_outer`; start over from the single-worker
-    // bound. Only solves that would fail take this path.
     if hint.is_some() {
         return outer_newton(platform, n, model, None, config, eval);
     }
@@ -697,14 +702,50 @@ mod tests {
     fn solver_matches_homogeneous_closed_form() {
         // Section 2: each of P identical workers receives N/P and finishes
         // at c·N/P + w·(N/P)^α, so one round does 1/P^{α−1} of the work.
-        let (p, n) = (8, 64.0);
-        let platform = Platform::homogeneous(p, 1.0, 1.0).unwrap();
-        let solved = equal_finish_parallel(&platform, n, 2.0).unwrap();
-        for &xi in &solved.x {
-            assert!((xi - 8.0).abs() < 1e-6, "xi {xi}");
+        // The second row's cold start T₀ = N + N^α ≈ 5e86 sits 10⁷⁹ times
+        // above the root: halving down from it takes more than
+        // `max_outer` evaluations.
+        for (p, n, alpha) in [(8, 64.0, 2.0), (2048, 4096.0, 24.0)] {
+            let platform = Platform::homogeneous(p, 1.0, 1.0).unwrap();
+            let solved = equal_finish_parallel(&platform, n, alpha).unwrap();
+            let share = n / p as f64;
+            for &xi in &solved.x {
+                assert!(rel(xi, share) < 1e-9, "p {p}: xi {xi}");
+            }
+            let makespan = share + share.powi(alpha as i32);
+            assert!(rel(solved.makespan, makespan) < 1e-9, "p {p}");
+            let fraction = (p as f64).powi(1 - alpha as i32);
+            assert!(rel(solved.work_fraction_done(), fraction) < 1e-9, "p {p}");
         }
-        assert!((solved.makespan - (8.0 + 8.0 * 8.0)).abs() < 1e-6);
-        assert!((solved.work_fraction_done() - 1.0 / 8.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn outer_newton_lands_in_a_few_evaluations_from_any_start() {
+        // p = 1024 identical lanes, α = 3, n = 4096: every share is 4 and
+        // the root is 4 + 4³ = 68. A sweep hands the next exponent the
+        // α = 2 root, 20; the other starts are hints 10⁹ times off either
+        // way and the cold single-worker bound, 4096 + 4096³.
+        let platform = Platform::homogeneous(1024, 1.0, 1.0).unwrap();
+        let config = SolverConfig::default();
+        for hint in [Some(20.0), Some(68e-9), Some(68e9), None] {
+            let mut evals = 0;
+            let t = outer_newton(&platform, 4096.0, 3.0, hint, &config, |t| {
+                evals += 1;
+                platform.iter().fold((0.0, 0.0), |(total, slope), worker| {
+                    let (x, dx) = invert_cost_newton(
+                        3.0,
+                        worker.inv_bandwidth(),
+                        worker.w(),
+                        t,
+                        config.max_inner,
+                    );
+                    (total + x, slope + dx)
+                })
+            })
+            .unwrap();
+            assert!(rel(t, 68.0) < 1e-12, "hint {hint:?}: root {t}");
+            assert!(evals <= 8, "hint {hint:?}: {evals} evaluations");
+        }
     }
 
     #[test]
