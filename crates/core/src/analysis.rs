@@ -29,16 +29,6 @@ pub fn sorting_nondivisible_fraction(n: f64, p: usize) -> f64 {
     (p as f64).ln() / n.ln()
 }
 
-/// Section 3.1 / Theorem B.4 of Blelloch et al.: with oversampling `s =
-/// log²N`, the largest bucket exceeds `N/p · (1 + (1/log N)^{1/3})` only
-/// with probability `≤ N^{-1/3}`. This returns that high-probability bound
-/// on the max bucket size.
-pub fn max_bucket_bound(n: usize, p: usize) -> f64 {
-    assert!(n > 1 && p > 0);
-    let ln_n = (n as f64).ln();
-    (n as f64) / (p as f64) * (1.0 + (1.0 / ln_n).powf(1.0 / 3.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,17 +67,5 @@ mod tests {
         // Exact value: ln 64 / ln 2^20 = 6/20 for N = 2^20.
         let f = sorting_nondivisible_fraction((1u64 << 20) as f64, 64);
         assert!((f - 6.0 / 20.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn max_bucket_bound_above_mean_bucket() {
-        let n = 1 << 20;
-        let p = 16;
-        let bound = max_bucket_bound(n, p);
-        assert!(bound > (n / p) as f64);
-        // The slack factor shrinks as N grows.
-        let slack_small = max_bucket_bound(1 << 10, p) / ((1 << 10) as f64 / p as f64);
-        let slack_large = max_bucket_bound(1 << 30, p) / ((1 << 30) as f64 / p as f64);
-        assert!(slack_large < slack_small);
     }
 }

@@ -22,7 +22,7 @@ use crate::multiload::{
 };
 use crate::partition_quality::run_partition_quality;
 use crate::rho::run_rho_table;
-use crate::runner::{resolve_threads, write_and_print};
+use crate::runner::{par_map, resolve_threads, write_and_print};
 use crate::sec2::{run_sec2, PAPER_ALPHAS};
 use crate::sec3::{run_distribution_robustness, run_hetero_sort, run_sample_sort};
 use crate::sec_amdahl::{run_sec_amdahl, PAPER_SERIALS};
@@ -43,8 +43,9 @@ pub struct Settings {
     /// `--smoke`: the smallest configuration that still exercises the
     /// artifact's runner end to end, in seconds even in a debug build.
     pub smoke: bool,
-    /// Trial-loop workers: `--threads W`, with `0` (the default)
-    /// resolved to every core.
+    /// Workers of the artifact's [`par_map`] pool, the only threads an
+    /// artifact starts: `--threads W`, with `0` (the default) resolved
+    /// to every core.
     pub threads: usize,
 }
 
@@ -229,10 +230,13 @@ fn sec_amdahl(s: Settings) -> Result<(), String> {
 fn sec3_sample_sort(s: Settings) -> Result<(), String> {
     let ns: &[usize] = s.pick(&[1 << 12], &[1 << 14, 1 << 16, 1 << 18, 1 << 20]);
     let (robustness_n, trials) = s.pick((1 << 12, 1), (1 << 18, 5));
-    let t = run_sample_sort(ns, &[4, 16, 64], trials, SEED);
-    write_and_print(&t, "sec3_sample_sort")?;
-    let t = run_distribution_robustness(robustness_n, 16, trials, SEED);
-    write_and_print(&t, "sec3_distribution_robustness")?;
+    // The two tables are independent; each sorts on its own worker.
+    let tables = par_map(2, s.threads, |i| match i {
+        0 => run_sample_sort(ns, &[4, 16, 64], trials, SEED),
+        _ => run_distribution_robustness(robustness_n, 16, trials, SEED),
+    });
+    write_and_print(&tables[0], "sec3_sample_sort")?;
+    write_and_print(&tables[1], "sec3_distribution_robustness")?;
     println!(
         "Reading: frac_logp_logN = log p / log N is the non-divisible share of\n\
          the work; it shrinks as N grows. max_overload stays below the\n\
@@ -243,12 +247,15 @@ fn sec3_sample_sort(s: Settings) -> Result<(), String> {
 
 fn sec3_hetero_sort(s: Settings) -> Result<(), String> {
     let (n, trials) = s.pick((1 << 12, 1), (1 << 18, 5));
-    for profile in [
+    let profiles = [
         SpeedDistribution::paper_uniform(),
         SpeedDistribution::paper_lognormal(),
-    ] {
-        let t = run_hetero_sort(n, &[4, 8, 16, 32], &profile, trials, SEED);
-        write_and_print(&t, &format!("sec3_hetero_sort_{}", profile.name()))?;
+    ];
+    let tables = par_map(profiles.len(), s.threads, |i| {
+        run_hetero_sort(n, &[4, 8, 16, 32], &profiles[i], trials, SEED)
+    });
+    for (profile, t) in profiles.iter().zip(&tables) {
+        write_and_print(t, &format!("sec3_hetero_sort_{}", profile.name()))?;
     }
     println!(
         "Reading: max_overload ≈ 1 means every worker's bucket matches its\n\
@@ -361,7 +368,6 @@ fn multiload(s: Settings) -> Result<(), String> {
             trials,
             SEED,
             s.threads,
-            ModelFamily::AlphaPower,
         );
         let t = multiload_table(profile.name(), p, &points);
         write_and_print(&t, &format!("multiload_{}", profile.name()))?;
@@ -386,7 +392,6 @@ fn multiload_policy(s: Settings) -> Result<(), String> {
             trials,
             SEED,
             s.threads,
-            ModelFamily::AlphaPower,
         );
         let t = multiload_policy_table(profile.name(), p, &points);
         write_and_print(&t, &format!("multiload_policy_{}", profile.name()))?;
@@ -409,7 +414,6 @@ fn multiload_service(s: Settings) -> Result<(), String> {
             DEFAULT_UTILIZATION,
             &cells,
             SEED,
-            ModelFamily::AlphaPower,
             s.threads,
         );
         let t = service_table(profile.name(), p, loads, DEFAULT_UTILIZATION, &points);

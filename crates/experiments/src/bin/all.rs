@@ -7,9 +7,9 @@
 //! Runs the named artifacts of [`dlt_experiments::artifacts::ARTIFACTS`]
 //! (every one when none is named) at paper scale. `--smoke` runs each at
 //! the smallest configuration that still exercises its runner, in
-//! seconds even in a debug build. `--threads W` caps the trial-loop
-//! worker pool (default `0` = all cores); every CSV is byte-identical
-//! for any thread count. Any other argument prints `error: …` and exits
+//! seconds even in a debug build. `--threads W` sizes the one worker
+//! pool every artifact runs on (default `0` = all cores); every CSV is
+//! byte-identical for any thread count. Any other argument prints `error: …` and exits
 //! with status 2. A CSV that cannot be written stops the run: `all`
 //! prints `error: could not write <path>: …` and exits with status 1.
 

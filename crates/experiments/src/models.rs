@@ -1,12 +1,14 @@
-//! The cost-law families the multi-load and Section 2 runners sweep.
+//! The cost-law families the Section 2 runner and the service trace
+//! generators sweep.
 //!
 //! A [`ModelFamily`] is a cost law with every parameter fixed except the
 //! swept exponent α: a runner keeps sweeping its usual alpha list and
 //! [`ModelFamily::law`] turns each α into a concrete [`CostLaw`] for the
 //! solver stack. There is one family per shipped law: the paper's
-//! α-power law, which the Section 2 and multi-load sweeps run, and the
-//! Amdahl serial-fraction law, which `sec-amdahl` and `perfbench`'s
-//! Amdahl sweep run.
+//! α-power law, which every committed CSV uses, and the Amdahl
+//! serial-fraction law, which `sec-amdahl` and `perfbench`'s Amdahl
+//! sweep run. The multi-load runners take no family: they run the
+//! α-power law.
 
 use dlt_core::costmodel::CostLaw;
 

@@ -18,7 +18,6 @@
 //! ([`dlt_core::nonlinear::equal_finish_parallel`]), bit for bit, which
 //! the harness smoke test pins down against independently computed rows.
 
-use crate::models::ModelFamily;
 use dlt_multiload::{
     alone_makespans, round_robin_schedule, schedule, AdmissionOrder, LoadSpec, MultiLoadConfig,
     MultiLoadReport, PolicyConfig, ScheduleOptions, SchedulerKind,
@@ -86,9 +85,7 @@ pub struct MultiloadPoint {
 /// Deterministic batch of `n_loads` loads for one trial: the base load
 /// first (size `base_size`, release 0), then loads with drawn sizes and
 /// releases. `t_alone` is the base load's alone makespan on this trial's
-/// platform (the release window). Every load carries `family.law(alpha)`
-/// as its cost model; the RNG streams are independent of the family, so
-/// two families see identical sizes and releases.
+/// platform (the release window). Every load runs the paper's `x^α` law.
 fn generate_loads(
     n_loads: usize,
     alpha: f64,
@@ -96,16 +93,14 @@ fn generate_loads(
     t_alone: f64,
     seed: u64,
     trial: u64,
-    family: ModelFamily,
 ) -> Vec<LoadSpec> {
     let mut rng = seeded_stream(seed ^ LOAD_SEED_SALT, trial);
-    let law = family.law(alpha);
     let mut loads = Vec::with_capacity(n_loads);
-    loads.push(LoadSpec::with_model(base_size, law, 0.0).expect("valid base load"));
+    loads.push(LoadSpec::new(base_size, alpha, 0.0).expect("valid base load"));
     for _ in 1..n_loads {
         let size = base_size * rng.gen_range(0.25..1.0);
         let release = rng.gen_range(0.0..t_alone.max(f64::MIN_POSITIVE));
-        loads.push(LoadSpec::with_model(size, law, release).expect("valid generated load"));
+        loads.push(LoadSpec::new(size, alpha, release).expect("valid generated load"));
     }
     loads
 }
@@ -124,7 +119,6 @@ pub fn run_multiload(
     trials: usize,
     seed: u64,
     threads: usize,
-    family: ModelFamily,
 ) -> Vec<MultiloadPoint> {
     let spec = PlatformSpec::new(p, profile.clone());
     // Comm-inclusive occupancies: the FIFO installments' closed forms
@@ -149,7 +143,7 @@ pub fn run_multiload(
                 let platform = spec
                     .generate_stream(seed, trial as u64)
                     .expect("valid spec");
-                LoadSpec::with_model(base_size, family.law(alpha), 0.0)
+                LoadSpec::new(base_size, alpha, 0.0)
                     .expect("valid base load")
                     .alone_makespan(&platform)
                     .expect("single-load solver converges")
@@ -165,15 +159,7 @@ pub fn run_multiload(
                     .generate_stream(seed, trial as u64)
                     .expect("valid spec");
                 let t_alone = t_alone_by_trial[trial];
-                let loads = generate_loads(
-                    n_loads,
-                    alpha,
-                    base_size,
-                    t_alone,
-                    seed,
-                    trial as u64,
-                    family,
-                );
+                let loads = generate_loads(n_loads, alpha, base_size, t_alone, seed, trial as u64);
                 let fifo = schedule(
                     &platform,
                     &loads,
@@ -300,7 +286,6 @@ pub fn run_multiload_policy(
     trials: usize,
     seed: u64,
     threads: usize,
-    family: ModelFamily,
 ) -> Vec<PolicyPoint> {
     let spec = PlatformSpec::new(p, profile.clone());
     // The release window (the base load's alone makespan) is shared with
@@ -312,7 +297,7 @@ pub fn run_multiload_policy(
                 let platform = spec
                     .generate_stream(seed, trial as u64)
                     .expect("valid spec");
-                LoadSpec::with_model(base_size, family.law(alpha), 0.0)
+                LoadSpec::new(base_size, alpha, 0.0)
                     .expect("valid base load")
                     .alone_makespan(&platform)
                     .expect("single-load solver converges")
@@ -333,15 +318,8 @@ pub fn run_multiload_policy(
                         .generate_stream(seed, trial as u64)
                         .expect("valid spec");
                     let t_alone = t_alone_by_trial[trial];
-                    let loads = generate_loads(
-                        n_loads,
-                        alpha,
-                        base_size,
-                        t_alone,
-                        seed,
-                        trial as u64,
-                        family,
-                    );
+                    let loads =
+                        generate_loads(n_loads, alpha, base_size, t_alone, seed, trial as u64);
                     let mut row = Vec::with_capacity(cells.len());
                     for &k in installments {
                         let alone =
@@ -448,7 +426,6 @@ mod tests {
             2,
             7,
             1,
-            ModelFamily::AlphaPower,
         );
         assert_eq!(pts.len(), 2 * 2 * 2);
         let t = multiload_table("uniform", 4, &pts);
@@ -463,18 +440,7 @@ mod tests {
         // same platforms, same fold order, so the means are f64-identical.
         let profile = SpeedDistribution::paper_uniform();
         let (p, trials, seed, base) = (6usize, 5usize, 11u64, 300.0);
-        let pts = run_multiload(
-            &profile,
-            p,
-            &[1],
-            &[2.0],
-            base,
-            8,
-            trials,
-            seed,
-            2,
-            ModelFamily::AlphaPower,
-        );
+        let pts = run_multiload(&profile, p, &[1], &[2.0], base, 8, trials, seed, 2);
         let fifo_pt = pts
             .iter()
             .find(|pt| pt.scheduler == SchedulerKind::Fifo)
@@ -502,30 +468,8 @@ mod tests {
     #[test]
     fn thread_count_does_not_change_results() {
         let profile = SpeedDistribution::paper_lognormal();
-        let serial = run_multiload(
-            &profile,
-            4,
-            &[2, 4],
-            &[1.5],
-            200.0,
-            8,
-            4,
-            3,
-            1,
-            ModelFamily::AlphaPower,
-        );
-        let parallel = run_multiload(
-            &profile,
-            4,
-            &[2, 4],
-            &[1.5],
-            200.0,
-            8,
-            4,
-            3,
-            4,
-            ModelFamily::AlphaPower,
-        );
+        let serial = run_multiload(&profile, 4, &[2, 4], &[1.5], 200.0, 8, 4, 3, 1);
+        let parallel = run_multiload(&profile, 4, &[2, 4], &[1.5], 200.0, 8, 4, 3, 4);
         let a = multiload_table("lognormal", 4, &serial);
         let b = multiload_table("lognormal", 4, &parallel);
         assert_eq!(a.to_csv(), b.to_csv());
@@ -543,7 +487,6 @@ mod tests {
             5,
             13,
             2,
-            ModelFamily::AlphaPower,
         );
         for pt in &pts {
             // A load's flow time `finish − release` never exceeds the batch
@@ -574,7 +517,6 @@ mod tests {
             2,
             7,
             1,
-            ModelFamily::AlphaPower,
         );
         // loads × alphas × installments × orders.
         assert_eq!(pts.len(), 2 * 2 * 2 * AdmissionOrder::ALL.len());
@@ -589,30 +531,8 @@ mod tests {
     #[test]
     fn policy_thread_count_does_not_change_results() {
         let profile = SpeedDistribution::paper_lognormal();
-        let serial = run_multiload_policy(
-            &profile,
-            4,
-            &[2, 4],
-            &[1.5],
-            200.0,
-            &[1, 4],
-            4,
-            3,
-            1,
-            ModelFamily::AlphaPower,
-        );
-        let parallel = run_multiload_policy(
-            &profile,
-            4,
-            &[2, 4],
-            &[1.5],
-            200.0,
-            &[1, 4],
-            4,
-            3,
-            4,
-            ModelFamily::AlphaPower,
-        );
+        let serial = run_multiload_policy(&profile, 4, &[2, 4], &[1.5], 200.0, &[1, 4], 4, 3, 1);
+        let parallel = run_multiload_policy(&profile, 4, &[2, 4], &[1.5], 200.0, &[1, 4], 4, 3, 4);
         let a = multiload_policy_table("lognormal", 4, &serial);
         let b = multiload_policy_table("lognormal", 4, &parallel);
         assert_eq!(a.to_csv(), b.to_csv());
@@ -630,7 +550,6 @@ mod tests {
             5,
             13,
             2,
-            ModelFamily::AlphaPower,
         );
         for pt in &pts {
             // Granularity-matched stretch denominators: no policy dips
@@ -646,8 +565,8 @@ mod tests {
 
     #[test]
     fn generated_loads_are_deterministic_and_valid() {
-        let a = generate_loads(5, 1.5, 100.0, 40.0, 9, 3, ModelFamily::AlphaPower);
-        let b = generate_loads(5, 1.5, 100.0, 40.0, 9, 3, ModelFamily::AlphaPower);
+        let a = generate_loads(5, 1.5, 100.0, 40.0, 9, 3);
+        let b = generate_loads(5, 1.5, 100.0, 40.0, 9, 3);
         assert_eq!(a, b);
         assert_eq!(a[0].release, 0.0);
         assert_eq!(a[0].size, 100.0);
@@ -656,7 +575,7 @@ mod tests {
             assert!(l.release >= 0.0 && l.release <= 40.0);
         }
         // Different trials draw different batches.
-        let c = generate_loads(5, 1.5, 100.0, 40.0, 9, 4, ModelFamily::AlphaPower);
+        let c = generate_loads(5, 1.5, 100.0, 40.0, 9, 4);
         assert_ne!(a, c);
     }
 }

@@ -58,6 +58,10 @@ where
 /// executes. Lets trial loops reuse expensive workspaces (e.g.
 /// [`dlt_partition::PeriSumDp`]) without cross-thread sharing. The state
 /// must not influence results — `out[i]` must equal `f(&mut init(), i)`.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the artifacts' one worker pool, sized by `--threads`"
+)]
 pub fn par_map_with<S, T, I, F>(n: usize, threads: usize, init: I, f: F) -> Vec<T>
 where
     T: Send,

@@ -202,8 +202,8 @@ fn run_service_cell(
 }
 
 /// Runs the sweep for one profile: the cells on `threads` workers, each
-/// on an identical regenerated trace. Returns one point per cell, in cell
-/// order.
+/// on an identical regenerated trace of `x^α` loads. Returns one point
+/// per cell, in cell order.
 #[allow(clippy::too_many_arguments)]
 pub fn run_service(
     profile: &SpeedDistribution,
@@ -214,9 +214,9 @@ pub fn run_service(
     utilization: f64,
     cells: &[ServiceCell],
     seed: u64,
-    family: ModelFamily,
     threads: usize,
 ) -> Vec<ServicePoint> {
+    let family = ModelFamily::AlphaPower;
     let platform = PlatformSpec::new(p, profile.clone())
         .generate_stream(seed, 0)
         .expect("valid spec");
@@ -325,7 +325,6 @@ mod tests {
             0.7,
             &cells,
             1,
-            ModelFamily::AlphaPower,
             2,
         );
         assert_eq!(pts.len(), cells.len());
@@ -368,7 +367,6 @@ mod tests {
                 0.8,
                 &cells,
                 3,
-                ModelFamily::AlphaPower,
                 threads,
             )
         };

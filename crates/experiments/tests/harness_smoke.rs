@@ -11,6 +11,7 @@ use dlt_experiments::{
 use dlt_multiload::SchedulerKind;
 use dlt_outer::Strategy;
 use dlt_platform::{PlatformSpec, SpeedDistribution};
+use std::collections::BTreeMap;
 
 #[test]
 fn fig4_runner_covers_every_point() {
@@ -104,7 +105,6 @@ fn multiload_runner_covers_every_point() {
         2,
         1,
         2,
-        ModelFamily::AlphaPower,
     );
     // (loads × alphas) × two schedulers.
     assert_eq!(pts.len(), 2 * 2 * 2);
@@ -121,18 +121,7 @@ fn multiload_n1_reproduces_single_load_rows_bitwise() {
     // `equal_finish_parallel` and compare the summarized cells exactly.
     let profile = SpeedDistribution::paper_lognormal();
     let (p, trials, seed, base, alpha) = (5usize, 4usize, 21u64, 500.0, 1.5);
-    let pts = multiload::run_multiload(
-        &profile,
-        p,
-        &[1],
-        &[alpha],
-        base,
-        8,
-        trials,
-        seed,
-        2,
-        ModelFamily::AlphaPower,
-    );
+    let pts = multiload::run_multiload(&profile, p, &[1], &[alpha], base, 8, trials, seed, 2);
     let fifo = pts
         .iter()
         .find(|pt| pt.scheduler == SchedulerKind::Fifo)
@@ -163,7 +152,6 @@ fn multiload_policy_runner_exercises_every_admission_order() {
         2,
         1,
         2,
-        ModelFamily::AlphaPower,
     );
     // loads × alphas × installments × every AdmissionOrder variant.
     assert_eq!(pts.len(), 2 * 2 * 2 * AdmissionOrder::ALL.len());
@@ -196,18 +184,7 @@ fn service_runner_oracle_cell_matches_schedule() {
         batch: 1,
         installments: InstallmentPolicy::Fixed(1),
     }];
-    let pts = service::run_service(
-        &profile,
-        p,
-        loads,
-        base,
-        &[1.0, 1.5],
-        0.8,
-        &cells,
-        seed,
-        ModelFamily::AlphaPower,
-        1,
-    );
+    let pts = service::run_service(&profile, p, loads, base, &[1.0, 1.5], 0.8, &cells, seed, 1);
 
     let platform = PlatformSpec::new(p, profile)
         .generate_stream(seed, 0)
@@ -248,11 +225,11 @@ fn traces_render_non_trivially() {
 // ---------------------------------------------------------------------------
 
 /// Runs `all` with `args`, pointing `DLT_RESULTS` at a unique per-run
-/// temp directory, and returns its stdout and the sorted names of the
-/// CSVs it wrote. A failed write exits non-zero (see
-/// `a_failed_csv_write_fails_all`); the callers check the CSV list too,
-/// so an artifact that stops writing a CSV cannot pass silently.
-fn run_all(tag: &str, args: &[&str]) -> (String, Vec<String>) {
+/// temp directory, and returns its stdout and the CSVs it wrote, by name.
+/// A failed write exits non-zero (see `a_failed_csv_write_fails_all`);
+/// the callers check the CSV list too, so an artifact that stops writing
+/// a CSV cannot pass silently.
+fn run_all(tag: &str, args: &[&str]) -> (String, BTreeMap<String, Vec<u8>>) {
     let results = std::env::temp_dir().join(format!("dlt-smoke-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&results).expect("create smoke results dir");
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_all"))
@@ -266,13 +243,13 @@ fn run_all(tag: &str, args: &[&str]) -> (String, Vec<String>) {
         out.status,
         String::from_utf8_lossy(&out.stderr)
     );
-    let mut csvs: Vec<String> = std::fs::read_dir(&results)
+    let csvs = std::fs::read_dir(&results)
         .expect("read smoke results dir")
         .filter_map(Result::ok)
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|name| name.ends_with(".csv"))
+        .map(|e| (e.file_name().to_string_lossy().into_owned(), e.path()))
+        .filter(|(name, _)| name.ends_with(".csv"))
+        .map(|(name, path)| (name, std::fs::read(path).expect("read smoke CSV")))
         .collect();
-    csvs.sort();
     let _ = std::fs::remove_dir_all(&results);
     (String::from_utf8_lossy(&out.stdout).into_owned(), csvs)
 }
@@ -316,7 +293,7 @@ fn every_smoke_csv_is_committed() {
     // untracked file: a new artifact's CSV must be committed too.
     let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
     let (_, csvs) = run_all("committed", &["--smoke"]);
-    for name in &csvs {
+    for name in csvs.keys() {
         assert!(
             committed.join(name).is_file(),
             "all --smoke writes {name}, which results/ does not hold"
@@ -325,10 +302,29 @@ fn every_smoke_csv_is_committed() {
 }
 
 #[test]
+fn every_csv_is_byte_identical_at_any_thread_count() {
+    // One run per worker count covers every artifact's runner, the ones
+    // no unit test runs at two counts included.
+    let (_, one) = run_all("threads-1", &["--smoke", "--threads", "1"]);
+    let (_, two) = run_all("threads-2", &["--smoke", "--threads", "2"]);
+    assert!(!one.is_empty(), "all --smoke wrote no CSV");
+    assert_eq!(
+        one.keys().collect::<Vec<_>>(),
+        two.keys().collect::<Vec<_>>()
+    );
+    for (name, csv) in &one {
+        assert!(
+            two[name] == *csv,
+            "{name} differs between --threads 1 and --threads 2"
+        );
+    }
+}
+
+#[test]
 fn one_named_artifact_writes_only_its_csvs() {
     let (out, csvs) = run_all("fig4", &["fig4", "--smoke"]);
     assert_eq!(
-        csvs,
+        csvs.keys().collect::<Vec<_>>(),
         [
             "fig4_homogeneous.csv",
             "fig4_lognormal.csv",

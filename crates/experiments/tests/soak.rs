@@ -7,7 +7,6 @@
 //! The small sizes next to them run in every `cargo test`.
 
 use dlt_experiments::competitive::run_soak;
-use dlt_experiments::models::ModelFamily;
 use dlt_experiments::multiload::{DEFAULT_ALPHAS, DEFAULT_BASE_SIZE};
 use dlt_experiments::runner::resolve_threads;
 use dlt_experiments::service::{run_service, smoke_cells, DEFAULT_UTILIZATION};
@@ -27,7 +26,6 @@ fn service_soak(loads: usize, seed: u64, cap: usize) {
         DEFAULT_UTILIZATION,
         &cells,
         seed,
-        ModelFamily::AlphaPower,
         resolve_threads(0),
     );
     assert_eq!(points.len(), cells.len());

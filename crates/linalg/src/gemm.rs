@@ -1,10 +1,10 @@
-//! General matrix multiplication kernels: `C ← A · B`.
+//! The reference general matrix multiplication kernel: `C ← A · B`.
 
 use crate::matrix::Matrix;
 
 /// Reference triple loop (`ikj` order so the inner loop streams rows).
-/// The ground truth every other kernel and every distributed execution in
-/// this workspace is checked against.
+/// The ground truth every distributed execution in this workspace is
+/// checked against.
 pub fn gemm_naive(a: &Matrix, b: &Matrix) -> Matrix {
     assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
     let (m, k, n) = (a.rows(), a.cols(), b.cols());
@@ -22,40 +22,6 @@ pub fn gemm_naive(a: &Matrix, b: &Matrix) -> Matrix {
             }
         }
     }
-    c
-}
-
-/// Multi-threaded kernel: rows of `C` are cut into bands, one scoped
-/// thread per band (`std::thread::scope` ⇒ no `'static` bound, no unsafety).
-pub fn gemm_parallel(a: &Matrix, b: &Matrix, threads: usize) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "inner dimensions must agree");
-    assert!(threads > 0, "need at least one thread");
-    let (m, k, n) = (a.rows(), a.cols(), b.cols());
-    let mut c = Matrix::zeros(m, n);
-    let band_rows = m.div_ceil(threads).max(1);
-    let bands = c.row_bands_mut(band_rows);
-    std::thread::scope(|scope| {
-        for (band_idx, band) in bands.into_iter().enumerate() {
-            let row0 = band_idx * band_rows;
-            scope.spawn(move || {
-                let rows_here = band.len() / n;
-                for r in 0..rows_here {
-                    let i = row0 + r;
-                    let crow = &mut band[r * n..(r + 1) * n];
-                    for l in 0..k {
-                        let aval = a.get(i, l);
-                        if aval == 0.0 {
-                            continue;
-                        }
-                        let brow = b.row(l);
-                        for (cv, &bv) in crow.iter_mut().zip(brow) {
-                            *cv += aval * bv;
-                        }
-                    }
-                }
-            });
-        }
-    });
     c
 }
 
@@ -87,24 +53,6 @@ mod tests {
         let b = Matrix::from_fn(2, 2, |i, j| ((i + j) % 2) as f64); // [[0,1],[1,0]]
         let c = gemm_naive(&a, &b);
         assert_eq!(c.as_slice(), &[2.0, 1.0, 4.0, 3.0]);
-    }
-
-    #[test]
-    fn parallel_matches_naive() {
-        let (a, b) = random_pair(33, 16, 29, 3);
-        let reference = gemm_naive(&a, &b);
-        for threads in [1usize, 2, 4, 7] {
-            let c = gemm_parallel(&a, &b, threads);
-            assert!(c.approx_eq(&reference, 1e-10), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_more_threads_than_rows() {
-        let (a, b) = random_pair(2, 3, 2, 4);
-        let reference = gemm_naive(&a, &b);
-        let c = gemm_parallel(&a, &b, 16);
-        assert!(c.approx_eq(&reference, 1e-10));
     }
 
     #[test]

@@ -11,8 +11,7 @@
 //!
 //! * [`Matrix`] — a row-major dense `f64` matrix with seeded random
 //!   fill and approximate comparison;
-//! * [`gemm`] — reference (naive) and multi-threaded general matrix
-//!   multiplication `C ← A·B`;
+//! * [`gemm`] — the reference general matrix multiplication `C ← A·B`;
 //! * [`outer`] — outer-product kernels `M ← a·bᵀ`, full and restricted to
 //!   a sub-rectangle (the unit of work a processor owns under the paper's
 //!   distributions).
@@ -21,6 +20,6 @@ pub mod gemm;
 pub mod matrix;
 pub mod outer;
 
-pub use gemm::{gemm_naive, gemm_parallel};
+pub use gemm::gemm_naive;
 pub use matrix::Matrix;
 pub use outer::{outer_product, outer_product_block};

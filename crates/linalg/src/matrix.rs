@@ -91,13 +91,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Splits the matrix into disjoint mutable bands of `band_rows` rows
-    /// each (last band may be shorter) — the unit handed to worker threads.
-    pub fn row_bands_mut(&mut self, band_rows: usize) -> Vec<&mut [f64]> {
-        assert!(band_rows > 0);
-        self.data.chunks_mut(band_rows * self.cols).collect()
-    }
-
     /// Max absolute elementwise difference.
     pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
         assert_eq!(self.rows, other.rows);
@@ -161,15 +154,6 @@ mod tests {
         let b = Matrix::from_fn(1, 2, |_, j| j as f64 + 1e-9);
         assert!(a.approx_eq(&b, 1e-8));
         assert!(!a.approx_eq(&b, 1e-10));
-    }
-
-    #[test]
-    fn row_bands_cover_all_rows() {
-        let mut m = Matrix::zeros(5, 2);
-        let bands = m.row_bands_mut(2);
-        assert_eq!(bands.len(), 3);
-        assert_eq!(bands[0].len(), 4);
-        assert_eq!(bands[2].len(), 2);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Property-based tests for the dense kernels.
 
-use dlt_linalg::{gemm_naive, gemm_parallel, outer_product, Matrix};
+use dlt_linalg::{gemm_naive, outer_product, Matrix};
 use proptest::prelude::*;
 use rand::SeedableRng;
 
@@ -11,20 +11,6 @@ fn random_matrix(rows: usize, cols: usize, seed: u64) -> Matrix {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn parallel_matches_naive(
-        m in 1usize..20,
-        k in 1usize..20,
-        n in 1usize..20,
-        threads in 1usize..6,
-        seed in any::<u64>(),
-    ) {
-        let a = random_matrix(m, k, seed);
-        let b = random_matrix(k, n, seed ^ 0xdead);
-        let reference = gemm_naive(&a, &b);
-        prop_assert!(gemm_parallel(&a, &b, threads).approx_eq(&reference, 1e-10));
-    }
 
     #[test]
     fn identity_is_neutral(n in 1usize..24, seed in any::<u64>()) {

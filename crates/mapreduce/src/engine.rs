@@ -131,6 +131,10 @@ where
         units: usize,
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "demand-driven mapper threads are what this engine demonstrates"
+    )]
     let map_results: Vec<MapResult<K, V>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..config.map_workers)
             .map(|_| {
@@ -189,6 +193,10 @@ where
     let per_reducer_pairs: Vec<usize> = partitions.iter().map(Vec::len).collect();
 
     // --- Reduce phase: one thread per partition. --------------------------
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "one reducer thread per partition, as in the MapReduce model"
+    )]
     let mut outputs: Vec<(K, O)> = std::thread::scope(|scope| {
         let handles: Vec<_> = partitions
             .into_iter()

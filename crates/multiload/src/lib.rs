@@ -60,10 +60,10 @@
 //! Per-load metrics (start, finish, flow time, stretch) and aggregates
 //! (makespan, mean flow, mean/max stretch, total data) live in
 //! [`metrics`]; the `multiload`, `multiload-policy`,
-//! `multiload-service` and `multiload-competitive` binaries of
-//! `dlt-experiments` sweep them over load count, platform heterogeneity,
-//! nonlinearity, admission policy, arrival-stream pressure and failure
-//! rate.
+//! `multiload-service` and `multiload-competitive` artifacts of the
+//! `all` binary in `dlt-experiments` sweep them over load count, platform
+//! heterogeneity, nonlinearity, admission policy, arrival-stream pressure
+//! and failure rate.
 //!
 //! ```
 //! use dlt_multiload::{

@@ -1,19 +1,15 @@
 //! Per-load and aggregate metrics of a multi-load schedule.
 
-use crate::policy::AdmissionOrder;
-
-/// Which scheduler produced a report.
+/// The two schedulers the `multiload` sweep compares, as its CSV rows
+/// name them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {
     /// Loads served whole, one at a time in release order, through the
     /// single-round closed forms: [`crate::schedule`] under
-    /// [`crate::PolicyConfig::default`], as the `multiload` sweep labels it.
+    /// [`crate::PolicyConfig::default`].
     Fifo,
     /// Chunked loads interleaved round-robin on the demand machinery.
     RoundRobin,
-    /// The generalized installment scheduler of [`crate::policy`], under
-    /// the given admission order.
-    Policy(AdmissionOrder),
 }
 
 impl SchedulerKind {
@@ -22,7 +18,6 @@ impl SchedulerKind {
         match self {
             Self::Fifo => "fifo",
             Self::RoundRobin => "round_robin",
-            Self::Policy(order) => order.policy_name(),
         }
     }
 }
@@ -76,8 +71,6 @@ pub struct AggregateMetrics {
 /// Outcome of scheduling a batch of loads.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MultiLoadReport {
-    /// Scheduler that produced this report.
-    pub scheduler: SchedulerKind,
     /// Per-load timings, indexed like the input batch.
     pub per_load: Vec<LoadMetrics>,
     /// Per-worker final finish times: the instant each worker completes
@@ -86,20 +79,6 @@ pub struct MultiLoadReport {
 }
 
 impl MultiLoadReport {
-    /// Builds a report, computing per-load `alone` denominators from the
-    /// batch.
-    pub(crate) fn new(
-        scheduler: SchedulerKind,
-        per_load: Vec<LoadMetrics>,
-        worker_finish: Vec<f64>,
-    ) -> Self {
-        Self {
-            scheduler,
-            per_load,
-            worker_finish,
-        }
-    }
-
     /// Largest per-load finish time. Workers finishing the last
     /// installment share it; workers that sat out the tail finish earlier
     /// (see `worker_finish`).
@@ -158,14 +137,13 @@ mod tests {
 
     #[test]
     fn aggregate_over_two_loads() {
-        let report = MultiLoadReport::new(
-            SchedulerKind::Fifo,
-            vec![
+        let report = MultiLoadReport {
+            per_load: vec![
                 metrics(0, 0.0, 4.0, 0.0, 4.0),
                 metrics(1, 4.0, 10.0, 2.0, 4.0),
             ],
-            vec![10.0, 10.0],
-        );
+            worker_finish: vec![10.0, 10.0],
+        };
         let agg = report.aggregate();
         assert_eq!(agg.makespan, 10.0);
         assert_eq!(agg.mean_flow, (4.0 + 8.0) / 2.0);
@@ -177,14 +155,13 @@ mod tests {
     fn aggregate_total_data_needs_no_side_channel() {
         // Regression: `aggregate()` used to hardcode `total_data: 0.0`
         // and rely on callers remembering `aggregate_with_loads`.
-        let report = MultiLoadReport::new(
-            SchedulerKind::Fifo,
-            vec![
+        let report = MultiLoadReport {
+            per_load: vec![
                 metrics(0, 0.0, 4.0, 0.0, 4.0),
                 metrics(1, 4.0, 10.0, 2.0, 4.0),
             ],
-            vec![10.0],
-        );
+            worker_finish: vec![10.0],
+        };
         assert_eq!(report.aggregate().total_data, 10.0);
     }
 
@@ -192,9 +169,5 @@ mod tests {
     fn scheduler_names() {
         assert_eq!(SchedulerKind::Fifo.name(), "fifo");
         assert_eq!(SchedulerKind::RoundRobin.name(), "round_robin");
-        assert_eq!(
-            SchedulerKind::Policy(AdmissionOrder::Srpt).name(),
-            "policy_srpt"
-        );
     }
 }

@@ -56,7 +56,7 @@
 use crate::error::MultiLoadError;
 use crate::failure::{FailureTrace, ServedPiece};
 use crate::load::{release_order, validate_batch, LoadSpec};
-use crate::metrics::{LoadMetrics, MultiLoadReport, SchedulerKind};
+use crate::metrics::{LoadMetrics, MultiLoadReport};
 use crate::service::{CompletedLoad, InstallmentPolicy, ServiceConfig};
 use dlt_core::batch::BatchSolver;
 use dlt_core::costmodel::{CostLaw, CostModel};
@@ -93,16 +93,6 @@ impl AdmissionOrder {
             Self::Fifo => "fifo",
             Self::Srpt => "srpt",
             Self::WeightedStretch => "weighted_stretch",
-        }
-    }
-
-    /// Name of the policy *scheduler* in [`SchedulerKind`] reports, kept
-    /// distinct from the plain FIFO/round-robin schedulers.
-    pub fn policy_name(&self) -> &'static str {
-        match self {
-            Self::Fifo => "policy_fifo",
-            Self::Srpt => "policy_srpt",
-            Self::WeightedStretch => "policy_weighted_stretch",
         }
     }
 
@@ -386,11 +376,10 @@ fn run_batch(
         pieces.push(c.pieces);
     }
     Ok(PolicyOutcome {
-        report: MultiLoadReport::new(
-            SchedulerKind::Policy(config.order),
+        report: MultiLoadReport {
             per_load,
-            report.worker_finish,
-        ),
+            worker_finish: report.worker_finish,
+        },
         shares,
         pieces,
         preemptions: report.preemptions as usize,

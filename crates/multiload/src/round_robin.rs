@@ -27,7 +27,7 @@
 
 use crate::error::MultiLoadError;
 use crate::load::{release_order, validate_batch, LoadSpec};
-use crate::metrics::{LoadMetrics, MultiLoadReport, SchedulerKind};
+use crate::metrics::{LoadMetrics, MultiLoadReport};
 use dlt_core::costmodel::CostModel;
 use dlt_platform::Platform;
 use dlt_sim::{DemandConfig, DemandTask, OrdF64};
@@ -175,7 +175,10 @@ fn build_report(
         })
         .collect();
     RoundRobinOutcome {
-        report: MultiLoadReport::new(SchedulerKind::RoundRobin, per_load, worker_finish),
+        report: MultiLoadReport {
+            per_load,
+            worker_finish,
+        },
         chunk_log,
         comm_volume,
     }

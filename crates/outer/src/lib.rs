@@ -28,8 +28,7 @@
 //!
 //! [`matmul`] lifts all of this to matrix multiplication (communication
 //! per SUMMA step is again the half-perimeter sum) and can *execute* the
-//! partitioned algorithm with real threads against the reference GEMM of
-//! [`dlt_linalg`]. [`footprint`] measures the per-worker memory footprints
+//! partitioned algorithm against the reference GEMM of [`dlt_linalg`]. [`footprint`] measures the per-worker memory footprints
 //! of Figure 2; [`ratio`] carries the closed-form ρ bounds of
 //! Section 4.1.3.
 

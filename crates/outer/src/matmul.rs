@@ -10,7 +10,7 @@
 //!
 //! which is why the outer-product ratio ρ of Section 4.1 carries over
 //! verbatim to matrix multiplication. This module both *counts* that
-//! volume ([`SummaSim`]) and *executes* the algorithm with real threads
+//! volume ([`SummaSim`]) and *executes* the algorithm
 //! ([`execute_partitioned_matmul`]) against the reference GEMM.
 
 use dlt_linalg::{gemm_naive, Matrix};
@@ -74,10 +74,11 @@ pub fn block_cyclic_rects(n: usize, q: usize) -> Vec<IntRect> {
 }
 
 /// Executes the partitioned outer-product matrix multiplication: each
-/// worker thread owns one rectangle of `C` and performs the `N` rank-1
-/// updates `C[I,J] += A[I,k]·B[k,J]` exactly as the distributed algorithm
-/// would, on its private buffer. The assembled result is returned together
-/// with the max deviation from the reference GEMM.
+/// rectangle of `C` receives the `N` rank-1 updates
+/// `C[I,J] += A[I,k]·B[k,J]` in step order, exactly as its owner would
+/// perform them in the distributed algorithm. The rectangles are computed
+/// one after another on the caller's thread. Returns the product together
+/// with its max deviation from the reference GEMM.
 ///
 /// Panics when the rectangles do not tile the `N×N` domain.
 pub fn execute_partitioned_matmul(a: &Matrix, b: &Matrix, rects: &[IntRect]) -> (Matrix, f64) {
@@ -90,44 +91,20 @@ pub fn execute_partitioned_matmul(a: &Matrix, b: &Matrix, rects: &[IntRect]) -> 
         "rectangles must tile the domain"
     );
 
-    // Each worker computes its rectangle into a private dense buffer.
-    let locals: Vec<(IntRect, Vec<f64>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = rects
-            .iter()
-            .filter(|r| !r.is_degenerate())
-            .map(|&r| {
-                scope.spawn(move || {
-                    let (h, w) = (r.height(), r.width());
-                    let mut local = vec![0.0f64; h * w];
-                    for k in 0..n {
-                        // Receive A[I, k] and B[k, J] (the broadcast), then
-                        // rank-1 update.
-                        for (di, row) in local.chunks_mut(w).enumerate() {
-                            let aval = a.get(r.row0 + di, k);
-                            if aval == 0.0 {
-                                continue;
-                            }
-                            let brow = &b.row(k)[r.col0..r.col1];
-                            for (cell, &bv) in row.iter_mut().zip(brow) {
-                                *cell += aval * bv;
-                            }
-                        }
-                    }
-                    (r, local)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("matmul worker panicked"))
-            .collect()
-    });
-
     let mut c = Matrix::zeros(n, n);
-    for (r, local) in locals {
-        for (di, row) in local.chunks(r.width()).enumerate() {
-            for (dj, &v) in row.iter().enumerate() {
-                c.set(r.row0 + di, r.col0 + dj, v);
+    for r in rects {
+        for k in 0..n {
+            // Receive A[I, k] and B[k, J] (the broadcast), then rank-1
+            // update.
+            let brow = &b.row(k)[r.col0..r.col1];
+            for i in r.row0..r.row1 {
+                let aval = a.get(i, k);
+                if aval == 0.0 {
+                    continue;
+                }
+                for (cell, &bv) in c.row_mut(i)[r.col0..r.col1].iter_mut().zip(brow) {
+                    *cell += aval * bv;
+                }
             }
         }
     }

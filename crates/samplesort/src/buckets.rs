@@ -24,45 +24,6 @@ pub fn scatter<T: Ord + Clone>(data: &[T], splitters: &[T]) -> Vec<Vec<T>> {
     buckets
 }
 
-/// Scatters `data` into buckets using `threads` scoped worker threads:
-/// each thread classifies a contiguous slice into private buckets, which
-/// are then concatenated in slice order (so the scatter is deterministic).
-pub fn scatter_parallel<T: Ord + Clone + Send + Sync>(
-    data: &[T],
-    splitters: &[T],
-    threads: usize,
-) -> Vec<Vec<T>> {
-    assert!(threads > 0);
-    let p = splitters.len() + 1;
-    if threads == 1 || data.len() < 2 * threads {
-        return scatter(data, splitters);
-    }
-    let chunk = data.len().div_ceil(threads);
-    let partials: Vec<Vec<Vec<T>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = data
-            .chunks(chunk)
-            .map(|slice| scope.spawn(move || scatter(slice, splitters)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scatter worker panicked"))
-            .collect()
-    });
-
-    let mut buckets: Vec<Vec<T>> = (0..p)
-        .map(|b| {
-            let cap = partials.iter().map(|part| part[b].len()).sum();
-            Vec::with_capacity(cap)
-        })
-        .collect();
-    for part in partials {
-        for (b, mut v) in part.into_iter().enumerate() {
-            buckets[b].append(&mut v);
-        }
-    }
-    buckets
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,26 +67,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn parallel_scatter_matches_sequential() {
-        let data: Vec<u64> = (0..1000).map(|i| (i * 7919) % 1000).collect();
-        let splitters = vec![100u64, 300, 600, 900];
-        let seq = scatter(&data, &splitters);
-        for threads in [1usize, 2, 3, 8] {
-            let par = scatter_parallel(&data, &splitters, threads);
-            assert_eq!(par, seq, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_scatter_on_tiny_input() {
-        let data = vec![5u64, 1];
-        let splitters = vec![3u64];
-        let buckets = scatter_parallel(&data, &splitters, 8);
-        assert_eq!(buckets[0], vec![1]);
-        assert_eq!(buckets[1], vec![5]);
     }
 
     #[test]

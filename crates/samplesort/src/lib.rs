@@ -3,7 +3,7 @@
 
 //! # dlt-samplesort
 //!
-//! Parallel **sample sort** with oversampling — the paper's Section 3
+//! **Sample sort** with oversampling — the paper's Section 3
 //! demonstration that *almost linear* workloads (sorting costs
 //! `N log N`) become divisible-load friendly after a cheap preprocessing
 //! phase.
@@ -27,9 +27,10 @@
 //! ranks proportional to **cumulative relative speed** (Section 3.2), so
 //! worker `i` receives a bucket of expected size `N·x_i`.
 //!
-//! The implementation really sorts (scoped threads, one per bucket) and
-//! reports per-phase wall-clock times, bucket statistics, and the
-//! analytic cost-model numbers used by the experiment harness.
+//! The implementation really sorts, on the caller's thread (Step 3 sorts
+//! the buckets one after another), and reports the bucket statistics.
+//! What each step costs on `p` workers comes from the analytic
+//! [`CostModel`], whose numbers the experiment harness reports.
 
 pub mod buckets;
 pub mod cost;

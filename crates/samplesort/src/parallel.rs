@@ -1,10 +1,10 @@
-//! The full parallel sample sort (Steps 1–3) with per-phase timing.
+//! The full sample sort (Steps 1–3) of Section 3, run on the caller's
+//! thread.
 
-use crate::buckets::scatter_parallel;
+use crate::buckets::scatter;
 use crate::splitters::{heterogeneous_splitters, sample_keys};
 use crate::stats::{paper_oversampling, BucketStats};
 use dlt_platform::rng::seeded;
-use std::time::Instant;
 
 /// Configuration of a sample-sort run.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,36 +57,16 @@ pub struct SortOutcome<T> {
     pub stats: BucketStats,
     /// Oversampling ratio actually used.
     pub oversampling: usize,
-    /// Wall-clock seconds of Step 1 (sample + sort sample + splitters).
-    pub t_step1: f64,
-    /// Wall-clock seconds of Step 2 (classification/scatter).
-    pub t_step2: f64,
-    /// Wall-clock seconds of Step 3 (parallel local sorts + concatenation).
-    pub t_step3: f64,
-}
-
-impl<T> SortOutcome<T> {
-    /// Fraction of wall-clock time in the non-divisible preprocessing.
-    pub fn nondivisible_fraction(&self) -> f64 {
-        let total = self.t_step1 + self.t_step2 + self.t_step3;
-        if total == 0.0 {
-            0.0
-        } else {
-            (self.t_step1 + self.t_step2) / total
-        }
-    }
 }
 
 /// Sorts `data` with the three-phase sample sort of Section 3.
 ///
-/// Step 3 really runs one scoped thread per bucket (so heterogeneous
-/// bucket sizes translate into genuinely unbalanced thread runtimes, just
-/// like on the paper's platform). The output is verified-sorted by
-/// construction: buckets are disjoint ranges and each is sorted.
-pub fn sample_sort<T>(data: Vec<T>, config: &SampleSortConfig) -> SortOutcome<T>
-where
-    T: Ord + Clone + Send + Sync,
-{
+/// All three steps run on the caller's thread: Step 3 sorts the buckets
+/// one after another. What a `p`-worker platform would spend on each
+/// step is [`crate::CostModel`]'s to say, from the returned bucket sizes.
+/// The output is sorted by construction: buckets are disjoint ranges and
+/// each is sorted.
+pub fn sample_sort<T: Ord + Clone>(data: Vec<T>, config: &SampleSortConfig) -> SortOutcome<T> {
     assert!(config.p >= 1, "need at least one bucket");
     let n = data.len();
     let s = config
@@ -96,11 +76,6 @@ where
     assert_eq!(shares.len(), config.p, "speeds length must equal p");
 
     // --- Step 1: sample, sort the sample, pick splitters. ---------------
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "phase timing feeds the SortOutcome.t_step* metrics only, never a decision or a committed CSV"
-    )]
-    let t0 = Instant::now();
     let mut rng = seeded(config.seed);
     let mut sample = sample_keys(&data, (s * config.p).min(n.max(1)), &mut rng);
     sample.sort_unstable();
@@ -111,52 +86,27 @@ where
     } else {
         heterogeneous_splitters(&sample, &shares)
     };
-    let t_step1 = t0.elapsed().as_secs_f64();
 
     // --- Step 2: scatter into buckets. -----------------------------------
-    #[expect(clippy::disallowed_methods, reason = "phase timing, metrics only")]
-    let t1 = Instant::now();
-    let mut buckets = scatter_parallel(&data, &splitters, config.p.min(8));
+    let mut buckets = scatter(&data, &splitters);
     drop(data);
     // Pad with empty buckets when splitters degenerated, so worker counts
     // and statistics always refer to p buckets.
     buckets.resize_with(config.p, Vec::new);
-    let t_step2 = t1.elapsed().as_secs_f64();
 
-    // --- Step 3: sort every bucket on its own worker thread. -------------
-    #[expect(clippy::disallowed_methods, reason = "phase timing, metrics only")]
-    let t2 = Instant::now();
+    // --- Step 3: sort every bucket, in bucket order. ---------------------
     let sizes: Vec<usize> = buckets.iter().map(Vec::len).collect();
-    let mut sorted_buckets: Vec<Vec<T>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = buckets
-            .into_iter()
-            .map(|mut bucket| {
-                scope.spawn(move || {
-                    bucket.sort_unstable();
-                    bucket
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("bucket sort worker panicked"))
-            .collect()
-    });
-
     let mut sorted = Vec::with_capacity(n);
-    for bucket in &mut sorted_buckets {
-        sorted.append(bucket);
+    for mut bucket in buckets {
+        bucket.sort_unstable();
+        sorted.append(&mut bucket);
     }
-    let t_step3 = t2.elapsed().as_secs_f64();
 
     debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]));
     SortOutcome {
         sorted,
         stats: BucketStats::new(sizes, &shares),
         oversampling: s,
-        t_step1,
-        t_step2,
-        t_step3,
     }
 }
 
@@ -264,13 +214,5 @@ mod tests {
                 "bucket {i}: size {size} vs ideal {ideal}"
             );
         }
-    }
-
-    #[test]
-    fn phase_times_are_nonnegative() {
-        let data = random_data(10_000, 17);
-        let out = sample_sort(data, &SampleSortConfig::homogeneous(4, 2));
-        assert!(out.t_step1 >= 0.0 && out.t_step2 >= 0.0 && out.t_step3 >= 0.0);
-        assert!((0.0..=1.0).contains(&out.nondivisible_fraction()));
     }
 }

@@ -1,13 +1,12 @@
 //! Matrix multiplication on heterogeneity-aware partitions (Section 4.2):
 //! counts SUMMA communication volumes for the block-cyclic baseline vs the
-//! PERI-SUM distribution, and executes both with real threads against the
-//! reference GEMM.
+//! PERI-SUM distribution, and executes both against the reference GEMM.
 //!
 //! ```text
 //! cargo run --release --example matmul
 //! ```
 
-use nonlinear_dlt::linalg::{gemm_naive, gemm_parallel, Matrix};
+use nonlinear_dlt::linalg::Matrix;
 use nonlinear_dlt::outer::{
     block_cyclic_rects, comm_lower_bound, execute_partitioned_matmul, het_rects, summa_comm_volume,
 };
@@ -19,14 +18,6 @@ fn main() {
     let mut rng = seeded(3);
     let a = Matrix::random(n, n, &mut rng);
     let b = Matrix::random(n, n, &mut rng);
-
-    // --- Baseline kernels ----------------------------------------------------
-    let reference = gemm_naive(&a, &b);
-    let par = gemm_parallel(&a, &b, 4);
-    println!(
-        "dense GEMM {n}×{n}: parallel kernel max error {:.2e}\n",
-        par.max_abs_diff(&reference)
-    );
 
     // --- Homogeneous platform: block-cyclic grid is fine ----------------------
     let hom_platform = Platform::homogeneous(16, 1.0, 1.0).unwrap();

@@ -1,6 +1,7 @@
 //! Sorting as an almost-divisible load (Section 3): really sorts 4M keys
 //! with the three-phase sample sort, on homogeneous and heterogeneous
-//! bucket shares, and prints the phase breakdown and bucket balance.
+//! bucket shares, and prints the cost model's phase breakdown and the
+//! bucket balance.
 //!
 //! ```text
 //! cargo run --release --example sample_sort
@@ -26,13 +27,14 @@ fn main() {
     assert!(out.sorted.windows(2).all(|w| w[0] <= w[1]));
     println!("homogeneous buckets:");
     println!("  oversampling s = {}", out.oversampling);
+    let model = CostModel::evaluate(n, out.oversampling, &out.stats.sizes, &vec![1.0; p]);
     println!(
-        "  phase times: step1 {:.4}s (sample+splitters), step2 {:.4}s (scatter), step3 {:.4}s (local sorts)",
-        out.t_step1, out.t_step2, out.t_step3
+        "  cost model (comparisons): step1 {:.3e} (sample+splitters), step2 {:.3e} (scatter), step3 {:.3e} (local sorts)",
+        model.step1, model.step2, model.step3
     );
     println!(
-        "  measured non-divisible wall-clock fraction: {:.2}%",
-        100.0 * out.nondivisible_fraction()
+        "  cost-model non-divisible fraction: {:.2}%",
+        100.0 * model.nondivisible_fraction()
     );
     println!(
         "  analytic fraction log p / log N = {:.2}%",
@@ -45,7 +47,6 @@ fn main() {
         max_bucket_bound(n, p),
         out.stats.max_overload()
     );
-    let model = CostModel::evaluate(n, out.oversampling, &out.stats.sizes, &vec![1.0; p]);
     println!(
         "  cost model: predicted speedup {:.2}× on {p} workers\n",
         model.speedup()

@@ -60,7 +60,7 @@ fn affinity_window_sweep_is_effective_and_sound() {
 }
 
 /// MapReduce matrix product (both the replicated and the chained variant)
-/// agrees with the threaded partitioned matmul and the reference GEMM.
+/// agrees with the partitioned matmul and the reference GEMM.
 #[test]
 fn four_ways_to_multiply_agree() {
     use nonlinear_dlt::linalg::gemm_naive;
