@@ -6,17 +6,22 @@
 //! of this kernel, and the multi-load engines and the sweep runners
 //! thread a [`BatchSolver`] through consecutive solves.
 //!
-//! The system is `cᵢxᵢ + wᵢxᵢ^α = T` on every worker with `Σxᵢ = N`:
+//! The system is `cᵢxᵢ + wᵢ·(s·xᵢ + (1−s)·xᵢ^α) = T` on every worker with
+//! `Σxᵢ = N` (the [`CostLaw`]; `s = 0` is the paper's `cᵢxᵢ + wᵢxᵢ^α`):
 //! an outer safeguarded Newton on `T` (taken in log–log coordinates) over
 //! inner per-worker inverses.
 //! [`BatchSolver`] keeps the platform as structure-of-arrays lanes
-//! (contiguous `c[]`, `w[]` plus per-lane Newton state) and advances
+//! (contiguous `c[]`, `w[]` plus per-lane Newton state). Once per solve it
+//! folds the law into two more lanes, the linear rate `lin = c + w·s` and
+//! the power coefficient `coef = w·(1−s)` (`c` and `w` themselves at
+//! `s = 0`), so the kernel evaluates `lin·x + coef·x^α` and an α-power
+//! solve pays no per-lane operation for the serial fraction. It advances
 //! *all* inner inverses in lockstep: every inner iteration is one
-//! [`CostModel::residual_deriv_batch`] pass over the lane arrays, which
-//! the power-law models implement as a single shared-exponent
+//! residual pass over the lane arrays, a single shared-exponent
 //! `x^{α−1} = exp((α−1)·ln x)` sweep through the polynomial kernels of
 //! [`crate::fastmath`] (runtime-detected AVX2, four lanes at a time, or
-//! a scalar loop). The
+//! a scalar loop), and every outer evaluation starts the lanes from one
+//! such sweep for the closed-form bounds' `(t/coef)^{1/α}`. The
 //! solver reuses all scratch (no allocation per evaluation) and extends
 //! the warm-start idea from the outer root to the *shares*: the previous
 //! solve's lane roots seed the next solve's inner Newton, and within one
@@ -29,8 +34,8 @@
 //!   [`crate::nonlinear::equal_finish_parallel_reference`] is the oracle:
 //!   makespan and every share agree with it to ≤ 1e-9 relative, from
 //!   cold, warm and stale-warm handles alike (the property suite in
-//!   `tests/batch_properties.rs` sweeps p ∈ {1, 2, 7, 8, 64, 512} × every
-//!   [`CostLaw`]).
+//!   `tests/batch_properties.rs` sweeps p ∈ {1, 2, 7, 8, 64, 512} × the
+//!   α-power and Amdahl laws).
 //! * Conservation is exact by construction: after the final rescale the
 //!   largest lane is re-assigned the remainder `n − Σ_{i≠k} xᵢ`
 //!   (left-to-right sum skipping `k`), so replaying that sum in the
@@ -54,8 +59,9 @@
 //! Newton in `nonlinear`. Both models share the outer Newton loop,
 //! `nonlinear::outer_newton`; each finishes its own shares.
 
-use crate::costmodel::{with_law, CostLaw, CostModel};
+use crate::costmodel::{CostLaw, CostModel};
 use crate::error::DltError;
+use crate::fastmath::pow_slice;
 use crate::nonlinear::{self, NonlinearAllocation, SolverConfig};
 use dlt_platform::Platform;
 use dlt_sim::CommMode;
@@ -110,6 +116,10 @@ pub struct BatchSolver {
     c: Vec<f64>,
     /// SoA mirror of the last platform seen (inverse speeds).
     w: Vec<f64>,
+    /// The current solve's law per lane: linear rate `c + w·s` …
+    lin: Vec<f64>,
+    /// … and power coefficient `w·(1−s)`.
+    coef: Vec<f64>,
     /// Final shares of the previous solve on this platform (empty when
     /// cold or after a platform change).
     seeds: Vec<f64>,
@@ -145,21 +155,31 @@ impl BatchSolver {
         self.hint
     }
 
-    /// Equal-finish parallel-model solve of `n` data units under `model`:
-    /// the lanes kernel, seeded by this handle's previous solve, recording
-    /// this solve's root and shares for the next.
-    ///
-    /// The law is matched once here, so the Newton loops run on the
-    /// concrete model — the bare `f64` α for the α-power law, the law
-    /// struct otherwise — whichever spelling the caller passed.
-    pub fn solve<M: CostModel>(
+    /// Equal-finish parallel-model solve of `n` data units under `law` (a
+    /// bare `f64` is the α-power law): the lanes kernel, seeded by this
+    /// handle's previous solve, recording this solve's root and shares
+    /// for the next.
+    pub fn solve(
         &mut self,
         platform: &Platform,
         n: f64,
-        model: M,
+        law: impl Into<CostLaw>,
         config: &SolverConfig,
     ) -> Result<NonlinearAllocation, DltError> {
-        with_law!(model.as_law(), |m| self.solve_mono(platform, n, m, config))
+        let law = law.into();
+        nonlinear::validate(n, law)?;
+        self.refresh_platform(platform);
+        let lanes = self.lin.iter_mut().zip(&mut self.coef);
+        for ((lin, coef), (&c, &w)) in lanes.zip(self.c.iter().zip(&self.w)) {
+            (*lin, *coef) = law.lanes(c, w);
+        }
+        let mut first = true;
+        let t = nonlinear::outer_newton(platform, n, law, self.hint, config, |t| {
+            let slope = self.eval_lanes(law, t, first, config.max_inner);
+            first = false;
+            (self.x.iter().sum(), slope)
+        })?;
+        Ok(self.finish(platform, n, t, law))
     }
 
     /// Multi-law solve sharing one platform scan: solves the same `(platform, n)`
@@ -200,6 +220,8 @@ impl BatchSolver {
             self.w.push(pr.w());
         }
         self.seeds.clear();
+        self.lin.resize(p, 0.0);
+        self.coef.resize(p, 0.0);
         self.x.resize(p, 0.0);
         self.lo.resize(p, 0.0);
         self.hi.resize(p, 0.0);
@@ -214,27 +236,44 @@ impl BatchSolver {
     /// `nonlinear::invert_cost_newton` (same bracketing and stopping
     /// rules), with the Newton iterations advanced in lockstep so each
     /// iteration is one batched residual pass.
-    fn eval_lanes<M: CostModel>(
-        &mut self,
-        model: &M,
-        t: f64,
-        first: bool,
-        max_inner: usize,
-    ) -> f64 {
+    fn eval_lanes(&mut self, law: CostLaw, t: f64, first: bool, max_inner: usize) -> f64 {
         let p = self.c.len();
         if t <= 0.0 {
             self.x[..p].fill(0.0);
             return 0.0;
         }
         // A linear law takes the closed form on every lane, no iteration.
-        if model.is_linear() {
+        if law.is_linear() {
             for i in 0..p {
                 (self.x[i], self.invd[i]) = nonlinear::linear_inverse(self.c[i], self.w[i], t);
             }
             return self.invd[..p].iter().sum();
         }
 
-        model.inverse_upper_bound_batch(&self.c, &self.w, t, &mut self.hi);
+        let alpha = law.alpha;
+        let inv_alpha = 1.0 / alpha;
+        // Every lane's closed-form bound `min(t/lin, (t/coef)^{1/α})`
+        // (`CostModel::inverse_upper_bound`), re-inflated below. The power
+        // goes through `pow_slice` (`fx` is free until the residual pass):
+        // the bits of `fast_powf` on every lane, four lanes at a time
+        // under AVX2. A `fast_powf` per lane runs the Amdahl sweeps 6–9 %
+        // slower than a std `powf` bound.
+        for (q, &coef) in self.hi.iter_mut().zip(&self.coef) {
+            *q = t / coef;
+        }
+        pow_slice(&self.hi, inv_alpha, &mut self.fx);
+        for i in 0..p {
+            let by_pow = if self.coef[i] > 0.0 {
+                self.fx[i]
+            } else {
+                f64::INFINITY
+            };
+            self.hi[i] = if self.lin[i] > 0.0 {
+                (t / self.lin[i]).min(by_pow)
+            } else {
+                by_pow
+            };
+        }
         let mut remaining = 0usize;
         for i in 0..p {
             let ub = self.hi[i];
@@ -275,10 +314,17 @@ impl BatchSolver {
             return 0.0;
         }
         for _ in 0..max_inner.max(1) {
-            // One shared-exponent pass over every lane; converged lanes
-            // are recomputed at their frozen root (pure function — same
-            // value) and skipped below, keeping the pass branch-free.
-            model.residual_deriv_batch(&self.c, &self.w, &self.x, t, &mut self.fx, &mut self.df);
+            // One shared-exponent pass over every lane (`x^{α−1}` parked
+            // in `df` until the combine loop consumes it); converged
+            // lanes are recomputed at their frozen root (pure function —
+            // same value) and skipped below, keeping the pass
+            // branch-free.
+            pow_slice(&self.x, alpha - 1.0, &mut self.df);
+            for i in 0..p {
+                let xam1 = self.df[i];
+                self.fx[i] = (self.lin[i] + self.coef[i] * xam1) * self.x[i] - t;
+                self.df[i] = self.lin[i] + self.coef[i] * alpha * xam1;
+            }
             for i in 0..p {
                 if self.done[i] {
                     continue;
@@ -315,26 +361,6 @@ impl BatchSolver {
             }
         }
         self.invd[..p].iter().sum()
-    }
-
-    /// The monomorphic body of [`BatchSolver::solve`]: the shared outer
-    /// Newton over this kernel's lane evaluations, then [`Self::finish`].
-    fn solve_mono<M: CostModel>(
-        &mut self,
-        platform: &Platform,
-        n: f64,
-        model: M,
-        config: &SolverConfig,
-    ) -> Result<NonlinearAllocation, DltError> {
-        nonlinear::validate(n, &model)?;
-        self.refresh_platform(platform);
-        let mut first = true;
-        let t = nonlinear::outer_newton(platform, n, model, self.hint, config, |t| {
-            let slope = self.eval_lanes(&model, t, first, config.max_inner);
-            first = false;
-            (self.x.iter().sum(), slope)
-        })?;
-        Ok(self.finish(platform, n, t, model.as_law()))
     }
 
     /// Rescale to `Σ xᵢ = n`, pin exact conservation on the largest
@@ -478,10 +504,7 @@ mod tests {
         // A hint of ~7e79 on a handle whose next root is ~4.5e3: plain
         // halving down from it would need more than `max_outer` steps.
         let platform = Platform::from_speeds(&[1.0]).unwrap();
-        let law = CostLaw::AmdahlSerial {
-            serial: 0.0,
-            alpha: 1.61,
-        };
+        let law = CostLaw::alpha_power(1.61);
         let config = SolverConfig::default();
         let cold = BatchSolver::default()
             .solve(&platform, 180.0, law, &config)

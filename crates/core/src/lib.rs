@@ -27,10 +27,10 @@
 //!   model runs the same outer Newton over a scalar inner loop; the
 //!   original nested bisection is kept as the `*_reference` oracles.
 //!   These are the *baselines* whose asymptotic irrelevance the paper
-//!   proves. The solvers are generic over a pluggable
-//!   [`costmodel::CostModel`] — a bare `f64` α is the paper's power law,
-//!   and [`costmodel::AmdahlSerial`] is the serial-fraction law of
-//!   arXiv:1902.01952.
+//!   proves. Every solver takes one [`costmodel::CostLaw`],
+//!   `c·x + w·(s·x + (1−s)·x^α)`: the serial-fraction law of
+//!   arXiv:1902.01952, which at `s = 0` is the paper's power law bit for
+//!   bit, so a bare `f64` α converts into it.
 //! * **The no-free-lunch analysis** ([`analysis`]) — Section 2's result:
 //!   a single DLT round of `N` data over `P` homogeneous workers executes
 //!   only `W_partial/W = 1/P^(α−1)` of the total work, so the remaining
@@ -67,5 +67,5 @@ pub mod linear;
 pub mod nonlinear;
 
 pub use batch::{BatchSolver, SolveBackend};
-pub use costmodel::{AmdahlSerial, CostLaw, CostModel};
+pub use costmodel::{CostLaw, CostModel};
 pub use error::DltError;

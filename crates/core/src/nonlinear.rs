@@ -27,11 +27,11 @@
 //! — the property-tested ≤ 1e-9 oracles and the baselines of the
 //! `hotpaths` bench's `solver_*` records.
 //!
-//! Every solver is generic over the per-worker cost law via the
-//! [`CostModel`] trait: a bare `f64` α is the paper's `c·x + w·x^α` (so
-//! historical call sites are unchanged, bit for bit), and
-//! [`crate::costmodel`] ships the Amdahl serial-fraction law, which rides
-//! the same Newton machinery.
+//! Every solver takes its per-worker cost law as `impl Into<CostLaw>`:
+//! a bare `f64` α is the paper's `c·x + w·x^α`, the [`CostLaw`] at
+//! serial fraction 0, whose arithmetic is the α-power law's bit for bit;
+//! a nonzero serial fraction is the Amdahl law of [`crate::costmodel`],
+//! which rides the same Newton machinery.
 
 use crate::costmodel::{CostLaw, CostModel};
 use crate::error::DltError;
@@ -46,8 +46,8 @@ pub struct NonlinearAllocation {
     pub x: Vec<f64>,
     /// Common finish time of all (participating) workers.
     pub makespan: f64,
-    /// Cost law of the workload (for the paper's α-power loads this is
-    /// [`CostLaw::AlphaPower`]).
+    /// Cost law of the workload (for the paper's α-power loads,
+    /// [`CostLaw::alpha_power`]).
     pub model: CostLaw,
     /// Total data `N` that was distributed.
     pub n: f64,
@@ -60,7 +60,7 @@ pub struct NonlinearAllocation {
 impl NonlinearAllocation {
     /// Exponent α of the workload's cost law.
     pub fn alpha(&self) -> f64 {
-        self.model.alpha()
+        self.model.alpha
     }
 
     /// Total work executed during the round: `Σ work(x_i)` (`Σ x_i^α`
@@ -125,18 +125,18 @@ impl Default for SolverConfig {
     }
 }
 
-pub(crate) fn validate<M: CostModel>(n: f64, model: &M) -> Result<(), DltError> {
+pub(crate) fn validate(n: f64, law: CostLaw) -> Result<(), DltError> {
     if !(n.is_finite() && n > 0.0) {
         return Err(DltError::InvalidLoad { value: n });
     }
-    model.validate()
+    law.validate()
 }
 
 // ---------------------------------------------------------------------------
 // Inner solve: cost(c, w, x) = t
 // ---------------------------------------------------------------------------
 
-/// Solves `model.cost(c, w, x) = t` for `x ≥ 0` by safeguarded Newton
+/// Solves `law.cost(c, w, x) = t` for `x ≥ 0` by safeguarded Newton
 /// descent, returning `(x, dx/dt)` — the share and its sensitivity
 /// `1/f'(x)`, which the outer root-finder accumulates into its own
 /// derivative.
@@ -154,8 +154,8 @@ pub(crate) fn validate<M: CostModel>(n: f64, model: &M) -> Result<(), DltError> 
 ///
 /// Returns `(0, 0)` when `t ≤ 0` — in the one-port model a worker whose
 /// remaining window is exhausted gets nothing and contributes no slope.
-pub(crate) fn invert_cost_newton<M: CostModel>(
-    model: M,
+pub(crate) fn invert_cost_newton(
+    law: CostLaw,
     c: f64,
     w: f64,
     t: f64,
@@ -164,10 +164,10 @@ pub(crate) fn invert_cost_newton<M: CostModel>(
     if t <= 0.0 {
         return (0.0, 0.0);
     }
-    if model.is_linear() {
+    if law.is_linear() {
         return linear_inverse(c, w, t);
     }
-    let mut x = model.inverse_upper_bound(c, w, t);
+    let mut x = law.inverse_upper_bound(c, w, t);
     if x.is_nan() || x <= 0.0 || x.is_infinite() {
         // Float extremes only: `t/c` or `(t/w)^{1/α}` underflowed to 0
         // or overflowed to ∞. Give the worker nothing rather than iterate
@@ -179,7 +179,7 @@ pub(crate) fn invert_cost_newton<M: CostModel>(
     // At least one iteration always runs (powf is the whole cost of this
     // function, so `deriv` is only ever computed inside the loop).
     for _ in 0..max_inner.max(1) {
-        let (fx, d) = model.residual_deriv(c, w, x, t);
+        let (fx, d) = law.residual_deriv(c, w, x, t);
         deriv = d;
         // Residual at rounding level: the share is as converged as f64
         // arithmetic can express it.
@@ -229,11 +229,11 @@ const MAX_BISECTIONS: usize = 2200;
 ///
 /// Returns 0 when `t ≤ 0`. Uses bisection on `[0, hi]` where `hi` doubles
 /// until the residual flips sign; ~90 iterations give full f64 precision.
-fn invert_cost_reference<M: CostModel>(model: M, c: f64, w: f64, t: f64) -> f64 {
+fn invert_cost_reference(law: CostLaw, c: f64, w: f64, t: f64) -> f64 {
     if t <= 0.0 {
         return 0.0;
     }
-    let f = |x: f64| model.cost(c, w, x) - t;
+    let f = |x: f64| law.cost(c, w, x) - t;
     let mut hi = 1.0;
     while f(hi) < 0.0 {
         hi *= 2.0;
@@ -262,17 +262,17 @@ fn invert_cost_reference<M: CostModel>(model: M, c: f64, w: f64, t: f64) -> f64 
 
 /// `T` upper bound shared by every solver: give the whole load to the
 /// single best worker.
-fn t_single_worker_bound<M: CostModel>(platform: &Platform, n: f64, model: M) -> f64 {
+fn t_single_worker_bound(platform: &Platform, n: f64, law: CostLaw) -> f64 {
     platform
         .iter()
-        .map(|p| model.cost(p.inv_bandwidth(), p.w(), n))
+        .map(|p| law.cost(p.inv_bandwidth(), p.w(), n))
         .fold(f64::INFINITY, f64::min)
 }
 
 /// Equal-finish-time allocation under the parallel communication model:
 /// minimizes the makespan of distributing and processing `n` data units
 /// over a heterogeneous platform. The workload's cost law is any
-/// [`CostModel`] — pass a bare `f64` α for the paper's `x^α` law.
+/// [`CostLaw`] — pass a bare `f64` α for the paper's `x^α` law.
 ///
 /// One cold-handle solve of the lanes kernel
 /// ([`crate::batch::BatchSolver`]) at the default [`SolverConfig`];
@@ -293,12 +293,12 @@ fn t_single_worker_bound<M: CostModel>(platform: &Platform, n: f64, model: M) ->
 /// // … yet most of the N^α work remains: the paper's no-free-lunch claim.
 /// assert!(alloc.work_fraction_done() < 1.0);
 /// ```
-pub fn equal_finish_parallel<M: CostModel>(
+pub fn equal_finish_parallel(
     platform: &Platform,
     n: f64,
-    model: M,
+    law: impl Into<CostLaw>,
 ) -> Result<NonlinearAllocation, DltError> {
-    crate::batch::BatchSolver::default().solve(platform, n, model, &SolverConfig::default())
+    crate::batch::BatchSolver::default().solve(platform, n, law, &SolverConfig::default())
 }
 
 /// The original nested-bisection solver for the parallel model, kept as
@@ -306,24 +306,25 @@ pub fn equal_finish_parallel<M: CostModel>(
 /// property tests bound the lanes kernel to within `1e-9` relative error
 /// of this oracle, and the `solver` hotpaths bench group measures the
 /// kernel's speedup against it.
-pub fn equal_finish_parallel_reference<M: CostModel>(
+pub fn equal_finish_parallel_reference(
     platform: &Platform,
     n: f64,
-    model: M,
+    law: impl Into<CostLaw>,
 ) -> Result<NonlinearAllocation, DltError> {
-    validate(n, &model)?;
+    let law = law.into();
+    validate(n, law)?;
     let shares_at = |t: f64| -> Vec<f64> {
         platform
             .iter()
-            .map(|p| invert_cost_reference(model, p.inv_bandwidth(), p.w(), t))
+            .map(|p| invert_cost_reference(law, p.inv_bandwidth(), p.w(), t))
             .collect()
     };
-    let t_hi_seed = t_single_worker_bound(platform, n, model);
+    let t_hi_seed = t_single_worker_bound(platform, n, law);
     let (t, x) = bisect_total_reference(n, t_hi_seed, shares_at)?;
     Ok(NonlinearAllocation {
         x,
         makespan: t,
-        model: model.as_law(),
+        model: law,
         n,
         comm_mode: CommMode::Parallel,
         order: (0..platform.len()).collect(),
@@ -377,17 +378,18 @@ fn validate_order(order: Option<Vec<usize>>, platform: &Platform) -> Result<Vec<
 /// let par = equal_finish_parallel(&platform, 30.0, 2.0).unwrap();
 /// assert!(op.makespan >= par.makespan - 1e-9);
 /// ```
-pub fn equal_finish_one_port<M: CostModel>(
+pub fn equal_finish_one_port(
     platform: &Platform,
     n: f64,
-    model: M,
+    law: impl Into<CostLaw>,
     order: Option<Vec<usize>>,
 ) -> Result<NonlinearAllocation, DltError> {
-    validate(n, &model)?;
+    let law = law.into();
+    validate(n, law)?;
     let order = validate_order(order, platform)?;
     let config = SolverConfig::default();
     let mut x = vec![0.0; platform.len()];
-    let t = outer_newton(platform, n, model, None, &config, |t| {
+    let t = outer_newton(platform, n, law, None, &config, |t| {
         let mut elapsed_comm = 0.0;
         let mut elapsed_slope = 0.0;
         let mut slope = 0.0;
@@ -395,7 +397,7 @@ pub fn equal_finish_one_port<M: CostModel>(
             let worker = platform.worker(i);
             let c = worker.inv_bandwidth();
             let (xi, dxi_local) =
-                invert_cost_newton(model, c, worker.w(), t - elapsed_comm, config.max_inner);
+                invert_cost_newton(law, c, worker.w(), t - elapsed_comm, config.max_inner);
             let dxi_dt = dxi_local * (1.0 - elapsed_slope);
             x[i] = xi;
             elapsed_comm += c * xi;
@@ -408,7 +410,7 @@ pub fn equal_finish_one_port<M: CostModel>(
     Ok(NonlinearAllocation {
         x,
         makespan: t,
-        model: model.as_law(),
+        model: law,
         n,
         comm_mode: CommMode::OnePort,
         order,
@@ -418,13 +420,14 @@ pub fn equal_finish_one_port<M: CostModel>(
 /// The original nested-bisection solver for the one-port model — the
 /// oracle of [`equal_finish_one_port`] (see
 /// [`equal_finish_parallel_reference`]).
-pub fn equal_finish_one_port_reference<M: CostModel>(
+pub fn equal_finish_one_port_reference(
     platform: &Platform,
     n: f64,
-    model: M,
+    law: impl Into<CostLaw>,
     order: Option<Vec<usize>>,
 ) -> Result<NonlinearAllocation, DltError> {
-    validate(n, &model)?;
+    let law = law.into();
+    validate(n, law)?;
     let p = platform.len();
     let order = validate_order(order, platform)?;
     let order_for_closure = order.clone();
@@ -434,18 +437,18 @@ pub fn equal_finish_one_port_reference<M: CostModel>(
         for &i in &order_for_closure {
             let worker = platform.worker(i);
             let xi =
-                invert_cost_reference(model, worker.inv_bandwidth(), worker.w(), t - elapsed_comm);
+                invert_cost_reference(law, worker.inv_bandwidth(), worker.w(), t - elapsed_comm);
             x[i] = xi;
             elapsed_comm += worker.inv_bandwidth() * xi;
         }
         x
     };
-    let t_hi_seed = t_single_worker_bound(platform, n, model);
+    let t_hi_seed = t_single_worker_bound(platform, n, law);
     let (t, x) = bisect_total_reference(n, t_hi_seed, shares_at)?;
     Ok(NonlinearAllocation {
         x,
         makespan: t,
-        model: model.as_law(),
+        model: law,
         n,
         comm_mode: CommMode::OnePort,
         order,
@@ -483,10 +486,10 @@ pub fn equal_finish_one_port_reference<M: CostModel>(
 /// `config.residual_tol · n` (or whose bracket is tight); the caller's
 /// shares are those of that final `eval`, which the caller finishes
 /// (rescale, conservation pin) itself.
-pub(crate) fn outer_newton<M: CostModel>(
+pub(crate) fn outer_newton(
     platform: &Platform,
     n: f64,
-    model: M,
+    law: CostLaw,
     hint: Option<f64>,
     config: &SolverConfig,
     mut eval: impl FnMut(f64) -> (f64, f64),
@@ -495,7 +498,7 @@ pub(crate) fn outer_newton<M: CostModel>(
     let mut hi = f64::INFINITY;
     let mut t = match hint {
         Some(seed) => seed,
-        None => t_single_worker_bound(platform, n, model).max(1e-300),
+        None => t_single_worker_bound(platform, n, law).max(1e-300),
     };
     for _ in 0..config.max_outer {
         let (total, slope) = eval(t);
@@ -535,7 +538,7 @@ pub(crate) fn outer_newton<M: CostModel>(
         };
     }
     if hint.is_some() {
-        return outer_newton(platform, n, model, None, config, eval);
+        return outer_newton(platform, n, law, None, config, eval);
     }
     Err(DltError::NoConvergence {
         context: "outer Newton iteration",
@@ -617,12 +620,13 @@ mod tests {
     #[test]
     fn invert_cost_roundtrip() {
         for &(c, w, alpha) in &[(1.0, 1.0, 2.0), (0.5, 2.0, 1.5), (0.0, 1.0, 3.0)] {
+            let law = CostLaw::alpha_power(alpha);
             for &x in &[0.1, 1.0, 7.3, 150.0] {
                 let t = c * x + w * f64::powf(x, alpha);
-                let (back, slope) = invert_cost_newton(alpha, c, w, t, 64);
+                let (back, slope) = invert_cost_newton(law, c, w, t, 64);
                 assert!((back - x).abs() < 1e-10 * x.max(1.0), "x={x} back={back}");
                 assert!(slope > 0.0 && slope.is_finite());
-                let reference = invert_cost_reference(alpha, c, w, t);
+                let reference = invert_cost_reference(law, c, w, t);
                 assert!(rel(back, reference) < 1e-12, "{back} vs {reference}");
             }
         }
@@ -630,19 +634,20 @@ mod tests {
 
     #[test]
     fn invert_cost_zero_time_gives_zero() {
-        assert_eq!(invert_cost_newton(2.0, 1.0, 1.0, 0.0, 64), (0.0, 0.0));
-        assert_eq!(invert_cost_newton(2.0, 1.0, 1.0, -3.0, 64), (0.0, 0.0));
-        assert_eq!(invert_cost_reference(2.0, 1.0, 1.0, 0.0), 0.0);
-        assert_eq!(invert_cost_reference(2.0, 1.0, 1.0, -3.0), 0.0);
+        let law = CostLaw::alpha_power(2.0);
+        assert_eq!(invert_cost_newton(law, 1.0, 1.0, 0.0, 64), (0.0, 0.0));
+        assert_eq!(invert_cost_newton(law, 1.0, 1.0, -3.0, 64), (0.0, 0.0));
+        assert_eq!(invert_cost_reference(law, 1.0, 1.0, 0.0), 0.0);
+        assert_eq!(invert_cost_reference(law, 1.0, 1.0, -3.0), 0.0);
     }
 
     #[test]
     fn invert_cost_linear_is_closed_form() {
         // α = 1, and Amdahl at s = 1, take the exact closed-form path:
         // t / (c + w).
-        use crate::costmodel::AmdahlSerial;
-        assert_eq!(invert_cost_newton(1.0, 2.0, 3.0, 10.0, 64), (2.0, 0.2));
-        let serial = AmdahlSerial {
+        let linear = CostLaw::alpha_power(1.0);
+        assert_eq!(invert_cost_newton(linear, 2.0, 3.0, 10.0, 64), (2.0, 0.2));
+        let serial = CostLaw {
             serial: 1.0,
             alpha: 3.0,
         };
@@ -650,39 +655,30 @@ mod tests {
     }
 
     #[test]
-    fn invert_cost_generic_models_roundtrip() {
-        // The Amdahl law inverts its own cost through the generic Newton
-        // loop and agrees with its bisection reference, in both spellings.
-        use crate::costmodel::AmdahlSerial;
-        let amdahl = AmdahlSerial {
+    fn invert_cost_amdahl_roundtrip() {
+        // The Amdahl law inverts its own cost through the Newton loop and
+        // agrees with its bisection reference.
+        let law = CostLaw {
             serial: 0.3,
             alpha: 2.5,
         };
-        fn check<M: CostModel + std::fmt::Debug>(model: M) {
-            for &x in &[0.1, 1.0, 3.9, 4.1, 42.0] {
-                let t = model.cost(0.5, 1.5, x);
-                let (back, slope) = invert_cost_newton(model, 0.5, 1.5, t, 64);
-                assert!(
-                    (back - x).abs() < 1e-9 * x.max(1.0),
-                    "{model:?}: x={x} back={back}"
-                );
-                assert!(slope > 0.0 && slope.is_finite());
-                let reference = invert_cost_reference(model, 0.5, 1.5, t);
-                assert!(
-                    (back - reference).abs() < 1e-9 * x.max(1.0),
-                    "{model:?}: {back} vs {reference}"
-                );
-            }
+        for &x in &[0.1, 1.0, 3.9, 4.1, 42.0] {
+            let t = law.cost(0.5, 1.5, x);
+            let (back, slope) = invert_cost_newton(law, 0.5, 1.5, t, 64);
+            assert!((back - x).abs() < 1e-9 * x.max(1.0), "x={x} back={back}");
+            assert!(slope > 0.0 && slope.is_finite());
+            let reference = invert_cost_reference(law, 0.5, 1.5, t);
+            assert!(
+                (back - reference).abs() < 1e-9 * x.max(1.0),
+                "{back} vs {reference}"
+            );
         }
-        check(amdahl);
-        check(amdahl.as_law());
     }
 
     #[test]
     fn amdahl_solve_matches_reference_and_keeps_serial_work() {
-        use crate::costmodel::AmdahlSerial;
         let platform = Platform::from_speeds_and_costs(&[1.0, 2.0, 5.0], &[1.0, 0.3, 0.8]).unwrap();
-        let model = AmdahlSerial {
+        let model = CostLaw {
             serial: 0.4,
             alpha: 2.0,
         };
@@ -694,7 +690,7 @@ mod tests {
         // W_round ≥ s·N, so the remaining fraction stays below 1 − s·N/W.
         let pure = equal_finish_parallel(&platform, 30.0, 2.0).unwrap();
         assert!(a.work_fraction_done() > pure.work_fraction_done());
-        assert_eq!(a.model, model.as_law());
+        assert_eq!(a.model, model);
         assert_eq!(a.alpha(), 2.0);
     }
 
@@ -729,11 +725,12 @@ mod tests {
         let config = SolverConfig::default();
         for hint in [Some(20.0), Some(68e-9), Some(68e9), None] {
             let mut evals = 0;
-            let t = outer_newton(&platform, 4096.0, 3.0, hint, &config, |t| {
+            let law = CostLaw::alpha_power(3.0);
+            let t = outer_newton(&platform, 4096.0, law, hint, &config, |t| {
                 evals += 1;
                 platform.iter().fold((0.0, 0.0), |(total, slope), worker| {
                     let (x, dx) = invert_cost_newton(
-                        3.0,
+                        law,
                         worker.inv_bandwidth(),
                         worker.w(),
                         t,

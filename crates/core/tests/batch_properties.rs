@@ -13,8 +13,8 @@
 //! * platform widths p ∈ {1, 2, 7, 8, 64, 512} — the service's p = 8,
 //!   and widths that are not a multiple of the 4-lane AVX2 chunk, so
 //!   remainder lanes stay honest;
-//! * both [`CostLaw`] variants with α ∈ (1, 24] plus the α = 1 exact
-//!   linear path;
+//! * the α-power and Amdahl [`CostLaw`]s with α ∈ (1, 24] plus the
+//!   α = 1 exact linear path;
 //! * cold, warm (chained installment sequences) and stale-warm
 //!   (mis-seeded anywhere in the positive finite f64 range) handles.
 //!
@@ -65,8 +65,8 @@ fn remainder_platform_strategy() -> impl Strategy<Value = Platform> {
     (0usize..REMAINDER_WIDTHS.len()).prop_flat_map(|i| platform_of_width(REMAINDER_WIDTHS[i]))
 }
 
-/// Both `CostLaw` variants; α ∈ (1, 24], with the exact linear α = 1
-/// corner forced into the α-power sweep. The selector weights the arms
+/// The α-power law and the Amdahl law; α ∈ (1, 24], with the exact
+/// linear α = 1 corner forced into the α-power sweep. The selector weights the arms
 /// (3 random-α power : 1 pinned α = 1 : 1 pinned α = 24 : 2 Amdahl out
 /// of 7 draws); the serial fraction is drawn unconditionally and only
 /// the Amdahl arm keeps it.
@@ -77,10 +77,10 @@ fn law_strategy() -> impl Strategy<Value = CostLaw> {
         0.0f64..=1.0,           // Amdahl serial fraction
     )
         .prop_map(|(sel, alpha, serial)| match sel {
-            0..=2 => CostLaw::AlphaPower { alpha },
-            3 => CostLaw::AlphaPower { alpha: 1.0 },
-            4 => CostLaw::AlphaPower { alpha: 24.0 },
-            _ => CostLaw::AmdahlSerial { serial, alpha },
+            0..=2 => CostLaw::alpha_power(alpha),
+            3 => CostLaw::alpha_power(1.0),
+            4 => CostLaw::alpha_power(24.0),
+            _ => CostLaw { serial, alpha },
         })
 }
 
@@ -146,7 +146,7 @@ fn every_width_law_and_handle_kind_meets_the_oracle_bound() {
         CostLaw::alpha_power(1.0),
         CostLaw::alpha_power(2.5),
         CostLaw::alpha_power(24.0),
-        CostLaw::AmdahlSerial {
+        CostLaw {
             serial: 0.3,
             alpha: 2.0,
         },

@@ -1,23 +1,26 @@
-//! Property tests for the pluggable cost-model layer.
+//! Property tests for the cost law.
 //!
 //! Two contracts are pinned down here:
 //!
-//! 1. **Bit identity of the default law's spellings.** A bare `f64` α
-//!    and [`CostLaw::AlphaPower`] are one law:
-//!    solving through either returns bit-for-bit the same shares
-//!    and makespans, along warm-started installment sequences through the
-//!    equal-finish kernel (the FIFO scheduler's solve pattern), and the
-//!    result stays within `1e-9` of the nested-bisection oracle. This is
-//!    what lets `LoadSpec` store a `CostLaw` while the single-load solver
-//!    takes a bare α without changing a committed CSV byte.
+//! 1. **The α-power law is the law at `s = 0`, bit for bit.** A bare
+//!    `f64` α converts into [`CostLaw`] with serial fraction 0, and at
+//!    `s = 0` the law's scalar methods return the bits of the paper's
+//!    α-power formulas (`c·x + w·x^α`, its residual and derivative, and
+//!    the bound `min(t/c, (t/w)^{1/α})`). Warm-started installment
+//!    sequences through the equal-finish kernel (the FIFO scheduler's
+//!    solve pattern) stay within `1e-9` of the nested-bisection oracle.
 //!
-//! 2. **Accuracy of the Amdahl law.** For [`AmdahlSerial`] (including
-//!    the degenerate corners `s → 0` and `s → 1`) the kernel must agree
-//!    with the nested-bisection reference oracle to `1e-9` relative
-//!    error.
+//! 2. **Accuracy of the Amdahl law.** For every serial fraction
+//!    (including the degenerate corners `s → 0` and `s → 1`) the kernel
+//!    must agree with the nested-bisection reference oracle to `1e-9`
+//!    relative error.
+
+// The α-power formulas are spelled out with std `powf`, as the law's
+// scalar methods compute them.
+#![allow(clippy::disallowed_methods)]
 
 use dlt_core::batch::BatchSolver;
-use dlt_core::costmodel::{AmdahlSerial, CostLaw};
+use dlt_core::costmodel::{CostLaw, CostModel};
 use dlt_core::nonlinear::{equal_finish_parallel, equal_finish_parallel_reference, SolverConfig};
 use dlt_platform::Platform;
 use proptest::prelude::*;
@@ -35,19 +38,39 @@ fn platform_strategy() -> impl Strategy<Value = Platform> {
     })
 }
 
-fn bits_of(xs: &[f64]) -> Vec<u64> {
-    xs.iter().map(|x| x.to_bits()).collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // Both spellings of the α-power law drive the kernel through
-    // identical arithmetic: warm-started installment sequences on one
-    // handle per spelling agree bit for bit, and every solve stays inside
-    // the oracle bound.
+    // The law at s = 0 computes the α-power formulas bit for bit, and a
+    // bare exponent converts into exactly that law.
     #[test]
-    fn alpha_power_spellings_are_bit_identical_through_the_kernel(
+    fn the_law_at_zero_serial_fraction_is_the_alpha_power_law_bitwise(
+        alpha in 1.0f64..24.0,
+        c in 0.0f64..5.0,
+        w in 0.02f64..10.0,
+        x in 1e-6f64..1e3,
+        t in 1e-6f64..1e6,
+    ) {
+        let law = CostLaw::from(alpha);
+        prop_assert!(law.bits_eq(&CostLaw { serial: 0.0, alpha }));
+        prop_assert_eq!(law.work(x).to_bits(), x.powf(alpha).to_bits());
+        prop_assert_eq!(
+            law.cost(c, w, x).to_bits(),
+            (c * x + w * x.powf(alpha)).to_bits()
+        );
+        let xam1 = x.powf(alpha - 1.0);
+        let (fx, dfdx) = law.residual_deriv(c, w, x, t);
+        prop_assert_eq!(fx.to_bits(), ((c + w * xam1) * x - t).to_bits());
+        prop_assert_eq!(dfdx.to_bits(), (c + alpha * w * xam1).to_bits());
+        let by_pow = (t / w).powf(1.0 / alpha);
+        let bound = if c > 0.0 { (t / c).min(by_pow) } else { by_pow };
+        prop_assert_eq!(law.inverse_upper_bound(c, w, t).to_bits(), bound.to_bits());
+    }
+
+    // Warm-started installment sequences of the α-power law through one
+    // handle stay inside the oracle bound.
+    #[test]
+    fn alpha_power_warm_sequences_meet_the_oracle_bound(
         platform in platform_strategy(),
         alpha in 1.0f64..3.0,
         loads in proptest::collection::vec(1.0f64..500.0, 1..6),
@@ -57,13 +80,9 @@ proptest! {
         // inverse path stays in the sweep.
         let alpha = if linear_sel == 0 { 1.0 } else { alpha };
         let config = SolverConfig::default();
-        let mut via_f64 = BatchSolver::default();
-        let mut via_law = BatchSolver::default();
+        let mut solver = BatchSolver::default();
         for &n in &loads {
-            let a = via_f64.solve(&platform, n, alpha, &config).unwrap();
-            let b = via_law.solve(&platform, n, CostLaw::alpha_power(alpha), &config).unwrap();
-            prop_assert_eq!(a.makespan.to_bits(), b.makespan.to_bits());
-            prop_assert_eq!(bits_of(&a.x), bits_of(&b.x));
+            let a = solver.solve(&platform, n, alpha, &config).unwrap();
             let oracle = equal_finish_parallel_reference(&platform, n, alpha).unwrap();
             prop_assert!(
                 (a.makespan - oracle.makespan).abs() <= 1e-9 * oracle.makespan,
@@ -88,9 +107,9 @@ proptest! {
         // Force the corners into the sweep: s → 0 and s → 1 exercise the
         // pure-power and pure-linear fast paths respectively.
         let serial = [0.0, 1e-12, serial_mid, 1.0 - 1e-12, 1.0][serial_sel];
-        let model = AmdahlSerial { serial, alpha };
-        let newton = equal_finish_parallel(&platform, load, model).unwrap();
-        let oracle = equal_finish_parallel_reference(&platform, load, model).unwrap();
+        let law = CostLaw { serial, alpha };
+        let newton = equal_finish_parallel(&platform, load, law).unwrap();
+        let oracle = equal_finish_parallel_reference(&platform, load, law).unwrap();
         prop_assert!(
             (newton.makespan - oracle.makespan).abs() <= 1e-9 * oracle.makespan,
             "makespan {} vs oracle {} (s={serial}, alpha={alpha})",
@@ -113,24 +132,24 @@ fn amdahl_endpoints_are_exact() {
     let serial = equal_finish_parallel(
         &platform,
         64.0,
-        AmdahlSerial {
+        CostLaw {
             serial: 1.0,
             alpha: 2.5,
         },
     )
     .unwrap();
-    let linear = equal_finish_parallel(&platform, 64.0, 1.0f64).unwrap();
+    let linear = equal_finish_parallel(&platform, 64.0, 1.0).unwrap();
     assert!((serial.makespan - linear.makespan).abs() <= 1e-12 * linear.makespan);
-    // s = 0: the pure α-power law.
+    // s = 0: the pure α-power law, bit for bit.
     let zero = equal_finish_parallel(
         &platform,
         64.0,
-        AmdahlSerial {
+        CostLaw {
             serial: 0.0,
             alpha: 2.5,
         },
     )
     .unwrap();
-    let pure = equal_finish_parallel(&platform, 64.0, 2.5f64).unwrap();
-    assert!((zero.makespan - pure.makespan).abs() <= 1e-9 * pure.makespan);
+    let pure = equal_finish_parallel(&platform, 64.0, 2.5).unwrap();
+    assert_eq!(zero, pure);
 }

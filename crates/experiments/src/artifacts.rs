@@ -239,8 +239,10 @@ fn sec3_sample_sort(s: Settings) -> Result<(), String> {
     write_and_print(&tables[1], "sec3_distribution_robustness")?;
     println!(
         "Reading: frac_logp_logN = log p / log N is the non-divisible share of\n\
-         the work; it shrinks as N grows. max_overload stays below the\n\
-         Theorem B.4 bound (bound_overload) with high probability."
+         the work; it shrinks as N grows. frac_cost_model is the master's\n\
+         share of the modelled makespan, which grows with p. max_overload\n\
+         stays below the Theorem B.4 bound (bound_overload) with high\n\
+         probability."
     );
     Ok(())
 }

@@ -1,14 +1,14 @@
 //! The cost-law families the Section 2 runner and the service trace
 //! generators sweep.
 //!
-//! A [`ModelFamily`] is a cost law with every parameter fixed except the
-//! swept exponent α: a runner keeps sweeping its usual alpha list and
-//! [`ModelFamily::law`] turns each α into a concrete [`CostLaw`] for the
-//! solver stack. There is one family per shipped law: the paper's
-//! α-power law, which every committed CSV uses, and the Amdahl
-//! serial-fraction law, which `sec-amdahl` and `perfbench`'s Amdahl
-//! sweep run. The multi-load runners take no family: they run the
-//! α-power law.
+//! A [`ModelFamily`] fixes the serial fraction of the one [`CostLaw`] and
+//! leaves the exponent α free: a runner keeps sweeping its usual alpha
+//! list and [`ModelFamily::law`] turns each α into a concrete law for the
+//! solver stack. The two families are the paper's α-power law (serial
+//! fraction 0), which every committed CSV but `sec_amdahl.csv` uses, and
+//! the Amdahl serial-fraction law at a fixed `s`, which `sec-amdahl` and
+//! `perfbench`'s Amdahl sweep run. The multi-load runners take no family:
+//! they run the α-power law.
 
 use dlt_core::costmodel::CostLaw;
 
@@ -19,7 +19,7 @@ pub enum ModelFamily {
     AlphaPower,
     /// Amdahl serial-fraction law with the serial share fixed.
     AmdahlSerial {
-        /// Serial fraction `s ∈ [0, 1]` of [`CostLaw::AmdahlSerial`].
+        /// Serial fraction `s ∈ [0, 1]`: [`CostLaw::serial`].
         serial: f64,
     },
 }
@@ -29,7 +29,7 @@ impl ModelFamily {
     pub fn law(&self, alpha: f64) -> CostLaw {
         match *self {
             ModelFamily::AlphaPower => CostLaw::alpha_power(alpha),
-            ModelFamily::AmdahlSerial { serial } => CostLaw::AmdahlSerial { serial, alpha },
+            ModelFamily::AmdahlSerial { serial } => CostLaw { serial, alpha },
         }
     }
 

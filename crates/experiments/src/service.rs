@@ -129,7 +129,7 @@ pub fn calibrated_spacing(
     let mean_alone: f64 = alphas
         .iter()
         .map(|&alpha| {
-            LoadSpec::with_model(probe_size, family.law(alpha), 0.0)
+            LoadSpec::new(probe_size, family.law(alpha), 0.0)
                 .expect("valid probe load")
                 .alone_makespan(platform)
                 .expect("single-load solver converges")
@@ -171,7 +171,7 @@ pub fn arrival_trace(
         )]
         let gap = -(1.0 - u).ln() * spacing;
         release += gap;
-        Some(LoadSpec::with_model(size, family.law(alpha), release).expect("valid generated load"))
+        Some(LoadSpec::new(size, family.law(alpha), release).expect("valid generated load"))
     })
 }
 

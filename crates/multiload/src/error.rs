@@ -12,11 +12,6 @@ pub enum MultiLoadError {
         /// The offending value.
         value: f64,
     },
-    /// A load's exponent was not finite or below 1.
-    InvalidAlpha {
-        /// The offending value.
-        value: f64,
-    },
     /// A load's release time was negative or not finite.
     InvalidRelease {
         /// The offending value.
@@ -74,9 +69,6 @@ impl std::fmt::Display for MultiLoadError {
             Self::EmptyBatch => write!(f, "the load batch is empty"),
             Self::InvalidSize { value } => {
                 write!(f, "load size must be finite and > 0, got {value}")
-            }
-            Self::InvalidAlpha { value } => {
-                write!(f, "load exponent must be finite and >= 1, got {value}")
             }
             Self::InvalidRelease { value } => {
                 write!(f, "release time must be finite and >= 0, got {value}")

@@ -8,15 +8,16 @@ use dlt_platform::Platform;
 /// One divisible load of a multi-load batch.
 ///
 /// Processing `x` data units of this load on worker `i` costs
-/// `model.cost(c_i, w_i, x)` time — by default the α-power model of
-/// [`dlt_core::nonlinear`] (`w_i · x^alpha`; `alpha = 1` is the classical
-/// linear load), but any [`CostLaw`] fits. The load becomes available for
+/// `model.cost(c_i, w_i, x)` time — the α-power model of
+/// [`dlt_core::nonlinear`] (`c_i · x + w_i · x^alpha`; `alpha = 1` is the
+/// classical linear load) for a bare exponent, the Amdahl law for a
+/// [`CostLaw`] with a serial fraction. The load becomes available for
 /// distribution at `release`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LoadSpec {
     /// Total data units `N_j` of this load.
     pub size: f64,
-    /// Per-worker cost law of this load ([`CostLaw::AlphaPower`] with
+    /// Per-worker cost law of this load ([`CostLaw::alpha_power`] with
     /// `α_j ≥ 1` for the paper's workloads).
     pub model: CostLaw,
     /// Release time `r_j ≥ 0`: no byte of this load may be distributed or
@@ -25,16 +26,11 @@ pub struct LoadSpec {
 }
 
 impl LoadSpec {
-    /// Validated constructor for the common α-power load.
-    pub fn new(size: f64, alpha: f64, release: f64) -> Result<Self, MultiLoadError> {
-        if !(alpha.is_finite() && alpha >= 1.0) {
-            return Err(MultiLoadError::InvalidAlpha { value: alpha });
-        }
-        Self::with_model(size, CostLaw::alpha_power(alpha), release)
-    }
-
-    /// Validated constructor for an arbitrary cost law.
-    pub fn with_model(size: f64, model: CostLaw, release: f64) -> Result<Self, MultiLoadError> {
+    /// Validated constructor; `law` is a [`CostLaw`] or a bare α-power
+    /// exponent. A bad law is the solver's own error,
+    /// [`MultiLoadError::Solver`].
+    pub fn new(size: f64, law: impl Into<CostLaw>, release: f64) -> Result<Self, MultiLoadError> {
+        let model = law.into();
         if !(size.is_finite() && size > 0.0) {
             return Err(MultiLoadError::InvalidSize { value: size });
         }
@@ -50,13 +46,13 @@ impl LoadSpec {
     }
 
     /// A load released at time 0.
-    pub fn immediate(size: f64, alpha: f64) -> Result<Self, MultiLoadError> {
-        Self::new(size, alpha, 0.0)
+    pub fn immediate(size: f64, law: impl Into<CostLaw>) -> Result<Self, MultiLoadError> {
+        Self::new(size, law, 0.0)
     }
 
     /// The exponent `α_j` of this load's cost law.
     pub fn alpha(&self) -> f64 {
-        self.model.alpha()
+        self.model.alpha
     }
 
     /// Total work this load represents (`N_j^{α_j}` under the α-power
@@ -97,7 +93,7 @@ pub(crate) fn validate_batch(loads: &[LoadSpec]) -> Result<(), MultiLoadError> {
     }
     for l in loads {
         // Re-run the constructor checks: specs can be built literally.
-        LoadSpec::with_model(l.size, l.model, l.release)?;
+        LoadSpec::new(l.size, l.model, l.release)?;
     }
     Ok(())
 }
@@ -105,7 +101,7 @@ pub(crate) fn validate_batch(loads: &[LoadSpec]) -> Result<(), MultiLoadError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dlt_core::costmodel::AmdahlSerial;
+    use dlt_core::DltError;
 
     #[test]
     fn constructor_validates() {
@@ -114,34 +110,27 @@ mod tests {
             LoadSpec::new(0.0, 2.0, 0.0),
             Err(MultiLoadError::InvalidSize { .. })
         ));
-        assert!(matches!(
-            LoadSpec::new(1.0, 0.5, 0.0),
-            Err(MultiLoadError::InvalidAlpha { .. })
-        ));
+        // One bad exponent, one error, whichever way the law is spelled.
+        let bad_alpha = Err(MultiLoadError::Solver(DltError::InvalidAlpha {
+            value: 0.5,
+        }));
+        assert_eq!(LoadSpec::new(1.0, 0.5, 0.0), bad_alpha);
+        assert_eq!(
+            LoadSpec::new(1.0, CostLaw::alpha_power(0.5), 0.0),
+            bad_alpha
+        );
         assert!(matches!(
             LoadSpec::new(1.0, 2.0, -1.0),
             Err(MultiLoadError::InvalidRelease { .. })
         ));
         assert!(LoadSpec::new(f64::NAN, 2.0, 0.0).is_err());
-        // Arbitrary cost laws validate through the model itself.
-        assert!(LoadSpec::with_model(
-            1.0,
-            CostLaw::AmdahlSerial {
-                serial: 0.3,
-                alpha: 2.0
-            },
-            0.0
-        )
-        .is_ok());
-        assert!(LoadSpec::with_model(
-            1.0,
-            CostLaw::AmdahlSerial {
-                serial: 1.5,
-                alpha: 2.0
-            },
-            0.0
-        )
-        .is_err());
+        // Amdahl laws validate through the law itself.
+        let amdahl = |serial| CostLaw { serial, alpha: 2.0 };
+        assert!(LoadSpec::new(1.0, amdahl(0.3), 0.0).is_ok());
+        assert!(matches!(
+            LoadSpec::new(1.0, amdahl(1.5), 0.0),
+            Err(MultiLoadError::Solver(DltError::InvalidModel { .. }))
+        ));
     }
 
     #[test]
@@ -177,11 +166,11 @@ mod tests {
     #[test]
     fn amdahl_load_routes_model_into_solver() {
         let platform = Platform::from_speeds(&[1.0, 2.0]).unwrap();
-        let model = AmdahlSerial {
+        let model = CostLaw {
             serial: 0.4,
             alpha: 2.0,
         };
-        let l = LoadSpec::with_model(20.0, model.as_law(), 0.0).unwrap();
+        let l = LoadSpec::new(20.0, model, 0.0).unwrap();
         let direct = nonlinear::equal_finish_parallel(&platform, 20.0, model)
             .unwrap()
             .makespan;

@@ -594,7 +594,7 @@ where
     let mut last_release = 0.0f64;
     let mut last_served: Option<u64> = None;
     let mut now = 0.0f64;
-    let mut window: Vec<u64> = Vec::with_capacity(config.batch);
+    let mut window: Vec<u64> = Vec::new();
     loop {
         // Failure event: apply everything at or before `now` before any
         // admission or ranking decision.
@@ -605,7 +605,7 @@ where
             if lookahead.is_none() {
                 match arrivals.next() {
                     Some((id, spec)) => {
-                        LoadSpec::with_model(spec.size, spec.model, spec.release)?;
+                        LoadSpec::new(spec.size, spec.model, spec.release)?;
                         if spec.release < last_release {
                             return Err(MultiLoadError::UnsortedArrivals { index: id });
                         }
@@ -657,7 +657,10 @@ where
         }
         // Window event: freeze the ranking, pop up to `batch` winners.
         window.clear();
+        // Sized by what the window holds: `batch` may be `usize::MAX`
+        // ("merge the whole pending set").
         let b = config.batch.min(selector.len());
+        window.reserve(b);
         for _ in 0..b {
             let id = selector
                 .pop_min(now, &states)

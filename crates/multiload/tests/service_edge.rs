@@ -16,11 +16,13 @@ fn platform() -> Platform {
 }
 
 /// Every engine configuration the edge traces sweep: each admission
-/// order at the oracle point and in batched/multi-installment modes.
+/// order at the oracle point and in batched/multi-installment modes,
+/// including the unbounded window `usize::MAX` ("merge the whole pending
+/// set").
 fn configs() -> Vec<ServiceConfig> {
     let mut cfgs = Vec::new();
     for order in AdmissionOrder::ALL {
-        for batch in [1usize, 3] {
+        for batch in [1usize, 3, usize::MAX] {
             for installments in [
                 InstallmentPolicy::Fixed(1),
                 InstallmentPolicy::Fixed(3),
@@ -40,6 +42,8 @@ fn configs() -> Vec<ServiceConfig> {
 
 /// Runs one trace through the fast engine and the linear-rescan
 /// reference and demands bitwise equality of reports and completions.
+/// The unbounded window must also serve exactly as a window as wide as
+/// the trace.
 fn assert_lockstep(loads: &[LoadSpec], what: &str) -> Vec<(ServiceReport, Vec<CompletedLoad>)> {
     let platform = platform();
     let mut runs = Vec::new();
@@ -55,6 +59,22 @@ fn assert_lockstep(loads: &[LoadSpec], what: &str) -> Vec<(ServiceReport, Vec<Co
             fast_out, ref_out,
             "{what}: completions diverged under {cfg:?}"
         );
+        if cfg.batch == usize::MAX && !loads.is_empty() {
+            let whole = ServiceConfig {
+                batch: loads.len(),
+                ..cfg
+            };
+            let mut whole_out: Vec<CompletedLoad> = Vec::new();
+            let whole_report =
+                serve_trace(&platform, loads.iter().cloned(), &whole, &mut whole_out)
+                    .unwrap_or_else(|e| panic!("{what}: fast engine failed under {whole:?}: {e}"));
+            assert_eq!(
+                (&fast, &fast_out),
+                (&whole_report, &whole_out),
+                "{what}: window usize::MAX differs from window {}",
+                loads.len()
+            );
+        }
         runs.push((fast, fast_out));
     }
     runs

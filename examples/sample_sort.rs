@@ -33,8 +33,8 @@ fn main() {
         model.step1, model.step2, model.step3
     );
     println!(
-        "  cost-model non-divisible fraction: {:.2}%",
-        100.0 * model.nondivisible_fraction()
+        "  master's share of the modelled makespan (steps 1+2): {:.2}%",
+        100.0 * model.master_share()
     );
     println!(
         "  analytic fraction log p / log N = {:.2}%",
