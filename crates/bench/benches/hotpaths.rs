@@ -480,7 +480,6 @@ fn main() {
         let opts = ScheduleOptions {
             failures,
             alone: Some(&alone),
-            ..ScheduleOptions::default()
         };
         (
             sample(reps(10), || {

@@ -7,21 +7,24 @@
 //! ```
 //!
 //! Compares every `*.csv` file of the two directories (not recursive).
-//! For each file present on both sides it prints one line per differing
-//! cell:
+//! Columns are paired by their header name, rows by line number. For
+//! each file present on both sides it prints one line per column present
+//! on one side only, and one line per differing cell of a shared column:
 //!
 //! ```text
+//! multiload_competitive_uniform.csv:1 column flow_ratio_min only in new
 //! sec_amdahl.csv:21 makespan_hom: 4294970368.0000 -> 4294970367.9999 (-2.33e-14)
 //! ```
 //!
-//! with the 1-based line number, the column's header (from the old file),
-//! both values and, when both parse as numbers, the relative change
-//! `(new − old)/|old|`. A line or column present on one side only, and
-//! a file present in one directory only, is reported too. Cells are
-//! split on `,` with no quoting, which is how `dlt_stats::Table` writes
-//! them; line endings are not compared (the `git diff` after it in CI
-//! is the byte-level check). Exits 0 when nothing differs, 1 on any
-//! difference, 2 when a directory or file cannot be read.
+//! with the 1-based line number, the column's header, both values and,
+//! when both parse as numbers, the relative change `(new − old)/|old|`.
+//! Shared columns that change order, a line present on one side only, a
+//! row that differs outside its named columns, and a file present in one
+//! directory only are reported too. Cells are split on `,` with no
+//! quoting, which is how `dlt_stats::Table` writes them; line endings are
+//! not compared (the `git diff` after it in CI is the byte-level check).
+//! Exits 0 when nothing differs, 1 on any difference, 2 when a directory
+//! or file cannot be read.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -53,29 +56,52 @@ fn relative_change(old: &str, new: &str) -> Option<String> {
     })
 }
 
+/// The columns of a header line, keyed by name and by how often that
+/// name occurred before, so repeated names pair in order.
+fn column_keys(header: &str) -> Vec<(&str, usize)> {
+    let names: Vec<&str> = header.split(',').collect();
+    names
+        .iter()
+        .enumerate()
+        .map(|(i, &name)| (name, names[..i].iter().filter(|&&n| n == name).count()))
+        .collect()
+}
+
 /// One report line per difference between two versions of the table
 /// `file`.
 fn diff_table(file: &str, old: &str, new: &str) -> Vec<String> {
     let old_lines: Vec<&str> = old.lines().collect();
     let new_lines: Vec<&str> = new.lines().collect();
-    let header: Vec<&str> = old_lines
-        .first()
-        .map_or(Vec::new(), |h| h.split(',').collect());
+    let old_cols = old_lines.first().map_or(Vec::new(), |h| column_keys(h));
+    let new_cols = new_lines.first().map_or(Vec::new(), |h| column_keys(h));
     let mut out = Vec::new();
-    for row in 0..old_lines.len().max(new_lines.len()) {
+    for (side, cols, other) in [("old", &old_cols, &new_cols), ("new", &new_cols, &old_cols)] {
+        for (name, _) in cols.iter().filter(|key| !other.contains(key)) {
+            out.push(format!("{file}:1 column {name} only in {side}"));
+        }
+    }
+    // Shared columns as (name, old index, new index), in old order.
+    let shared: Vec<(&str, usize, usize)> = old_cols
+        .iter()
+        .enumerate()
+        .filter_map(|(o, key)| Some((key.0, o, new_cols.iter().position(|k| k == key)?)))
+        .collect();
+    if shared.windows(2).any(|w| w[0].2 > w[1].2) {
+        out.push(format!("{file}:1 shared columns change order"));
+    }
+    let same_header = old_lines.first() == new_lines.first();
+    for row in 1..old_lines.len().max(new_lines.len()) {
         let line = row + 1;
         match (old_lines.get(row), new_lines.get(row)) {
-            (Some(o), Some(n)) if o != n => {
+            (Some(o), Some(n)) => {
                 let old_cells: Vec<&str> = o.split(',').collect();
                 let new_cells: Vec<&str> = n.split(',').collect();
-                for col in 0..old_cells.len().max(new_cells.len()) {
-                    let (o, n) = (old_cells.get(col).copied(), new_cells.get(col).copied());
+                let before = out.len();
+                for &(name, oi, ni) in &shared {
+                    let (o, n) = (old_cells.get(oi).copied(), new_cells.get(ni).copied());
                     if o == n {
                         continue;
                     }
-                    let name = header
-                        .get(col)
-                        .map_or_else(|| format!("column {}", col + 1), |h| h.to_string());
                     let mut report = format!(
                         "{file}:{line} {name}: {} -> {}",
                         o.unwrap_or("(missing)"),
@@ -85,6 +111,13 @@ fn diff_table(file: &str, old: &str, new: &str) -> Vec<String> {
                         report.push_str(&format!(" ({change})"));
                     }
                     out.push(report);
+                }
+                // Cells past the header's columns: the only way two rows
+                // under one header can differ with every named cell equal.
+                if same_header && o != n && out.len() == before {
+                    out.push(format!(
+                        "{file}:{line} outside the named columns: {o} -> {n}"
+                    ));
                 }
             }
             (Some(o), None) => out.push(format!("{file}:{line} only in old: {o}")),
@@ -166,10 +199,44 @@ mod tests {
         assert_eq!(
             diff_table("t.csv", old, new),
             [
-                "t.csv:1 column 3: (missing) -> c",
+                "t.csv:1 column c only in new",
                 "t.csv:2 b: x -> z",
                 "t.csv:3 only in old: 2,y",
             ]
+        );
+    }
+
+    #[test]
+    fn a_column_inserted_mid_table_is_one_line() {
+        let old = "a,b,c\n1,2,3\n4,5,6\n";
+        let new = "a,x,b,c\n1,9,2,3\n4,8,5,6\n";
+        assert_eq!(
+            diff_table("t.csv", old, new),
+            ["t.csv:1 column x only in new"]
+        );
+        // Removed and added columns, each once; a shared cell that moved
+        // is still named under its own header.
+        let new = "a,c,y\n1,3,0\n4,7,0\n";
+        assert_eq!(
+            diff_table("t.csv", old, new),
+            [
+                "t.csv:1 column b only in old",
+                "t.csv:1 column y only in new",
+                "t.csv:3 c: 6 -> 7 (+1.67e-1)",
+            ]
+        );
+    }
+
+    #[test]
+    fn reordered_columns_and_unnamed_cells_still_differ() {
+        let old = "a,b\n1,2\n";
+        assert_eq!(
+            diff_table("t.csv", old, "b,a\n2,1\n"),
+            ["t.csv:1 shared columns change order"]
+        );
+        assert_eq!(
+            diff_table("t.csv", old, "a,b\n1,2,3\n"),
+            ["t.csv:2 outside the named columns: 1,2 -> 1,2,3"]
         );
     }
 

@@ -560,7 +560,7 @@ pub(crate) fn rescale(x: &mut [f64], n: f64) -> bool {
 }
 
 /// The original outer bisection (`Σ shares_at(T) = n`) — the outer loop of
-/// the `*_reference` oracles, unchanged from the seed implementation.
+/// the `*_reference` oracles. It stops when the bracket is `ε·hi` wide.
 fn bisect_total_reference<F>(
     n: f64,
     t_hi_seed: f64,
@@ -589,7 +589,10 @@ where
         } else {
             hi = mid;
         }
-        if hi - lo <= f64::EPSILON * hi.max(1.0) {
+        // Relative at every scale, as in `invert_cost_reference`: an
+        // absolute floor would resolve a makespan of 1e-8 only to ~1e-8
+        // relative, too coarse to check the kernel's 1e-9 contract.
+        if hi - lo <= f64::EPSILON * hi {
             break;
         }
     }

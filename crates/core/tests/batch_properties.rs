@@ -182,6 +182,46 @@ fn every_width_law_and_handle_kind_meets_the_oracle_bound() {
     }
 }
 
+/// Uniform draw in `[0, 1)` from a splitmix64 stream: a fixed platform
+/// grid without an RNG dependency.
+fn splitmix_unit(state: &mut u64) -> f64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    (z >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// Makespans far below 1 (loads of 1e-6 and 3e-6 data units on random
+/// platforms, T ≈ 1e-8–1e-7) meet the 1e-9 oracle bound too. This needs
+/// an oracle that stops on a relative width at every scale: an absolute
+/// width of `ε` resolves these makespans only to ~1e-8 relative.
+#[test]
+fn tiny_makespans_meet_the_oracle_bound() {
+    let mut state = 1u64;
+    for p in [1usize, 2, 4, 8, 16] {
+        for _ in 0..6 {
+            let speeds: Vec<f64> = (0..p)
+                .map(|_| 0.1 + 49.9 * splitmix_unit(&mut state))
+                .collect();
+            let costs: Vec<f64> = (0..p)
+                .map(|_| 0.01 + 4.99 * splitmix_unit(&mut state))
+                .collect();
+            let platform = Platform::from_speeds_and_costs(&speeds, &costs).unwrap();
+            for n in [1e-6, 3e-6] {
+                for serial in [0.0, 0.28] {
+                    for alpha in [1.5, 2.0, 3.0] {
+                        let law = CostLaw { serial, alpha };
+                        let ctx = format!("p = {p}, n = {n}, {law:?}, speeds {speeds:?}");
+                        check(&mut BatchSolver::default(), &platform, n, law, &ctx);
+                    }
+                }
+            }
+        }
+    }
+}
+
 proptest! {
     // Cold start: one fresh handle per solve.
     #[test]

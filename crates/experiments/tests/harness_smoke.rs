@@ -278,7 +278,7 @@ fn bin_all_smoke() {
         "weighted_stretch",
         "peak_pending",
         "max_stretch",
-        "competitive_ratio_mean",
+        "flow_ratio_min",
         "poisson",
         "mmpp_burst",
         "affinity",
@@ -299,6 +299,45 @@ fn every_smoke_csv_is_committed() {
             "all --smoke writes {name}, which results/ does not hold"
         );
     }
+}
+
+#[test]
+fn committed_failure_free_flow_ratios_meet_the_srpt_bound() {
+    // The claim read from the committed full-scale tables: on every
+    // failure-free row, no trial's online mean flow beats the
+    // single-machine SRPT lower bound.
+    let committed = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let mut tables = 0;
+    for entry in std::fs::read_dir(&committed).expect("read results/") {
+        let name = entry.expect("results/ entry").file_name();
+        let name = name.to_string_lossy();
+        if !(name.starts_with("multiload_competitive_") && name.ends_with(".csv")) {
+            continue;
+        }
+        tables += 1;
+        let text = std::fs::read_to_string(committed.join(name.as_ref())).expect("read CSV");
+        let mut lines = text.lines();
+        let header: Vec<&str> = lines.next().expect("header line").split(',').collect();
+        let column = |h: &str| {
+            header
+                .iter()
+                .position(|c| *c == h)
+                .unwrap_or_else(|| panic!("{name} has no {h} column"))
+        };
+        let (rate, ratio_min) = (column("failure_rate"), column("flow_ratio_min"));
+        let mut failure_free = 0;
+        for line in lines {
+            let cells: Vec<&str> = line.split(',').collect();
+            if cells[rate].parse::<f64>().expect("failure_rate") != 0.0 {
+                continue;
+            }
+            failure_free += 1;
+            let ratio: f64 = cells[ratio_min].parse().expect("flow_ratio_min");
+            assert!(ratio >= 1.0, "{name}: flow_ratio_min {ratio} < 1 in {line}");
+        }
+        assert!(failure_free > 0, "{name} has no failure-free row");
+    }
+    assert_eq!(tables, 3, "one competitive table per speed profile");
 }
 
 #[test]

@@ -40,10 +40,7 @@
 //! # Entry points
 //!
 //! A batch runs under failures through [`crate::schedule`] with
-//! [`crate::ScheduleOptions::failures`] set, online or clairvoyant; the
-//! clairvoyant run on the *realized* trace is the baseline of the
-//! competitive-ratio experiments: it knows every future arrival, but
-//! failures strike it all the same. The streamed counterpart is
+//! [`crate::ScheduleOptions::failures`] set. The streamed counterpart is
 //! [`crate::service::serve_trace_with_failures`]. Each has a
 //! `_reference` twin.
 
@@ -403,8 +400,8 @@ pub fn replay_ledger(
 mod tests {
     use super::*;
     use crate::policy::{
-        alone_makespans, schedule, schedule_reference, AdmissionOrder, Arrivals, PolicyConfig,
-        PolicyOutcome, ScheduleOptions,
+        alone_makespans, schedule, schedule_reference, AdmissionOrder, PolicyConfig, PolicyOutcome,
+        ScheduleOptions,
     };
 
     fn platform() -> Platform {
@@ -426,9 +423,8 @@ mod tests {
         }
     }
 
-    fn under(failures: &FailureTrace, arrivals: Arrivals) -> ScheduleOptions<'_> {
+    fn under(failures: &FailureTrace) -> ScheduleOptions<'_> {
         ScheduleOptions {
-            arrivals,
             failures: Some(failures),
             alone: None,
         }
@@ -441,7 +437,7 @@ mod tests {
         c: &PolicyConfig,
         failures: &FailureTrace,
     ) -> Result<PolicyOutcome, MultiLoadError> {
-        schedule(platform, loads, c, &under(failures, Arrivals::Online))
+        schedule(platform, loads, c, &under(failures))
     }
 
     #[test]
@@ -509,12 +505,10 @@ mod tests {
         for order in AdmissionOrder::ALL {
             for k in [1usize, 2, 4] {
                 let c = cfg(order, k);
-                for arrivals in [Arrivals::Online, Arrivals::Clairvoyant] {
-                    let opts = under(&trace, arrivals);
-                    let fast = schedule(&platform, &loads, &c, &opts).unwrap();
-                    let slow = schedule_reference(&platform, &loads, &c, &opts).unwrap();
-                    assert_eq!(fast, slow, "{arrivals:?} {order:?} k={k}");
-                }
+                let opts = under(&trace);
+                let fast = schedule(&platform, &loads, &c, &opts).unwrap();
+                let slow = schedule_reference(&platform, &loads, &c, &opts).unwrap();
+                assert_eq!(fast, slow, "{order:?} k={k}");
             }
         }
     }
@@ -587,15 +581,15 @@ mod tests {
     }
 
     #[test]
-    fn events_during_a_clairvoyant_wait_apply_before_the_solve() {
-        // The clairvoyant scheduler holds the platform for a future
-        // arrival; a failure lands inside the waiting gap. The solve at
-        // the release must already see the degraded platform.
+    fn events_during_an_idle_gap_apply_before_the_solve() {
+        // The platform idles until the first release; a failure lands
+        // inside that gap. The solve at the release must already see the
+        // degraded platform.
         let platform = Platform::from_speeds(&[1.0, 1.0]).unwrap();
         let loads = [LoadSpec::new(10.0, 1.0, 10.0).unwrap()];
         let trace = FailureTrace::new(vec![FailureEvent::down(5.0, 0)]).unwrap();
         let c = cfg(AdmissionOrder::Fifo, 1);
-        let out = schedule(&platform, &loads, &c, &under(&trace, Arrivals::Clairvoyant)).unwrap();
+        let out = online(&platform, &loads, &c, &trace).unwrap();
         assert_eq!(out.shares[0][0], 0.0);
         assert!(out.shares[0][1] > 0.0);
         assert_eq!(out.interruptions, 0);

@@ -21,8 +21,10 @@
 //!   forms ([`dlt_core::nonlinear::equal_finish_parallel`]), in the order
 //!   of a pluggable [`AdmissionOrder`] (FIFO, SRPT by remaining work,
 //!   weighted stretch) re-evaluated at every installment boundary, so a
-//!   running load can be preempted. [`ScheduleOptions`] picks online or
-//!   clairvoyant arrivals, a failure trace and the stretch denominators.
+//!   running load can be preempted. Loads are revealed at their release
+//!   times; [`ScheduleOptions`] adds a failure trace and the stretch
+//!   denominators, and [`PolicyOutcome::mean_flow_lower_bound`] gives the
+//!   single-machine SRPT bound that no failure-free schedule beats.
 //!   FIFO with one installment per load is the classical scheduler; with
 //!   a single load released at time 0 it reproduces the single-load
 //!   solver **bit for bit** — the property tests pin that down.
@@ -102,8 +104,8 @@ pub use failure::{
 pub use load::LoadSpec;
 pub use metrics::{AggregateMetrics, LoadMetrics, MultiLoadReport, SchedulerKind};
 pub use policy::{
-    alone_makespans, schedule, schedule_reference, AdmissionOrder, Arrivals, PolicyConfig,
-    PolicyOutcome, ScheduleOptions,
+    alone_makespans, schedule, schedule_reference, AdmissionOrder, PolicyConfig, PolicyOutcome,
+    ScheduleOptions,
 };
 pub use round_robin::{
     round_robin_schedule, round_robin_schedule_reference, ChunkExec, MultiLoadConfig,

@@ -1,8 +1,9 @@
 //! The admission-policy subsystem and the **batch entry points**: a
 //! generalized installment scheduler in which *which load the platform
 //! serves next* is a pluggable [`AdmissionOrder`] (FIFO, SRPT, weighted
-//! stretch), loads may be **preempted between installments**, and the
-//! schedule runs online or clairvoyantly.
+//! stretch), and loads may be **preempted between installments**. Loads
+//! are revealed at their release times: no decision sees a future
+//! arrival.
 //!
 //! The paper's no-free-lunch result makes the policy dimension
 //! interesting: an `α > 1` load's cost is `w_i · x^α`, so *when* and *in
@@ -22,13 +23,8 @@
 //!   overtakes it. Per-load remaining sizes are tracked exactly: the last
 //!   installment takes *all* remaining data, so each load is conserved
 //!   bit for bit.
-//! * [`ScheduleOptions`] picks the arrival mode ([`Arrivals::Online`]:
-//!   specs revealed at their release times; [`Arrivals::Clairvoyant`]:
-//!   every unfinished load ranked, released or not, and the platform
-//!   held idle for a higher-priority future arrival), an optional
-//!   [`FailureTrace`], and optional precomputed stretch denominators.
-//!   With all releases at 0 the two modes coincide, decision for decision
-//!   (property-tested bit-identical).
+//! * [`ScheduleOptions`] adds an optional [`FailureTrace`] and optional
+//!   precomputed stretch denominators.
 //!
 //! [`schedule`] runs the batch through the service engine of
 //! [`crate::service`] at window 1 with its indexed pending set;
@@ -62,6 +58,9 @@ use dlt_core::batch::BatchSolver;
 use dlt_core::costmodel::{CostLaw, CostModel};
 use dlt_core::nonlinear;
 use dlt_platform::Platform;
+use dlt_sim::OrdF64;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Which pending load the platform serves next, re-evaluated at every
 /// installment boundary.
@@ -140,30 +139,11 @@ impl Default for PolicyConfig {
     }
 }
 
-/// How a batch's loads reach the engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Arrivals {
-    /// Load specs are **revealed at their release times**: every decision
-    /// ranks only the loads already released, and the platform never
-    /// waits for an arrival it cannot know about (it idles only when no
-    /// released load is unfinished).
-    #[default]
-    Online,
-    /// The clairvoyant scheduler: every decision ranks **all** unfinished
-    /// loads, released or not, and the platform waits for the winner's
-    /// release when it lies in the future. Failures strike it exactly as
-    /// they strike the online scheduler — the baseline of the
-    /// competitive-ratio experiments.
-    Clairvoyant,
-}
-
-/// The choices of a batch schedule beyond its [`PolicyConfig`]: arrival
-/// mode, failure trace and stretch denominators. `Default` is an online,
-/// failure-free run that computes its own denominators.
+/// The choices of a batch schedule beyond its [`PolicyConfig`]: failure
+/// trace and stretch denominators. `Default` is a failure-free run that
+/// computes its own denominators.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ScheduleOptions<'a> {
-    /// Online or clairvoyant arrivals.
-    pub arrivals: Arrivals,
     /// Worker drop-outs and slow-downs striking the run (see
     /// [`crate::failure`]); `None` is the healthy platform.
     pub failures: Option<&'a FailureTrace>,
@@ -200,6 +180,57 @@ pub struct PolicyOutcome {
     /// Total data units re-queued by failure cuts (zero without a failure
     /// trace).
     pub requeued_data: f64,
+}
+
+impl PolicyOutcome {
+    /// Mean flow of preemptive SRPT on one machine, with one job
+    /// `(release_j, alone_j)` per load: the optimum of that problem
+    /// (Schrage 1968), computed here by event simulation, no solve.
+    ///
+    /// It bounds this outcome's mean flow from below, up to the solver's
+    /// tolerance, when `alone` holds the engine's own healthy,
+    /// granularity-matched denominators (the default,
+    /// [`ScheduleOptions::alone`] `= None`) and no failure trace struck
+    /// the run. Then the engine serves one piece at a time on the whole
+    /// platform (its window is 1), load `j`'s pieces take `alone_j` in
+    /// total, and so the schedule is a preemptive single-machine schedule
+    /// of those jobs. Under failures it is no bound: with `α > 1` a cut
+    /// makes smaller pieces and therefore less work.
+    pub fn mean_flow_lower_bound(&self) -> f64 {
+        let jobs = self.report.per_load.iter().map(|m| (m.release, m.alone));
+        srpt_mean_flow(jobs.collect())
+    }
+}
+
+/// Mean flow of preemptive SRPT on one machine over `(release, length)`
+/// jobs: an event loop over the releases that runs the shortest
+/// remaining job until it completes or the next release.
+fn srpt_mean_flow(mut jobs: Vec<(f64, f64)>) -> f64 {
+    jobs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    // Released, unfinished jobs by remaining processing time.
+    let mut ready: BinaryHeap<Reverse<(OrdF64, OrdF64)>> = BinaryHeap::new();
+    let (mut now, mut flow, mut next) = (0.0f64, 0.0, 0);
+    while next < jobs.len() || !ready.is_empty() {
+        if ready.is_empty() {
+            now = now.max(jobs[next].0);
+        }
+        while let Some(&(release, length)) = jobs.get(next).filter(|j| j.0 <= now) {
+            ready.push(Reverse((OrdF64(length), OrdF64(release))));
+            next += 1;
+        }
+        let Some(Reverse((OrdF64(left), OrdF64(release)))) = ready.pop() else {
+            break;
+        };
+        let until = jobs.get(next).map_or(f64::INFINITY, |j| j.0);
+        if now + left <= until {
+            now += left;
+            flow += now - release;
+        } else {
+            ready.push(Reverse((OrdF64(left - (until - now)), OrdF64(release))));
+            now = until;
+        }
+    }
+    flow / jobs.len() as f64
 }
 
 /// Size of the next installment: equal `remaining / left` cuts, except the
@@ -281,15 +312,13 @@ pub fn alone_makespans(
 
 /// Schedules a batch under `config` at one installment boundary per
 /// decision: the service engine at window 1, fixed installments, with its
-/// indexed pending set. `opts` picks the arrival mode, the failure trace
-/// and the stretch denominators ([`ScheduleOptions`]).
+/// indexed pending set. `opts` picks the failure trace and the stretch
+/// denominators ([`ScheduleOptions`]).
 ///
 /// # Examples
 ///
 /// ```
-/// use dlt_multiload::{
-///     schedule, AdmissionOrder, Arrivals, LoadSpec, PolicyConfig, ScheduleOptions,
-/// };
+/// use dlt_multiload::{schedule, AdmissionOrder, LoadSpec, PolicyConfig, ScheduleOptions};
 /// use dlt_platform::Platform;
 ///
 /// let platform = Platform::from_speeds(&[1.0, 2.0]).unwrap();
@@ -300,13 +329,12 @@ pub fn alone_makespans(
 ///     LoadSpec::new(5.0, 1.5, 1.0).unwrap(),
 /// ];
 /// let cfg = PolicyConfig { order: AdmissionOrder::Srpt, installments: 4 };
-/// let online = schedule(&platform, &loads, &cfg, &ScheduleOptions::default()).unwrap();
-/// assert!(online.preemptions >= 1);
-/// assert!(online.report.per_load[1].finish < online.report.per_load[0].finish);
-/// // The clairvoyant scheduler sees the short load coming.
-/// let opts = ScheduleOptions { arrivals: Arrivals::Clairvoyant, ..ScheduleOptions::default() };
-/// let clairvoyant = schedule(&platform, &loads, &cfg, &opts).unwrap();
-/// assert!(clairvoyant.report.per_load[1].finish < clairvoyant.report.per_load[0].finish);
+/// let out = schedule(&platform, &loads, &cfg, &ScheduleOptions::default()).unwrap();
+/// assert!(out.preemptions >= 1);
+/// assert!(out.report.per_load[1].finish < out.report.per_load[0].finish);
+/// // No failure-free schedule beats preemptive SRPT on one machine.
+/// let bound = out.mean_flow_lower_bound();
+/// assert!(out.report.aggregate().mean_flow >= bound * (1.0 - 1e-9));
 /// ```
 pub fn schedule(
     platform: &Platform,
@@ -403,13 +431,6 @@ mod tests {
         schedule(platform, loads, c, &ScheduleOptions::default()).unwrap()
     }
 
-    fn clairvoyant() -> ScheduleOptions<'static> {
-        ScheduleOptions {
-            arrivals: Arrivals::Clairvoyant,
-            ..ScheduleOptions::default()
-        }
-    }
-
     /// FIFO, one installment per load: the classical scheduler.
     fn fifo(platform: &Platform, loads: &[LoadSpec]) -> PolicyOutcome {
         run(platform, loads, &PolicyConfig::default())
@@ -421,12 +442,10 @@ mod tests {
         let loads = [LoadSpec::immediate(120.0, 2.0).unwrap()];
         let direct = nonlinear::equal_finish_parallel(&platform, 120.0, 2.0).unwrap();
         for order in AdmissionOrder::ALL {
-            for opts in [ScheduleOptions::default(), clairvoyant()] {
-                let out = schedule(&platform, &loads, &cfg(order, 1), &opts).unwrap();
-                assert_eq!(out.report.makespan(), direct.makespan);
-                assert_eq!(out.shares[0], direct.x);
-                assert_eq!(out.report.per_load[0].stretch(), 1.0);
-            }
+            let out = run(&platform, &loads, &cfg(order, 1));
+            assert_eq!(out.report.makespan(), direct.makespan);
+            assert_eq!(out.shares[0], direct.x);
+            assert_eq!(out.report.per_load[0].stretch(), 1.0);
         }
     }
 
@@ -549,30 +568,12 @@ mod tests {
             let shipped: f64 = out.pieces[j].iter().map(|e| e.data).sum();
             assert!((shipped - load.size).abs() < 1e-12 * load.size);
         }
-        // Non-preemptive SRPT cannot pause: the short load waits.
+        // Non-preemptive SRPT cannot pause: the short load waits, and the
+        // long one starts at once, since no decision sees a future arrival.
         let np = run(&platform, &loads, &cfg(AdmissionOrder::Srpt, 1));
+        assert_eq!(np.report.per_load[0].start, 0.0);
         assert_eq!(np.preemptions, 0);
         assert!(np.report.per_load[1].start >= np.report.per_load[0].finish - 1e-9);
-    }
-
-    #[test]
-    fn clairvoyant_waits_for_a_better_load_online_does_not() {
-        // One long load at 0, one short load released mid-way: the
-        // clairvoyant SRPT scheduler holds the platform for the short
-        // load; the online one cannot know it is coming and starts the
-        // long one immediately.
-        let platform = Platform::from_speeds(&[1.0]).unwrap();
-        let loads = [
-            LoadSpec::immediate(100.0, 1.0).unwrap(),
-            LoadSpec::new(1.0, 1.0, 2.0).unwrap(),
-        ];
-        let c = cfg(AdmissionOrder::Srpt, 1);
-        let off = schedule(&platform, &loads, &c, &clairvoyant()).unwrap();
-        let on = run(&platform, &loads, &c);
-        assert_eq!(on.report.per_load[0].start, 0.0);
-        assert!(off.report.per_load[0].start >= 2.0);
-        assert!(off.report.per_load[1].start < off.report.per_load[0].start);
-        assert_eq!(off.pieces[1][0].start, 2.0);
     }
 
     #[test]
@@ -587,11 +588,10 @@ mod tests {
         for order in AdmissionOrder::ALL {
             for installments in [1usize, 2, 5] {
                 let c = cfg(order, installments);
-                for opts in [ScheduleOptions::default(), clairvoyant()] {
-                    let fast = schedule(&platform, &loads, &c, &opts).unwrap();
-                    let slow = schedule_reference(&platform, &loads, &c, &opts).unwrap();
-                    assert_eq!(fast, slow, "{:?} {order:?} k={installments}", opts.arrivals);
-                }
+                let opts = ScheduleOptions::default();
+                let fast = schedule(&platform, &loads, &c, &opts).unwrap();
+                let slow = schedule_reference(&platform, &loads, &c, &opts).unwrap();
+                assert_eq!(fast, slow, "{order:?} k={installments}");
             }
         }
     }
@@ -645,12 +645,10 @@ mod tests {
         let platform = Platform::from_speeds(&[1.0]).unwrap();
         let loads = [LoadSpec::immediate(1.0, 1.0).unwrap()];
         let c = cfg(AdmissionOrder::Srpt, 0);
-        for opts in [ScheduleOptions::default(), clairvoyant()] {
-            assert!(matches!(
-                schedule(&platform, &loads, &c, &opts),
-                Err(MultiLoadError::ZeroInstallments)
-            ));
-        }
+        assert!(matches!(
+            schedule(&platform, &loads, &c, &ScheduleOptions::default()),
+            Err(MultiLoadError::ZeroInstallments)
+        ));
         assert!(matches!(
             alone_makespans(&platform, &loads, 0),
             Err(MultiLoadError::ZeroInstallments)
@@ -686,6 +684,35 @@ mod tests {
             schedule(&platform, &loads, &PolicyConfig::default(), &opts),
             Err(MultiLoadError::AloneLengthMismatch { loads: 2, alone: 1 })
         ));
+    }
+
+    #[test]
+    fn flow_lower_bound_is_preemptive_srpt_on_hand_instances() {
+        // The short job preempts the long one: flows 1 and 11.
+        assert_eq!(srpt_mean_flow(vec![(0.0, 10.0), (1.0, 1.0)]), 6.0);
+        // A longer arrival does not preempt: flows 2 and 6.
+        assert_eq!(srpt_mean_flow(vec![(0.0, 2.0), (1.0, 5.0)]), 4.0);
+        // Shortest first among simultaneous releases: flows 1, 3 and 6.
+        let burst = vec![(0.0, 3.0), (0.0, 1.0), (0.0, 2.0)];
+        assert_eq!(srpt_mean_flow(burst), 10.0 / 3.0);
+        // An idle gap, in unsorted order: flows 2 and 1.
+        assert_eq!(srpt_mean_flow(vec![(5.0, 2.0), (0.0, 1.0)]), 1.5);
+        // Preempted twice, resumed last: flows 1, 1 and 10.
+        let twice = vec![(0.0, 8.0), (2.0, 1.0), (4.0, 1.0)];
+        assert_eq!(srpt_mean_flow(twice), 4.0);
+    }
+
+    #[test]
+    fn flow_lower_bound_is_tight_for_one_immediate_load() {
+        // Both solver handles start cold on the same piece sequence, so
+        // the lone load's flow is its denominator, bit for bit.
+        let platform = Platform::from_speeds(&[1.0, 2.0, 5.0]).unwrap();
+        let loads = [LoadSpec::immediate(40.0, 2.0).unwrap()];
+        let out = run(&platform, &loads, &cfg(AdmissionOrder::Srpt, 1));
+        assert_eq!(
+            out.mean_flow_lower_bound(),
+            out.report.aggregate().mean_flow
+        );
     }
 
     #[test]

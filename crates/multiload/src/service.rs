@@ -36,12 +36,9 @@
 //! number arrivals by stream position, the batch entry points feed loads
 //! in release order with id = batch index.
 //!
-//! Online, a load is admitted when the clock reaches its release and every
-//! installment starts at the decision instant. **Clairvoyant**
-//! ([`Arrivals::Clairvoyant`], batch only) admits the whole batch at
-//! `t = 0`: the ranking sees unreleased loads, and a winner starts at
-//! `max(now, release)` — the platform idles for it. A failure event at or
-//! before that start is applied first and the winner re-ranked.
+//! A load is admitted when the clock reaches its release, and every
+//! installment starts at the decision instant: the ranking never sees an
+//! unreleased load, and the platform idles only while nothing is pending.
 //!
 //! # Engine and reference
 //!
@@ -50,16 +47,15 @@
 //! [`crate::schedule_reference`] a linear rescan that recomputes every
 //! candidate's key from scratch. Admission, windows, solves, cuts and
 //! recording are shared code, and the pairs are property-tested bit for
-//! bit across policy × window × installment policy × arrival mode, with
-//! and without failures.
+//! bit across policy × window × installment policy, with and without
+//! failures.
 
 use crate::error::MultiLoadError;
 use crate::event_queue::{PendingEntry, PendingSet};
 use crate::failure::{FailureTrace, PlatformState, ServedPiece};
 use crate::load::LoadSpec;
 use crate::policy::{
-    alone_installment_makespan, next_installment, work_estimate, AdmissionOrder, Arrivals,
-    ScheduleOptions,
+    alone_installment_makespan, next_installment, work_estimate, AdmissionOrder, ScheduleOptions,
 };
 use dlt_core::batch::BatchSolver;
 use dlt_core::costmodel::CostLaw;
@@ -575,7 +571,6 @@ where
     let p = platform.len();
     let speed_sum: f64 = platform.speeds().iter().sum();
     let solver = nonlinear::SolverConfig::default();
-    let clairvoyant = opts.arrivals == Arrivals::Clairvoyant;
     // Two solver handles: installment solves thread through one (the
     // first solve cold, so one immediate load reproduces the single-load
     // solver); admission-time alone solves thread through the other, in
@@ -599,8 +594,8 @@ where
         // Failure event: apply everything at or before `now` before any
         // admission or ranking decision.
         fstate.advance_to(now)?;
-        // Admission event: pull every arrival released by `now` (every
-        // arrival at all, clairvoyant), in stream order.
+        // Admission event: pull every arrival released by `now`, in stream
+        // order.
         loop {
             if lookahead.is_none() {
                 match arrivals.next() {
@@ -616,7 +611,7 @@ where
                 }
             }
             let (id, spec) = lookahead.expect("just refilled");
-            if spec.release > now && !clairvoyant {
+            if spec.release > now {
                 break;
             }
             lookahead = None;
@@ -683,26 +678,19 @@ where
         }
         for gi in 0..groups.len() {
             let (model, members) = &groups[gi];
-            // Online every member is released by `now`; clairvoyant, the
-            // platform idles until the last member's release.
-            let start = if clairvoyant {
-                members
-                    .iter()
-                    .fold(now, |t, &(id, _)| t.max(states[&id].spec.release))
-            } else {
-                now
-            };
-            // Failure event before the group starts: it and the remaining
+            // Every member is released by `now`: the group starts at once.
+            let start = now;
+            // Failure event before the group starts (an earlier group of
+            // the window ended at or past it): this group and the remaining
             // winners go back to the pending set unserved, and the next
             // window applies the event and re-ranks against the degraded
             // platform.
-            if let Some(t) = fstate.next_event_at().filter(|&t| t <= start) {
+            if fstate.next_event_at().is_some_and(|t| t <= start) {
                 for (_, members) in &groups[gi..] {
                     for &(id, _) in members {
                         selector.push(states[&id].entry(id), now);
                     }
                 }
-                now = now.max(t);
                 break;
             }
             let single = members.len() == 1;

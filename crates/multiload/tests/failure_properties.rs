@@ -1,6 +1,6 @@
 //! Property-based tests of the fault-injection layer: engine /
-//! linear-rescan bit-identity **under failures** (batch `schedule` in both
-//! arrival modes, streamed `serve_trace` across windows), zero-failure
+//! linear-rescan bit-identity **under failures** (batch `schedule`,
+//! streamed `serve_trace` across windows), zero-failure
 //! runs costing nothing, bitwise ledger conservation (retained prefixes +
 //! re-queued remainders recompose each load), per-piece feasibility (cuts
 //! land on event times), and the realized-stretch floor.
@@ -12,7 +12,7 @@
 use dlt_multiload::{
     alone_makespans, realized_alone_makespans, replay_ledger, schedule, schedule_reference,
     serve_trace, serve_trace_with_failures, serve_trace_with_failures_reference, AdmissionOrder,
-    Arrivals, CompletedLoad, FailureEvent, FailureTrace, InstallmentPolicy, LoadSpec, PolicyConfig,
+    CompletedLoad, FailureEvent, FailureTrace, InstallmentPolicy, LoadSpec, PolicyConfig,
     PolicyOutcome, ScheduleOptions, ServiceConfig,
 };
 use dlt_platform::Platform;
@@ -79,27 +79,14 @@ fn sort_by_release(mut loads: Vec<LoadSpec>) -> Vec<LoadSpec> {
     loads
 }
 
-/// Both arrival modes.
-fn arrivals() -> impl Strategy<Value = Arrivals> {
-    any::<bool>().prop_map(|c| {
-        if c {
-            Arrivals::Clairvoyant
-        } else {
-            Arrivals::Online
-        }
-    })
-}
-
-/// A batch schedule under `failures` in the given arrival mode.
+/// A batch schedule under `failures`.
 fn run(
     platform: &Platform,
     loads: &[LoadSpec],
     cfg: &PolicyConfig,
     failures: &FailureTrace,
-    arrivals: Arrivals,
 ) -> PolicyOutcome {
     let opts = ScheduleOptions {
-        arrivals,
         failures: Some(failures),
         alone: None,
     };
@@ -115,15 +102,13 @@ proptest! {
         raw in raw_events(),
         order in admission_order(),
         installments in installment_count(),
-        arrivals in arrivals(),
     ) {
         // The indexed selector must stay in bitwise lockstep with the
-        // rescan-everything twin on the failure paths too — online and
-        // clairvoyant: same cuts, same retained prefixes, same
-        // degraded-platform solves.
+        // rescan-everything twin on the failure paths too: same cuts, same
+        // retained prefixes, same degraded-platform solves.
         let failures = assemble_trace(platform.len(), &raw);
         let cfg = PolicyConfig { order, installments };
-        let opts = ScheduleOptions { arrivals, failures: Some(&failures), alone: None };
+        let opts = ScheduleOptions { failures: Some(&failures), alone: None };
         let fast = schedule(&platform, &loads, &cfg, &opts).unwrap();
         let slow = schedule_reference(&platform, &loads, &cfg, &opts).unwrap();
         prop_assert_eq!(&fast, &slow);
@@ -134,12 +119,11 @@ proptest! {
         (platform, loads) in instance(),
         order in admission_order(),
         installments in installment_count(),
-        arrivals in arrivals(),
     ) {
         // The empty trace cuts nothing, and the realized stretch
         // denominators collapse to the planned ones.
         let cfg = PolicyConfig { order, installments };
-        let out = run(&platform, &loads, &cfg, &FailureTrace::none(), arrivals);
+        let out = run(&platform, &loads, &cfg, &FailureTrace::none());
         prop_assert_eq!(out.interruptions, 0);
         prop_assert_eq!(out.requeued_data, 0.0);
         let realized = realized_alone_makespans(&platform, &loads, &out.pieces).unwrap();
@@ -153,7 +137,6 @@ proptest! {
         raw in raw_events(),
         order in admission_order(),
         installments in installment_count(),
-        arrivals in arrivals(),
     ) {
         // Bitwise data conservation: every load's served pieces —
         // retained prefixes plus re-queued remainders — recompose its
@@ -161,7 +144,7 @@ proptest! {
         // summed worker shares agree within summation rounding.
         let failures = assemble_trace(platform.len(), &raw);
         let cfg = PolicyConfig { order, installments };
-        let out = run(&platform, &loads, &cfg, &failures, arrivals);
+        let out = run(&platform, &loads, &cfg, &failures);
         for (j, load) in loads.iter().enumerate() {
             let rest = replay_ledger(load.size, installments, &out.pieces[j])
                 .unwrap_or_else(|e| panic!("load {j}: ledger replay failed: {e}"));
@@ -184,14 +167,13 @@ proptest! {
         raw in raw_events(),
         order in admission_order(),
         installments in installment_count(),
-        arrivals in arrivals(),
     ) {
         // The per-installment view: every piece starts at or after its
         // load's release, the platform serves one piece at a time, and a
         // cut piece ends exactly at a failure event's time.
         let failures = assemble_trace(platform.len(), &raw);
         let cfg = PolicyConfig { order, installments };
-        let out = run(&platform, &loads, &cfg, &failures, arrivals);
+        let out = run(&platform, &loads, &cfg, &failures);
         let mut all: Vec<_> = out.pieces.iter().flatten().copied().collect();
         all.sort_by(|a, b| a.start.total_cmp(&b.start));
         for w in all.windows(2) {
@@ -221,7 +203,7 @@ proptest! {
         // no load's realized stretch dips below 1.
         let failures = assemble_trace(platform.len(), &raw);
         let cfg = PolicyConfig { order, installments };
-        let out = run(&platform, &loads, &cfg, &failures, Arrivals::Online);
+        let out = run(&platform, &loads, &cfg, &failures);
         let realized = realized_alone_makespans(&platform, &loads, &out.pieces).unwrap();
         for (m, &alone) in out.report.per_load.iter().zip(&realized) {
             let stretch = (m.finish - m.release) / alone;

@@ -1,11 +1,13 @@
 //! Property-based tests for the multi-load schedulers: conservation,
 //! release-time feasibility, heap-vs-reference bit-identity, the `N = 1`
 //! degeneration to the single-load solvers, the installment engine's
-//! indexed selector against its linear-rescan twin (batch `schedule` in
-//! both arrival modes, streamed `serve_trace` across windows and
-//! installment policies), online = clairvoyant when everything is
-//! released at once, and twin coverage: every engine has a `_reference`
-//! twin, and a property suite names both.
+//! indexed selector against its linear-rescan twin (batch `schedule`,
+//! streamed `serve_trace` across windows and installment policies), the
+//! single-machine SRPT lower bound on mean flow, and twin coverage: every
+//! engine has a `_reference` twin, and a property suite names both.
+//!
+//! This file runs at `ProptestConfig::default()`, so `PROPTEST_CASES`
+//! and `PROPTEST_SEED` deepen and vary it without a code change.
 
 // Test code: reference workloads may use the std transcendentals.
 #![allow(clippy::disallowed_methods)]
@@ -13,9 +15,9 @@
 use dlt_core::nonlinear;
 use dlt_multiload::{
     alone_makespans, round_robin_schedule, round_robin_schedule_reference, schedule,
-    schedule_reference, serve_trace, serve_trace_reference, AdmissionOrder, Arrivals,
-    CompletedLoad, InstallmentPolicy, LoadSpec, MultiLoadConfig, MultiLoadError, PolicyConfig,
-    PolicyOutcome, RoundRobinOutcome, ScheduleOptions, ServiceConfig,
+    schedule_reference, serve_trace, serve_trace_reference, AdmissionOrder, CompletedLoad,
+    InstallmentPolicy, LoadSpec, MultiLoadConfig, MultiLoadError, PolicyConfig, PolicyOutcome,
+    RoundRobinOutcome, ScheduleOptions, ServiceConfig,
 };
 use dlt_platform::Platform;
 use dlt_sim::{simulate_demand, DemandConfig, DemandTask};
@@ -33,8 +35,7 @@ fn instance() -> impl Strategy<Value = (Platform, Vec<LoadSpec>)> {
     (speeds, loads).prop_map(|(speeds, loads)| (Platform::from_speeds(&speeds).unwrap(), loads))
 }
 
-/// As [`instance`], but every load released at 0 — the regime where the
-/// online scheduler must equal the offline (clairvoyant) one exactly.
+/// As [`instance`], but every load released at 0: one burst.
 fn instance_all_released() -> impl Strategy<Value = (Platform, Vec<LoadSpec>)> {
     instance().prop_map(|(platform, loads)| {
         let loads = loads
@@ -90,34 +91,14 @@ fn sort_by_release(mut loads: Vec<LoadSpec>) -> Vec<LoadSpec> {
     loads
 }
 
-/// Both arrival modes.
-fn arrivals() -> impl Strategy<Value = Arrivals> {
-    any::<bool>().prop_map(|c| {
-        if c {
-            Arrivals::Clairvoyant
-        } else {
-            Arrivals::Online
-        }
-    })
-}
-
-/// A batch schedule with default options in the given arrival mode.
-fn run(
-    platform: &Platform,
-    loads: &[LoadSpec],
-    cfg: &PolicyConfig,
-    arrivals: Arrivals,
-) -> PolicyOutcome {
-    let opts = ScheduleOptions {
-        arrivals,
-        ..ScheduleOptions::default()
-    };
-    schedule(platform, loads, cfg, &opts).unwrap()
+/// A batch schedule with default options.
+fn run(platform: &Platform, loads: &[LoadSpec], cfg: &PolicyConfig) -> PolicyOutcome {
+    schedule(platform, loads, cfg, &ScheduleOptions::default()).unwrap()
 }
 
 /// FIFO with one installment per load: the classical scheduler.
 fn fifo(platform: &Platform, loads: &[LoadSpec]) -> PolicyOutcome {
-    run(platform, loads, &PolicyConfig::default(), Arrivals::Online)
+    run(platform, loads, &PolicyConfig::default())
 }
 
 /// The round-robin heap dispatcher and its linear reference, with
@@ -135,7 +116,7 @@ fn round_robin(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+    #![proptest_config(ProptestConfig::default())]
 
     #[test]
     fn fifo_conserves_every_load((platform, loads) in instance()) {
@@ -315,13 +296,11 @@ proptest! {
         (platform, loads) in instance(),
         order in admission_order(),
         installments in installment_count(),
-        arrivals in arrivals(),
     ) {
         // The indexed selector must reproduce the rescan-everything twin
-        // bit for bit — online and clairvoyant, every policy, preemptive
-        // and not.
+        // bit for bit — every policy, preemptive and not.
         let cfg = PolicyConfig { order, installments };
-        let opts = ScheduleOptions { arrivals, ..ScheduleOptions::default() };
+        let opts = ScheduleOptions::default();
         let fast = schedule(&platform, &loads, &cfg, &opts).unwrap();
         let slow = schedule_reference(&platform, &loads, &cfg, &opts).unwrap();
         prop_assert_eq!(fast, slow);
@@ -333,7 +312,6 @@ proptest! {
         n_loads in 1usize..13,
         order in admission_order(),
         installments in 1usize..4,
-        arrivals in arrivals(),
         salt in 0usize..4,
     ) {
         // Homogeneous platform + identical loads + quantized releases in
@@ -344,7 +322,7 @@ proptest! {
             .map(|j| LoadSpec::new(12.0, 2.0, ((j * 7 + salt) % 4) as f64 * 5.0).unwrap())
             .collect();
         let cfg = PolicyConfig { order, installments };
-        let opts = ScheduleOptions { arrivals, ..ScheduleOptions::default() };
+        let opts = ScheduleOptions::default();
         let fast = schedule(&platform, &loads, &cfg, &opts).unwrap();
         let slow = schedule_reference(&platform, &loads, &cfg, &opts).unwrap();
         prop_assert_eq!(fast, slow);
@@ -355,14 +333,13 @@ proptest! {
         (platform, loads) in instance(),
         order in admission_order(),
         installments in installment_count(),
-        arrivals in arrivals(),
     ) {
         // Against the granularity-matched alone denominator, no policy —
-        // FIFO, SRPT or weighted stretch, preemptive or not, online or
-        // clairvoyant — can push a load's stretch below 1: contention
-        // only ever delays installments.
+        // FIFO, SRPT or weighted stretch, preemptive or not — can push a
+        // load's stretch below 1: contention only ever delays
+        // installments.
         let cfg = PolicyConfig { order, installments };
-        let out = run(&platform, &loads, &cfg, arrivals);
+        let out = run(&platform, &loads, &cfg);
         for m in &out.report.per_load {
             prop_assert!(m.stretch() >= 1.0 - 1e-9,
                 "{order:?} k={installments}: stretch {}", m.stretch());
@@ -374,10 +351,9 @@ proptest! {
         (platform, loads) in instance(),
         order in admission_order(),
         installments in installment_count(),
-        arrivals in arrivals(),
     ) {
         let cfg = PolicyConfig { order, installments };
-        let out = run(&platform, &loads, &cfg, arrivals);
+        let out = run(&platform, &loads, &cfg);
         // Installments never start before their load's release, never
         // overlap (one platform), and each load is conserved exactly.
         let mut all: Vec<_> = out.pieces.iter().flatten().copied().collect();
@@ -400,18 +376,23 @@ proptest! {
     }
 
     #[test]
-    fn online_equals_clairvoyant_when_everything_is_released(
-        (platform, loads) in instance_all_released(),
-        order in admission_order(),
-        installments in installment_count(),
+    fn no_schedule_beats_the_single_machine_srpt_bound(
+        (platform, loads) in instance(),
     ) {
-        // With every load released at 0 the online scheduler has full
-        // knowledge from the first decision: it must take exactly the
-        // clairvoyant path, bit for bit.
-        let cfg = PolicyConfig { order, installments };
-        let off = run(&platform, &loads, &cfg, Arrivals::Clairvoyant);
-        let on = run(&platform, &loads, &cfg, Arrivals::Online);
-        prop_assert_eq!(off, on);
+        // Failure-free at window 1, the engine serves one piece at a time
+        // on the whole platform and load j's pieces take its denominator
+        // in total: every schedule is a preemptive one-machine schedule of
+        // the jobs (release_j, alone_j), and preemptive SRPT minimises
+        // their total flow.
+        for order in AdmissionOrder::ALL {
+            for installments in 1..=8 {
+                let out = run(&platform, &loads, &PolicyConfig { order, installments });
+                let flow = out.report.aggregate().mean_flow;
+                let bound = out.mean_flow_lower_bound();
+                prop_assert!(flow >= bound * (1.0 - 1e-9),
+                    "{order:?} k={installments}: mean flow {flow} < bound {bound}");
+            }
+        }
     }
 
     #[test]
@@ -420,7 +401,6 @@ proptest! {
         size in 0.5f64..500.0,
         alpha in 1.0f64..3.0,
         order in admission_order(),
-        arrivals in arrivals(),
     ) {
         // The policy anchor: one immediate load, one installment, any
         // admission order — the schedule IS the cold single-load solve.
@@ -428,7 +408,7 @@ proptest! {
         let load = LoadSpec::immediate(size, alpha).unwrap();
         let cfg = PolicyConfig { order, installments: 1 };
         let direct = nonlinear::equal_finish_parallel(&platform, size, alpha).unwrap();
-        let out = run(&platform, &[load], &cfg, arrivals);
+        let out = run(&platform, &[load], &cfg);
         prop_assert_eq!(out.report.makespan(), direct.makespan);
         prop_assert_eq!(&out.shares[0], &direct.x);
         prop_assert_eq!(out.report.per_load[0].stretch(), 1.0);
