@@ -7,26 +7,28 @@
 //! thread a [`BatchSolver`] through consecutive solves.
 //!
 //! The system is `cᵢxᵢ + wᵢ·(s·xᵢ + (1−s)·xᵢ^α) = T` on every worker with
-//! `Σxᵢ = N` (the [`CostLaw`]; `s = 0` is the paper's `cᵢxᵢ + wᵢxᵢ^α`):
-//! an outer safeguarded Newton on `T` (taken in log–log coordinates) over
-//! inner per-worker inverses.
+//! `Σxᵢ = N` (the [`CostLaw`]; `s = 0` is the paper's `cᵢxᵢ + wᵢxᵢ^α`).
+//! A warm handle, one that holds the previous solve's shares on the same
+//! lanes, takes Newton steps on all shares and `T` together from those
+//! shares: one power pass and O(p) arithmetic per step. A cold handle, a
+//! changed platform, a linear law and a joint attempt that fails take the
+//! nested solve instead: an outer safeguarded Newton on `T` (taken in
+//! log–log coordinates) over inner per-worker inverses, which converges
+//! from any start.
 //! [`BatchSolver`] keeps the platform as structure-of-arrays lanes
 //! (contiguous `c[]`, `w[]` plus per-lane Newton state). Once per solve it
 //! folds the law into two more lanes, the linear rate `lin = c + w·s` and
 //! the power coefficient `coef = w·(1−s)` (`c` and `w` themselves at
 //! `s = 0`), so the kernel evaluates `lin·x + coef·x^α` and an α-power
-//! solve pays no per-lane operation for the serial fraction. It advances
-//! *all* inner inverses in lockstep: every inner iteration is one
-//! residual pass over the lane arrays, a single shared-exponent
-//! `x^{α−1} = exp((α−1)·ln x)` sweep through the polynomial kernels of
-//! [`crate::fastmath`] (runtime-detected AVX2, four lanes at a time, or
-//! a scalar loop), and every outer evaluation starts the lanes from one
-//! such sweep for the closed-form bounds' `(t/coef)^{1/α}`. The
-//! solver reuses all scratch (no allocation per evaluation) and extends
-//! the warm-start idea from the outer root to the *shares*: the previous
-//! solve's lane roots seed the next solve's inner Newton, and within one
-//! solve each outer iterate starts its lanes from the previous iterate's
-//! roots instead of the closed-form bound.
+//! solve pays no per-lane operation for the serial fraction. Every joint
+//! step and every inner iteration is one residual pass over the lane
+//! arrays, a single shared-exponent `x^{α−1} = exp((α−1)·ln x)` sweep
+//! through the polynomial kernels of [`crate::fastmath`]
+//! (runtime-detected AVX2, four lanes at a time, or a scalar loop); the
+//! nested solve advances all inner inverses in lockstep and starts every
+//! outer evaluation from one such sweep for the closed-form bounds'
+//! `(t/coef)^{1/α}`, later iterates from the previous iterate's roots.
+//! The solver reuses all scratch (no allocation per evaluation).
 //!
 //! # Correctness contract
 //!
@@ -43,15 +45,18 @@
 //! * Results are a pure function of the handle's solve sequence: two
 //!   handles fed the same `(platform, n, law)` sequence return the same
 //!   bits, which is what keeps every engine bit-identical to its
-//!   `_reference` twin.
-//! * Share seeds are **hints only** (clamped into the lane's fresh
-//!   bracket before use) and are dropped whenever the platform's lane
-//!   arrays change bitwise — a worker failing out mid-trace shrinks the
-//!   degraded platform, and a stale-length seed must fall back to the
-//!   closed-form bound rather than index out of lane bounds (the unit
-//!   test below, and `dlt-multiload`'s failure properties, which drive
-//!   `Down` events through every engine). The outer finish-time hint
-//!   survives platform changes.
+//!   `_reference` twin. A solve that repeats the previous one on the
+//!   same lanes (`n` and law bit for bit, and the same config) returns
+//!   the previous allocation unchanged.
+//! * Share seeds are **a start only**: the joint step falls back to the
+//!   nested solve, from the handle's finish-time hint, when a step leaves
+//!   the positive finite reals or has not converged after a fixed cap.
+//!   The seeds and the repeat record are dropped whenever the platform's
+//!   lane arrays change bitwise — a worker failing out mid-trace shrinks
+//!   the degraded platform, and a stale-length seed must not be read
+//!   (the unit test below, and `dlt-multiload`'s failure properties,
+//!   which drive `Down` events through every engine). The outer
+//!   finish-time hint survives platform changes.
 //!
 //! The one-port model ([`crate::nonlinear::equal_finish_one_port`]) has
 //! no lane form — its serialized sends chain each worker's window to the
@@ -73,6 +78,11 @@ use dlt_sim::CommMode;
 /// sits a few ulps *below* the root.
 const UB_INFLATE: f64 = 1e-12;
 
+/// Step cap of the joint Newton: from the previous solve's shares it
+/// converges in a handful of steps, and a start that has not converged
+/// after this many falls back to the nested solve.
+const JOINT_STEPS: usize = 16;
+
 /// Names the equal-finish kernel a [`BatchSolver`] runs. There is one —
 /// the structure-of-arrays lanes kernel of this module — so the enum has
 /// a single variant and [`BatchSolver::new`] runs the same kernel for
@@ -86,12 +96,13 @@ pub enum SolveBackend {
 }
 
 /// Reusable equal-finish solver handle: the outer finish-time hint, the
-/// structure-of-arrays platform mirror, per-lane scratch and the previous
-/// solve's share seeds.
+/// structure-of-arrays platform mirror, per-lane scratch, and the previous
+/// solve's share seeds and inputs.
 ///
 /// Thread one handle through consecutive solves (the multiload engines
 /// and the sweep runners do): the platform arrays are rebuilt only when
-/// the platform actually changes, and every solve seeds the next.
+/// the platform actually changes, every solve seeds the next, and a
+/// repeated solve returns the previous allocation.
 ///
 /// # Examples
 ///
@@ -121,8 +132,10 @@ pub struct BatchSolver {
     /// … and power coefficient `w·(1−s)`.
     coef: Vec<f64>,
     /// Final shares of the previous solve on this platform (empty when
-    /// cold or after a platform change).
+    /// cold or after a platform change): the joint step's start.
     seeds: Vec<f64>,
+    /// The previous solve on these lanes, if any (its shares are `seeds`).
+    last: Option<Solved>,
     // Per-lane Newton state, reused across solves.
     x: Vec<f64>,
     lo: Vec<f64>,
@@ -156,9 +169,11 @@ impl BatchSolver {
     }
 
     /// Equal-finish parallel-model solve of `n` data units under `law` (a
-    /// bare `f64` is the α-power law): the lanes kernel, seeded by this
-    /// handle's previous solve, recording this solve's root and shares
-    /// for the next.
+    /// bare `f64` is the α-power law): joint Newton steps from this
+    /// handle's previous shares when it has them, the nested solve
+    /// otherwise or when the joint steps fail, recording this solve's
+    /// root, shares and inputs for the next. A repeat of the previous
+    /// solve returns its allocation.
     pub fn solve(
         &mut self,
         platform: &Platform,
@@ -169,9 +184,21 @@ impl BatchSolver {
         let law = law.into();
         nonlinear::validate(n, law)?;
         self.refresh_platform(platform);
+        // A repeat of the previous solve on these lanes returns its
+        // allocation as it is: a joint step started at its own root
+        // re-derives the finish time and may move it by an ulp.
+        if let Some(last) = self.last.filter(|last| last.repeats(n, law, config)) {
+            return Ok(allocation(platform, n, law, last.makespan, &self.seeds));
+        }
+        self.last = None;
         let lanes = self.lin.iter_mut().zip(&mut self.coef);
         for ((lin, coef), (&c, &w)) in lanes.zip(self.c.iter().zip(&self.w)) {
             (*lin, *coef) = law.lanes(c, w);
+        }
+        if !law.is_linear() && self.seeds.len() == platform.len() {
+            if let Some(t) = self.joint_newton(n, law.alpha, config.residual_tol) {
+                return Ok(self.finish(platform, n, law, config, t));
+            }
         }
         let mut first = true;
         let t = nonlinear::outer_newton(platform, n, law, self.hint, config, |t| {
@@ -179,13 +206,13 @@ impl BatchSolver {
             first = false;
             (self.x.iter().sum(), slope)
         })?;
-        Ok(self.finish(platform, n, t, law))
+        Ok(self.finish(platform, n, law, config, t))
     }
 
     /// Multi-law solve sharing one platform scan: solves the same `(platform, n)`
     /// under each law in turn through this handle, so the SoA arrays are
-    /// built once and the outer root plus share seeds chain across the
-    /// sweep (consecutive α values have nearby roots — the sec2 /
+    /// built once and each law's joint steps start from the previous
+    /// law's shares (consecutive α values have nearby roots — the sec2 /
     /// sec-amdahl α-sweep pattern).
     pub fn solve_sweep(
         &mut self,
@@ -201,8 +228,9 @@ impl BatchSolver {
 
     /// Rebuilds the SoA mirror when the platform changed (bitwise lane
     /// compare); a change drops the share seeds — they are meaningless
-    /// (and possibly the wrong length) on the new lane layout — while
-    /// the outer finish-time hint survives, being a plain hint.
+    /// (and possibly the wrong length) on the new lane layout — and the
+    /// repeat record, while the outer finish-time hint survives, being a
+    /// plain hint.
     fn refresh_platform(&mut self, platform: &Platform) {
         let p = platform.len();
         let same = self.c.len() == p
@@ -220,6 +248,7 @@ impl BatchSolver {
             self.w.push(pr.w());
         }
         self.seeds.clear();
+        self.last = None;
         self.lin.resize(p, 0.0);
         self.coef.resize(p, 0.0);
         self.x.resize(p, 0.0);
@@ -229,6 +258,74 @@ impl BatchSolver {
         self.df.resize(p, 0.0);
         self.invd.resize(p, 0.0);
         self.done.resize(p, false);
+    }
+
+    /// Newton on all shares and the finish time together, from the
+    /// previous solve's shares scaled to `Σx = n`: the bordered system
+    /// `costᵢ(xᵢ) = T`, `Σx = n`, with `T` eliminated, so a step is one
+    /// power pass and O(p) arithmetic:
+    /// `T′ = T + (Σ(costᵢ − T)/f′ᵢ − (Σx − n)) / Σ1/f′ᵢ` and
+    /// `xᵢ′ = xᵢ + (T′ − costᵢ)/f′ᵢ`. Each `xᵢ′` is the tangent root of a
+    /// convex increasing lane cost at height `T′`, so it lies at or above
+    /// the lane's root and stays positive while `T′` does.
+    ///
+    /// Returns the finish time, with the shares in `self.x`, once
+    /// `|Σx − n| ≤ residual_tol·n` and the largest lane residual
+    /// `|costᵢ − T|` is at most `4ε·T` (the nested inner loop's residual
+    /// test) or has stopped halving at or below `residual_tol·T` (a
+    /// stall on the rounding floor of the computed costs, where the
+    /// nested inner loop stops on its step or bracket test). Every lane
+    /// cost then lies within that residual of `T`, and so does the root.
+    /// `None` when `T′` or a share leaves the positive finite reals, or
+    /// after [`JOINT_STEPS`] steps.
+    fn joint_newton(&mut self, n: f64, alpha: f64, residual_tol: f64) -> Option<f64> {
+        let scale = n / self.seeds.iter().sum::<f64>();
+        for (x, &seed) in self.x.iter_mut().zip(&self.seeds) {
+            *x = seed * scale;
+        }
+        // `T` enters a step only as the reference its correction is
+        // taken against, which keeps the correction's rounding small near
+        // the root; from 0 the first `T′` is the mean of the lane costs
+        // weighted by `1/f′ᵢ`.
+        let mut t = 0.0;
+        let mut last_worst = f64::INFINITY;
+        for _ in 0..JOINT_STEPS {
+            if !self.x.iter().all(|&x| x > 0.0 && x < f64::INFINITY) {
+                return None;
+            }
+            // `x^{α−1}`, one shared-exponent pass, parked in `df`.
+            pow_slice(&self.x, alpha - 1.0, &mut self.df);
+            let (mut total, mut weights, mut shift) = (0.0, 0.0, 0.0);
+            for i in 0..self.x.len() {
+                let xam1 = self.df[i];
+                let cost = (self.lin[i] + self.coef[i] * xam1) * self.x[i];
+                let invd = 1.0 / (self.lin[i] + self.coef[i] * alpha * xam1);
+                self.fx[i] = cost;
+                self.invd[i] = invd;
+                total += self.x[i];
+                weights += invd;
+                shift += (cost - t) * invd;
+            }
+            let excess = total - n;
+            t += (shift - excess) / weights;
+            if !(t > 0.0 && t < f64::INFINITY) {
+                return None;
+            }
+            // A residual that stopped halving sits on the rounding floor
+            // of the computed costs (the fast power's error grows with
+            // `(α−1)·|ln x|`): further steps only resample that noise.
+            let worst = self.fx.iter().fold(0.0, |m: f64, &c| m.max((c - t).abs()));
+            let settled = worst <= 4.0 * f64::EPSILON * t
+                || (worst > 0.5 * last_worst && worst <= residual_tol * t);
+            if settled && excess.abs() <= residual_tol * n {
+                return Some(t);
+            }
+            last_worst = worst;
+            for ((x, &cost), &invd) in self.x.iter_mut().zip(&self.fx).zip(&self.invd) {
+                *x += (t - cost) * invd;
+            }
+        }
+        None
     }
 
     /// One outer evaluation: all lane inverses at finish time `t`, into
@@ -289,20 +386,11 @@ impl BatchSolver {
             let ub = ub * (1.0 + UB_INFLATE);
             self.hi[i] = ub;
             self.lo[i] = 0.0;
-            // Seed the lane: within a solve, from the previous outer
-            // iterate's root; on the first iterate, from the previous
-            // solve's shares. Both are hints — anything outside the
-            // fresh bracket falls back to the closed-form bound.
-            let seed = if first {
-                if self.seeds.len() == p {
-                    self.seeds[i]
-                } else {
-                    f64::NAN
-                }
-            } else {
-                self.x[i]
-            };
-            self.x[i] = if seed.is_finite() && seed > 0.0 && seed < ub {
+            // Start the lane from the previous outer iterate's root, a
+            // hint that falls back to the closed-form bound outside the
+            // fresh bracket; the first iterate starts from the bound.
+            let seed = self.x[i];
+            self.x[i] = if !first && seed.is_finite() && seed > 0.0 && seed < ub {
                 seed
             } else {
                 ub
@@ -364,9 +452,16 @@ impl BatchSolver {
     }
 
     /// Rescale to `Σ xᵢ = n`, pin exact conservation on the largest
-    /// lane, record the warm hint and the share seeds, and package the
-    /// allocation.
-    fn finish(&mut self, platform: &Platform, n: f64, t: f64, law: CostLaw) -> NonlinearAllocation {
+    /// lane, record the warm hint, the share seeds and the solve, and
+    /// package the allocation.
+    fn finish(
+        &mut self,
+        platform: &Platform,
+        n: f64,
+        law: CostLaw,
+        config: &SolverConfig,
+        t: f64,
+    ) -> NonlinearAllocation {
         if nonlinear::rescale(&mut self.x, n) {
             // Exact conservation: the largest share absorbs the
             // rescale's rounding residue. `rest` is the left-to-right
@@ -392,14 +487,41 @@ impl BatchSolver {
         self.hint = usable_hint(t).or(self.hint);
         self.seeds.clear();
         self.seeds.extend_from_slice(&self.x);
-        NonlinearAllocation {
-            x: self.x.clone(),
-            makespan: t,
-            model: law,
+        self.last = Some(Solved {
             n,
-            comm_mode: CommMode::Parallel,
-            order: (0..platform.len()).collect(),
-        }
+            law,
+            config: *config,
+            makespan: t,
+        });
+        allocation(platform, n, law, t, &self.x)
+    }
+}
+
+/// One solve's inputs and root, kept by the handle for its previous
+/// solve (whose shares are the seeds).
+#[derive(Debug, Clone, Copy)]
+struct Solved {
+    n: f64,
+    law: CostLaw,
+    config: SolverConfig,
+    makespan: f64,
+}
+
+impl Solved {
+    /// Bit for bit the same `n` and law, and the same config.
+    fn repeats(&self, n: f64, law: CostLaw, config: &SolverConfig) -> bool {
+        self.n.to_bits() == n.to_bits() && self.law.bits_eq(&law) && self.config == *config
+    }
+}
+
+fn allocation(platform: &Platform, n: f64, law: CostLaw, t: f64, x: &[f64]) -> NonlinearAllocation {
+    NonlinearAllocation {
+        x: x.to_vec(),
+        makespan: t,
+        model: law,
+        n,
+        comm_mode: CommMode::Parallel,
+        order: (0..platform.len()).collect(),
     }
 }
 
@@ -413,6 +535,7 @@ mod tests {
     use super::*;
     use crate::costmodel::CostLaw;
     use crate::nonlinear::equal_finish_parallel_reference;
+    use dlt_platform::{PlatformSpec, SpeedDistribution};
 
     fn assert_close(oracle: f64, kernel: f64, what: &str) {
         let tol = 1e-9 * oracle.abs().max(kernel.abs()).max(1e-300);
@@ -479,6 +602,44 @@ mod tests {
         // And the result still matches the oracle on the new platform.
         let r = equal_finish_parallel_reference(&p3, 100.0, 2.0).unwrap();
         assert_close(r.makespan, a.makespan, "post-shrink makespan");
+    }
+
+    #[test]
+    fn a_repeat_on_changed_lanes_is_solved_afresh() {
+        let config = SolverConfig::default();
+        let mut solver = BatchSolver::default();
+        let first = solver.solve(&platform3(), 100.0, 2.0, &config).unwrap();
+        let again = solver.solve(&platform3(), 100.0, 2.0, &config).unwrap();
+        assert_eq!(first.makespan.to_bits(), again.makespan.to_bits());
+        // Same width, n and law, other speeds: no repeat of the record.
+        let other = Platform::from_speeds(&[3.0, 1.0, 2.0]).unwrap();
+        let a = solver.solve(&other, 100.0, 2.0, &config).unwrap();
+        let r = equal_finish_parallel_reference(&other, 100.0, 2.0).unwrap();
+        assert_close(r.makespan, a.makespan, "makespan on the new lanes");
+    }
+
+    #[test]
+    fn a_far_off_start_falls_back_to_the_nested_solve() {
+        // Seeds that put nearly all the load on one lane are no start at
+        // α = 24: from far above its root a lane's Newton step shrinks it
+        // by only a factor 1 − 1/α, so the step cap runs out and the
+        // nested solve lands.
+        let platform = PlatformSpec::new(8, SpeedDistribution::paper_uniform())
+            .generate_stream(7, 0)
+            .unwrap();
+        let config = SolverConfig::default();
+        let mut solver = BatchSolver::default();
+        solver.solve(&platform, 100.0, 1.5, &config).unwrap();
+        solver.seeds.fill(1e-12);
+        solver.seeds[0] = 100.0;
+        let law = CostLaw::alpha_power(24.0);
+        for i in 0..platform.len() {
+            (solver.lin[i], solver.coef[i]) = law.lanes(solver.c[i], solver.w[i]);
+        }
+        assert_eq!(solver.joint_newton(100.0, 24.0, config.residual_tol), None);
+        let a = solver.solve(&platform, 100.0, law, &config).unwrap();
+        let r = equal_finish_parallel_reference(&platform, 100.0, law).unwrap();
+        assert_close(r.makespan, a.makespan, "fallback makespan");
     }
 
     #[test]

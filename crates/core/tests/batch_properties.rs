@@ -16,7 +16,11 @@
 //! * the α-power and Amdahl [`CostLaw`]s with α ∈ (1, 24] plus the
 //!   α = 1 exact linear path;
 //! * cold, warm (chained installment sequences) and stale-warm
-//!   (mis-seeded anywhere in the positive finite f64 range) handles.
+//!   (mis-seeded anywhere in the positive finite f64 range) handles;
+//! * the service engine's pattern — one handle, a law per solve, and
+//!   repeated solves, which must return the previous allocation bit for
+//!   bit — and share seeds far from the next root, a poor start for the
+//!   joint Newton steps.
 //!
 //! Two exact properties ride along: **conservation** — after the final
 //! rescale the largest lane absorbs the rounding residue, so replaying
@@ -130,16 +134,33 @@ fn assert_exact_conservation(a: &NonlinearAllocation, n: f64, ctx: &str) {
 }
 
 /// One solve checked against the oracle, conservation included.
-fn check(solver: &mut BatchSolver, platform: &Platform, n: f64, law: CostLaw, ctx: &str) {
+fn check(
+    solver: &mut BatchSolver,
+    platform: &Platform,
+    n: f64,
+    law: CostLaw,
+    ctx: &str,
+) -> NonlinearAllocation {
     let config = SolverConfig::default();
     let kernel = solver.solve(platform, n, law, &config).unwrap();
     let oracle = equal_finish_parallel_reference(platform, n, law).unwrap();
     assert_oracle_bound(&oracle, &kernel, n, ctx);
     assert_exact_conservation(&kernel, n, ctx);
+    kernel
 }
 
-/// Every width × every law × cold, warm and stale-warm handles, on fixed
-/// paper-uniform platforms: the grid the random properties below sample.
+/// The laws the engine property draws from, one per solve, as
+/// `(serial, alpha)`: α = 1, 1.5, 2 and 24, and an Amdahl law.
+const ENGINE_LAWS: [(f64, f64); 5] = [(0.0, 1.0), (0.0, 1.5), (0.0, 2.0), (0.0, 24.0), (0.3, 2.0)];
+
+/// Every width × every law × cold, warm, far-off warm and stale-warm
+/// handles, on fixed paper-uniform platforms: the grid the random
+/// properties below sample. A far-off warm handle holds the shares of a
+/// solve 15 orders of magnitude larger or under α = 1.5, a poor start
+/// for the joint Newton steps: at p = 64, α = 24 after α = 1.5 runs out
+/// of joint steps and falls back to the nested solve (the unit test
+/// `a_far_off_start_falls_back_to_the_nested_solve` in `batch.rs` pins
+/// a fallback directly).
 #[test]
 fn every_width_law_and_handle_kind_meets_the_oracle_bound() {
     let laws = [
@@ -167,6 +188,17 @@ fn every_width_law_and_handle_kind_meets_the_oracle_bound() {
             let mut warm = BatchSolver::default();
             for n in [100.0, 60.0, 250.0] {
                 check(&mut warm, &platform, n, law, &ctx(&format!("warm n = {n}")));
+            }
+            let far = CostLaw::alpha_power(1.5);
+            for ((n0, law0), n) in [
+                ((1e9, law), 1e-6),
+                ((100.0, far), 100.0),
+                ((1e9, far), 1e-6),
+            ] {
+                let mut solver = BatchSolver::default();
+                let ctx = ctx(&format!("far-off warm n = {n} after n = {n0}, {law0:?}"));
+                check(&mut solver, &platform, n0, law0, &ctx);
+                check(&mut solver, &platform, n, law, &ctx);
             }
             for stale in [1e-30, 1e30] {
                 let mut solver = BatchSolver::seeded(stale);
@@ -244,6 +276,44 @@ proptest! {
         let mut solver = BatchSolver::default();
         for (j, &n) in loads.iter().enumerate() {
             check(&mut solver, &platform, n, law, &format!("warm installment {j}"));
+        }
+    }
+
+    // The engine's pattern through one handle: a law drawn per solve, a
+    // quarter of the solves repeating the previous size and law (a load's
+    // alone pieces of `remaining / left` size) and an eighth repeating
+    // the size under a new law. Every solve meets the oracle bound and
+    // conserves exactly, and a repeat returns the previous makespan and
+    // every share bit for bit.
+    #[test]
+    fn engine_sequences_meet_the_oracle_and_repeats_return_the_previous_allocation(
+        platform in platform_strategy(),
+        steps in proptest::collection::vec(
+            (0usize..8, 0usize..ENGINE_LAWS.len(), 0.5f64..500.0),
+            2..8,
+        ),
+    ) {
+        let mut solver = BatchSolver::default();
+        let mut prev: Option<NonlinearAllocation> = None;
+        for (j, &(sel, law, size)) in steps.iter().enumerate() {
+            let (serial, alpha) = ENGINE_LAWS[law];
+            let drawn = CostLaw { serial, alpha };
+            let (n, law) = match (&prev, sel) {
+                (Some(last), 0 | 1) => (last.n, last.model),
+                (Some(last), 2) => (last.n, drawn),
+                _ => (size, drawn),
+            };
+            let ctx = format!("solve {j}: n = {n}, {law:?}");
+            let a = check(&mut solver, &platform, n, law, &ctx);
+            let repeat = |last: &&NonlinearAllocation| {
+                last.n.to_bits() == n.to_bits() && last.model.bits_eq(&law)
+            };
+            if let Some(last) = prev.as_ref().filter(repeat) {
+                prop_assert_eq!(last.makespan.to_bits(), a.makespan.to_bits(), "{}", ctx);
+                let bits = |x: &[f64]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&last.x), bits(&a.x), "{}", ctx);
+            }
+            prev = Some(a);
         }
     }
 

@@ -33,8 +33,8 @@ use crate::models::ModelFamily;
 use crate::service::calibrated_spacing;
 use dlt_multiload::{
     realized_alone_makespans, replay_ledger, schedule, serve_trace_with_failures, AdmissionOrder,
-    CompletedLoad, CompletionSink, InstallmentPolicy, LoadSpec, PolicyConfig, PolicyOutcome,
-    ScheduleOptions, ServiceConfig,
+    CompletedLoad, CompletionSink, FailureTrace, InstallmentPolicy, LoadSpec, PolicyConfig,
+    PolicyOutcome, ScheduleOptions, ServiceConfig,
 };
 use dlt_platform::{Platform, PlatformSpec, SpeedDistribution};
 use dlt_stats::{Summary, Table};
@@ -137,8 +137,20 @@ pub(crate) struct CompetitivePoint {
 }
 
 /// Realized mean stretch of one failure-aware schedule: flow over the
-/// realized-granularity alone makespan, averaged over the batch.
-fn mean_realized_stretch(platform: &Platform, loads: &[LoadSpec], out: &PolicyOutcome) -> f64 {
+/// realized-granularity alone makespan, averaged over the batch. With no
+/// failure nothing is cut, so the engine's own denominators are the
+/// realized ones bit for bit (property
+/// `zero_failure_realized_alone_is_the_planned_alone`) and no piece is
+/// re-solved.
+fn mean_realized_stretch(
+    platform: &Platform,
+    loads: &[LoadSpec],
+    failures: &FailureTrace,
+    out: &PolicyOutcome,
+) -> f64 {
+    if failures.is_empty() {
+        return out.report.aggregate().mean_stretch;
+    }
     let realized = realized_alone_makespans(platform, loads, &out.pieces)
         .expect("healthy-platform solves converge");
     let per_load = &out.report.per_load;
@@ -209,7 +221,7 @@ pub(crate) fn run_competitive(
                 let online = schedule(&platform, &loads, &cfg, &opts)
                     .expect("the scheduler survives the scenario");
                 row.push([
-                    mean_realized_stretch(&platform, &loads, &online),
+                    mean_realized_stretch(&platform, &loads, &failures, &online),
                     online.report.aggregate().mean_flow,
                     online.mean_flow_lower_bound(),
                     online.interruptions as f64,
