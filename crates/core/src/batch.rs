@@ -8,13 +8,14 @@
 //!
 //! The system is `cᵢxᵢ + wᵢ·(s·xᵢ + (1−s)·xᵢ^α) = T` on every worker with
 //! `Σxᵢ = N` (the [`CostLaw`]; `s = 0` is the paper's `cᵢxᵢ + wᵢxᵢ^α`).
-//! A warm handle, one that holds the previous solve's shares on the same
-//! lanes, takes Newton steps on all shares and `T` together from those
-//! shares: one power pass and O(p) arithmetic per step. A cold handle, a
-//! changed platform, a linear law and a joint attempt that fails take the
-//! nested solve instead: an outer safeguarded Newton on `T` (taken in
-//! log–log coordinates) over inner per-worker inverses, which converges
-//! from any start.
+//! A linear law (`α = 1` or `s = 1`) has the closed form
+//! `T = N / Σ 1/(cᵢ + wᵢ)`, taken with no iteration. A warm handle, one
+//! that holds the previous solve's shares on the same lanes, takes Newton
+//! steps on all shares and `T` together from those shares: one power pass
+//! and O(p) arithmetic per step. A cold handle, a changed platform and a
+//! joint attempt that fails take the nested solve instead: an outer
+//! safeguarded Newton on `T` (taken in log–log coordinates) over inner
+//! per-worker inverses, which converges from any start.
 //! [`BatchSolver`] keeps the platform as structure-of-arrays lanes
 //! (contiguous `c[]`, `w[]` plus per-lane Newton state). Once per solve it
 //! folds the law into two more lanes, the linear rate `lin = c + w·s` and
@@ -22,13 +23,15 @@
 //! `s = 0`), so the kernel evaluates `lin·x + coef·x^α` and an α-power
 //! solve pays no per-lane operation for the serial fraction. Every joint
 //! step and every inner iteration is one residual pass over the lane
-//! arrays, a single shared-exponent `x^{α−1} = exp((α−1)·ln x)` sweep
-//! through the polynomial kernels of [`crate::fastmath`]
-//! (runtime-detected AVX2, four lanes at a time, or a scalar loop); the
+//! arrays, a single shared-exponent `x^{α−1}` sweep through
+//! [`crate::fastmath::pow_lanes`]: exact `sqrt`, copy or multiplies when
+//! `α − 1` is ½, 1, 3/2 or 2, the polynomial `exp((α−1)·ln x)` otherwise
+//! (runtime-detected AVX2, four lanes at a time, or a scalar loop). The
 //! nested solve advances all inner inverses in lockstep and starts every
 //! outer evaluation from one such sweep for the closed-form bounds'
-//! `(t/coef)^{1/α}`, later iterates from the previous iterate's roots.
-//! The solver reuses all scratch (no allocation per evaluation).
+//! `(t/coef)^{1/α}` (a `sqrt` at α = 2), later iterates from the previous
+//! iterate's roots. The solver reuses all scratch (no allocation per
+//! evaluation).
 //!
 //! # Correctness contract
 //!
@@ -66,7 +69,7 @@
 
 use crate::costmodel::{CostLaw, CostModel};
 use crate::error::DltError;
-use crate::fastmath::pow_slice;
+use crate::fastmath::pow_lanes;
 use crate::nonlinear::{self, NonlinearAllocation, SolverConfig};
 use dlt_platform::Platform;
 use dlt_sim::CommMode;
@@ -169,11 +172,11 @@ impl BatchSolver {
     }
 
     /// Equal-finish parallel-model solve of `n` data units under `law` (a
-    /// bare `f64` is the α-power law): joint Newton steps from this
-    /// handle's previous shares when it has them, the nested solve
-    /// otherwise or when the joint steps fail, recording this solve's
-    /// root, shares and inputs for the next. A repeat of the previous
-    /// solve returns its allocation.
+    /// bare `f64` is the α-power law): the closed form for a linear law,
+    /// else joint Newton steps from this handle's previous shares when it
+    /// has them, the nested solve otherwise or when the joint steps fail,
+    /// recording this solve's root, shares and inputs for the next. A
+    /// repeat of the previous solve returns its allocation.
     pub fn solve(
         &mut self,
         platform: &Platform,
@@ -191,18 +194,22 @@ impl BatchSolver {
             return Ok(allocation(platform, n, law, last.makespan, &self.seeds));
         }
         self.last = None;
+        if law.is_linear() {
+            let t = self.linear_closed_form(n);
+            return Ok(self.finish(platform, n, law, config, t));
+        }
         let lanes = self.lin.iter_mut().zip(&mut self.coef);
         for ((lin, coef), (&c, &w)) in lanes.zip(self.c.iter().zip(&self.w)) {
             (*lin, *coef) = law.lanes(c, w);
         }
-        if !law.is_linear() && self.seeds.len() == platform.len() {
+        if self.seeds.len() == platform.len() {
             if let Some(t) = self.joint_newton(n, law.alpha, config.residual_tol) {
                 return Ok(self.finish(platform, n, law, config, t));
             }
         }
         let mut first = true;
         let t = nonlinear::outer_newton(platform, n, law, self.hint, config, |t| {
-            let slope = self.eval_lanes(law, t, first, config.max_inner);
+            let slope = self.eval_lanes(law.alpha, t, first, config.max_inner);
             first = false;
             (self.x.iter().sum(), slope)
         })?;
@@ -260,6 +267,22 @@ impl BatchSolver {
         self.done.resize(p, false);
     }
 
+    /// The whole system of a linear law in closed form: every lane costs
+    /// `(cᵢ + wᵢ)·xᵢ`, so `T = n / Σ 1/(cᵢ + wᵢ)` and
+    /// `xᵢ = T·(1/(cᵢ + wᵢ))`, into `self.x`. Reads no hint and no seed.
+    fn linear_closed_form(&mut self, n: f64) -> f64 {
+        let mut rates = 0.0;
+        for (invd, (&c, &w)) in self.invd.iter_mut().zip(self.c.iter().zip(&self.w)) {
+            *invd = 1.0 / (c + w);
+            rates += *invd;
+        }
+        let t = n / rates;
+        for (x, &invd) in self.x.iter_mut().zip(&self.invd) {
+            *x = t * invd;
+        }
+        t
+    }
+
     /// Newton on all shares and the finish time together, from the
     /// previous solve's shares scaled to `Σx = n`: the bordered system
     /// `costᵢ(xᵢ) = T`, `Σx = n`, with `T` eliminated, so a step is one
@@ -294,7 +317,7 @@ impl BatchSolver {
                 return None;
             }
             // `x^{α−1}`, one shared-exponent pass, parked in `df`.
-            pow_slice(&self.x, alpha - 1.0, &mut self.df);
+            pow_lanes(&self.x, alpha - 1.0, &mut self.df);
             let (mut total, mut weights, mut shift) = (0.0, 0.0, 0.0);
             for i in 0..self.x.len() {
                 let xam1 = self.df[i];
@@ -333,32 +356,22 @@ impl BatchSolver {
     /// `nonlinear::invert_cost_newton` (same bracketing and stopping
     /// rules), with the Newton iterations advanced in lockstep so each
     /// iteration is one batched residual pass.
-    fn eval_lanes(&mut self, law: CostLaw, t: f64, first: bool, max_inner: usize) -> f64 {
+    fn eval_lanes(&mut self, alpha: f64, t: f64, first: bool, max_inner: usize) -> f64 {
         let p = self.c.len();
         if t <= 0.0 {
             self.x[..p].fill(0.0);
             return 0.0;
         }
-        // A linear law takes the closed form on every lane, no iteration.
-        if law.is_linear() {
-            for i in 0..p {
-                (self.x[i], self.invd[i]) = nonlinear::linear_inverse(self.c[i], self.w[i], t);
-            }
-            return self.invd[..p].iter().sum();
-        }
-
-        let alpha = law.alpha;
         let inv_alpha = 1.0 / alpha;
         // Every lane's closed-form bound `min(t/lin, (t/coef)^{1/α})`
         // (`CostModel::inverse_upper_bound`), re-inflated below. The power
-        // goes through `pow_slice` (`fx` is free until the residual pass):
-        // the bits of `fast_powf` on every lane, four lanes at a time
-        // under AVX2. A `fast_powf` per lane runs the Amdahl sweeps 6–9 %
-        // slower than a std `powf` bound.
+        // goes through `pow_lanes` (`fx` is free until the residual pass):
+        // one pass over every lane, a `sqrt` at α = 2. A `fast_powf` per
+        // lane runs the Amdahl sweeps 6–9 % slower than a std `powf` bound.
         for (q, &coef) in self.hi.iter_mut().zip(&self.coef) {
             *q = t / coef;
         }
-        pow_slice(&self.hi, inv_alpha, &mut self.fx);
+        pow_lanes(&self.hi, inv_alpha, &mut self.fx);
         for i in 0..p {
             let by_pow = if self.coef[i] > 0.0 {
                 self.fx[i]
@@ -407,7 +420,7 @@ impl BatchSolver {
             // lanes are recomputed at their frozen root (pure function —
             // same value) and skipped below, keeping the pass
             // branch-free.
-            pow_slice(&self.x, alpha - 1.0, &mut self.df);
+            pow_lanes(&self.x, alpha - 1.0, &mut self.df);
             for i in 0..p {
                 let xam1 = self.df[i];
                 self.fx[i] = (self.lin[i] + self.coef[i] * xam1) * self.x[i] - t;
@@ -676,6 +689,34 @@ mod tests {
         assert_close(cold.makespan, stale.makespan, "stale-hint makespan");
         let r = equal_finish_parallel_reference(&platform, 180.0, law).unwrap();
         assert_close(r.makespan, stale.makespan, "stale-hint makespan vs oracle");
+    }
+
+    #[test]
+    fn linear_laws_take_the_closed_form_on_every_handle() {
+        let platform = platform3();
+        let config = SolverConfig::default();
+        let n = 137.0;
+        let rates: f64 = platform
+            .iter()
+            .map(|pr| 1.0 / (pr.inv_bandwidth() + pr.w()))
+            .sum();
+        let want = (n / rates).to_bits();
+        let amdahl = CostLaw {
+            serial: 1.0,
+            alpha: 2.0,
+        };
+        for law in [CostLaw::alpha_power(1.0), amdahl] {
+            let mut warm = BatchSolver::default();
+            warm.solve(&platform, n, 2.0, &config).unwrap();
+            for (kind, mut solver) in [
+                ("cold", BatchSolver::default()),
+                ("warm after α = 2", warm),
+                ("seeded 7e79", BatchSolver::seeded(7e79)),
+            ] {
+                let a = solver.solve(&platform, n, law, &config).unwrap();
+                assert_eq!(a.makespan.to_bits(), want, "{law:?}, {kind}");
+            }
+        }
     }
 
     #[test]

@@ -1,7 +1,16 @@
-//! Polynomial `ln`/`exp`/`pow` kernels for the equal-finish kernel.
+//! Shared-exponent power kernels for the equal-finish kernel.
 //!
-//! The batched inner-inverse path of [`crate::batch`] factors the
-//! shared-exponent power `x^a = exp(a·ln x)` so the per-lane work is one
+//! Every lane of one power pass of [`crate::batch`] raises to the same
+//! exponent `a`, and [`pow_lanes`] is the pass's one entry point. When
+//! `a` is ½, 1, 3/2 or 2 (`α − 1` at α ∈ {1.5, 2, 2.5, 3}, which holds the
+//! paper's tabulated α > 1, and `1/α` at α = 2) the power is exact IEEE
+//! arithmetic: `sqrt(x)`, `x`, `x·sqrt(x)` or `x·x`. `sqrt` and the
+//! multiply are correctly rounded and no FMA is involved, so their bits
+//! depend on neither the CPU nor the lane count, and their error is
+//! ≤ ½ ulp (≤ 1.5 ulp for 3/2).
+//!
+//! Every other exponent goes through [`pow_slice`], which factors
+//! `x^a = exp(a·ln x)` so the per-lane work is one
 //! log reduction, one multiply and one exp reduction — all straight-line
 //! polynomial arithmetic that the compiler can keep in registers. The
 //! algorithms are the classical fdlibm argument reductions and minimax
@@ -31,9 +40,11 @@
 //! op-for-op transcription of `ln_core`/`exp_core` — no FMA, same IEEE
 //! evaluation order — so IEEE-754 determinism makes it bit-identical to
 //! the scalar loop, and any chunk containing a lane outside the fast
-//! range falls back to the scalar path wholesale. That is what keeps the
-//! equal-finish kernel's results independent of the lane count and the
-//! CPU (pinned by `pow_slice_is_bitwise_scalar_across_the_range`).
+//! range falls back to the scalar path wholesale. That, with the exact
+//! forms' correctly rounded operations, is what keeps the equal-finish
+//! kernel's results independent of the lane count and the CPU (pinned by
+//! `pow_slice_is_bitwise_scalar_across_the_range` and
+//! `pow_lanes_takes_the_documented_form_bit_for_bit`).
 
 #![expect(
     clippy::disallowed_methods,
@@ -138,8 +149,49 @@ pub fn fast_powf(x: f64, a: f64) -> f64 {
     fast_exp(a * fast_ln(x))
 }
 
-/// Elementwise `out[i] = x[i]^a` — the one call the batched Newton pass
-/// makes per iteration. On x86-64 with AVX2, chunks of 4 lanes run
+/// Elementwise `out[i] = x[i]^a` for non-negative lanes — the one call a
+/// power pass of the equal-finish kernel makes. The exponents that have
+/// an exact form take it:
+///
+/// | `a` | `out[i]` |
+/// |-----|----------|
+/// | ½   | `x.sqrt()` |
+/// | 1   | `x` |
+/// | 3/2 | `x * x.sqrt()` |
+/// | 2   | `x * x` |
+///
+/// Any other `a` runs [`pow_slice`]. The exact forms are correctly
+/// rounded IEEE operations (≤ ½ ulp, ≤ 1.5 ulp for 3/2) whose bits do not
+/// depend on the CPU or the chunking; the polynomial's error is of order
+/// `a·|ln x|·ε`. Zero, infinite and NaN lanes give 0, ∞ and NaN on
+/// every path.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths.
+pub fn pow_lanes(x: &[f64], a: f64, out: &mut [f64]) {
+    assert_eq!(x.len(), out.len(), "pow_lanes length mismatch");
+    if a == 0.5 {
+        for (o, &xi) in out.iter_mut().zip(x) {
+            *o = xi.sqrt();
+        }
+    } else if a == 1.0 {
+        out.copy_from_slice(x);
+    } else if a == 1.5 {
+        for (o, &xi) in out.iter_mut().zip(x) {
+            *o = xi * xi.sqrt();
+        }
+    } else if a == 2.0 {
+        for (o, &xi) in out.iter_mut().zip(x) {
+            *o = xi * xi;
+        }
+    } else {
+        pow_slice(x, a, out);
+    }
+}
+
+/// Elementwise `out[i] = x[i]^a` through the polynomial `exp(a·ln x)` of
+/// [`fast_powf`], whatever `a`. On x86-64 with AVX2, chunks of 4 lanes run
 /// through the AVX2 mirror of the same arithmetic (bit-identical, so
 /// results never depend on where a lane falls relative to the chunk
 /// boundary); elsewhere a scalar loop.
@@ -497,6 +549,110 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// One lane's documented exact form.
+    type Form = fn(f64) -> f64;
+
+    /// The exact exponents and their documented forms.
+    const EXACT: [(f64, Form); 4] = [
+        (0.5, |x| x.sqrt()),
+        (1.0, |x| x),
+        (1.5, |x| x * x.sqrt()),
+        (2.0, |x| x * x),
+    ];
+
+    /// Slices of 0, 1, 5, 8, 9 and 23 lanes cut from the sweep, then the
+    /// whole sweep: lengths that straddle the AVX2 width.
+    fn sweep_slices() -> Vec<Vec<f64>> {
+        let sweep = sweep();
+        let mut slices: Vec<Vec<f64>> = [0usize, 1, 5, 8, 9, 23]
+            .iter()
+            .map(|&len| {
+                sweep
+                    .iter()
+                    .copied()
+                    .cycle()
+                    .skip(3 * len)
+                    .take(len)
+                    .collect()
+            })
+            .collect();
+        slices.push(sweep);
+        slices
+    }
+
+    #[test]
+    fn pow_lanes_takes_the_documented_form_bit_for_bit() {
+        for (a, form) in EXACT {
+            for xs in sweep_slices() {
+                let mut out = vec![f64::NAN; xs.len()];
+                pow_lanes(&xs, a, &mut out);
+                for (i, (&x, &o)) in xs.iter().zip(&out).enumerate() {
+                    assert_eq!(
+                        o.to_bits(),
+                        form(x).to_bits(),
+                        "lane {i} of {}: pow_lanes({x}, {a}) = {o}",
+                        xs.len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pow_lanes_is_pow_slice_for_other_exponents() {
+        for a in [0.04, 1.7, 23.0] {
+            for xs in sweep_slices() {
+                let mut got = vec![f64::NAN; xs.len()];
+                let mut want = vec![f64::NAN; xs.len()];
+                pow_lanes(&xs, a, &mut got);
+                pow_slice(&xs, a, &mut want);
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&got), bits(&want), "a = {a}, len {}", xs.len());
+            }
+        }
+    }
+
+    #[test]
+    fn exact_forms_are_within_two_ulps_of_std() {
+        let xs = sweep();
+        let mut out = vec![0.0; xs.len()];
+        for (a, _) in EXACT {
+            pow_lanes(&xs, a, &mut out);
+            for (&x, &o) in xs.iter().zip(&out) {
+                let want = x.powf(a);
+                if !want.is_normal() {
+                    continue;
+                }
+                // Both positive and finite: the bit distance counts ulps.
+                let ulps = o.to_bits().abs_diff(want.to_bits());
+                assert!(
+                    ulps <= 2,
+                    "pow_lanes({x}, {a}) = {o}, std {want}: {ulps} ulps"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn pow_lanes_keeps_zero_infinite_and_nan_lanes() {
+        // The ordinary fourth lane fills an AVX2 chunk.
+        let xs = [0.0, f64::INFINITY, f64::NAN, 4.0];
+        for a in [0.5, 1.0, 1.5, 2.0, 0.04, 1.7, 23.0] {
+            let mut out = [1.0; 4];
+            pow_lanes(&xs, a, &mut out);
+            assert_eq!(out[0], 0.0, "a = {a}");
+            assert_eq!(out[1], f64::INFINITY, "a = {a}");
+            assert!(out[2].is_nan(), "a = {a}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn pow_lanes_rejects_length_mismatch() {
+        let mut out = [0.0; 2];
+        pow_lanes(&[1.0, 2.0, 3.0], 0.5, &mut out);
     }
 
     #[test]

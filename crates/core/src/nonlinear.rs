@@ -207,8 +207,9 @@ pub(crate) fn invert_cost_newton(
 }
 
 /// The closed-form inverse of a linear law, `cost = (c + w)·x = t`:
-/// `(x, dx/dt) = (t/(c + w), 1/(c + w))`. Both equal-finish solvers take
-/// it whenever [`CostModel::is_linear`] holds.
+/// `(x, dx/dt) = (t/(c + w), 1/(c + w))`. The one-port inner loop takes
+/// it whenever [`CostModel::is_linear`] holds (the lanes kernel solves a
+/// linear law's whole system in closed form instead).
 pub(crate) fn linear_inverse(c: f64, w: f64, t: f64) -> (f64, f64) {
     let d = c + w;
     (t / d, 1.0 / d)
@@ -508,7 +509,9 @@ pub(crate) fn outer_newton(
         } else {
             hi = t;
         }
-        let bracket_tight = hi.is_finite() && hi - lo <= config.rel_tol * hi.max(1.0);
+        // Relative at every scale: an absolute floor below `T = 1` would
+        // stop a makespan under ~1e-16 at its first probe.
+        let bracket_tight = hi.is_finite() && hi - lo <= config.rel_tol * hi;
         if g.abs() <= config.residual_tol * n || bracket_tight {
             return Ok(t);
         }

@@ -30,7 +30,8 @@
 //! the same bits (no hidden state leaks between handles). The kernel-
 //! level half of lane-count independence (AVX2 chunks bit-identical to
 //! the scalar fallback at every position, so results cannot depend on
-//! `p mod 4`) is pinned by `fastmath`'s bitwise `pow_slice` unit test.
+//! `p mod 4`) is pinned by `fastmath`'s bitwise `pow_slice` and
+//! `pow_lanes` unit tests.
 //!
 //! Proptest cases honor `PROPTEST_CASES` / `PROPTEST_SEED`, which the
 //! CI seed-matrix job pins at 512 × {1, 2}.
@@ -225,15 +226,17 @@ fn splitmix_unit(state: &mut u64) -> f64 {
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Makespans far below 1 (loads of 1e-6 and 3e-6 data units on random
-/// platforms, T ≈ 1e-8–1e-7) meet the 1e-9 oracle bound too. This needs
-/// an oracle that stops on a relative width at every scale: an absolute
-/// width of `ε` resolves these makespans only to ~1e-8 relative.
+/// Makespans far below 1 (loads from 1e-300 to 3e-6 data units on
+/// random platforms, T from ~1e-300 to ~1e-7) meet the 1e-9 oracle bound
+/// too, linear law included. This needs an oracle and an outer Newton
+/// that stop on a relative bracket width at every scale: an absolute
+/// width of `ε` resolves a makespan of 1e-8 only to ~1e-8 relative, and
+/// stops one under ~1e-16 at its first probe, the single-worker bound.
 #[test]
 fn tiny_makespans_meet_the_oracle_bound() {
     let mut state = 1u64;
     for p in [1usize, 2, 4, 8, 16] {
-        for _ in 0..6 {
+        for draw in 0..6 {
             let speeds: Vec<f64> = (0..p)
                 .map(|_| 0.1 + 49.9 * splitmix_unit(&mut state))
                 .collect();
@@ -241,9 +244,16 @@ fn tiny_makespans_meet_the_oracle_bound() {
                 .map(|_| 0.01 + 4.99 * splitmix_unit(&mut state))
                 .collect();
             let platform = Platform::from_speeds_and_costs(&speeds, &costs).unwrap();
-            for n in [1e-6, 3e-6] {
+            // The oracle halves ~1000 times per level at n = 1e-300, so
+            // the first platform of each width carries the smaller loads.
+            let loads: &[f64] = if draw == 0 {
+                &[1e-6, 3e-6, 1e-20, 1e-100, 1e-300]
+            } else {
+                &[1e-6, 3e-6]
+            };
+            for &n in loads {
                 for serial in [0.0, 0.28] {
-                    for alpha in [1.5, 2.0, 3.0] {
+                    for alpha in [1.0, 1.5, 2.0, 3.0] {
                         let law = CostLaw { serial, alpha };
                         let ctx = format!("p = {p}, n = {n}, {law:?}, speeds {speeds:?}");
                         check(&mut BatchSolver::default(), &platform, n, law, &ctx);
