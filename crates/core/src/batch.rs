@@ -9,63 +9,42 @@
 //! The system is `cᵢxᵢ + wᵢ·(s·xᵢ + (1−s)·xᵢ^α) = T` on every worker with
 //! `Σxᵢ = N` (the [`CostLaw`]; `s = 0` is the paper's `cᵢxᵢ + wᵢxᵢ^α`).
 //! A linear law (`α = 1` or `s = 1`) has the closed form
-//! `T = N / Σ 1/(cᵢ + wᵢ)`, taken with no iteration. A warm handle, one
-//! that holds the previous solve's shares on the same lanes, takes Newton
-//! steps on all shares and `T` together from those shares: one power pass
-//! and O(p) arithmetic per step. A cold handle, a changed platform and a
-//! joint attempt that fails take the nested solve instead: an outer
-//! safeguarded Newton on `T` (taken in log–log coordinates) over inner
-//! per-worker inverses, which converges from any start.
-//! [`BatchSolver`] keeps the platform as structure-of-arrays lanes
-//! (contiguous `c[]`, `w[]` plus per-lane Newton state). Once per solve it
-//! folds the law into two more lanes, the linear rate `lin = c + w·s` and
-//! the power coefficient `coef = w·(1−s)` (`c` and `w` themselves at
-//! `s = 0`), so the kernel evaluates `lin·x + coef·x^α` and an α-power
-//! solve pays no per-lane operation for the serial fraction. Every joint
-//! step and every inner iteration is one residual pass over the lane
-//! arrays, a single shared-exponent `x^{α−1}` sweep through
-//! [`crate::fastmath::pow_lanes`]: exact `sqrt`, copy or multiplies when
-//! `α − 1` is ½, 1, 3/2 or 2, the polynomial `exp((α−1)·ln x)` otherwise
-//! (runtime-detected AVX2, four lanes at a time, or a scalar loop). The
-//! nested solve advances all inner inverses in lockstep and starts every
-//! outer evaluation from one such sweep for the closed-form bounds'
-//! `(t/coef)^{1/α}` (a `sqrt` at α = 2), later iterates from the previous
-//! iterate's roots. The solver reuses all scratch (no allocation per
-//! evaluation).
+//! `T = N / Σ 1/(cᵢ + wᵢ)`. Any other law takes Newton steps on all
+//! shares and `T` together, from the previous solve's shares on a warm
+//! handle and from every lane's closed-form bound at the single-best-worker
+//! makespan `T₀` on a cold one. Steps that fail fall back to the nested
+//! solve of the one-port model, `nonlinear::outer_newton` over
+//! `nonlinear::invert_cost_newton`, which converges from any start.
+//!
+//! The handle keeps the platform as lanes (contiguous `c[]`, `w[]`) and
+//! folds the law into two more once per solve, the linear rate
+//! `lin = c + w·s` and the power coefficient `coef = w·(1−s)`, so a step
+//! is one shared-exponent `x^{α−1}` pass through
+//! [`crate::fastmath::pow_lanes`] (exact `sqrt`, copy or multiplies when
+//! `α − 1` is ½, 1, 3/2 or 2, the polynomial `exp((α−1)·ln x)` otherwise)
+//! and O(p) arithmetic. All scratch is reused across solves.
 //!
 //! # Correctness contract
 //!
 //! * The nested-bisection
 //!   [`crate::nonlinear::equal_finish_parallel_reference`] is the oracle:
 //!   makespan and every share agree with it to ≤ 1e-9 relative, from
-//!   cold, warm and stale-warm handles alike (the property suite in
-//!   `tests/batch_properties.rs` sweeps p ∈ {1, 2, 7, 8, 64, 512} × the
-//!   α-power and Amdahl laws).
+//!   cold, warm and far-off warm handles alike (`tests/batch_properties.rs`
+//!   sweeps p ∈ {1, 2, 7, 8, 64, 512} × the α-power and Amdahl laws).
 //! * Conservation is exact by construction: after the final rescale the
 //!   largest lane is re-assigned the remainder `n − Σ_{i≠k} xᵢ`
 //!   (left-to-right sum skipping `k`), so replaying that sum in the
 //!   kernel's own arithmetic recovers `n` bitwise.
-//! * Results are a pure function of the handle's solve sequence: two
-//!   handles fed the same `(platform, n, law)` sequence return the same
-//!   bits, which is what keeps every engine bit-identical to its
-//!   `_reference` twin. A solve that repeats the previous one on the
-//!   same lanes (`n` and law bit for bit, and the same config) returns
-//!   the previous allocation unchanged.
-//! * Share seeds are **a start only**: the joint step falls back to the
-//!   nested solve, from the handle's finish-time hint, when a step leaves
-//!   the positive finite reals or has not converged after a fixed cap.
-//!   The seeds and the repeat record are dropped whenever the platform's
-//!   lane arrays change bitwise — a worker failing out mid-trace shrinks
-//!   the degraded platform, and a stale-length seed must not be read
-//!   (the unit test below, and `dlt-multiload`'s failure properties,
-//!   which drive `Down` events through every engine). The outer
-//!   finish-time hint survives platform changes.
-//!
-//! The one-port model ([`crate::nonlinear::equal_finish_one_port`]) has
-//! no lane form — its serialized sends chain each worker's window to the
-//! previous shares — and stays the single scalar consumer of the inner
-//! Newton in `nonlinear`. Both models share the outer Newton loop,
-//! `nonlinear::outer_newton`; each finishes its own shares.
+//! * Results are a pure function of the handle's solve sequence, which
+//!   keeps every engine bit-identical to its `_reference` twin, and a
+//!   solve that repeats the previous one on the same lanes (`n`, law and
+//!   config bit for bit) returns the previous allocation unchanged.
+//! * Share seeds are **a start only**, dropped with the repeat record
+//!   whenever the lane arrays change bitwise (a worker failing out
+//!   mid-trace shrinks the platform, and a stale-length seed must not be
+//!   read).
+//! * A makespan or share total that overflows `f64` is a
+//!   [`DltError::NoConvergence`], never an `Ok`.
 
 use crate::costmodel::{CostLaw, CostModel};
 use crate::error::DltError;
@@ -74,16 +53,9 @@ use crate::nonlinear::{self, NonlinearAllocation, SolverConfig};
 use dlt_platform::Platform;
 use dlt_sim::CommMode;
 
-/// Relative inflation applied to the fast-path closed-form upper bound:
-/// comfortably above the polynomial `pow`'s worst-case error, so the
-/// bound still satisfies `cost(ub) ≥ t` and Newton descends onto the
-/// root from the right instead of stalling on a bracket whose upper end
-/// sits a few ulps *below* the root.
-const UB_INFLATE: f64 = 1e-12;
-
-/// Step cap of the joint Newton: from the previous solve's shares it
-/// converges in a handful of steps, and a start that has not converged
-/// after this many falls back to the nested solve.
+/// Step cap of the joint Newton: from the previous solve's shares or the
+/// bound shares it converges in a handful of steps, and a start that has
+/// not converged after this many falls back to the nested solve.
 const JOINT_STEPS: usize = 16;
 
 /// Names the equal-finish kernel a [`BatchSolver`] runs. There is one —
@@ -98,9 +70,9 @@ pub enum SolveBackend {
     Scalar,
 }
 
-/// Reusable equal-finish solver handle: the outer finish-time hint, the
-/// structure-of-arrays platform mirror, per-lane scratch, and the previous
-/// solve's share seeds and inputs.
+/// Reusable equal-finish solver handle: the structure-of-arrays platform
+/// mirror, per-lane scratch, and the previous solve's share seeds and
+/// inputs.
 ///
 /// Thread one handle through consecutive solves (the multiload engines
 /// and the sweep runners do): the platform arrays are rebuilt only when
@@ -124,8 +96,6 @@ pub enum SolveBackend {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct BatchSolver {
-    /// Outer root of the last solve: the next solve's first probe.
-    hint: Option<f64>,
     /// SoA mirror of the last platform seen (inverse bandwidths).
     c: Vec<f64>,
     /// SoA mirror of the last platform seen (inverse speeds).
@@ -134,19 +104,17 @@ pub struct BatchSolver {
     lin: Vec<f64>,
     /// … and power coefficient `w·(1−s)`.
     coef: Vec<f64>,
-    /// Final shares of the previous solve on this platform (empty when
-    /// cold or after a platform change): the joint step's start.
+    /// The joint step's start: the previous solve's shares on this
+    /// platform, or the cold start's bound shares (empty when cold or
+    /// after a platform change).
     seeds: Vec<f64>,
     /// The previous solve on these lanes, if any (its shares are `seeds`).
     last: Option<Solved>,
     // Per-lane Newton state, reused across solves.
     x: Vec<f64>,
-    lo: Vec<f64>,
-    hi: Vec<f64>,
     fx: Vec<f64>,
     df: Vec<f64>,
     invd: Vec<f64>,
-    done: Vec<bool>,
 }
 
 impl BatchSolver {
@@ -156,27 +124,13 @@ impl BatchSolver {
         Self::default()
     }
 
-    /// A handle pre-seeded with a finish-time hint (e.g. a closed-form
-    /// estimate); non-finite or non-positive seeds are ignored. A stale
-    /// seed can only lengthen the path to the root, never change it.
-    pub fn seeded(t: f64) -> Self {
-        Self {
-            hint: usable_hint(t),
-            ..Self::default()
-        }
-    }
-
-    /// The outer root of the last solve, if any (the warm-start hint).
-    pub fn last_makespan(&self) -> Option<f64> {
-        self.hint
-    }
-
     /// Equal-finish parallel-model solve of `n` data units under `law` (a
     /// bare `f64` is the α-power law): the closed form for a linear law,
-    /// else joint Newton steps from this handle's previous shares when it
-    /// has them, the nested solve otherwise or when the joint steps fail,
-    /// recording this solve's root, shares and inputs for the next. A
-    /// repeat of the previous solve returns its allocation.
+    /// else joint Newton steps from this handle's previous shares, or
+    /// from the bound shares at `T₀` when it has none, and the nested
+    /// solve when the joint steps fail; records this solve's shares and
+    /// inputs for the next. A repeat of the previous solve returns its
+    /// allocation.
     pub fn solve(
         &mut self,
         platform: &Platform,
@@ -194,26 +148,16 @@ impl BatchSolver {
             return Ok(allocation(platform, n, law, last.makespan, &self.seeds));
         }
         self.last = None;
-        if law.is_linear() {
-            let t = self.linear_closed_form(n);
-            return Ok(self.finish(platform, n, law, config, t));
-        }
-        let lanes = self.lin.iter_mut().zip(&mut self.coef);
-        for ((lin, coef), (&c, &w)) in lanes.zip(self.c.iter().zip(&self.w)) {
-            (*lin, *coef) = law.lanes(c, w);
-        }
-        if self.seeds.len() == platform.len() {
-            if let Some(t) = self.joint_newton(n, law.alpha, config.residual_tol) {
-                return Ok(self.finish(platform, n, law, config, t));
+        let t = if law.is_linear() {
+            self.linear_closed_form(n)?
+        } else {
+            self.start(platform, n, law)?;
+            match self.joint_newton(n, law.alpha, config.residual_tol) {
+                Some(t) => t,
+                None => self.nested(platform, n, law, config)?,
             }
-        }
-        let mut first = true;
-        let t = nonlinear::outer_newton(platform, n, law, self.hint, config, |t| {
-            let slope = self.eval_lanes(law.alpha, t, first, config.max_inner);
-            first = false;
-            (self.x.iter().sum(), slope)
-        })?;
-        Ok(self.finish(platform, n, law, config, t))
+        };
+        self.finish(platform, n, law, config, t)
     }
 
     /// Multi-law solve sharing one platform scan: solves the same `(platform, n)`
@@ -236,8 +180,7 @@ impl BatchSolver {
     /// Rebuilds the SoA mirror when the platform changed (bitwise lane
     /// compare); a change drops the share seeds — they are meaningless
     /// (and possibly the wrong length) on the new lane layout — and the
-    /// repeat record, while the outer finish-time hint survives, being a
-    /// plain hint.
+    /// repeat record.
     fn refresh_platform(&mut self, platform: &Platform) {
         let p = platform.len();
         let same = self.c.len() == p
@@ -259,32 +202,57 @@ impl BatchSolver {
         self.lin.resize(p, 0.0);
         self.coef.resize(p, 0.0);
         self.x.resize(p, 0.0);
-        self.lo.resize(p, 0.0);
-        self.hi.resize(p, 0.0);
         self.fx.resize(p, 0.0);
         self.df.resize(p, 0.0);
         self.invd.resize(p, 0.0);
-        self.done.resize(p, false);
     }
 
     /// The whole system of a linear law in closed form: every lane costs
     /// `(cᵢ + wᵢ)·xᵢ`, so `T = n / Σ 1/(cᵢ + wᵢ)` and
-    /// `xᵢ = T·(1/(cᵢ + wᵢ))`, into `self.x`. Reads no hint and no seed.
-    fn linear_closed_form(&mut self, n: f64) -> f64 {
+    /// `xᵢ = T·(1/(cᵢ + wᵢ))`, into `self.x`. Reads no seed; a `T` that
+    /// overflows is an error.
+    fn linear_closed_form(&mut self, n: f64) -> Result<f64, DltError> {
         let mut rates = 0.0;
         for (invd, (&c, &w)) in self.invd.iter_mut().zip(self.c.iter().zip(&self.w)) {
             *invd = 1.0 / (c + w);
             rates += *invd;
         }
-        let t = n / rates;
+        let t = nonlinear::representable(n / rates)?;
         for (x, &invd) in self.x.iter_mut().zip(&self.invd) {
             *x = t * invd;
         }
-        t
+        Ok(t)
+    }
+
+    /// Folds `law` into the `lin`/`coef` lanes and, on a handle with no
+    /// share seeds for these lanes, seeds the joint step with every lane's
+    /// closed-form bound at the single-best-worker makespan `T₀`:
+    /// `min(T₀/lin, (T₀/coef)^{1/α})` (`CostModel::inverse_upper_bound`),
+    /// the power in one `pow_lanes` pass (a `sqrt` at α = 2). Each bound
+    /// lies at or above its lane's root at `T₀`, and the best worker's
+    /// root there is `n`, so their sum is at least `n`.
+    fn start(&mut self, platform: &Platform, n: f64, law: CostLaw) -> Result<(), DltError> {
+        let lanes = self.lin.iter_mut().zip(&mut self.coef);
+        for ((lin, coef), (&c, &w)) in lanes.zip(self.c.iter().zip(&self.w)) {
+            (*lin, *coef) = law.lanes(c, w);
+        }
+        if self.seeds.len() == self.c.len() {
+            return Ok(());
+        }
+        let t0 = nonlinear::t_single_worker_bound(platform, n, law)?;
+        for (q, &coef) in self.x.iter_mut().zip(&self.coef) {
+            *q = t0 / coef;
+        }
+        self.seeds.resize(self.c.len(), 0.0);
+        pow_lanes(&self.x, 1.0 / law.alpha, &mut self.seeds);
+        for (seed, &lin) in self.seeds.iter_mut().zip(&self.lin) {
+            *seed = (t0 / lin).min(*seed);
+        }
+        Ok(())
     }
 
     /// Newton on all shares and the finish time together, from the
-    /// previous solve's shares scaled to `Σx = n`: the bordered system
+    /// share seeds scaled to `Σx = n`: the bordered system
     /// `costᵢ(xᵢ) = T`, `Σx = n`, with `T` eliminated, so a step is one
     /// power pass and O(p) arithmetic:
     /// `T′ = T + (Σ(costᵢ − T)/f′ᵢ − (Σx − n)) / Σ1/f′ᵢ` and
@@ -294,13 +262,14 @@ impl BatchSolver {
     ///
     /// Returns the finish time, with the shares in `self.x`, once
     /// `|Σx − n| ≤ residual_tol·n` and the largest lane residual
-    /// `|costᵢ − T|` is at most `4ε·T` (the nested inner loop's residual
-    /// test) or has stopped halving at or below `residual_tol·T` (a
-    /// stall on the rounding floor of the computed costs, where the
-    /// nested inner loop stops on its step or bracket test). Every lane
-    /// cost then lies within that residual of `T`, and so does the root.
-    /// `None` when `T′` or a share leaves the positive finite reals, or
-    /// after [`JOINT_STEPS`] steps.
+    /// `|costᵢ − T|` is at most `4ε·T` (the inner Newton's residual test)
+    /// or has stopped halving at or below `residual_tol·T` plus the shift
+    /// `|Σx − n| / Σ1/f′ᵢ` that the conservation excess puts on `T′` (a
+    /// stall on the rounding floor of the computed costs and of `Σx`,
+    /// where the inner Newton stops on its step or bracket test). Every
+    /// lane cost then lies within that residual of `T`, and so does the
+    /// root. `None` when `T′` or a share leaves the positive finite reals,
+    /// or after [`JOINT_STEPS`] steps.
     fn joint_newton(&mut self, n: f64, alpha: f64, residual_tol: f64) -> Option<f64> {
         let scale = n / self.seeds.iter().sum::<f64>();
         for (x, &seed) in self.x.iter_mut().zip(&self.seeds) {
@@ -336,10 +305,13 @@ impl BatchSolver {
             }
             // A residual that stopped halving sits on the rounding floor
             // of the computed costs (the fast power's error grows with
-            // `(α−1)·|ln x|`): further steps only resample that noise.
+            // `(α−1)·|ln x|`) and of `Σx` (at p = 2048 and α = 12, identical
+            // lanes settle ~6e-13·T apart from `T′`, which absorbs the
+            // sum's rounding): further steps only resample that noise.
             let worst = self.fx.iter().fold(0.0, |m: f64, &c| m.max((c - t).abs()));
-            let settled = worst <= 4.0 * f64::EPSILON * t
-                || (worst > 0.5 * last_worst && worst <= residual_tol * t);
+            let floor = residual_tol * t + excess.abs() / weights;
+            let settled =
+                worst <= 4.0 * f64::EPSILON * t || (worst > 0.5 * last_worst && worst <= floor);
             if settled && excess.abs() <= residual_tol * n {
                 return Some(t);
             }
@@ -351,122 +323,33 @@ impl BatchSolver {
         None
     }
 
-    /// One outer evaluation: all lane inverses at finish time `t`, into
-    /// `self.x`, returning the slope `Σ dxᵢ/dt`. The lane form of
-    /// `nonlinear::invert_cost_newton` (same bracketing and stopping
-    /// rules), with the Newton iterations advanced in lockstep so each
-    /// iteration is one batched residual pass.
-    fn eval_lanes(&mut self, alpha: f64, t: f64, first: bool, max_inner: usize) -> f64 {
-        let p = self.c.len();
-        if t <= 0.0 {
-            self.x[..p].fill(0.0);
-            return 0.0;
-        }
-        let inv_alpha = 1.0 / alpha;
-        // Every lane's closed-form bound `min(t/lin, (t/coef)^{1/α})`
-        // (`CostModel::inverse_upper_bound`), re-inflated below. The power
-        // goes through `pow_lanes` (`fx` is free until the residual pass):
-        // one pass over every lane, a `sqrt` at α = 2. A `fast_powf` per
-        // lane runs the Amdahl sweeps 6–9 % slower than a std `powf` bound.
-        for (q, &coef) in self.hi.iter_mut().zip(&self.coef) {
-            *q = t / coef;
-        }
-        pow_lanes(&self.hi, inv_alpha, &mut self.fx);
-        for i in 0..p {
-            let by_pow = if self.coef[i] > 0.0 {
-                self.fx[i]
-            } else {
-                f64::INFINITY
-            };
-            self.hi[i] = if self.lin[i] > 0.0 {
-                (t / self.lin[i]).min(by_pow)
-            } else {
-                by_pow
-            };
-        }
-        let mut remaining = 0usize;
-        for i in 0..p {
-            let ub = self.hi[i];
-            if ub.is_nan() || ub <= 0.0 || ub.is_infinite() {
-                // Float extremes only (the bound underflowed to 0 or
-                // overflowed to ∞): the lane gets nothing, as in
-                // `nonlinear::invert_cost_newton`.
-                self.x[i] = 0.0;
-                self.invd[i] = 0.0;
-                self.done[i] = true;
-                continue;
+    /// The fallback when the joint steps fail: the one-port model's nested
+    /// solve on the parallel model, `nonlinear::outer_newton` from `T₀`
+    /// over `nonlinear::invert_cost_newton` on every lane, into `self.x`.
+    /// It converges from any start.
+    fn nested(
+        &mut self,
+        platform: &Platform,
+        n: f64,
+        law: CostLaw,
+        config: &SolverConfig,
+    ) -> Result<f64, DltError> {
+        let t0 = nonlinear::t_single_worker_bound(platform, n, law)?;
+        let (c, w, x) = (&self.c, &self.w, &mut self.x);
+        nonlinear::outer_newton(n, t0, config, |t| {
+            let mut slope = 0.0;
+            for (xi, (&ci, &wi)) in x.iter_mut().zip(c.iter().zip(w)) {
+                let (share, dx) = nonlinear::invert_cost_newton(law, ci, wi, t, config.max_inner);
+                *xi = share;
+                slope += dx;
             }
-            let ub = ub * (1.0 + UB_INFLATE);
-            self.hi[i] = ub;
-            self.lo[i] = 0.0;
-            // Start the lane from the previous outer iterate's root, a
-            // hint that falls back to the closed-form bound outside the
-            // fresh bracket; the first iterate starts from the bound.
-            let seed = self.x[i];
-            self.x[i] = if !first && seed.is_finite() && seed > 0.0 && seed < ub {
-                seed
-            } else {
-                ub
-            };
-            self.done[i] = false;
-            remaining += 1;
-        }
-        if remaining == 0 {
-            return 0.0;
-        }
-        for _ in 0..max_inner.max(1) {
-            // One shared-exponent pass over every lane (`x^{α−1}` parked
-            // in `df` until the combine loop consumes it); converged
-            // lanes are recomputed at their frozen root (pure function —
-            // same value) and skipped below, keeping the pass
-            // branch-free.
-            pow_lanes(&self.x, alpha - 1.0, &mut self.df);
-            for i in 0..p {
-                let xam1 = self.df[i];
-                self.fx[i] = (self.lin[i] + self.coef[i] * xam1) * self.x[i] - t;
-                self.df[i] = self.lin[i] + self.coef[i] * alpha * xam1;
-            }
-            for i in 0..p {
-                if self.done[i] {
-                    continue;
-                }
-                let fxi = self.fx[i];
-                self.invd[i] = 1.0 / self.df[i];
-                if fxi.abs() <= 4.0 * f64::EPSILON * t {
-                    self.done[i] = true;
-                    remaining -= 1;
-                    continue;
-                }
-                if fxi < 0.0 {
-                    self.lo[i] = self.x[i];
-                } else {
-                    self.hi[i] = self.x[i];
-                }
-                let newton = self.x[i] - fxi * self.invd[i];
-                let next = if newton.is_finite() && newton > self.lo[i] && newton < self.hi[i] {
-                    newton
-                } else {
-                    0.5 * (self.lo[i] + self.hi[i])
-                };
-                let step = (next - self.x[i]).abs();
-                self.x[i] = next;
-                if step <= f64::EPSILON * self.x[i]
-                    || self.hi[i] - self.lo[i] <= f64::EPSILON * self.hi[i]
-                {
-                    self.done[i] = true;
-                    remaining -= 1;
-                }
-            }
-            if remaining == 0 {
-                break;
-            }
-        }
-        self.invd[..p].iter().sum()
+            (x.iter().sum(), slope)
+        })
     }
 
     /// Rescale to `Σ xᵢ = n`, pin exact conservation on the largest
-    /// lane, record the warm hint, the share seeds and the solve, and
-    /// package the allocation.
+    /// lane, record the share seeds and the solve, and package the
+    /// allocation; an error when `Σ xᵢ` overflows.
     fn finish(
         &mut self,
         platform: &Platform,
@@ -474,30 +357,28 @@ impl BatchSolver {
         law: CostLaw,
         config: &SolverConfig,
         t: f64,
-    ) -> NonlinearAllocation {
-        if nonlinear::rescale(&mut self.x, n) {
-            // Exact conservation: the largest share absorbs the
-            // rescale's rounding residue. `rest` is the left-to-right
-            // sum skipping lane `k` — replaying it bitwise recovers
-            // `x[k] = n − rest` (tested in batch_properties).
-            let mut k = 0usize;
-            for i in 1..self.x.len() {
-                if self.x[i] > self.x[k] {
-                    k = i;
-                }
-            }
-            let mut rest = 0.0;
-            for (i, &xi) in self.x.iter().enumerate() {
-                if i != k {
-                    rest += xi;
-                }
-            }
-            let rem = n - rest;
-            if rem > 0.0 {
-                self.x[k] = rem;
+    ) -> Result<NonlinearAllocation, DltError> {
+        nonlinear::rescale(&mut self.x, n)?;
+        // Exact conservation: the largest share absorbs the rescale's
+        // rounding residue. `rest` is the left-to-right sum skipping lane
+        // `k` — replaying it bitwise recovers `x[k] = n − rest` (tested in
+        // batch_properties).
+        let mut k = 0usize;
+        for i in 1..self.x.len() {
+            if self.x[i] > self.x[k] {
+                k = i;
             }
         }
-        self.hint = usable_hint(t).or(self.hint);
+        let mut rest = 0.0;
+        for (i, &xi) in self.x.iter().enumerate() {
+            if i != k {
+                rest += xi;
+            }
+        }
+        let rem = n - rest;
+        if rem > 0.0 {
+            self.x[k] = rem;
+        }
         self.seeds.clear();
         self.seeds.extend_from_slice(&self.x);
         self.last = Some(Solved {
@@ -506,7 +387,7 @@ impl BatchSolver {
             config: *config,
             makespan: t,
         });
-        allocation(platform, n, law, t, &self.x)
+        Ok(allocation(platform, n, law, t, &self.x))
     }
 }
 
@@ -536,11 +417,6 @@ fn allocation(platform: &Platform, n: f64, law: CostLaw, t: f64, x: &[f64]) -> N
         comm_mode: CommMode::Parallel,
         order: (0..platform.len()).collect(),
     }
-}
-
-/// A finish-time hint is kept only when it is finite and positive.
-fn usable_hint(t: f64) -> Option<f64> {
-    (t.is_finite() && t > 0.0).then_some(t)
 }
 
 #[cfg(test)]
@@ -599,19 +475,17 @@ mod tests {
     }
 
     #[test]
-    fn platform_change_drops_share_seeds_but_keeps_the_warm_hint() {
+    fn platform_change_drops_share_seeds() {
         let config = SolverConfig::default();
         let mut solver = BatchSolver::default();
         let p5 = Platform::from_speeds(&[1.0, 2.0, 3.0, 4.0, 5.0]).unwrap();
         solver.solve(&p5, 100.0, 2.0, &config).unwrap();
         assert_eq!(solver.seeds.len(), 5);
-        let warm_before = solver.last_makespan().unwrap();
         // A worker "fails out": shorter platform through the same handle.
         let p3 = platform3();
         let a = solver.solve(&p3, 100.0, 2.0, &config).unwrap();
         assert_eq!(a.x.len(), 3);
         assert_eq!(solver.seeds.len(), 3);
-        assert!(solver.last_makespan().unwrap() != warm_before || a.makespan == warm_before);
         // And the result still matches the oracle on the new platform.
         let r = equal_finish_parallel_reference(&p3, 100.0, 2.0).unwrap();
         assert_close(r.makespan, a.makespan, "post-shrink makespan");
@@ -646,13 +520,73 @@ mod tests {
         solver.seeds.fill(1e-12);
         solver.seeds[0] = 100.0;
         let law = CostLaw::alpha_power(24.0);
-        for i in 0..platform.len() {
-            (solver.lin[i], solver.coef[i]) = law.lanes(solver.c[i], solver.w[i]);
-        }
+        solver.start(&platform, 100.0, law).unwrap();
         assert_eq!(solver.joint_newton(100.0, 24.0, config.residual_tol), None);
         let a = solver.solve(&platform, 100.0, law, &config).unwrap();
         let r = equal_finish_parallel_reference(&platform, 100.0, law).unwrap();
         assert_close(r.makespan, a.makespan, "fallback makespan");
+    }
+
+    /// Calls `probe` on the cold-start grid: the three paper speed
+    /// profiles at the widths up to `max_p`, seven α-power laws and two
+    /// Amdahl laws `(serial, α)`, and loads from 1.37e-6 to 1.37e9 every
+    /// 1.5 decades.
+    fn cold_grid(max_p: usize, mut probe: impl FnMut(&Platform, f64, CostLaw, &str)) {
+        const ALPHAS: [f64; 7] = [1.25, 1.5, 2.0, 3.0, 6.0, 12.0, 24.0];
+        let amdahl = [(0.3, 2.0), (0.9, 12.0)];
+        let laws = ALPHAS.map(|alpha| (0.0, alpha)).into_iter().chain(amdahl);
+        let laws: Vec<_> = laws
+            .map(|(serial, alpha)| CostLaw { serial, alpha })
+            .collect();
+        for p in [1, 2, 7, 8, 64, 512, 2048]
+            .into_iter()
+            .filter(|&p| p <= max_p)
+        {
+            for profile in SpeedDistribution::paper_profiles() {
+                let name = profile.name();
+                let platform = PlatformSpec::new(p, profile).generate_stream(7, 0).unwrap();
+                for (law, k) in laws.iter().flat_map(|&law| (0..11).map(move |k| (law, k))) {
+                    let n = 1.37 * 10f64.powf(-6.0 + 1.5 * f64::from(k));
+                    probe(
+                        &platform,
+                        n,
+                        law,
+                        &format!("p = {p}, {name}, {law:?}, n = {n:e}"),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cold_joint_steps_converge_from_the_bound_shares() {
+        let config = SolverConfig::default();
+        cold_grid(2048, |platform, n, law, ctx| {
+            let mut solver = BatchSolver::default();
+            solver.refresh_platform(platform);
+            solver.start(platform, n, law).unwrap();
+            let t = solver.joint_newton(n, law.alpha, config.residual_tol);
+            assert!(t.is_some(), "{ctx}: the joint steps fell back");
+        });
+    }
+
+    #[test]
+    fn the_nested_fallback_meets_the_oracle_bound() {
+        // No workload reaches the fallback from a cold start, so it is
+        // driven directly here, on the cold grid up to p = 64.
+        let config = SolverConfig::default();
+        cold_grid(64, |platform, n, law, ctx| {
+            let mut solver = BatchSolver::default();
+            solver.refresh_platform(platform);
+            let t = solver.nested(platform, n, law, &config).unwrap();
+            let a = solver.finish(platform, n, law, &config, t).unwrap();
+            let r = equal_finish_parallel_reference(platform, n, law).unwrap();
+            assert_close(r.makespan, a.makespan, &format!("{ctx}: makespan"));
+            for (i, (&xr, &xk)) in r.x.iter().zip(&a.x).enumerate() {
+                let tol = 1e-9 * xr.max(xk).max(n * 1e-3);
+                assert!((xr - xk).abs() <= tol, "{ctx}: share {i} {xk} vs {xr}");
+            }
+        });
     }
 
     #[test]
@@ -674,24 +608,6 @@ mod tests {
     }
 
     #[test]
-    fn a_hint_far_above_the_root_still_converges() {
-        // A hint of ~7e79 on a handle whose next root is ~4.5e3: plain
-        // halving down from it would need more than `max_outer` steps.
-        let platform = Platform::from_speeds(&[1.0]).unwrap();
-        let law = CostLaw::alpha_power(1.61);
-        let config = SolverConfig::default();
-        let cold = BatchSolver::default()
-            .solve(&platform, 180.0, law, &config)
-            .unwrap();
-        let stale = BatchSolver::seeded(7e79)
-            .solve(&platform, 180.0, law, &config)
-            .unwrap();
-        assert_close(cold.makespan, stale.makespan, "stale-hint makespan");
-        let r = equal_finish_parallel_reference(&platform, 180.0, law).unwrap();
-        assert_close(r.makespan, stale.makespan, "stale-hint makespan vs oracle");
-    }
-
-    #[test]
     fn linear_laws_take_the_closed_form_on_every_handle() {
         let platform = platform3();
         let config = SolverConfig::default();
@@ -708,11 +624,8 @@ mod tests {
         for law in [CostLaw::alpha_power(1.0), amdahl] {
             let mut warm = BatchSolver::default();
             warm.solve(&platform, n, 2.0, &config).unwrap();
-            for (kind, mut solver) in [
-                ("cold", BatchSolver::default()),
-                ("warm after α = 2", warm),
-                ("seeded 7e79", BatchSolver::seeded(7e79)),
-            ] {
+            for (kind, mut solver) in [("cold", BatchSolver::default()), ("warm after α = 2", warm)]
+            {
                 let a = solver.solve(&platform, n, law, &config).unwrap();
                 assert_eq!(a.makespan.to_bits(), want, "{law:?}, {kind}");
             }

@@ -5,7 +5,8 @@ use std::fmt;
 /// Errors raised by allocation solvers.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DltError {
-    /// The load must be a positive finite quantity.
+    /// The load must be finite and positive (not subnormal, for the
+    /// equal-finish-time solvers).
     InvalidLoad {
         /// The rejected load.
         value: f64,
@@ -37,7 +38,7 @@ impl fmt::Display for DltError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DltError::InvalidLoad { value } => {
-                write!(f, "load must be finite and > 0, got {value}")
+                write!(f, "load must be finite, > 0 and not subnormal, got {value}")
             }
             DltError::InvalidAlpha { value } => {
                 write!(f, "power-law exponent must be finite and >= 1, got {value}")

@@ -19,13 +19,14 @@
 //!   plus multi-installment schedules.
 //! * **Non-linear DLT** ([`nonlinear`]) — the α-power workloads
 //!   (`cost = w_i · x^α`, `α > 1`) studied by Hung & Robertazzi and Suresh
-//!   et al. (refs [31–35]): equal-finish-time allocations computed by a
-//!   two-level safeguarded Newton solver ([`nonlinear::SolverConfig`]),
-//!   under both communication models. The parallel model runs the
-//!   structure-of-arrays lanes kernel of [`batch`], threaded across
+//!   et al. (refs [31–35]): equal-finish-time allocations under both
+//!   communication models ([`nonlinear::SolverConfig`]). The parallel
+//!   model runs the structure-of-arrays lanes kernel of [`batch`], Newton
+//!   steps on all shares and the finish time together, threaded across
 //!   consecutive solves by a [`batch::BatchSolver`] handle; the one-port
-//!   model runs the same outer Newton over a scalar inner loop; the
-//!   original nested bisection is kept as the `*_reference` oracles.
+//!   model, and the kernel's fallback, run a two-level safeguarded Newton
+//!   solve; the original nested bisection is kept as the `*_reference`
+//!   oracles.
 //!   These are the *baselines* whose asymptotic irrelevance the paper
 //!   proves. Every solver takes one [`costmodel::CostLaw`],
 //!   `c·x + w·(s·x + (1−s)·x^α)`: the serial-fraction law of

@@ -8,21 +8,14 @@
 //! the *work* performed in that round, `Σ (x_i)^α ≤ N^α / P^{α-1}` on a
 //! homogeneous platform, is a vanishing fraction of the total `N^α`.
 //!
-//! Solvers use safeguarded Newton iterations at both levels: the outer
-//! loop finds the common finish time `T` with `Σ x_i(T) = N` by Newton on
-//! `ln Σx` against `ln T`, which accepts a warm-start hint and falls back
-//! to bisection (geometric while the bracket spans more than a factor of
-//! 4) whenever a step leaves the current bracket (one loop, shared by
-//! both communication models);
-//! the inner loop inverts the strictly monotone per-worker cost
-//! `c_i·x + w_i·x^α = T` by Newton descent from a closed-form upper bound
-//! (see `docs/solver.md` for the derivation and the convergence
-//! tolerances). Under the paper's parallel-communication model
-//! ([`equal_finish_parallel`]) both levels run in the structure-of-arrays
-//! lanes kernel of [`crate::batch`]; the sequential one-port model of
-//! [33–35] ([`equal_finish_one_port`]) chains each worker's window to the
-//! previous shares and is the single scalar consumer of the inner Newton
-//! here. The original nested bisection is kept as
+//! The paper's parallel-communication model ([`equal_finish_parallel`])
+//! runs the lanes kernel of [`crate::batch`]. The one-port model of
+//! [33–35] ([`equal_finish_one_port`]) runs the nested solve held here,
+//! also the kernel's fallback: an outer safeguarded Newton on `ln Σx`
+//! against `ln T` from an upper bound on the finish time `T`, over an
+//! inner Newton descent on each worker's cost `c_i·x + w_i·x^α = T` from
+//! a closed-form upper bound (`docs/solver.md` derives both and their
+//! tolerances). The original nested bisection is kept as
 //! [`equal_finish_parallel_reference`] / [`equal_finish_one_port_reference`]
 //! — the property-tested ≤ 1e-9 oracles and the baselines of the
 //! `hotpaths` bench's `solver_*` records.
@@ -125,11 +118,24 @@ impl Default for SolverConfig {
     }
 }
 
+/// Checks the inputs every solver shares: a finite load no smaller than
+/// `f64::MIN_POSITIVE` (a subnormal load has fewer significant bits than
+/// the solvers' tolerances resolve, and its shares underflow) and a valid
+/// law.
 pub(crate) fn validate(n: f64, law: CostLaw) -> Result<(), DltError> {
-    if !(n.is_finite() && n > 0.0) {
+    if !(n.is_finite() && n >= f64::MIN_POSITIVE) {
         return Err(DltError::InvalidLoad { value: n });
     }
     law.validate()
+}
+
+/// `t` as a makespan: positive and finite, else the makespan overflowed
+/// (or underflowed) `f64` and no allocation is returned.
+pub(crate) fn representable(t: f64) -> Result<f64, DltError> {
+    let context = "makespan overflow: T is not a positive finite f64";
+    (t > 0.0 && t.is_finite())
+        .then_some(t)
+        .ok_or(DltError::NoConvergence { context })
 }
 
 // ---------------------------------------------------------------------------
@@ -149,8 +155,8 @@ pub(crate) fn validate(n: f64, law: CostLaw) -> Result<(), DltError> {
 /// search. A bisection step replaces any iterate that leaves the bracket
 /// `[lo, hi]` maintained alongside (finite arithmetic can push Newton
 /// past the root near convergence). A linear law
-/// ([`CostModel::is_linear`]) bypasses the loop entirely through
-/// [`linear_inverse`].
+/// ([`CostModel::is_linear`]) takes the closed form
+/// `(x, dx/dt) = (t/(c + w), 1/(c + w))` instead.
 ///
 /// Returns `(0, 0)` when `t ≤ 0` — in the one-port model a worker whose
 /// remaining window is exhausted gets nothing and contributes no slope.
@@ -165,7 +171,7 @@ pub(crate) fn invert_cost_newton(
         return (0.0, 0.0);
     }
     if law.is_linear() {
-        return linear_inverse(c, w, t);
+        return (t / (c + w), 1.0 / (c + w));
     }
     let mut x = law.inverse_upper_bound(c, w, t);
     if x.is_nan() || x <= 0.0 || x.is_infinite() {
@@ -204,15 +210,6 @@ pub(crate) fn invert_cost_newton(
         }
     }
     (x, 1.0 / deriv)
-}
-
-/// The closed-form inverse of a linear law, `cost = (c + w)·x = t`:
-/// `(x, dx/dt) = (t/(c + w), 1/(c + w))`. The one-port inner loop takes
-/// it whenever [`CostModel::is_linear`] holds (the lanes kernel solves a
-/// linear law's whole system in closed form instead).
-pub(crate) fn linear_inverse(c: f64, w: f64, t: f64) -> (f64, f64) {
-    let d = c + w;
-    (t / d, 1.0 / d)
 }
 
 /// Halving cap of the reference bisections: enough to shrink any finite
@@ -261,13 +258,18 @@ fn invert_cost_reference(law: CostLaw, c: f64, w: f64, t: f64) -> f64 {
 // Parallel communication model
 // ---------------------------------------------------------------------------
 
-/// `T` upper bound shared by every solver: give the whole load to the
-/// single best worker.
-fn t_single_worker_bound(platform: &Platform, n: f64, law: CostLaw) -> f64 {
-    platform
+/// `T₀`, the parallel model's upper bound on `T`: give the whole load to
+/// the single best worker. An error when it overflows `f64`.
+pub(crate) fn t_single_worker_bound(
+    platform: &Platform,
+    n: f64,
+    law: CostLaw,
+) -> Result<f64, DltError> {
+    let t0 = platform
         .iter()
         .map(|p| law.cost(p.inv_bandwidth(), p.w(), n))
-        .fold(f64::INFINITY, f64::min)
+        .fold(f64::INFINITY, f64::min);
+    representable(t0)
 }
 
 /// Equal-finish-time allocation under the parallel communication model:
@@ -320,7 +322,7 @@ pub fn equal_finish_parallel_reference(
             .map(|p| invert_cost_reference(law, p.inv_bandwidth(), p.w(), t))
             .collect()
     };
-    let t_hi_seed = t_single_worker_bound(platform, n, law);
+    let t_hi_seed = t_single_worker_bound(platform, n, law)?;
     let (t, x) = bisect_total_reference(n, t_hi_seed, shares_at)?;
     Ok(NonlinearAllocation {
         x,
@@ -359,10 +361,11 @@ fn validate_order(order: Option<Vec<usize>>, platform: &Platform) -> Result<Vec<
 /// w_{σ(k)} x_{σ(k)}^α`. Defaults to serving workers by non-decreasing
 /// `c_i` when no order is given.
 ///
-/// A cold solve at the default [`SolverConfig`]: the outer Newton of the
-/// lanes kernel over a scalar inner loop. Its derivative follows the
-/// chain rule through the serialized sends: worker `σ(k)` sees the local
-/// window `s_k = t − Σ_{j<k} c_j x_j`, so
+/// The nested solve at the default [`SolverConfig`]: the outer Newton,
+/// from the order's upper bound on `T`, over the scalar inner loop (the
+/// lanes kernel's fallback). Its derivative follows the chain rule
+/// through the serialized sends: worker `σ(k)` sees the local window
+/// `s_k = t − Σ_{j<k} c_j x_j`, so
 /// `dx_k/dt = (1 − Σ_{j<k} c_j · dx_j/dt) / f'_k(x_k)`, accumulated in
 /// service order.
 ///
@@ -389,8 +392,19 @@ pub fn equal_finish_one_port(
     validate(n, law)?;
     let order = validate_order(order, platform)?;
     let config = SolverConfig::default();
+    // The upper bound on `T` under `order`: the least `cost_k(n)` over the
+    // workers `k` served after no larger-`c` worker. At that `T` the data
+    // `A < n` sent before `k` took at most `c_k·A`, so `k` alone takes the
+    // rest. Under the default order every worker qualifies: `T₀`.
+    let (mut c_max, mut t0) = (0.0f64, f64::INFINITY);
+    for worker in order.iter().map(|&i| platform.worker(i)) {
+        if worker.inv_bandwidth() >= c_max {
+            c_max = worker.inv_bandwidth();
+            t0 = t0.min(law.cost(c_max, worker.w(), n));
+        }
+    }
     let mut x = vec![0.0; platform.len()];
-    let t = outer_newton(platform, n, law, None, &config, |t| {
+    let t = outer_newton(n, representable(t0)?, &config, |t| {
         let mut elapsed_comm = 0.0;
         let mut elapsed_slope = 0.0;
         let mut slope = 0.0;
@@ -407,7 +421,7 @@ pub fn equal_finish_one_port(
         }
         (x.iter().sum(), slope)
     })?;
-    rescale(&mut x, n);
+    rescale(&mut x, n)?;
     Ok(NonlinearAllocation {
         x,
         makespan: t,
@@ -444,7 +458,7 @@ pub fn equal_finish_one_port_reference(
         }
         x
     };
-    let t_hi_seed = t_single_worker_bound(platform, n, law);
+    let t_hi_seed = t_single_worker_bound(platform, n, law)?;
     let (t, x) = bisect_total_reference(n, t_hi_seed, shares_at)?;
     Ok(NonlinearAllocation {
         x,
@@ -460,9 +474,10 @@ pub fn equal_finish_one_port_reference(
 // Outer solve: Σ x_i(T) = n
 // ---------------------------------------------------------------------------
 
-/// The outer root-finder of both communication models: finds `T` with
-/// `Σ xᵢ(T) = n` by safeguarded Newton on the monotone total, taken in
-/// log–log coordinates.
+/// The outer root-finder of the nested solve (one-port, and the lanes
+/// kernel's fallback): finds `T` with `Σ xᵢ(T) = n` by safeguarded Newton
+/// on the monotone total, taken in log–log coordinates, from `t0`, an
+/// upper bound on the root.
 ///
 /// `eval(t)` computes the shares at `t` into the caller's own storage and
 /// returns their sum `S` and the analytic slope `S′ = d(Σx)/dt`. The step
@@ -470,37 +485,24 @@ pub fn equal_finish_one_port_reference(
 /// lands on the root in one move wherever `S` is a power of `T` (a share
 /// tends to `t/c` at small `t` and to `(t/w)^{1/α}` at large `t`), it is
 /// the plain Newton step to first order as `S → n`, and it never leaves
-/// `T > 0`. The iteration maintains a bracket `[lo, hi]` around the root
-/// and accepts a step only when it lands strictly inside; otherwise it
-/// takes the geometric midpoint `√(lo·hi)` while `hi > 4·lo > 0`, the
-/// arithmetic one below that, so the worst case is a bisection in `ln T`
-/// and then in `T`, never divergence. While no upper bound has been
-/// confirmed (`S < n` everywhere so far, as under a hint below the root)
-/// it takes the step when it moves right and doubles `t` otherwise.
-///
-/// The first probe is `hint` when there is one, else the
-/// single-best-worker bound `T₀`, which costs `p` cost evaluations and is
-/// computed only then. A hinted solve that exhausts `config.max_outer` or
-/// hunts past `1e300` runs once more from `T₀`.
+/// `T > 0`. The iteration keeps the bracket `[lo, hi]`, `[0, t0]` from
+/// the first probe, and accepts a step only when it lands strictly
+/// inside; otherwise it takes the geometric midpoint `√(lo·hi)` while
+/// `hi > 4·lo > 0`, the arithmetic one below that, so the worst case is
+/// a bisection in `ln T` and then in `T`, never divergence.
 ///
 /// Returns the last evaluated iterate, whose residual is below
 /// `config.residual_tol · n` (or whose bracket is tight); the caller's
 /// shares are those of that final `eval`, which the caller finishes
 /// (rescale, conservation pin) itself.
 pub(crate) fn outer_newton(
-    platform: &Platform,
     n: f64,
-    law: CostLaw,
-    hint: Option<f64>,
+    t0: f64,
     config: &SolverConfig,
     mut eval: impl FnMut(f64) -> (f64, f64),
 ) -> Result<f64, DltError> {
-    let mut lo = 0.0f64;
-    let mut hi = f64::INFINITY;
-    let mut t = match hint {
-        Some(seed) => seed,
-        None => t_single_worker_bound(platform, n, law).max(1e-300),
-    };
+    let (mut lo, mut hi) = (0.0f64, t0);
+    let mut t = t0;
     for _ in 0..config.max_outer {
         let (total, slope) = eval(t);
         let g = total - n;
@@ -511,8 +513,7 @@ pub(crate) fn outer_newton(
         }
         // Relative at every scale: an absolute floor below `T = 1` would
         // stop a makespan under ~1e-16 at its first probe.
-        let bracket_tight = hi.is_finite() && hi - lo <= config.rel_tol * hi;
-        if g.abs() <= config.residual_tol * n || bracket_tight {
+        if g.abs() <= config.residual_tol * n || hi - lo <= config.rel_tol * hi {
             return Ok(t);
         }
         let step = if slope > 0.0 {
@@ -520,28 +521,13 @@ pub(crate) fn outer_newton(
         } else {
             f64::NAN
         };
-        t = if hi.is_finite() {
-            if step > lo && step < hi {
-                step
-            } else if lo > 0.0 && hi > 4.0 * lo {
-                lo.sqrt() * hi.sqrt()
-            } else {
-                0.5 * (lo + hi)
-            }
+        t = if step > lo && step < hi {
+            step
+        } else if lo > 0.0 && hi > 4.0 * lo {
+            lo.sqrt() * hi.sqrt()
         } else {
-            let next = if step > t && step.is_finite() {
-                step
-            } else {
-                2.0 * t
-            };
-            if next > 1e300 {
-                break;
-            }
-            next
+            0.5 * (lo + hi)
         };
-    }
-    if hint.is_some() {
-        return outer_newton(platform, n, law, None, config, eval);
     }
     Err(DltError::NoConvergence {
         context: "outer Newton iteration",
@@ -549,17 +535,21 @@ pub(crate) fn outer_newton(
 }
 
 /// Rescales the shares by `n / Σ xᵢ` so they sum to `n` (keeps downstream
-/// accounting clean); returns `false`, leaving them as they are, when the
-/// sum is not positive.
-pub(crate) fn rescale(x: &mut [f64], n: f64) -> bool {
+/// accounting clean). An error when the sum is not a positive finite
+/// `f64`: shares whose sum overflows, or that all underflowed to 0, are
+/// no allocation.
+pub(crate) fn rescale(x: &mut [f64], n: f64) -> Result<(), DltError> {
     let s: f64 = x.iter().sum();
-    if s > 0.0 {
-        let scale = n / s;
-        for xi in x.iter_mut() {
-            *xi *= scale;
-        }
+    if !(s > 0.0 && s.is_finite()) {
+        return Err(DltError::NoConvergence {
+            context: "share overflow: Σx is not a positive finite f64",
+        });
     }
-    s > 0.0
+    let scale = n / s;
+    for xi in x.iter_mut() {
+        *xi *= scale;
+    }
+    Ok(())
 }
 
 /// The original outer bisection (`Σ shares_at(T) = n`) — the outer loop of
@@ -601,15 +591,7 @@ where
     }
     let t = 0.5 * (lo + hi);
     let mut x = shares_at(t);
-    // Normalize the residual rounding error onto the shares so they sum to
-    // exactly n (keeps downstream accounting clean).
-    let s: f64 = x.iter().sum();
-    if s > 0.0 {
-        let scale = n / s;
-        for xi in &mut x {
-            *xi *= scale;
-        }
-    }
+    rescale(&mut x, n)?;
     Ok((t, x))
 }
 
@@ -722,33 +704,31 @@ mod tests {
     }
 
     #[test]
-    fn outer_newton_lands_in_a_few_evaluations_from_any_start() {
+    fn outer_newton_lands_in_a_few_evaluations_from_the_bound() {
         // p = 1024 identical lanes, α = 3, n = 4096: every share is 4 and
-        // the root is 4 + 4³ = 68. A sweep hands the next exponent the
-        // α = 2 root, 20; the other starts are hints 10⁹ times off either
-        // way and the cold single-worker bound, 4096 + 4096³.
+        // the root is 4 + 4³ = 68, some 10⁹ times below the single-worker
+        // bound 4096 + 4096³ that the loop starts from.
         let platform = Platform::homogeneous(1024, 1.0, 1.0).unwrap();
         let config = SolverConfig::default();
-        for hint in [Some(20.0), Some(68e-9), Some(68e9), None] {
-            let mut evals = 0;
-            let law = CostLaw::alpha_power(3.0);
-            let t = outer_newton(&platform, 4096.0, law, hint, &config, |t| {
-                evals += 1;
-                platform.iter().fold((0.0, 0.0), |(total, slope), worker| {
-                    let (x, dx) = invert_cost_newton(
-                        law,
-                        worker.inv_bandwidth(),
-                        worker.w(),
-                        t,
-                        config.max_inner,
-                    );
-                    (total + x, slope + dx)
-                })
+        let law = CostLaw::alpha_power(3.0);
+        let t0 = t_single_worker_bound(&platform, 4096.0, law).unwrap();
+        let mut evals = 0;
+        let t = outer_newton(4096.0, t0, &config, |t| {
+            evals += 1;
+            platform.iter().fold((0.0, 0.0), |(total, slope), worker| {
+                let (x, dx) = invert_cost_newton(
+                    law,
+                    worker.inv_bandwidth(),
+                    worker.w(),
+                    t,
+                    config.max_inner,
+                );
+                (total + x, slope + dx)
             })
-            .unwrap();
-            assert!(rel(t, 68.0) < 1e-12, "hint {hint:?}: root {t}");
-            assert!(evals <= 8, "hint {hint:?}: {evals} evaluations");
-        }
+        })
+        .unwrap();
+        assert!(rel(t, 68.0) < 1e-12, "root {t}");
+        assert!(evals <= 8, "{evals} evaluations");
     }
 
     #[test]
@@ -846,36 +826,6 @@ mod tests {
     }
 
     #[test]
-    fn stale_warm_start_brackets_fall_back() {
-        // Warm seeds that no longer contain the root — orders of
-        // magnitude below and above — must converge to the cold answer,
-        // not panic or diverge.
-        let platform = Platform::from_speeds_and_costs(&[1.0, 3.0, 2.0], &[0.5, 0.4, 0.9]).unwrap();
-        let config = SolverConfig::default();
-        let cold = equal_finish_parallel(&platform, 25.0, 2.0).unwrap();
-        for seed in [1e-30, 1e-3, 1e3, 1e30] {
-            let mut solver = crate::batch::BatchSolver::seeded(seed);
-            assert_eq!(solver.last_makespan(), Some(seed));
-            let a = solver.solve(&platform, 25.0, 2.0, &config).unwrap();
-            assert!(
-                rel(a.makespan, cold.makespan) < 1e-9,
-                "seed {seed}: {} vs {}",
-                a.makespan,
-                cold.makespan
-            );
-            // The handle was refreshed with the actual root.
-            assert!(rel(solver.last_makespan().unwrap(), cold.makespan) < 1e-9);
-        }
-        // Non-finite / non-positive seeds are ignored entirely.
-        for seed in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
-            assert_eq!(
-                crate::batch::BatchSolver::seeded(seed).last_makespan(),
-                None
-            );
-        }
-    }
-
-    #[test]
     fn warm_start_sequence_matches_cold_solves() {
         // A FIFO-style shrinking sequence through one handle agrees with
         // independent cold solves to well below the 1e-9 contract.
@@ -894,15 +844,28 @@ mod tests {
 
     #[test]
     fn newton_matches_reference_one_port() {
-        let platform = Platform::from_speeds_and_costs(&[1.0, 2.0, 5.0], &[1.0, 0.3, 0.8]).unwrap();
-        for &alpha in &[1.0, 1.5, 2.0, 3.0] {
-            let a = equal_finish_one_port(&platform, 30.0, alpha, None).unwrap();
-            let r = equal_finish_one_port_reference(&platform, 30.0, alpha, None).unwrap();
-            assert!(rel(a.makespan, r.makespan) < 1e-9, "alpha={alpha}");
-            for (x, y) in a.x.iter().zip(&r.x) {
-                assert!((x - y).abs() < 1e-9 * 30.0);
+        // The default order, and an order that serves a slow link first:
+        // its sends eat the windows of the workers after it, so the
+        // single-best-worker `T₀` can lie below the root (at α = 1 the
+        // shares at `T₀` sum to under 1 of the 30 units).
+        for (costs, order) in [
+            ([1.0, 0.3, 0.8], None),
+            ([100.0, 0.3, 0.8], Some(vec![0, 1, 2])),
+        ] {
+            let platform = Platform::from_speeds_and_costs(&[1.0, 2.0, 5.0], &costs).unwrap();
+            for &alpha in &[1.0, 1.5, 2.0, 3.0] {
+                let a = equal_finish_one_port(&platform, 30.0, alpha, order.clone()).unwrap();
+                let r =
+                    equal_finish_one_port_reference(&platform, 30.0, alpha, order.clone()).unwrap();
+                assert!(
+                    rel(a.makespan, r.makespan) < 1e-9,
+                    "{costs:?}, alpha={alpha}"
+                );
+                for (x, y) in a.x.iter().zip(&r.x) {
+                    assert!((x - y).abs() < 1e-9 * 30.0);
+                }
+                assert_eq!(a.order, r.order);
             }
-            assert_eq!(a.order, r.order);
         }
     }
 
